@@ -84,6 +84,17 @@ def _check_twb_params(x: float, trunc: FockTruncation):
     return tail
 
 
+def _check_gamma_t(gamma_t: float):
+    if math.isnan(gamma_t) or gamma_t < 0:
+        raise ValueError(f"gamma_t must be non-negative (inf allowed), "
+                         f"got {gamma_t}")
+
+
+def _check_kappa(kappa: float):
+    if not (math.isfinite(kappa) and kappa >= 0):
+        raise ValueError(f"kappa must be finite and non-negative, got {kappa}")
+
+
 def twb_state(x: float, trunc: FockTruncation) -> BipartiteDensity:
     """Twin-beam (two-mode squeezed vacuum): amplitudes sqrt(1-x^2) x^n on |nn>."""
     tail = _check_twb_params(x, trunc)
@@ -102,13 +113,17 @@ def phase_noisy_twb(x: float, gamma_t: float,
     Matrix elements (1-x^2) x^(p+q) exp(-gamma_t (p-q)^2) at (|pp>, <qq|);
     everything outside those positions is exactly zero.
     """
-    if gamma_t < 0:
-        raise ValueError(f"gamma_t={gamma_t} must be non-negative")
+    _check_gamma_t(gamma_t)
     tail = _check_twb_params(x, trunc)
     d = trunc.dim
     n = np.arange(d)
-    weights = (1.0 - x * x) * x ** (n[:, None] + n[None, :]) \
-        * np.exp(-gamma_t * (n[:, None] - n[None, :]) ** 2)
+    # exp(-gamma_t k^2) only off the diagonal: gamma_t = inf gives the fully
+    # dephased (diagonal) state instead of inf * 0 = NaN at k = 0
+    sq = (n[:, None] - n[None, :]) ** 2
+    off = sq > 0
+    decay = np.ones((d, d))
+    decay[off] = np.exp(-gamma_t * sq[off])
+    weights = (1.0 - x * x) * x ** (n[:, None] + n[None, :]) * decay
     matrix = np.zeros((d * d, d * d), dtype=complex)
     diag_idx = n * d + n
     matrix[np.ix_(diag_idx, diag_idx)] = weights
@@ -182,8 +197,7 @@ def phase_witness_expectation(x: float, gamma_t: float) -> float:
     destroys the entanglement."""
     if not 0.0 <= x < 1.0:
         raise ValueError(f"x={x} outside [0, 1)")
-    if gamma_t < 0:
-        raise ValueError("gamma_t must be non-negative")
+    _check_gamma_t(gamma_t)
     return pt_min_eigenvalue(x, gamma_t)
 
 
@@ -238,8 +252,7 @@ def gaussian_noise_blocks(dim: int, kappa: float,
     splits into blocks: blocks[k][m-k-index, p-k-index] = <m|G(|p><p-k|)|m-k>
     for k >= 0 (negative k reuses the same blocks by symmetry).
     """
-    if kappa < 0:
-        raise ValueError(f"kappa={kappa} must be non-negative")
+    _check_kappa(kappa)
     if n_nodes is None:
         n_nodes = max(64, 2 * dim + 48)
     r, w = _radial_rule(kappa, n_nodes)
@@ -297,6 +310,7 @@ def noise_truncation(x: float, kappa: float, tol: float = 1e-10,
     twin-beam tail itself, so the padding is sized from the actual per-level
     survival probabilities rather than a fixed number of extra levels.
     """
+    _check_kappa(kappa)
     base = FockTruncation.for_twb(x, tol)
     if kappa == 0.0:
         return base
@@ -329,8 +343,7 @@ def apply_gaussian_noise(rho: BipartiteDensity, kappa: float,
     Raises:
         TruncationError: if the leaked weight exceeds ``max_leakage``.
     """
-    if kappa < 0:
-        raise ValueError(f"kappa={kappa} must be non-negative")
+    _check_kappa(kappa)
     d_in = rho.dim_a
     if rho.dim_b != d_in:
         raise ValueError("expected equal mode dimensions")
@@ -401,8 +414,7 @@ def gauss_witness_expectation(x: float, kappa: float,
     """
     if not 0.0 <= x < 1.0:
         raise ValueError(f"x={x} outside [0, 1)")
-    if kappa < 0:
-        raise ValueError(f"kappa={kappa} must be non-negative")
+    _check_kappa(kappa)
     if kappa == 0.0 or x == 0.0:
         return -(1.0 - x * x) * x
     ratio = (x * kappa / (1.0 + kappa)) ** 2

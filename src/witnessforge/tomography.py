@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,7 +23,7 @@ from .specfn import f00, f01, f11, oscillator_psi_table
 from .states import BipartiteDensity
 
 BLOCK_SIZE = 65536          # determinism unit: one RNG substream per block
-_CHUNK = 8192               # conditional-stage working-set size
+_CHUNK = 2048               # rows of every table product (see _fixed_rows)
 PDF_NEGATIVITY_TOL = 1e-10
 
 
@@ -45,8 +45,11 @@ class HomodyneBatch:
         if len(self.phi1) == 0:
             raise ValueError("batch must contain at least one sample")
         for phi in (self.phi1, self.phi2):
-            if phi.min() < 0.0 or phi.max() >= math.pi:
+            # written so that NaN fails the test too
+            if not (phi.min() >= 0.0 and phi.max() < math.pi):
                 raise ValueError("phases must lie in [0, pi)")
+        if not (np.all(np.isfinite(self.x1)) and np.all(np.isfinite(self.x2))):
+            raise ValueError("quadratures must be finite")
 
     def __len__(self) -> int:
         return len(self.phi1)
@@ -133,12 +136,41 @@ def joint_quadrature_pdf(rho: BipartiteDensity, phi1: float, phi2: float,
 
 # -- exact per-sample inverse-CDF sampling ------------------------------------
 
-def _simpson_cells(values: np.ndarray, delta: float) -> np.ndarray:
-    """Simpson mass of each [2c, 2c+2] node pair along the last axis."""
-    even = values[..., 0:-2:2]
-    mid = values[..., 1:-1:2]
-    right = values[..., 2::2]
-    return np.clip(delta / 3.0 * (even + 4.0 * mid + right), 0.0, None)
+def _with_cdf(rows: np.ndarray, delta: float) -> np.ndarray:
+    """Append CDF columns to density rows along the last axis:
+    ``[rows | cdf | total]``.
+
+    With m_c the Simpson mass of node pair [2c, 2c+2], cdf[c] is the mass up
+    to the end of cell c over the lower half of the cells, and minus the mass
+    after cell c over the upper half; total is the mass of all cells.  Each
+    tail is thus accumulated from its own end, so a weighted sum of rows
+    resolves small tail masses to rounding relative to themselves rather
+    than to the total.  The map is linear, so a weighted sum of table rows
+    is the table of the weighted density: the sampler builds it once per
+    state.
+    """
+    cells = delta / 3.0 * (rows[..., 0:-2:2] + 4.0 * rows[..., 1:-1:2]
+                           + rows[..., 2::2])
+    half = cells.shape[-1] // 2
+    lower = np.cumsum(cells[..., :half], axis=-1)
+    after = np.cumsum(cells[..., :half - 1:-1], axis=-1)[..., ::-1]
+    upper = np.zeros_like(after)
+    upper[..., :-1] = -after[..., 1:]
+    total = lower[..., -1:] + after[..., :1]
+    return np.concatenate([rows, lower, upper, total], axis=-1)
+
+
+def _fixed_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b evaluated at exactly _CHUNK rows of a.
+
+    BLAS may round a row differently depending on how many rows the call
+    holds, so a short chunk is padded with zero rows.  Every row then has
+    the same bits whatever the sample count, which keeps a shorter run a
+    bitwise prefix of a longer one.
+    """
+    padded = np.zeros((_CHUNK, a.shape[1]), dtype=a.dtype)
+    padded[: a.shape[0]] = a
+    return (padded @ b)[: a.shape[0]]
 
 
 def _invert_cells(p0, p1, p2, residual, n_steps: int = 42) -> np.ndarray:
@@ -160,57 +192,67 @@ def _invert_cells(p0, p1, p2, residual, n_steps: int = 42) -> np.ndarray:
     return 0.5 * (lo + hi)
 
 
-def _sample_rows(pdf_rows: np.ndarray, u: np.ndarray, nodes: np.ndarray,
+def _sample_rows(rows: np.ndarray, u: np.ndarray, nodes: np.ndarray,
                  delta: float) -> np.ndarray:
-    """Draw one outcome per row of pdf_rows by inverse CDF.
+    """Draw one outcome per row of ``[density | cdf | total]`` rows (see
+    :func:`_with_cdf`) by inverse CDF.
 
-    pdf_rows has shape (n, 2*cells + 1) (or (2*cells + 1,) shared across all
-    draws); the CDF is accumulated cell-wise with Simpson weights and
-    inverted inside the bracketing cell.
+    rows has shape (n, G + cells + 1) for G = 2*cells + 1 nodes (or
+    (G + cells + 1,) shared across all draws); the draw is located in the
+    bracketing cell and inverted inside it.  The target u * total is
+    compared as itself on the lower half of the cells and as
+    (u - 1) * total on the upper half, where cdf holds minus the mass after
+    each cell.
     """
-    shared = pdf_rows.ndim == 1
-    cells = _simpson_cells(pdf_rows, delta)
-    cdf = np.cumsum(cells, axis=-1)
-    total = cdf[..., -1]
+    g = nodes.size
+    pdf, cdf, total = rows[..., :g], rows[..., g:-1], rows[..., -1]
+    half = cdf.shape[-1] // 2
     if np.any(total <= 0.0):
         raise ValueError("quadrature density has vanishing total mass")
-    target = u * total
-    if shared:
-        idx = np.searchsorted(cdf, target)
-        idx = np.minimum(idx, cells.shape[-1] - 1)
-        below = np.where(idx > 0, cdf[np.maximum(idx - 1, 0)], 0.0)
-        p0 = pdf_rows[2 * idx]
-        p1 = pdf_rows[2 * idx + 1]
-        p2 = pdf_rows[2 * idx + 2]
+    below_target = u * total
+    above_target = (u - 1.0) * total
+    if rows.ndim == 1:
+        idx = (np.searchsorted(cdf[:half], below_target)
+               + np.searchsorted(cdf[half:], above_target))
+
+        def pick(table, k):
+            return table[k]
     else:
-        idx = np.sum(cdf < target[:, None], axis=-1)
-        idx = np.minimum(idx, cells.shape[-1] - 1)
-        take = np.arange(pdf_rows.shape[0])
-        below = np.where(idx > 0, cdf[take, np.maximum(idx - 1, 0)], 0.0)
-        p0 = pdf_rows[take, 2 * idx]
-        p1 = pdf_rows[take, 2 * idx + 1]
-        p2 = pdf_rows[take, 2 * idx + 2]
-    residual = (target - below) / delta
-    t = _invert_cells(p0, p1, p2, residual)
+        idx = (np.sum(cdf[:, :half] < below_target[:, None], axis=-1)
+               + np.sum(cdf[:, half:] < above_target[:, None], axis=-1))
+        take = np.arange(rows.shape[0])
+
+        def pick(table, k):
+            return table[take, k]
+    idx = np.minimum(idx, cdf.shape[-1] - 1)
+    target = np.where(idx > half, above_target, below_target)
+    below = np.where(idx > 0, pick(cdf, np.maximum(idx - 1, 0)), 0.0)
+    t = _invert_cells(pick(pdf, 2 * idx), pick(pdf, 2 * idx + 1),
+                      pick(pdf, 2 * idx + 2), (target - below) / delta)
     return nodes[2 * idx] + t * delta
 
 
 class _DifferenceBlocks:
-    """Index-difference decomposition of a two-mode density tensor.
+    """Index-difference blocks of a two-mode density tensor.
 
     Blocks exist when rho_{nm,n'm'} is supported on n - n' = m - m' (true for
     the twin beam, its phase-diffused version, and any phase-covariant channel
-    output); the conditional-density stage then factors into one small matrix
-    product per difference j, which is what makes 10^6-sample runs cheap.
+    output).  The pair weights of the conditional density then factor into
+    one small matrix product per difference j: with
+    B_j[i, l] = rho_{(i+j)(l+j), il} and a_j(s)_i = psi_{i+j}(x1) psi_i(x1),
+
+        W_(j,l)(s) = c_j Re[e^{ij(phi1+phi2)} (a_j(s) B_j)_l],
+
+    c_0 = 1 and c_j = 2, where the cosine and sine of j(phi1+phi2) fold into
+    W, so real and complex blocks share one pair table.
     """
 
     def __init__(self, t: np.ndarray):
         d = t.shape[0]
-        self.d = d
         nz = np.argwhere(np.abs(t) > 0.0)
         self.valid = bool(len(nz) == 0
                           or np.all(nz[:, 0] - nz[:, 2] == nz[:, 1] - nz[:, 3]))
-        self.real = bool(np.abs(t.imag).max() == 0.0)
+        real = bool(np.abs(t.imag).max() == 0.0)
         self.blocks = []
         if not self.valid:
             return
@@ -218,22 +260,34 @@ class _DifferenceBlocks:
             ii, ll = np.meshgrid(np.arange(d - j), np.arange(d - j),
                                  indexing="ij")
             block = t[ii + j, ll + j, ii, ll]
-            self.blocks.append(block.real if self.real else block)
+            self.blocks.append(block.real if real else block)
 
 
 @dataclass
 class _SamplerTables:
-    """Everything precomputed once per (state, grid) for the sampling loop."""
+    """Everything precomputed once per (state, grid) for the sampling loop.
 
-    rho: BipartiteDensity
+    Each density row the sampler draws from is linear in a few real weights,
+    so it is one product W @ table with a ``[density | cdf | total]`` table
+    from :func:`_with_cdf`.  Stage 1 weighs the phase-coefficient rows of the
+    mode-1 marginal; stage 2 weighs the pair products psi_m psi_M (m >= M,
+    ordered by j = m - M, then M) with the pair weights W(s) of the mode-2
+    conditional operator at the sampled x1.
+    """
+
+    d: int
     nodes: np.ndarray
     delta: float
-    psi_nodes: np.ndarray
-    marginal_pdf: np.ndarray | None      # shared when reduced state is diagonal
-    marginal_coeffs: np.ndarray | None   # (2J-1, G) phase table otherwise
+    marginal: np.ndarray        # shared row if the reduced state is diagonal,
+                                # else (2d-1, G + cells + 1) phase-coefficient
+                                # rows
+    pairs: np.ndarray           # (d(d+1)/2, G + cells + 1) pair-product rows
     diff: _DifferenceBlocks
-    t_full: np.ndarray
-    cond_tables: list = field(default_factory=list)
+    t_cond: np.ndarray | None   # (d^2, d^2) map C(s) = (u1 x conj(u1)) @ t_cond,
+                                # for states without blocks
+    pair_j: np.ndarray          # index difference m - M of each pair
+    upper: np.ndarray           # flat index m*d + M of C[m, M] for each pair
+    lower: np.ndarray           # flat index M*d + m
 
     @classmethod
     def build(cls, rho: BipartiteDensity, cells: int, span: float | None):
@@ -249,85 +303,84 @@ class _SamplerTables:
             diag = np.real(np.diag(reduced))
             if diag.min() < -PDF_NEGATIVITY_TOL:
                 raise ValueError("reduced state has negative populations")
-            marginal_pdf = np.clip(diag, 0.0, None) @ (psi_nodes * psi_nodes)
-            marginal_coeffs = None
+            marginal = np.clip(diag, 0.0, None) @ (psi_nodes * psi_nodes)
         else:
-            marginal_pdf = None
             rows = [np.real(np.diag(reduced)) @ (psi_nodes * psi_nodes)]
             for j in range(1, d):
                 cj = np.einsum("n,ng,ng->g", np.diag(reduced, -j),
                                psi_nodes[j:], psi_nodes[:d - j])
                 rows.append(2.0 * cj.real)
                 rows.append(-2.0 * cj.imag)
-            marginal_coeffs = np.asarray(np.vstack(rows))
-        t_full = rho.matrix.reshape(d, d, d, d)
-        diff = _DifferenceBlocks(t_full)
-        tables = cls(rho=rho, nodes=nodes, delta=delta, psi_nodes=psi_nodes,
-                     marginal_pdf=marginal_pdf, marginal_coeffs=marginal_coeffs,
-                     diff=diff, t_full=t_full)
-        if diff.valid:
-            d_rows = [psi_nodes[j:] * psi_nodes[: d - j] for j in range(d)]
-            if diff.real:
-                tables.cond_tables = [np.vstack(d_rows)]
-            else:
-                # complex blocks contribute separate cosine and sine columns
-                tables.cond_tables = [np.vstack(d_rows + d_rows[1:])]
-        return tables
+            marginal = np.vstack(rows)
+        t = rho.matrix.reshape(d, d, d, d)
+        pair_j = np.concatenate([np.full(d - j, j) for j in range(d)])
+        pair_m = np.concatenate([np.arange(j, d) for j in range(d)])
+        pairs = np.vstack([psi_nodes[j:] * psi_nodes[: d - j]
+                           for j in range(d)])
+        diff = _DifferenceBlocks(t)
+        t_cond = (None if diff.valid
+                  else t.transpose(0, 2, 1, 3).reshape(d * d, d * d))
+        return cls(d=d, nodes=nodes, delta=delta,
+                   marginal=_with_cdf(marginal, delta),
+                   pairs=_with_cdf(pairs, delta), diff=diff, t_cond=t_cond,
+                   pair_j=pair_j, upper=pair_m * d + pair_m - pair_j,
+                   lower=(pair_m - pair_j) * d + pair_m)
 
     # ---- stage 1: x1 from the phi1 marginal ----
     def marginal_rows(self, phi1: np.ndarray) -> np.ndarray:
-        if self.marginal_pdf is not None:
-            return self.marginal_pdf
-        d = self.rho.dim_a
-        j = np.arange(1, d)
+        if self.marginal.ndim == 1:
+            return self.marginal
+        j = np.arange(1, self.d)
         angles = phi1[:, None] * j[None, :]
-        weights = np.empty((phi1.size, 2 * d - 1))
+        weights = np.empty((phi1.size, 2 * self.d - 1))
         weights[:, 0] = 1.0
         weights[:, 1::2] = np.cos(angles)
         weights[:, 2::2] = np.sin(angles)
-        return weights @ self.marginal_coeffs
+        return _fixed_rows(weights, self.marginal)
 
     # ---- stage 2: x2 from the conditional at the sampled x1 ----
-    def conditional_rows(self, x1: np.ndarray, phi1: np.ndarray,
-                         phi2: np.ndarray) -> np.ndarray:
-        d = self.rho.dim_a
+    def pair_weights(self, x1: np.ndarray, phi1: np.ndarray,
+                     phi2: np.ndarray) -> np.ndarray:
+        """Real weights W(s) of the pair rows in the conditional density."""
+        d = self.d
         psi1 = oscillator_psi_table(d - 1, x1)
         if self.diff.valid:
-            # q(s, g) = sum_j w_j(s) (A_j R_j D_j)(s, g); stacking the
-            # weighted A_j R_j factors turns the sum into one matrix product
             phase_sum = phi1 + phi2
             cos_w = np.cos(np.outer(phase_sum, np.arange(d)))
             cos_w[:, 1:] *= 2.0
-            pieces = []
-            sine_pieces = []
-            for j in range(d):
-                a_j = (psi1[j:] * psi1[: d - j]).T
-                b_j = a_j @ self.diff.blocks[j]
-                if self.diff.real:
-                    pieces.append(cos_w[:, j, None] * b_j)
-                else:
-                    pieces.append(cos_w[:, j, None] * b_j.real)
-                    if j > 0:
-                        sin_w = -2.0 * np.sin(j * phase_sum)
-                        sine_pieces.append(sin_w[:, None] * b_j.imag)
-            stacked = np.hstack(pieces + sine_pieces)
-            return stacked @ self.cond_tables[0]
-        # general fallback: full contraction per sample (small dimensions)
-        n = np.arange(d)
-        u1 = psi1.T * np.exp(1j * np.outer(phi1, n))
-        c = np.einsum("nmNM,sn,sN->smM", self.t_full, u1, u1.conj(),
-                      optimize=True)
-        u2 = self.psi_nodes[None, :, :] * np.exp(
-            1j * np.outer(phi2, n))[:, :, None]
-        rows = np.einsum("smM,smg,sMg->sg", c, u2, u2.conj(), optimize=True)
-        return rows.real
+            weights = np.empty((x1.size, self.pair_j.size))
+            col = 0
+            for j, block in enumerate(self.diff.blocks):
+                b_j = _fixed_rows((psi1[j:] * psi1[: d - j]).T, block)
+                cols = slice(col, col + d - j)
+                col += d - j
+                weights[:, cols] = cos_w[:, j, None] * b_j.real
+                if np.iscomplexobj(b_j) and j > 0:
+                    sin_w = -2.0 * np.sin(j * phase_sum)
+                    weights[:, cols] += sin_w[:, None] * b_j.imag
+            return weights
+        u1 = psi1.T * np.exp(1j * np.outer(phi1, np.arange(d)))
+        outer = (u1[:, :, None] * u1.conj()[:, None, :]).reshape(x1.size, -1)
+        c = _fixed_rows(outer, self.t_cond)
+        turn = np.exp(1j * np.outer(phi2, self.pair_j))
+        weights = (c[:, self.upper] * turn).real \
+            + (c[:, self.lower] * turn.conj()).real
+        weights[:, self.pair_j == 0] *= 0.5
+        return weights
 
-    def check_rows(self, rows: np.ndarray):
-        floor = rows.min()
-        if floor < -PDF_NEGATIVITY_TOL * max(1.0, rows.max()):
+    def conditional_rows(self, x1: np.ndarray, phi1: np.ndarray,
+                         phi2: np.ndarray) -> np.ndarray:
+        return _fixed_rows(self.pair_weights(x1, phi1, phi2), self.pairs)
+
+    def draw(self, rows: np.ndarray, u: np.ndarray) -> np.ndarray:
+        """Check the node densities of ``[density | cdf]`` rows, then sample."""
+        density = rows[..., : self.nodes.size]
+        floor = density.min()
+        if floor < -PDF_NEGATIVITY_TOL * max(1.0, density.max()):
             raise ValueError(
                 f"conditional quadrature density reaches {floor:.3e}; "
                 "the state is invalid or the truncation failed")
+        return _sample_rows(rows, u, self.nodes, self.delta)
 
 
 def _sample_block(tables: _SamplerTables, seed_seq: np.random.SeedSequence,
@@ -342,16 +395,9 @@ def _sample_block(tables: _SamplerTables, seed_seq: np.random.SeedSequence,
     x2 = np.empty(count)
     for start in range(0, count, _CHUNK):
         sl = slice(start, min(start + _CHUNK, count))
-        rows1 = tables.marginal_rows(phi1[sl])
-        if rows1.ndim == 1:
-            tables.check_rows(rows1[None, :])
-        else:
-            tables.check_rows(rows1)
-        x1[sl] = _sample_rows(rows1, u1[sl], tables.nodes, tables.delta)
-        rows2 = tables.conditional_rows(x1[sl], phi1[sl], phi2[sl])
-        tables.check_rows(rows2)
-        np.clip(rows2, 0.0, None, out=rows2)
-        x2[sl] = _sample_rows(rows2, u2[sl], tables.nodes, tables.delta)
+        x1[sl] = tables.draw(tables.marginal_rows(phi1[sl]), u1[sl])
+        x2[sl] = tables.draw(
+            tables.conditional_rows(x1[sl], phi1[sl], phi2[sl]), u2[sl])
     return phi1, x1, phi2, x2
 
 
@@ -365,9 +411,20 @@ def sample_homodyne(rho: BipartiteDensity, n: int, seed: int, workers: int = 1,
     grid of 2*cells+1 nodes over [-L, L] and integrated cell-wise with
     Simpson weights (grid CDF error well below 1e-6 at the default size).
 
+    Every state takes one path.  A density row is linear in a few real pair
+    weights W(s), one per product psi_m psi_M with m >= M, so the sampler
+    tabulates those products and their cumulative Simpson cell masses (each
+    tail accumulated from its own end) once per state; one real product
+    W @ [products | cell CDFs] then gives each sample's node densities
+    (checked for negativity) and its CDF.  W comes from the
+    index-difference blocks when rho has that support, and from the mode-2
+    conditional operator C(s) otherwise.
+
     Samples are organized in fixed blocks of 65536 with one spawned RNG
     substream per block, so the result is bitwise reproducible and
     independent of the worker count; workers > 1 parallelizes over blocks.
+    Every matrix product runs at one fixed row count, padding a short chunk
+    with zero rows, so a shorter run is a bitwise prefix of a longer one.
     """
     if not isinstance(rho, BipartiteDensity):
         raise TypeError("rho must be a BipartiteDensity")

@@ -228,3 +228,32 @@ def test_bad_grid_spec(capsys, tmp_path):
                        "--scan-kappa", "nonsense",
                        "--output", str(tmp_path / "x.csv"))
     assert code == 2
+
+
+def test_cv_phase_fully_dephased(capsys):
+    code, out, _ = run(capsys, "cv-phase", "--x", "0.5", "--gammat", "inf")
+    assert code == 0
+    report = parse(out)
+    assert report["expectation"] == 0.0
+    assert report["analytic_expectation"] == 0.0
+    assert report["entangled"] is False
+
+
+def test_cv_phase_rejects_nan_gammat(capsys):
+    code, _, err = run(capsys, "cv-phase", "--x", "0.5", "--gammat", "nan")
+    assert code == 2
+    assert "gamma_t" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("cv-gauss", "--x", "0.5", "--kappa", "nan"),
+    ("cv-gauss", "--x", "0.5", "--kappa", "inf"),
+    ("bs-squeeze", "--x", "0.5", "--kappa", "nan"),
+    ("bs-squeeze", "--x", "0.5", "--kappa", "inf"),
+    ("tomo-estimate", "--x", "0.5", "--samples", "100", "--seed", "1",
+     "--kappa", "nan"),
+])
+def test_non_finite_kappa_exits_2(capsys, argv):
+    code, _, err = run(capsys, *argv)
+    assert code == 2
+    assert "kappa must be finite and non-negative" in err

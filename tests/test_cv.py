@@ -103,6 +103,41 @@ def test_phase_noisy_strong_dephasing_is_diagonal():
     assert rho.trace() == pytest.approx(1.0 - tr.tail_bound, abs=1e-14)
 
 
+def test_phase_noisy_fully_dephased_limit():
+    x = 0.5
+    tr = FockTruncation.for_twb(x)
+    rho = phase_noisy_twb(x, math.inf, tr)
+    d = tr.dim
+    diag_idx = np.arange(d) * d + np.arange(d)
+    expected = np.zeros((d * d, d * d))
+    expected[diag_idx, diag_idx] = (1 - x * x) * x ** (2 * np.arange(d))
+    assert np.array_equal(rho.matrix, expected)
+    assert evaluate_witness(cv_witness(tr), rho) == 0.0
+    assert phase_witness_expectation(x, math.inf) == 0.0
+
+
+@pytest.mark.parametrize("gamma_t", [math.nan, -1.0])
+def test_phase_noise_rejects_bad_strength(gamma_t):
+    tr = FockTruncation.for_twb(0.5)
+    with pytest.raises(ValueError, match="gamma_t"):
+        phase_noisy_twb(0.5, gamma_t, tr)
+    with pytest.raises(ValueError, match="gamma_t"):
+        phase_witness_expectation(0.5, gamma_t)
+
+
+@pytest.mark.parametrize("kappa", [math.nan, math.inf, -math.inf, -0.1])
+def test_noise_rejects_non_finite_kappa(kappa):
+    rho = twb_state(0.5, FockTruncation.for_twb(0.5))
+    calls = [lambda: gaussian_noise_blocks(4, kappa),
+             lambda: apply_gaussian_noise(rho, kappa),
+             lambda: gauss_witness_expectation(0.5, kappa),
+             lambda: noise_truncation(0.5, kappa)]
+    for call in calls:
+        with pytest.raises(ValueError,
+                           match="kappa must be finite and non-negative"):
+            call()
+
+
 def test_phase_noisy_element_and_support():
     x, gt = 0.5, 1.0
     tr = FockTruncation.for_twb(x)

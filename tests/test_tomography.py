@@ -15,7 +15,9 @@ from witnessforge.cv import (
 from witnessforge.formats import batch_rows_from_csv, batch_to_csv
 from witnessforge.states import BipartiteDensity
 from witnessforge.tomography import (
+    BLOCK_SIZE,
     HomodyneBatch,
+    _SamplerTables,
     joint_quadrature_pdf,
     mc_estimate_witness,
     sample_homodyne,
@@ -29,6 +31,26 @@ def vacuum_state(n_max=3):
     m = np.zeros((d * d, d * d), dtype=complex)
     m[0, 0] = 1.0
     return BipartiteDensity(d, d, m)
+
+
+def general_d3_state():
+    # the coherence |00><01| lies off the index-difference blocks
+    d = 3
+    vec = np.zeros(d * d, dtype=complex)
+    vec[0] = 1.0
+    vec[d + 1] = np.exp(1j * np.pi / 5)
+    vec[1] = 0.5
+    vec /= np.linalg.norm(vec)
+    return BipartiteDensity(d, d, np.outer(vec, vec.conj()))
+
+
+def rotated_twb(x, theta):
+    """Twin beam after the local phase e^{i theta a^dag a} on mode A."""
+    base = twb_state(x, FockTruncation.for_twb(x))
+    d = base.dim_a
+    phases = np.kron(np.exp(1j * theta * np.arange(d)), np.ones(d))
+    return BipartiteDensity(d, d, base.matrix * np.outer(phases,
+                                                         phases.conj()))
 
 
 def grid_integral_2d(xs, pdf):
@@ -196,8 +218,8 @@ def test_complex_block_path():
 
 
 def test_general_fallback_path_complex_state():
-    # a state with coherences off the index-difference blocks exercises the
-    # generic per-sample contraction
+    # a state with coherences off the index-difference blocks takes its pair
+    # weights from the mode-2 conditional operator C(s)
     d = 3
     vec = np.zeros(d * d, dtype=complex)
     vec[0] = 1.0
@@ -231,6 +253,15 @@ def test_batch_validation():
                       phi2=np.array([0.1]), x2=np.array([0.0]), seed=0)
     with pytest.raises(ValueError):
         HomodyneBatch(phi1=good, x1=good, phi2=good, x2=np.zeros(3), seed=0)
+    bad_phase = np.array([0.1, np.nan, 0.2, 0.3])
+    for phi1, phi2 in [(bad_phase, good), (good, bad_phase)]:
+        with pytest.raises(ValueError, match="phases"):
+            HomodyneBatch(phi1=phi1, x1=good, phi2=phi2, x2=good, seed=0)
+    for bad in (np.nan, np.inf, -np.inf):
+        bad_x = np.array([0.0, bad, 0.0, 0.0])
+        for x1, x2 in [(bad_x, good), (good, bad_x)]:
+            with pytest.raises(ValueError, match="finite"):
+                HomodyneBatch(phi1=good, x1=x1, phi2=good, x2=x2, seed=0)
 
 
 def test_sample_count_guard():
@@ -248,3 +279,94 @@ def test_batch_csv_roundtrip(tmp_path):
     assert np.array_equal(data["x1"], batch.x1)
     assert np.array_equal(data["phi2"], batch.phi2)
     assert np.array_equal(data["x2"], batch.x2)
+
+
+def _hermitian_pair_state(d, i, k, population, coherence):
+    """population (|i><i| + |k><k|) + coherence (|i><k| + |k><i|) on the flat
+    two-mode index; not positive once coherence exceeds population."""
+    m = np.zeros((d * d, d * d), dtype=complex)
+    m[i, i] = m[k, k] = population
+    m[i, k] = m[k, i] = coherence
+    return BipartiteDensity(d, d, m)
+
+
+@pytest.mark.parametrize("i, k, block", [(0, 4, True), (0, 1, False)],
+                         ids=["blocks", "general"])
+def test_sampler_rejects_negative_conditional_density(i, k, block):
+    # |00><11| keeps the index-difference support, |00><01| breaks it; both
+    # states have a valid reduced state, so only the conditional stage's
+    # negativity check can catch them
+    bad = _hermitian_pair_state(3, i, k, 0.5, 2.0)
+    assert _SamplerTables.build(bad, 512, None).diff.valid is block
+    with pytest.raises(ValueError, match="conditional quadrature density"):
+        sample_homodyne(bad, 1000, seed=3)
+
+
+@pytest.mark.parametrize("make_state", [
+    general_d3_state, lambda: twb_state(0.5, FockTruncation.for_twb(0.5))],
+    ids=["general-d3", "twb"])
+def test_sampling_prefix_ends_mid_chunk(make_state):
+    rho = make_state()
+    small = sample_homodyne(rho, 3000, seed=7)
+    large = sample_homodyne(rho, 5000, seed=7)
+    for name in ("phi1", "x1", "phi2", "x2"):
+        assert np.array_equal(getattr(small, name),
+                              getattr(large, name)[:3000])
+
+
+@pytest.mark.parametrize("make_state", [
+    general_d3_state, lambda: twb_state(0.5, FockTruncation.for_twb(0.5))],
+    ids=["general-d3", "twb"])
+def test_two_block_sampling_worker_independent(make_state):
+    rho = make_state()
+    n = BLOCK_SIZE + 1000
+    serial = sample_homodyne(rho, n, seed=11, workers=1)
+    threaded = sample_homodyne(rho, n, seed=11, workers=2)
+    for name in ("phi1", "x1", "phi2", "x2"):
+        assert np.array_equal(getattr(serial, name), getattr(threaded, name))
+
+
+@pytest.mark.parametrize("rho", [general_d3_state(), rotated_twb(0.5, 1.1)],
+                         ids=["general-d3", "rotated-twb"])
+def test_table_node_density_matches_joint_pdf(rho):
+    tables = _SamplerTables.build(rho, 512, None)
+    nodes = tables.nodes
+    rng = np.random.default_rng(13)
+    index = rng.integers(0, nodes.size, size=6)
+    phi1 = rng.uniform(0, np.pi, size=6)
+    phi2 = rng.uniform(0, np.pi, size=6)
+    rows = tables.conditional_rows(nodes[index], phi1, phi2)
+    density = rows[:, :nodes.size]
+    cdf, total = rows[:, nodes.size:-1], rows[:, -1:]
+    for s in range(6):
+        _, pdf = joint_quadrature_pdf(rho, phi1[s], phi2[s], xs=nodes)
+        assert np.abs(density[s] - pdf[index[s]]).max() < 1e-12
+    # the CDF columns are the cumulative Simpson masses of the density rows,
+    # held as minus the mass still to come over the upper half of the cells
+    simpson = tables.delta / 3.0 * (density[:, 0:-2:2]
+                                    + 4.0 * density[:, 1:-1:2]
+                                    + density[:, 2::2])
+    half = simpson.shape[1] // 2
+    from_left = np.hstack([cdf[:, :half], total + cdf[:, half:]])
+    assert np.abs(from_left - np.cumsum(simpson, axis=1)).max() < 1e-12
+    assert np.abs(total[:, 0] - simpson.sum(axis=1)).max() < 1e-12
+
+
+def test_inverse_cdf_resolves_both_tails():
+    # both densities are even in the sampled quadrature, so the inverse CDF
+    # is odd: x(1 - u) = -x(u), with 1 - u exact for these u.  Each tail is
+    # accumulated from its own end, so this holds to rounding even where the
+    # tail mass is 1e-9 of the total
+    u = np.array([2.0 ** -30, 2.0 ** -23, 2.0 ** -13, 0.375])
+    vacuum = _SamplerTables.build(vacuum_state(), 512, None)
+    shared = vacuum.marginal_rows(np.zeros(4))
+    twb = _SamplerTables.build(twb_state(0.5, FockTruncation.for_twb(0.5)),
+                               512, None)
+    # at x1 = 0 only even Fock levels contribute to the conditional
+    per_sample = twb.conditional_rows(np.zeros(4), np.full(4, 0.3),
+                                      np.full(4, 1.2))
+    for tables, rows in [(vacuum, shared), (twb, per_sample)]:
+        low = tables.draw(rows, u)
+        high = tables.draw(rows, 1.0 - u)
+        assert low.min() < -2.0
+        assert np.abs(low + high).max() < 1e-12
