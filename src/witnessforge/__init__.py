@@ -32,7 +32,7 @@ from .witness_finite import (
     min_pt_eigenvalue,
     quorum_decompose,
 )
-from .specfn import chf, f00, f01, f11, oscillator_psi, oscillator_psi_table
+from .specfn import f00, f01, f11, oscillator_psi, oscillator_psi_table
 from .cv import (
     FockTruncation,
     GaussThreshold,

@@ -1,13 +1,13 @@
 """Command-line front end: build witnesses, scan thresholds, run tomography.
 
 Exit codes: 0 success, 2 precondition violation (bad flags or inputs),
-3 numerical failure (truncation leakage, non-convergence, missing sign
-change).
+3 numerical failure (truncation leakage, non-convergence).
 """
 
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 
@@ -26,6 +26,7 @@ from .linalg import ConvergenceError, complex_svd
 from .states import maximally_entangled_operator, schmidt_operator
 
 BOUNDARY_TOL = 1e-12
+MAX_GRID_POINTS = 100_000
 
 
 def _resolve_seed(args) -> int:
@@ -57,6 +58,11 @@ def _load_psi(args) -> np.ndarray:
         raise ValueError(
             f"--dim {args.dim} does not match psi file dimension {psi.shape[0]}")
     return psi
+
+
+def _gamma_t_field(gamma_t):
+    """gamma_t as a report value: strict JSON has no infinity."""
+    return "inf" if gamma_t == math.inf else gamma_t
 
 
 def _emit(args, payload: dict) -> None:
@@ -142,12 +148,18 @@ def cmd_finite_scan(args) -> None:
 def _parse_grid(spec: str) -> np.ndarray:
     try:
         start, stop, step = (float(tok) for tok in spec.split(":"))
-    except Exception as exc:
+    except ValueError as exc:
         raise ValueError(f"bad grid spec {spec!r}; expected start:stop:step") from exc
+    if not all(math.isfinite(v) for v in (start, stop, step)):
+        raise ValueError(f"bad grid spec {spec!r}: start, stop and step must "
+                         "be finite")
     if step <= 0 or stop < start:
         raise ValueError(f"bad grid spec {spec!r}")
-    count = int(round((stop - start) / step)) + 1
-    return start + step * np.arange(count)
+    intervals = (stop - start) / step  # inf if the quotient overflows
+    if not intervals <= MAX_GRID_POINTS - 1:
+        raise ValueError(f"bad grid spec {spec!r}: more than "
+                         f"{MAX_GRID_POINTS} points")
+    return start + step * np.arange(int(round(intervals)) + 1)
 
 
 def _truncation(args, x: float) -> cv.FockTruncation:
@@ -163,10 +175,11 @@ def cmd_cv_phase(args) -> None:
     expectation = witness_finite.evaluate_witness(witness, rho)
     analytic = cv.phase_witness_expectation(args.x, args.gammat)
     report = {
-        "config": {"command": "cv-phase", "x": args.x, "gamma_t": args.gammat,
+        "config": {"command": "cv-phase", "x": args.x,
+                   "gamma_t": _gamma_t_field(args.gammat),
                    "trunc": args.trunc, "tol": args.tol},
         "x": args.x,
-        "gamma_t": args.gammat,
+        "gamma_t": _gamma_t_field(args.gammat),
         "n_max": trunc.n_max,
         "tail_bound": trunc.tail_bound,
         "trace_deficit": rho.trace_deficit,
@@ -178,9 +191,11 @@ def cmd_cv_phase(args) -> None:
 
 
 def cmd_cv_gauss(args) -> None:
+    if (args.kappa is None) == (args.scan_kappa is None):
+        raise ValueError("give one of --kappa / --scan-kappa")
     trunc = _truncation(args, args.x)
     if args.scan_kappa is None:
-        expectation = cv.gauss_witness_expectation(args.x, args.kappa, trunc)
+        expectation = cv.gauss_witness_expectation(args.x, args.kappa)
         report = {
             "config": {"command": "cv-gauss", "x": args.x, "kappa": args.kappa,
                        "trunc": args.trunc, "tol": args.tol},
@@ -199,7 +214,7 @@ def cmd_cv_gauss(args) -> None:
     grid = _parse_grid(args.scan_kappa)
     rows = []
     for kappa in grid:
-        val = cv.gauss_witness_expectation(args.x, float(kappa), trunc)
+        val = cv.gauss_witness_expectation(args.x, float(kappa))
         rows.append((float(kappa), val, bool(val < -BOUNDARY_TOL)))
     write_csv(args.output, ["kappa", "expectation", "entangled"], rows)
     threshold = cv.gauss_separability_threshold(args.x)
@@ -261,7 +276,7 @@ def cmd_tomo_estimate(args) -> None:
         if estimate.std_error > 0 else 0.0
     report = {
         "config": {"command": "tomo-estimate", "x": args.x,
-                   "gamma_t": args.gammat, "kappa": args.kappa,
+                   "gamma_t": _gamma_t_field(args.gammat), "kappa": args.kappa,
                    "samples": args.samples, "seed": seed,
                    "workers": args.workers, "trunc": args.trunc,
                    "tol": args.tol, "state": label},
@@ -288,7 +303,7 @@ def cmd_bs_squeeze(args) -> None:
     else:
         channel_trunc = trunc
         noisy = base
-    direct = cv.gauss_witness_expectation(args.x, args.kappa, trunc)
+    direct = cv.gauss_witness_expectation(args.x, args.kappa)
     # |nn> scatters to single-mode level 2n on the splitter: double the room
     bs_trunc = cv.FockTruncation(2 * channel_trunc.n_max + 1,
                                  channel_trunc.tail_bound)

@@ -373,96 +373,49 @@ def apply_gaussian_noise(rho: BipartiteDensity, kappa: float,
 
 # -- witness expectation under amplitude noise -------------------------------
 
-def _witness_channel_rows(p_max: int, kappa: float):
-    """Radial-quadrature values of <0|G(|p><p|)|0>, <1|G(|p><p|)|1> and
-    <0|G(|p><p+1|)|1> for p = 0..p_max.
-
-    Only the first two Fock rows of the channel are needed to trace the
-    witness against a noisy twin beam, so the full block matrices are never
-    materialized.
-    """
-    n_nodes = max(64, 2 * p_max + 48)
-    r, w = _radial_rule(kappa, n_nodes)
-    u = r * r
-    p = np.arange(p_max + 1)
-    # log-space prefactor: base[p] = |<0|D(r)|p>| = e^{-u/2} r^p / sqrt(p!)
-    log_amp = p[:, None] * np.log(r)[None, :] \
-        - 0.5 * gammaln(p + 1.0)[:, None] - 0.5 * u[None, :]
-    base = np.exp(log_amp)
-    # |<1|D(r)|p>| = base[p] |p - u| / r (p >= 1);  <1|D(r)|0> = r e^{-u/2}
-    d1p = base * (p[:, None] - u[None, :]) / r[None, :]
-    d1p[0] = base[0] * r
-    # |<1|D(r)|p+1>| = base[p] |p + 1 - u| / sqrt(p + 1); the (-1)^p signs of
-    # <0|D|p> and <1|D|p+1> cancel in the product entering h below
-    d1p1 = base * (p[:, None] + 1 - u[None, :]) / np.sqrt(p + 1.0)[:, None]
-    g0 = (base * base) @ w
-    g1 = (d1p * d1p) @ w
-    h = (base * d1p1) @ w
-    return g0, g1, h
-
-
-def gauss_witness_expectation(x: float, kappa: float,
-                              trunc: FockTruncation | None = None) -> float:
+def gauss_witness_expectation(x: float, kappa: float) -> float:
     """Tr[R_kappa W] for the twin beam sent through Gaussian amplitude noise
-    on both modes.
+    on both modes, in closed form:
 
-    The trace needs only the witness's four matrix elements, each a weighted
-    series over the input Fock ladder; the series is summed with the same
-    radial quadrature that backs :func:`apply_gaussian_noise` and converges
-    for every x < 1 because the channel amplitudes decay like
-    (kappa/(1+kappa))^p.
+        (1 - x^2) N / Q^2,  N = (1 - x^2) kappa^2 + (1 + x^2) kappa - x,
+                            Q = (1 + kappa)^2 - x^2 kappa^2.
+
+    At x = 0 this is kappa / (1 + kappa)^3, the witness on a product of two
+    thermal states; at kappa = 0 it is -(1 - x^2) x.  N and Q are evaluated
+    scaled by (1 + kappa)^-2, so a large finite kappa cannot overflow them.
     """
     if not 0.0 <= x < 1.0:
         raise ValueError(f"x={x} outside [0, 1)")
     _check_kappa(kappa)
-    if kappa == 0.0 or x == 0.0:
-        return -(1.0 - x * x) * x
-    ratio = (x * kappa / (1.0 + kappa)) ** 2
-    p_max = max(16, min(4000, math.ceil(math.log(1e-20) / math.log(ratio))))
-    if trunc is not None:
-        p_max = max(p_max, trunc.n_max)
-    g0, g1, h = _witness_channel_rows(p_max, kappa)
-    p = np.arange(p_max + 1)
-    xpow = x ** (2 * p)
-    diag_part = float(np.sum(xpow * g0 * g1))
-    coh_part = float(np.sum(xpow * x * h * h))
-    return (1.0 - x * x) * (diag_part - coh_part)
+    c = 1.0 / (1.0 + kappa)
+    s = kappa * c
+    numerator = (1.0 - x * x) * s * s + (1.0 + x * x) * s * c - x * c * c
+    q = 1.0 - x * x * s * s
+    return (1.0 - x * x) * c * c * numerator / (q * q)
 
 
 @dataclass(frozen=True)
 class GaussThreshold:
-    """Numerically located sign change of the witness expectation in kappa.
+    """Noise strength at which the witness expectation changes sign.
 
-    ``analytic_comparator`` is not the crossing: it holds the stated
-    reference 1 - (1-x)/(2(1+x)), which is written for a noise parameter
-    one half quantum above this module's kappa and so equals
-    x/(1+x) + 1/2, i.e. kappa_star + 1/2 up to the bisection tolerance.
+    ``kappa_star = x/(1+x)`` is the positive root of the numerator of
+    :func:`gauss_witness_expectation`.  ``analytic_comparator`` is not the
+    crossing: it holds the stated reference 1 - (1-x)/(2(1+x)), which is
+    written for a noise parameter one half quantum above this module's
+    kappa and so equals x/(1+x) + 1/2, i.e. kappa_star + 1/2.
     """
 
     kappa_star: float
     analytic_comparator: float
 
 
-def gauss_separability_threshold(x: float, tol: float = 1e-6,
-                                 kappa_max: float = 2.0) -> GaussThreshold:
-    """Bisection root of the witness expectation in kappa on [0, kappa_max]."""
+def gauss_separability_threshold(x: float) -> GaussThreshold:
+    """Closed-form sign change kappa_star = x/(1+x) of the witness
+    expectation in kappa."""
     if not 0.0 < x < 1.0:
         raise ValueError(f"x={x} outside (0, 1)")
-    lo, hi = 0.0, kappa_max
-    f_lo = gauss_witness_expectation(x, lo)
-    f_hi = gauss_witness_expectation(x, hi)
-    if f_lo >= 0 or f_hi <= 0:
-        raise TruncationError(
-            f"no sign change of Tr[R_kappa W] on [0, {kappa_max}]: "
-            f"f(0)={f_lo:.3e}, f({kappa_max})={f_hi:.3e}")
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if gauss_witness_expectation(x, mid) < 0:
-            lo = mid
-        else:
-            hi = mid
     comparator = 1.0 - 0.5 * (1.0 - x) / (1.0 + x)
-    return GaussThreshold(kappa_star=0.5 * (lo + hi),
+    return GaussThreshold(kappa_star=x / (1.0 + x),
                           analytic_comparator=comparator)
 
 

@@ -39,11 +39,15 @@ def matrix_from_json(obj: dict) -> np.ndarray:
 def dump_report(payload: dict, path: str | None = None,
                 timestamp: bool = True) -> str:
     """Serialize a report deterministically (sorted keys); the timestamp is
-    isolated under the single top-level key ``timestamp``."""
+    isolated under the single top-level key ``timestamp``.
+
+    The output is strict JSON: a NaN or infinite float raises ValueError
+    instead of being written as a non-standard token.
+    """
     body = dict(payload)
     if timestamp:
         body["timestamp"] = time.strftime("%Y-%m-%dT%H:%M:%S%z")
-    text = json.dumps(body, indent=2, sort_keys=True) + "\n"
+    text = json.dumps(body, indent=2, sort_keys=True, allow_nan=False) + "\n"
     if path is not None:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)

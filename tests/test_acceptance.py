@@ -14,6 +14,7 @@ located witness sign change.
 import json
 import math
 import re
+from pathlib import Path
 
 import numpy as np
 
@@ -371,7 +372,7 @@ def test_criterion_13_determinism(tmp_path, capsys):
                          "--samples", "20000", "--seed", str(SEED),
                          "--output", path])
         ok &= code == 0
-        reports.append(_strip_timestamp(open(path).read()))
+        reports.append(_strip_timestamp(Path(path).read_text()))
     ok &= reports[0] == reports[1]
     payload = json.loads(reports[0])
     ok &= payload["seed"] == SEED
@@ -381,7 +382,7 @@ def test_criterion_13_determinism(tmp_path, capsys):
         code = cli_main(["finite-witness", "--dim", "5", "--max-entangled",
                          "--p", "0.4", "--output", path])
         ok &= code == 0
-        reports.append(_strip_timestamp(open(path).read()))
+        reports.append(_strip_timestamp(Path(path).read_text()))
     ok &= reports[2] == reports[3]
     capsys.readouterr()  # drop CLI stdout so the verdict line stays visible
     _report(13, "seeded pipeline reruns are bitwise identical "

@@ -1,5 +1,7 @@
 import json
+import math
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -83,7 +85,7 @@ def test_finite_witness_deterministic_reports(capsys, tmp_path):
         code, _, _ = run(capsys, "finite-witness", "--dim", "4",
                          "--max-entangled", "--p", "0.4", "--output", path)
         assert code == 0
-    texts = [strip_timestamp(open(p).read()) for p in paths]
+    texts = [strip_timestamp(Path(p).read_text()) for p in paths]
     assert texts[0] == texts[1]
 
 
@@ -95,7 +97,7 @@ def test_finite_scan(capsys, tmp_path):
     summary = parse(out)
     assert summary["p_threshold_bisection"] == pytest.approx(0.25, abs=1e-10)
     assert summary["p_threshold_closed_form"] == pytest.approx(0.25, abs=1e-12)
-    rows = open(csv_path).read().strip().splitlines()
+    rows = Path(csv_path).read_text().strip().splitlines()
     assert rows[0] == "p,trace_wr,entangled"
     assert len(rows) == 22
     first = rows[1].split(",")
@@ -123,6 +125,25 @@ def test_cv_gauss_single(capsys):
     assert parse(out)["entangled"] is False
 
 
+def test_cv_gauss_vacuum_is_not_entangled(capsys):
+    code, out, _ = run(capsys, "cv-gauss", "--x", "0", "--kappa", "0.5")
+    assert code == 0
+    report = parse(out)
+    assert report["expectation"] == pytest.approx(0.5 / 1.5 ** 3, rel=1e-14)
+    assert report["entangled"] is False
+
+
+def test_cv_gauss_needs_one_noise_flag(capsys, tmp_path):
+    code, _, err = run(capsys, "cv-gauss", "--x", "0.5")
+    assert code == 2
+    assert "give one of --kappa / --scan-kappa" in err
+    code, _, err = run(capsys, "cv-gauss", "--x", "0.5", "--kappa", "0.2",
+                       "--scan-kappa", "0:1:0.1",
+                       "--output", str(tmp_path / "k.csv"))
+    assert code == 2
+    assert "give one of --kappa / --scan-kappa" in err
+
+
 def test_cv_gauss_scan_brackets_crossing(capsys, tmp_path):
     csv_path = str(tmp_path / "kappa.csv")
     code, out, _ = run(capsys, "cv-gauss", "--x", "0.5",
@@ -130,7 +151,7 @@ def test_cv_gauss_scan_brackets_crossing(capsys, tmp_path):
     assert code == 0
     summary = parse(out)
     rows = [line.split(",") for line in
-            open(csv_path).read().strip().splitlines()[1:]]
+            Path(csv_path).read_text().strip().splitlines()[1:]]
     kappas = np.array([float(r[0]) for r in rows])
     values = np.array([float(r[1]) for r in rows])
     signs = np.sign(values)
@@ -148,7 +169,7 @@ def test_gauss_scan(capsys, tmp_path):
     assert code == 0
     assert parse(out)["points"] == 3
     rows = [line.split(",") for line in
-            open(csv_path).read().strip().splitlines()[1:]]
+            Path(csv_path).read_text().strip().splitlines()[1:]]
     for x_str, star_str, _ in rows:
         x = float(x_str)
         assert float(star_str) == pytest.approx(x / (1 + x), abs=1e-3)
@@ -173,7 +194,7 @@ def test_tomo_estimate_deterministic(capsys, tmp_path):
         path = str(tmp_path / name)
         code, _, _ = run(capsys, *args, "--output", path)
         assert code == 0
-        outs.append(strip_timestamp(open(path).read()))
+        outs.append(strip_timestamp(Path(path).read_text()))
     assert outs[0] == outs[1]
 
 
@@ -191,7 +212,7 @@ def test_tomo_estimate_batch_csv(capsys, tmp_path):
                        "--samples", "1000", "--seed", "3",
                        "--batch-csv", csv_path)
     assert code == 0
-    lines = open(csv_path).read().strip().splitlines()
+    lines = Path(csv_path).read_text().strip().splitlines()
     assert lines[0] == "phi1,x1,phi2,x2"
     assert len(lines) == 1001
 
@@ -228,6 +249,17 @@ def test_bad_grid_spec(capsys, tmp_path):
                        "--scan-kappa", "nonsense",
                        "--output", str(tmp_path / "x.csv"))
     assert code == 2
+    for spec in ("0:inf:0.1", "0:1:nan", "nan:1:0.1", "-inf:1:0.1",
+                 "0:1:inf", "0:1:1e-300", "-1e308:1e308:1"):
+        code, _, err = run(capsys, "cv-gauss", "--x", "0.5",
+                           f"--scan-kappa={spec}",
+                           "--output", str(tmp_path / "x.csv"))
+        assert code == 2
+        assert "bad grid spec" in err
+    code, _, err = run(capsys, "gauss-scan", "--scan-x", "0.1:0.9:1e-300",
+                       "--output", str(tmp_path / "x.csv"))
+    assert code == 2
+    assert "bad grid spec" in err
 
 
 def test_cv_phase_fully_dephased(capsys):
@@ -257,3 +289,24 @@ def test_non_finite_kappa_exits_2(capsys, argv):
     code, _, err = run(capsys, *argv)
     assert code == 2
     assert "kappa must be finite and non-negative" in err
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
+@pytest.mark.parametrize("argv", [
+    ("cv-phase", "--x", "0.5", "--gammat", "inf"),
+    ("tomo-estimate", "--x", "0.5", "--gammat", "inf", "--samples", "1000",
+     "--seed", "1"),
+])
+def test_infinite_gamma_t_report_is_strict_json(capsys, argv):
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    report = json.loads(out, parse_constant=_reject_constant)
+    assert report["config"]["gamma_t"] == "inf"
+
+
+def test_report_rejects_non_finite_values():
+    with pytest.raises(ValueError):
+        dump_report({"value": math.nan})

@@ -302,6 +302,35 @@ def test_gauss_expectation_no_noise():
             -(1 - x * x) * x, abs=1e-14)
 
 
+def test_gauss_expectation_vacuum_is_thermal_product():
+    # x = 0: each mode is a thermal state of mean photon number kappa, and
+    # only the |01><01| + |10><10| part of the witness survives
+    for kappa in (0.2, 0.5):
+        assert gauss_witness_expectation(0.0, kappa) == pytest.approx(
+            kappa / (1 + kappa) ** 3, rel=1e-14)
+
+
+def test_gauss_expectation_large_kappa_stays_finite():
+    # the expectation falls off like 1/kappa^2; kappa^2 alone overflows
+    assert gauss_witness_expectation(0.5, 1e100) == pytest.approx(1e-200,
+                                                                  rel=1e-12)
+    assert gauss_witness_expectation(0.5, 1e300) == 0.0
+
+
+def test_dense_channel_witness_changes_sign_at_kappa_star():
+    # the dense channel route is independent of the closed form, so this is
+    # the located crossing
+    for x in (0.3, 0.5, 0.7):
+        base_tr = FockTruncation.for_twb(x)
+        kappa_star = gauss_separability_threshold(x).kappa_star
+        signs = []
+        for kappa in (kappa_star - 1e-3, kappa_star + 1e-3):
+            tr = noise_truncation(x, kappa)
+            rho = apply_gaussian_noise(twb_state(x, base_tr), kappa, tr)
+            signs.append(np.sign(evaluate_witness(cv_witness(tr), rho)))
+        assert signs == [-1.0, 1.0]
+
+
 def test_gauss_expectation_closed_form_tracks_expm_oracle():
     # keeps the frozen rational oracle itself honest
     x, kappa = 0.5, 0.4

@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
+from kummer_oracle import chf, pattern_functions
 from witnessforge.specfn import (
-    chf,
     f00,
     f01,
     f11,
@@ -127,6 +127,14 @@ def test_f_values_at_origin():
     assert f00(0.0) == pytest.approx(2.0, abs=1e-14)
     assert f01(0.0) == pytest.approx(0.0, abs=1e-14)
     assert f11(0.0) == pytest.approx(-2.0, abs=1e-14)
+
+
+def test_f_closed_forms_match_kummer_oracle():
+    xs = np.concatenate([np.linspace(-25, 25, 5001),
+                         [0.0, 1e-300, -1e-300, 1e-12, -1e-12]])
+    oracle = pattern_functions(xs)
+    for f, ref, tol in zip((f00, f01, f11), oracle, (1e-14, 1e-12, 2e-11)):
+        assert np.max(np.abs(f(xs) - ref)) <= tol
 
 
 def test_f_reference_values_at_ten():
