@@ -38,10 +38,7 @@ from .cv import (
     GaussThreshold,
     TruncationError,
     apply_gaussian_noise,
-    beam_splitter,
-    beam_splitter_unitary,
     cv_witness,
-    embed,
     gauss_separability_threshold,
     gauss_witness_expectation,
     gaussian_noise_blocks,
@@ -54,7 +51,7 @@ from .cv import (
     pt_spectrum_analytic,
     quadrature_operator,
     single_mode_gaussian_noise,
-    squeezing_witness,
+    sum_mode_variance,
     twb_mean_photons,
     twb_state,
 )

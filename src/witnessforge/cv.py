@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm
 from scipy.special import gammaln
 
 from .states import BipartiteDensity, WitnessOperator
@@ -52,6 +51,8 @@ class FockTruncation:
         """Smallest truncation with x^(2(n_max+1)) < tol."""
         if not 0.0 <= x < 1.0:
             raise ValueError(f"twin-beam parameter x={x} outside [0, 1)")
+        if not 0.0 < tol < 1.0:
+            raise ValueError("tol must be finite and in (0, 1)")
         if x == 0.0:
             return cls(n_max=1, tail_bound=0.0)
         n_max = max(1, math.ceil(math.log(tol) / (2.0 * math.log(x))) - 1)
@@ -399,14 +400,14 @@ class GaussThreshold:
     """Noise strength at which the witness expectation changes sign.
 
     ``kappa_star = x/(1+x)`` is the positive root of the numerator of
-    :func:`gauss_witness_expectation`.  ``analytic_comparator`` is not the
+    :func:`gauss_witness_expectation`.  ``stated_reference`` is not the
     crossing: it holds the stated reference 1 - (1-x)/(2(1+x)), which is
     written for a noise parameter one half quantum above this module's
     kappa and so equals x/(1+x) + 1/2, i.e. kappa_star + 1/2.
     """
 
     kappa_star: float
-    analytic_comparator: float
+    stated_reference: float
 
 
 def gauss_separability_threshold(x: float) -> GaussThreshold:
@@ -414,12 +415,11 @@ def gauss_separability_threshold(x: float) -> GaussThreshold:
     expectation in kappa."""
     if not 0.0 < x < 1.0:
         raise ValueError(f"x={x} outside (0, 1)")
-    comparator = 1.0 - 0.5 * (1.0 - x) / (1.0 + x)
-    return GaussThreshold(kappa_star=x / (1.0 + x),
-                          analytic_comparator=comparator)
+    stated = 1.0 - 0.5 * (1.0 - x) / (1.0 + x)
+    return GaussThreshold(kappa_star=x / (1.0 + x), stated_reference=stated)
 
 
-# -- beam splitter and the squeezing test ------------------------------------
+# -- the sum-mode squeezing test ---------------------------------------------
 
 def _destroy(dim: int) -> np.ndarray:
     return np.diag(np.sqrt(np.arange(1.0, dim)), 1).astype(complex)
@@ -431,79 +431,42 @@ def quadrature_operator(dim: int) -> np.ndarray:
     return (a + a.conj().T) / 2
 
 
-def embed(rho: BipartiteDensity, trunc: FockTruncation) -> BipartiteDensity:
-    """Zero-pad a two-mode state into a larger truncation."""
-    d_in, d = rho.dim_a, trunc.dim
-    if d < d_in:
-        raise ValueError(f"target truncation {d - 1} smaller than input {d_in - 1}")
-    big = np.zeros((d, d, d, d), dtype=complex)
-    big[:d_in, :d_in, :d_in, :d_in] = rho.matrix.reshape(d_in, d_in, d_in, d_in)
-    return BipartiteDensity(dim_a=d, dim_b=d, matrix=big.reshape(d * d, d * d),
-                            trace_deficit=rho.trace_deficit)
+def _mode_moments(rho_mode: np.ndarray):
+    """X on the retained levels, <X> and Var X of a single-mode state.
+
+    <X^2> uses the square of the untruncated X restricted to the retained
+    levels, so the top level keeps its a a^dag term."""
+    d = rho_mode.shape[0]
+    x = quadrature_operator(d + 1)
+    mean = np.trace(x[:d, :d] @ rho_mode).real
+    second = np.trace((x @ x)[:d, :d] @ rho_mode).real
+    return x[:d, :d], mean, second - mean ** 2
 
 
-def beam_splitter_unitary(dim: int, transmissivity: float) -> np.ndarray:
-    """U = exp[theta (a^dag b - a b^dag)], theta = arccos(sqrt(transmissivity)),
-    on the truncated two-mode space.
+def sum_mode_variance(rho: BipartiteDensity, transmissivity: float) -> float:
+    """Var(sqrt(T) X_b - sqrt(1-T) X_a) of a two-mode state.
 
-    The generator conserves total photon number, so U is assembled sector by
-    sector from small matrix exponentials of exactly antisymmetric blocks;
-    the result is orthogonal (real unitary) to machine precision.
+    This is the variance of X on output port b of the beam splitter
+    U = exp[theta (a^dag b - a b^dag)], cos(theta) = sqrt(T), taken in the
+    Heisenberg picture: only the first and second quadrature moments of
+    ``rho`` enter, on its own truncation.  At T = 1/2 a value below the vacuum
+    1/4 certifies entanglement of a Gaussian input (sum-mode criterion,
+    Duan et al., PRL 84, 2722 (2000)).
 
-    Note that a Fock state |n n> scatters to single-mode levels up to 2n, so
-    callers should :func:`embed` states with significant weight at level n
-    into a truncation of at least 2n before splitting.
+    Raises:
+        ValueError: T outside [0, 1] or NaN, or |Tr rho - 1| > 1e-6 (the
+            truncation is insufficient).
     """
     if not 0.0 <= transmissivity <= 1.0:
         raise ValueError(f"transmissivity={transmissivity} outside [0, 1]")
-    theta = math.acos(math.sqrt(transmissivity))
-    u = np.zeros((dim * dim, dim * dim))
-    for s in range(2 * dim - 1):
-        n1 = np.arange(max(0, s - dim + 1), min(s, dim - 1) + 1)
-        hop = theta * np.sqrt((n1[:-1] + 1.0) * (s - n1[:-1]))
-        gen = np.diag(hop, -1) - np.diag(hop, 1)
-        block = expm(gen)
-        flat = n1 * dim + (s - n1)
-        u[np.ix_(flat, flat)] = block
-    return u
-
-
-def beam_splitter(rho: BipartiteDensity, transmissivity: float) -> BipartiteDensity:
-    """Mix the two modes on a beam splitter of the given transmissivity.
-
-    Conjugation by the exact unitary of :func:`beam_splitter_unitary`
-    preserves trace and spectrum exactly.
-    """
-    if not 0.0 <= transmissivity <= 1.0:
-        raise ValueError(f"transmissivity={transmissivity} outside [0, 1]")
-    if transmissivity == 1.0:
-        return BipartiteDensity(dim_a=rho.dim_a, dim_b=rho.dim_b,
-                                matrix=rho.matrix.copy(),
-                                trace_deficit=rho.trace_deficit)
-    d = rho.dim_a
-    if rho.dim_b != d:
-        raise ValueError("expected equal mode dimensions")
-    u = beam_splitter_unitary(d, transmissivity)
-    matrix = u @ rho.matrix @ u.T
-    return BipartiteDensity(dim_a=d, dim_b=d, matrix=matrix,
-                            trace_deficit=rho.trace_deficit)
-
-
-def squeezing_witness(rho_single: np.ndarray, trace_tol: float = 1e-6) -> float:
-    """Fluctuation witness Var(X) - 1/4 of a single-mode state.
-
-    A negative value certifies sub-vacuum fluctuations of X = (a^dag + a)/2.
-    For a Gaussian two-mode input mixed on a balanced beam splitter this is
-    equivalent to entanglement of the input.
-    """
-    rho = np.asarray(rho_single, dtype=complex)
-    d = rho.shape[0]
-    tr = float(np.trace(rho).real)
-    if abs(tr - 1.0) > trace_tol:
-        raise ValueError(
-            f"single-mode state trace {tr} deviates from 1 beyond {trace_tol}; "
-            "truncation is insufficient")
-    x_op = quadrature_operator(d)
-    mean = float(np.trace(x_op @ rho).real)
-    second = float(np.trace(x_op @ x_op @ rho).real)
-    return second - mean * mean - 0.25
+    tr = rho.trace()
+    if abs(tr - 1.0) > 1e-6:
+        raise ValueError(f"state trace {tr} deviates from 1 beyond 1e-6; "
+                         "truncation is insufficient")
+    x_a, mean_a, var_a = _mode_moments(rho.reduced(0))
+    x_b, mean_b, var_b = _mode_moments(rho.reduced(1))
+    t4 = rho.matrix.reshape(rho.dim_a, rho.dim_b, rho.dim_a, rho.dim_b)
+    cov = np.einsum("ijkl,ki,lj->", t4, x_a, x_b).real - mean_a * mean_b
+    t = transmissivity
+    return float(t * var_b + (1.0 - t) * var_a
+                 - 2.0 * math.sqrt(t * (1.0 - t)) * cov)

@@ -18,19 +18,17 @@ from pathlib import Path
 
 import numpy as np
 
+from beam_splitter_oracle import beam_splitter, embed, squeezing_witness
 from witnessforge.cli import main as cli_main
 from witnessforge.cv import (
     FockTruncation,
     apply_gaussian_noise,
-    beam_splitter,
     cv_witness,
-    embed,
     gauss_separability_threshold,
     gauss_witness_expectation,
     noise_truncation,
     phase_noisy_twb,
     pt_spectrum_analytic,
-    squeezing_witness,
     twb_mean_photons,
     twb_state,
 )

@@ -1,12 +1,17 @@
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import witnessforge
 from witnessforge.cli import main
+from witnessforge.cv import noise_truncation
 from witnessforge.formats import dump_report, matrix_to_json
 from witnessforge.states import maximally_entangled_operator
 
@@ -160,6 +165,7 @@ def test_cv_gauss_scan_brackets_crossing(capsys, tmp_path):
     bracket = (kappas[flips[0]], kappas[flips[0] + 1])
     assert bracket[0] <= summary["kappa_star"] <= bracket[1]
     assert summary["kappa_star"] == pytest.approx(1.0 / 3.0, abs=1e-3)
+    assert summary["stated_reference"] == pytest.approx(5.0 / 6.0, abs=1e-14)
 
 
 def test_gauss_scan(capsys, tmp_path):
@@ -170,9 +176,13 @@ def test_gauss_scan(capsys, tmp_path):
     assert parse(out)["points"] == 3
     rows = [line.split(",") for line in
             Path(csv_path).read_text().strip().splitlines()[1:]]
-    for x_str, star_str, _ in rows:
+    assert Path(csv_path).read_text().splitlines()[0] == \
+        "x,kappa_star,stated_reference"
+    for x_str, star_str, stated_str in rows:
         x = float(x_str)
         assert float(star_str) == pytest.approx(x / (1 + x), abs=1e-3)
+        assert float(stated_str) == pytest.approx(x / (1 + x) + 0.5,
+                                                  abs=1e-14)
 
 
 def test_tomo_estimate(capsys):
@@ -234,6 +244,54 @@ def test_bs_squeeze_reports(capsys):
     report = parse(out)
     assert report["squeezed"] is False
     assert report["consistent"] is True
+
+
+def test_bs_squeeze_unbalanced_matches_closed_form(capsys):
+    x, kappa, t = 0.5, 0.2, 0.31
+    code, out, _ = run(capsys, "bs-squeeze", "--x", str(x), "--kappa",
+                       str(kappa), "--transmissivity", str(t))
+    assert code == 0
+    report = parse(out)
+    expected = (0.25 * (1 + x * x - 4 * math.sqrt(t * (1 - t)) * x)
+                / (1 - x * x) + kappa / 2)
+    assert report["sum_mode_variance"] == pytest.approx(expected, abs=1e-8)
+    assert report["squeeze_witness"] == pytest.approx(expected - 0.25,
+                                                      abs=1e-8)
+    # the moments are taken on the noise channel's truncation
+    assert report["n_max"] == noise_truncation(x, kappa).n_max
+
+
+@pytest.mark.parametrize("t", ["1.5", "nan"])
+def test_bs_squeeze_bad_transmissivity_exits_2(capsys, t):
+    code, _, err = run(capsys, "bs-squeeze", "--x", "0.5",
+                       f"--transmissivity={t}")
+    assert code == 2
+    assert "transmissivity" in err
+
+
+@pytest.mark.parametrize("tol", ["inf", "nan", "0", "-1", "1"])
+@pytest.mark.parametrize("argv", [
+    ("cv-phase", "--x", "0.5", "--gammat", "1"),
+    ("tomo-estimate", "--x", "0.5", "--samples", "10", "--seed", "1"),
+    ("bs-squeeze", "--x", "0.5"),
+])
+def test_bad_tol_exits_2(capsys, argv, tol):
+    code, _, err = run(capsys, *argv, f"--tol={tol}")
+    assert code == 2
+    assert "tol must be finite and in (0, 1)" in err
+
+
+def test_import_does_not_load_scipy_linalg():
+    # scipy.linalg adds to the start-up time of every command
+    src = str(Path(witnessforge.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    result = subprocess.run(
+        [sys.executable, "-c",
+         "import witnessforge, sys; print('scipy.linalg' in sys.modules)"],
+        capture_output=True, text=True, env=env, check=True)
+    assert result.stdout.strip() == "False"
 
 
 def test_exit_code_numerical_failure(capsys):

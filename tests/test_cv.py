@@ -5,15 +5,18 @@ import pytest
 from scipy.integrate import quad
 from scipy.linalg import expm
 
+from beam_splitter_oracle import (
+    beam_splitter,
+    beam_splitter_unitary,
+    embed,
+    squeezing_witness,
+)
 from witnessforge.cv import (
     FockTruncation,
     noise_truncation,
     TruncationError,
     apply_gaussian_noise,
-    beam_splitter,
-    beam_splitter_unitary,
     cv_witness,
-    embed,
     gauss_separability_threshold,
     gauss_witness_expectation,
     gaussian_noise_blocks,
@@ -25,11 +28,12 @@ from witnessforge.cv import (
     pt_spectrum_analytic,
     quadrature_operator,
     single_mode_gaussian_noise,
-    squeezing_witness,
+    sum_mode_variance,
     twb_mean_photons,
     twb_state,
 )
 from witnessforge.linalg import hermitian_eig
+from witnessforge.states import BipartiteDensity
 from witnessforge.witness_finite import evaluate_witness
 
 
@@ -356,7 +360,7 @@ def test_gauss_threshold_location():
     for x in (0.3, 0.5, 0.7):
         th = gauss_separability_threshold(x)
         assert th.kappa_star == pytest.approx(x / (1 + x), abs=2e-6)
-        assert th.analytic_comparator == pytest.approx(
+        assert th.stated_reference == pytest.approx(
             1 - 0.5 * (1 - x) / (1 + x), abs=1e-14)
         # the witness flips sign exactly there
         assert gauss_witness_expectation(x, th.kappa_star - 1e-4) < 0
@@ -438,6 +442,51 @@ def test_squeezing_witness_rejects_unnormalized():
     bad = np.eye(4, dtype=complex) * 0.2
     with pytest.raises(ValueError):
         squeezing_witness(bad)
+
+
+def sum_mode_closed_form(x, kappa, t):
+    """Var(sqrt(T) X_b - sqrt(1-T) X_a) of the twin beam after amplitude
+    noise: cosh(2r)/4 - sqrt(T(1-T)) sinh(2r)/2 + kappa/2."""
+    return (0.25 * (1 + x * x - 4 * math.sqrt(t * (1 - t)) * x) / (1 - x * x)
+            + kappa / 2)
+
+
+def _noisy_twb(x, kappa):
+    base = twb_state(x, FockTruncation.for_twb(x))
+    if kappa == 0:
+        return base
+    return apply_gaussian_noise(base, kappa, noise_truncation(x, kappa))
+
+
+# the dense oracle costs O(d^6) in the truncation d, so x stays <= 0.5
+DENSE_POINTS = [(0.5, 0.0, 0.5), (0.3, 0.1, 0.31), (0.4, 0.0, 1.0),
+                (0.4, 0.0, 0.0)]
+
+
+@pytest.mark.parametrize("x, kappa, t", DENSE_POINTS)
+def test_sum_mode_variance_matches_dense_splitter(x, kappa, t):
+    rho = _noisy_twb(x, kappa)
+    # |nn> scatters to single-mode level 2n on the splitter: double the room
+    mixed = beam_splitter(embed(rho, FockTruncation(2 * rho.dim_a - 1)), t)
+    dense = squeezing_witness(mixed.reduced(1)) + 0.25
+    assert sum_mode_variance(rho, t) == pytest.approx(dense, abs=1e-8)
+
+
+@pytest.mark.parametrize("x, kappa, t", DENSE_POINTS + [(0.5, 0.4, 0.5)])
+def test_sum_mode_variance_closed_form(x, kappa, t):
+    assert sum_mode_variance(_noisy_twb(x, kappa), t) == pytest.approx(
+        sum_mode_closed_form(x, kappa, t), abs=1e-8)
+
+
+def test_sum_mode_variance_rejects_bad_input():
+    rho = twb_state(0.3, FockTruncation.for_twb(0.3))
+    half = BipartiteDensity(dim_a=rho.dim_a, dim_b=rho.dim_b,
+                            matrix=0.5 * rho.matrix)
+    with pytest.raises(ValueError, match="truncation is insufficient"):
+        sum_mode_variance(half, 0.5)
+    for t in (1.5, math.nan):
+        with pytest.raises(ValueError, match="transmissivity"):
+            sum_mode_variance(rho, t)
 
 
 def test_quadrature_operator_vacuum_variance():
