@@ -61,6 +61,7 @@ from .tomography import (
     joint_quadrature_pdf,
     mc_estimate_witness,
     sample_homodyne,
+    sample_twin_beam,
     witness_kernel,
 )
 

@@ -268,9 +268,15 @@ def cmd_tomo_estimate(args) -> None:
     rho, trunc, label = _tomo_state(args)
     witness = cv.cv_witness(trunc)
     direct = witness_finite.evaluate_witness(witness, rho)
-    batch = tomography.sample_homodyne(rho, args.samples, seed,
-                                       workers=args.workers,
-                                       state_descriptor=label)
+    gamma_t = 0.0 if args.gammat is None else args.gammat
+    kappa = 0.0 if args.kappa is None else args.kappa
+    closed_form = (cv.gauss_witness_expectation(args.x, kappa)
+                   if args.kappa is not None
+                   else cv.phase_witness_expectation(args.x, gamma_t))
+    batch = tomography.sample_twin_beam(args.x, args.samples, seed,
+                                        gamma_t=gamma_t, kappa=kappa,
+                                        workers=args.workers,
+                                        state_descriptor=label)
     estimate = tomography.mc_estimate_witness(batch)
     z = (estimate.mean - direct) / estimate.std_error \
         if estimate.std_error > 0 else 0.0
@@ -285,6 +291,7 @@ def cmd_tomo_estimate(args) -> None:
         "mean": estimate.mean,
         "std_error": estimate.std_error,
         "direct_value": direct,
+        "closed_form_value": closed_form,
         "z_score": z,
     }
     if args.batch_csv is not None:
@@ -333,12 +340,12 @@ def _add_psi_flags(sub):
                      help="JSON file with a 'psi' matrix payload")
 
 
-def _add_cv_flags(sub):
+def _add_cv_flags(sub, scope=""):
     sub.add_argument("--x", type=float, required=True, help="twin-beam parameter")
     sub.add_argument("--trunc", type=int, default=None,
-                     help="override Fock truncation n_max")
+                     help="override Fock truncation n_max" + scope)
     sub.add_argument("--tol", type=float, default=1e-10,
-                     help="truncation tail tolerance")
+                     help="truncation tail tolerance" + scope)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -382,7 +389,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_gauss_scan)
 
     p = add_parser("tomo-estimate", help="Monte Carlo witness estimate")
-    _add_cv_flags(p)
+    _add_cv_flags(p, scope=" of the Fock-space direct_value only; the "
+                           "samples come from the exact Gaussian law")
     p.add_argument("--gammat", type=float, default=None)
     p.add_argument("--kappa", type=float, default=None)
     p.add_argument("--samples", type=int, required=True)

@@ -69,14 +69,18 @@ def twb_mean_photons(x: float) -> float:
 MAX_TWO_MODE_LEVELS = 128  # dense (dim^2)^2 storage past this is not desk scale
 
 
+def _check_dense_levels(dim: int):
+    if dim > MAX_TWO_MODE_LEVELS:
+        raise ValueError(
+            f"dense two-mode representation with {dim} levels per mode "
+            f"exceeds the supported scale ({MAX_TWO_MODE_LEVELS}); pick a "
+            "smaller truncation")
+
+
 def _check_twb_params(x: float, trunc: FockTruncation):
     if not 0.0 <= x < 1.0:
         raise ValueError(f"twin-beam parameter x={x} outside [0, 1)")
-    if trunc.dim > MAX_TWO_MODE_LEVELS:
-        raise ValueError(
-            f"dense two-mode representation with {trunc.dim} levels per mode "
-            f"exceeds the supported scale ({MAX_TWO_MODE_LEVELS}); pick a "
-            "smaller truncation")
+    _check_dense_levels(trunc.dim)
     tail = x ** (2 * trunc.dim)
     if tail >= 1e-3:
         raise TruncationError(
@@ -342,6 +346,9 @@ def apply_gaussian_noise(rho: BipartiteDensity, kappa: float,
     reported as additional trace deficit.  kappa = 0 is the identity.
 
     Raises:
+        ValueError: if the target truncation has more than
+            ``MAX_TWO_MODE_LEVELS`` levels per mode (checked before the dense
+            arrays are allocated).
         TruncationError: if the leaked weight exceeds ``max_leakage``.
     """
     _check_kappa(kappa)
@@ -351,6 +358,7 @@ def apply_gaussian_noise(rho: BipartiteDensity, kappa: float,
     d = trunc.dim if trunc is not None else d_in
     if d < d_in:
         raise ValueError(f"target truncation {d - 1} smaller than input {d_in - 1}")
+    _check_dense_levels(d)
     big = np.zeros((d * d, d * d), dtype=complex)
     t_in = rho.matrix.reshape(d_in, d_in, d_in, d_in)
     t_big = big.reshape(d, d, d, d)

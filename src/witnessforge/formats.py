@@ -76,9 +76,17 @@ def _cell(v) -> str:
 
 
 def batch_to_csv(path: str, batch) -> None:
-    """Export a homodyne batch as phi1,x1,phi2,x2 rows."""
-    write_csv(path, ["phi1", "x1", "phi2", "x2"],
-              zip(batch.phi1, batch.x1, batch.phi2, batch.x2))
+    """Export a homodyne batch as phi1,x1,phi2,x2 rows.
+
+    The bytes are those of :func:`write_csv` on the same rows.  The rows are
+    formatted as a stream of Python floats instead of cell by cell, and never
+    held in memory as one string.
+    """
+    columns = (batch.phi1, batch.x1, batch.phi2, batch.x2)
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("phi1,x1,phi2,x2\n")
+        fh.writelines(map("%.17g,%.17g,%.17g,%.17g\n".__mod__,
+                          zip(*(col.tolist() for col in columns))))
 
 
 def batch_rows_from_csv(path: str) -> np.ndarray:

@@ -9,6 +9,10 @@ drawn independently and uniformly on [0, pi), then the quadrature outcomes
 
 Averaging the witness kernel over such samples estimates Tr[rho W]; the
 uniform phase draws absorb the d(phi)/pi measures of the estimator rule.
+
+``sample_homodyne`` draws from this density for any two-mode state in the
+Fock basis.  ``sample_twin_beam`` draws from the closed-form Gaussian law
+of the twin beam and its phase- and displacement-noisy relatives.
 """
 
 from __future__ import annotations
@@ -19,6 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .cv import _check_gamma_t, _check_kappa
 from .specfn import f00, f01, f11, oscillator_psi_table
 from .states import BipartiteDensity
 
@@ -383,22 +388,43 @@ class _SamplerTables:
         return _sample_rows(rows, u, self.nodes, self.delta)
 
 
-def _sample_block(tables: _SamplerTables, seed_seq: np.random.SeedSequence,
-                  count: int):
-    rng = np.random.default_rng(seed_seq)
-    phi1 = math.pi * rng.random(BLOCK_SIZE)
-    phi2 = math.pi * rng.random(BLOCK_SIZE)
-    u1 = rng.random(BLOCK_SIZE)
-    u2 = rng.random(BLOCK_SIZE)
-    phi1, phi2, u1, u2 = (a[:count] for a in (phi1, phi2, u1, u2))
-    x1 = np.empty(count)
-    x2 = np.empty(count)
-    for start in range(0, count, _CHUNK):
-        sl = slice(start, min(start + _CHUNK, count))
-        x1[sl] = tables.draw(tables.marginal_rows(phi1[sl]), u1[sl])
-        x2[sl] = tables.draw(
-            tables.conditional_rows(x1[sl], phi1[sl], phi2[sl]), u2[sl])
-    return phi1, x1, phi2, x2
+def _sample_blocks(n: int, seed: int, workers: int, draw, quadratures,
+                   state_descriptor: str) -> HomodyneBatch:
+    """Run a sampler over fixed blocks of BLOCK_SIZE samples.
+
+    Block b gets its own generator from the b-th child of
+    ``SeedSequence(seed)``.  It draws phi1 and phi2 uniform on [0, pi), then
+    the arrays ``draw(rng)``, every one at full block length, and cuts them
+    all to the block's count before ``quadratures(phi1, phi2, *draws)``
+    turns them into (x1, x2).  So the output is bitwise the same for any
+    worker count (workers > 1 runs blocks in a thread pool), and a shorter
+    run is a prefix of a longer one as long as ``quadratures`` computes
+    each sample independently of how many it is given.
+    """
+    if n < 1:
+        raise ValueError("sample count must be positive")
+    if workers < 1:
+        raise ValueError("workers must be positive")
+    n_blocks = (n + BLOCK_SIZE - 1) // BLOCK_SIZE
+    children = np.random.SeedSequence(seed).spawn(n_blocks)
+    counts = [min(BLOCK_SIZE, n - b * BLOCK_SIZE) for b in range(n_blocks)]
+
+    def block(b):
+        rng = np.random.default_rng(children[b])
+        phi1 = math.pi * rng.random(BLOCK_SIZE)
+        phi2 = math.pi * rng.random(BLOCK_SIZE)
+        phi1, phi2, *rest = (a[:counts[b]] for a in (phi1, phi2, *draw(rng)))
+        return (phi1, phi2, *quadratures(phi1, phi2, *rest))
+
+    if workers == 1 or n_blocks == 1:
+        parts = [block(b) for b in range(n_blocks)]
+    else:
+        with ThreadPoolExecutor(max_workers=min(workers, n_blocks)) as pool:
+            parts = list(pool.map(block, range(n_blocks)))
+    phi1, phi2, x1, x2 = (np.concatenate([p[i] for p in parts])
+                          for i in range(4))
+    return HomodyneBatch(phi1=phi1, x1=x1, phi2=phi2, x2=x2, seed=seed,
+                         state_descriptor=state_descriptor)
 
 
 def sample_homodyne(rho: BipartiteDensity, n: int, seed: int, workers: int = 1,
@@ -428,25 +454,69 @@ def sample_homodyne(rho: BipartiteDensity, n: int, seed: int, workers: int = 1,
     """
     if not isinstance(rho, BipartiteDensity):
         raise TypeError("rho must be a BipartiteDensity")
-    if n < 1:
-        raise ValueError("sample count must be positive")
-    if workers < 1:
-        raise ValueError("workers must be positive")
     tables = _SamplerTables.build(rho, cells=cells, span=span)
-    n_blocks = (n + BLOCK_SIZE - 1) // BLOCK_SIZE
-    children = np.random.SeedSequence(seed).spawn(n_blocks)
-    counts = [min(BLOCK_SIZE, n - b * BLOCK_SIZE) for b in range(n_blocks)]
 
-    if workers == 1 or n_blocks == 1:
-        parts = [_sample_block(tables, children[b], counts[b])
-                 for b in range(n_blocks)]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(_sample_block, tables, children[b], counts[b])
-                       for b in range(n_blocks)]
-            parts = [f.result() for f in futures]
-    phi1, x1, phi2, x2 = (np.concatenate([p[i] for p in parts])
-                          for i in range(4))
-    descriptor = state_descriptor or f"fock(dim={rho.dim_a}x{rho.dim_b})"
-    return HomodyneBatch(phi1=phi1, x1=x1, phi2=phi2, x2=x2, seed=seed,
-                         state_descriptor=descriptor)
+    def draw(rng):
+        return rng.random(BLOCK_SIZE), rng.random(BLOCK_SIZE)
+
+    def quadratures(phi1, phi2, u1, u2):
+        x1 = np.empty(phi1.size)
+        x2 = np.empty(phi1.size)
+        for start in range(0, phi1.size, _CHUNK):
+            sl = slice(start, start + _CHUNK)
+            x1[sl] = tables.draw(tables.marginal_rows(phi1[sl]), u1[sl])
+            x2[sl] = tables.draw(
+                tables.conditional_rows(x1[sl], phi1[sl], phi2[sl]), u2[sl])
+        return x1, x2
+
+    return _sample_blocks(
+        n, seed, workers, draw, quadratures,
+        state_descriptor or f"fock(dim={rho.dim_a}x{rho.dim_b})")
+
+
+def sample_twin_beam(x: float, n: int, seed: int, gamma_t: float = 0.0,
+                     kappa: float = 0.0, workers: int = 1,
+                     state_descriptor: str = "") -> HomodyneBatch:
+    """Draw n joint homodyne samples from the twin beam with amplitudes
+    sqrt(1-x^2) x^n on |nn>, after phase diffusion gamma_t and Gaussian
+    displacement noise kappa on both modes, from their exact law.
+
+    At fixed phases the twin beam is Gaussian: (x1, x2) is bivariate normal
+    with mean 0, Var x1 = Var x2 = V = (1 + x^2)/(4(1 - x^2)) + kappa/2 and
+    Cov = x cos(phi1 + phi2 + theta)/(2(1 - x^2)).  Displacement noise only
+    adds kappa/2 to each variance.  Phase diffusion multiplies the
+    coherence between |pp> and |qq> by exp(-gamma_t (p - q)^2), which makes
+    the state a mixture over theta ~ N(0, 2 gamma_t) (theta = 0 without
+    phase noise, uniform on [0, 2 pi) at gamma_t = inf).  Each sample is
+    x1 = sqrt(V) z1, x2 = (Cov/V) x1 + sqrt(V - Cov^2/V) z2 for standard
+    normal z1, z2; V - |Cov| >= (1 - x)/(4(1 + x)) > 0 keeps the root real.
+
+    No Fock truncation enters.  Blocks, seeding and worker independence are
+    those of :func:`sample_homodyne`, but the draws differ from it.
+    """
+    if not 0.0 <= x < 1.0:
+        raise ValueError(f"twin-beam parameter x={x} outside [0, 1)")
+    _check_gamma_t(gamma_t)
+    _check_kappa(kappa)
+    var = (1.0 + x * x) / (4.0 * (1.0 - x * x)) + 0.5 * kappa
+    amplitude = x / (2.0 * (1.0 - x * x))
+    # sqrt(2) sqrt(gamma_t) stays finite for every finite gamma_t
+    spread = math.sqrt(2.0) * math.sqrt(gamma_t)
+
+    def draw(rng):
+        z = (rng.standard_normal(BLOCK_SIZE), rng.standard_normal(BLOCK_SIZE))
+        if gamma_t == 0.0:
+            return z
+        if gamma_t == math.inf:
+            return (*z, 2.0 * math.pi * rng.random(BLOCK_SIZE))
+        return (*z, spread * rng.standard_normal(BLOCK_SIZE))
+
+    def quadratures(phi1, phi2, z1, z2, theta=0.0):
+        cov = amplitude * np.cos(phi1 + phi2 + theta)
+        x1 = math.sqrt(var) * z1
+        x2 = cov / var * x1 + np.sqrt((var - cov) * (var + cov) / var) * z2
+        return x1, x2
+
+    return _sample_blocks(
+        n, seed, workers, draw, quadratures,
+        state_descriptor or f"twb(x={x},gamma_t={gamma_t},kappa={kappa})")

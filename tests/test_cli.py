@@ -10,10 +10,18 @@ import numpy as np
 import pytest
 
 import witnessforge
+from witnessforge import cv
 from witnessforge.cli import main
-from witnessforge.cv import noise_truncation
-from witnessforge.formats import dump_report, matrix_to_json
+from witnessforge.cv import gauss_witness_expectation, noise_truncation
+from witnessforge.formats import (
+    batch_rows_from_csv,
+    batch_to_csv,
+    dump_report,
+    matrix_to_json,
+    write_csv,
+)
 from witnessforge.states import maximally_entangled_operator
+from witnessforge.tomography import HomodyneBatch, sample_twin_beam
 
 
 def run(capsys, *argv):
@@ -225,6 +233,80 @@ def test_tomo_estimate_batch_csv(capsys, tmp_path):
     lines = Path(csv_path).read_text().strip().splitlines()
     assert lines[0] == "phi1,x1,phi2,x2"
     assert len(lines) == 1001
+
+
+def test_tomo_estimate_batch_csv_is_the_sampled_batch(capsys, tmp_path):
+    csv_path = tmp_path / "batch.csv"
+    code, _, _ = run(capsys, "tomo-estimate", "--x", "0.3", "--gammat", "0.5",
+                     "--samples", "3000", "--seed", "3",
+                     "--batch-csv", str(csv_path))
+    assert code == 0
+    batch = sample_twin_beam(0.3, 3000, 3, gamma_t=0.5)
+    data = batch_rows_from_csv(csv_path)
+    for name in ("phi1", "x1", "phi2", "x2"):
+        assert np.array_equal(data[name], getattr(batch, name))
+
+
+def test_batch_csv_writes_the_generic_writer_bytes(tmp_path):
+    phases = np.array([0.0, 5e-324, 0.1, np.nextafter(np.pi, 0.0), 1.0, 3.0])
+    quads = np.array([-0.0, 1e300, -1.2345678901234567e-5, 0.1, -5e-324,
+                      2.5])
+    batch = HomodyneBatch(phi1=phases, x1=quads, phi2=phases[::-1].copy(),
+                          x2=-quads, seed=0)
+    streamed, generic = tmp_path / "streamed.csv", tmp_path / "generic.csv"
+    batch_to_csv(streamed, batch)
+    write_csv(generic, ["phi1", "x1", "phi2", "x2"],
+              zip(batch.phi1, batch.x1, batch.phi2, batch.x2))
+    assert streamed.read_bytes() == generic.read_bytes()
+    data = batch_rows_from_csv(streamed)
+    for name in ("phi1", "x1", "phi2", "x2"):
+        assert np.array_equal(data[name], getattr(batch, name))
+        assert np.array_equal(np.signbit(data[name]),
+                              np.signbit(getattr(batch, name)))
+
+
+@pytest.mark.parametrize("noise, closed_form", [
+    ((), -0.375),
+    (("--gammat", "1"), -0.375 * math.exp(-1.0)),
+    (("--gammat", "inf"), 0.0),
+    (("--kappa", "0.2"), gauss_witness_expectation(0.5, 0.2)),
+], ids=["twb", "phase", "dephased", "gauss"])
+def test_tomo_estimate_closed_form_value(capsys, noise, closed_form):
+    code, out, _ = run(capsys, "tomo-estimate", "--x", "0.5", "--samples",
+                       "20000", "--seed", "5", *noise)
+    assert code == 0
+    report = parse(out)
+    assert report["closed_form_value"] == closed_form
+    assert report["direct_value"] == pytest.approx(closed_form, abs=1e-9)
+    for value in (report["direct_value"], closed_form):
+        assert abs(report["mean"] - value) <= 4 * report["std_error"]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("--x", "0.5", "--samples", "0"), "sample count must be positive"),
+    (("--x", "0.5", "--samples", "10", "--workers", "0"),
+     "workers must be positive"),
+    (("--x", "0.5", "--samples", "10", "--gammat", "nan"), "gamma_t"),
+    (("--x", "0.5", "--samples", "10", "--kappa=-inf"), "kappa"),
+    (("--x", "1", "--samples", "10"), "outside [0, 1)"),
+], ids=["samples-0", "workers-0", "gammat-nan", "kappa-neg-inf", "x-1"])
+def test_tomo_estimate_bad_inputs_exit_2(capsys, argv, message):
+    code, _, err = run(capsys, "tomo-estimate", "--seed", "1", *argv)
+    assert code == 2
+    assert message in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("tomo-estimate", "--x", "0.1", "--samples", "10", "--seed", "1",
+     "--kappa", "0.4"),
+    ("bs-squeeze", "--x", "0.1", "--kappa", "0.4"),
+])
+def test_dense_channel_size_guard_exits_2(capsys, monkeypatch, argv):
+    # the real limit is only reached by states of gigabytes
+    monkeypatch.setattr(cv, "MAX_TWO_MODE_LEVELS", 8)
+    code, _, err = run(capsys, *argv)
+    assert code == 2
+    assert "exceeds the supported scale" in err
 
 
 def test_tomo_estimate_conflicting_noise_flags(capsys):

@@ -11,6 +11,7 @@ from beam_splitter_oracle import (
     embed,
     squeezing_witness,
 )
+from witnessforge import cv
 from witnessforge.cv import (
     FockTruncation,
     noise_truncation,
@@ -284,6 +285,14 @@ def test_noise_channel_leakage_guard():
     cramped = twb_state(0.5, FockTruncation.for_twb(0.5))
     with pytest.raises(TruncationError):
         apply_gaussian_noise(cramped, 2.0)  # no headroom for the noise
+
+
+def test_noise_channel_checks_size_before_allocating(monkeypatch):
+    rho = twb_state(0.1, FockTruncation.for_twb(0.1))
+    monkeypatch.setattr(cv, "MAX_TWO_MODE_LEVELS", 8)
+    assert apply_gaussian_noise(rho, 0.05, FockTruncation(7)).dim_a == 8
+    with pytest.raises(ValueError, match="exceeds the supported scale"):
+        apply_gaussian_noise(rho, 0.05, FockTruncation(8))
 
 
 def test_gauss_expectation_routes_agree():

@@ -8,8 +8,10 @@ from witnessforge.cv import (
     FockTruncation,
     apply_gaussian_noise,
     cv_witness,
+    gauss_witness_expectation,
     noise_truncation,
     phase_noisy_twb,
+    phase_witness_expectation,
     twb_state,
 )
 from witnessforge.formats import batch_rows_from_csv, batch_to_csv
@@ -21,6 +23,7 @@ from witnessforge.tomography import (
     joint_quadrature_pdf,
     mc_estimate_witness,
     sample_homodyne,
+    sample_twin_beam,
     witness_kernel,
 )
 from witnessforge.witness_finite import evaluate_witness
@@ -370,3 +373,130 @@ def test_inverse_cdf_resolves_both_tails():
         high = tables.draw(rows, 1.0 - u)
         assert low.min() < -2.0
         assert np.abs(low + high).max() < 1e-12
+
+
+# -- the exact Gaussian sampler of the twin-beam families ---------------------
+
+TWIN_X = 0.5
+TWIN_FAMILIES = [({}, "twb"), ({"gamma_t": 1.0}, "phase"),
+                 ({"kappa": 0.4}, "gauss")]
+
+
+def twin_family_state(gamma_t=0.0, kappa=0.0):
+    base = FockTruncation.for_twb(TWIN_X)
+    if kappa:
+        return apply_gaussian_noise(twb_state(TWIN_X, base), kappa,
+                                    noise_truncation(TWIN_X, kappa))
+    return phase_noisy_twb(TWIN_X, gamma_t, base)
+
+
+def twin_closed_form(gamma_t=0.0, kappa=0.0):
+    if kappa:
+        return gauss_witness_expectation(TWIN_X, kappa)
+    return phase_witness_expectation(TWIN_X, gamma_t)
+
+
+CHI_EDGES = np.array([-5.0, -2.0, -1.5, -1.0, -0.5, 0.0, 0.5, 1.0, 1.5, 2.0,
+                      5.0])
+CHI_STEP = 0.125
+
+
+def bin_probabilities(rho, phase_nodes=16):
+    """Probability of each (x1, x2) bin of CHI_EDGES under the Fock-space
+    density, averaged over phi1, phi2 uniform on [0, pi).
+
+    These states depend on the phases through cos(phi1 + phi2) only, and
+    phi1 + phi2 folded onto [0, pi] has density 2 s / pi^2, so a
+    Gauss-Legendre rule in s averages them.  Each bin is integrated with
+    Simpson's rule on nodes CHI_STEP apart.
+    """
+    xs = np.arange(CHI_EDGES[0], CHI_EDGES[-1] + CHI_STEP / 2, CHI_STEP)
+    weights = np.zeros((CHI_EDGES.size - 1, xs.size))
+    for b, (lo, hi) in enumerate(zip(CHI_EDGES[:-1], CHI_EDGES[1:])):
+        i, j = np.searchsorted(xs, [lo, hi])
+        simpson = np.ones(j - i + 1)
+        simpson[1:-1:2] = 4.0
+        simpson[2:-1:2] = 2.0
+        weights[b, i:j + 1] = CHI_STEP / 3.0 * simpson
+    t, w = np.polynomial.legendre.leggauss(phase_nodes)
+    s = 0.5 * math.pi * (t + 1.0)
+    w = w * s / math.pi
+    pdf = sum(wk * joint_quadrature_pdf(rho, sk, 0.0, xs=xs)[1]
+              for sk, wk in zip(s, w))
+    return weights @ pdf @ weights.T
+
+
+@pytest.mark.parametrize("noise", [f[0] for f in TWIN_FAMILIES],
+                         ids=[f[1] for f in TWIN_FAMILIES])
+def test_twin_beam_sampler_matches_fock_density(noise):
+    n = 200_000
+    batch = sample_twin_beam(TWIN_X, n, seed=1, **noise)
+    counts, _, _ = np.histogram2d(batch.x1, batch.x2,
+                                  bins=[CHI_EDGES, CHI_EDGES])
+    binned = n * bin_probabilities(twin_family_state(**noise))
+    assert binned.sum() == pytest.approx(n, rel=1e-8)
+    # bins expecting fewer than 5 counts are pooled into one
+    keep = binned >= 5.0
+    observed, expected = counts[keep], binned[keep]
+    if not keep.all():
+        observed = np.append(observed, counts[~keep].sum())
+        expected = np.append(expected, binned[~keep].sum())
+    stat = np.sum((observed - expected) ** 2 / expected)
+    assert stat < chi2.ppf(0.999, observed.size - 1)
+
+
+@pytest.mark.parametrize("noise", [f[0] for f in TWIN_FAMILIES]
+                         + [{"gamma_t": math.inf}],
+                         ids=[f[1] for f in TWIN_FAMILIES] + ["dephased"])
+def test_twin_beam_estimate_matches_closed_form(noise):
+    est = mc_estimate_witness(sample_twin_beam(TWIN_X, 1_000_000, seed=2,
+                                               **noise))
+    assert est.std_error > 0
+    assert abs(est.mean - twin_closed_form(**noise)) <= 4 * est.std_error
+
+
+def test_twin_beam_sampler_worker_independent_and_prefix():
+    n = 2 * BLOCK_SIZE + 1000
+    for noise in ({"gamma_t": 0.7, "kappa": 0.1}, {"gamma_t": math.inf}):
+        serial = sample_twin_beam(TWIN_X, n, seed=11, **noise)
+        short = sample_twin_beam(TWIN_X, BLOCK_SIZE + 333, seed=11, **noise)
+        # three blocks on two and on three threads
+        for workers in (2, 3):
+            threaded = sample_twin_beam(TWIN_X, n, seed=11, workers=workers,
+                                        **noise)
+            for name in ("phi1", "x1", "phi2", "x2"):
+                assert np.array_equal(getattr(serial, name),
+                                      getattr(threaded, name))
+        for name in ("phi1", "x1", "phi2", "x2"):
+            assert np.array_equal(getattr(short, name),
+                                  getattr(serial, name)[:BLOCK_SIZE + 333])
+
+
+def test_twin_beam_sampler_edges():
+    # x = 0 is the vacuum: uncorrelated quadratures of variance 1/4
+    vacuum = sample_twin_beam(0.0, 100_000, seed=19)
+    se = 0.25 * math.sqrt(2.0 / (len(vacuum) - 1))
+    assert abs(np.var(vacuum.x1) - 0.25) < 5 * se
+    assert abs(np.corrcoef(vacuum.x1, vacuum.x2)[0, 1]) < 5 / math.sqrt(1e5)
+    # a single sample, the fully dephased law, and a huge finite gamma_t
+    for gamma_t in (0.0, math.inf, 1e308):
+        one = sample_twin_beam(TWIN_X, 1, seed=5, gamma_t=gamma_t)
+        assert len(one) == 1 and np.isfinite(one.x2).all()
+
+
+@pytest.mark.parametrize("kwargs, match", [
+    ({"gamma_t": math.nan}, "gamma_t"),
+    ({"gamma_t": -1.0}, "gamma_t"),
+    ({"kappa": math.nan}, "kappa"),
+    ({"kappa": math.inf}, "kappa"),
+    ({"kappa": -math.inf}, "kappa"),
+    ({"x": 1.0}, "outside"),
+    ({"x": -0.1}, "outside"),
+    ({"x": math.nan}, "outside"),
+    ({"n": 0}, "sample count"),
+    ({"workers": 0}, "workers"),
+])
+def test_twin_beam_sampler_rejects_bad_inputs(kwargs, match):
+    args = {"x": TWIN_X, "n": 10, "seed": 1, **kwargs}
+    with pytest.raises(ValueError, match=match):
+        sample_twin_beam(**args)
