@@ -34,11 +34,13 @@ from .witness_finite import (
 )
 from .specfn import f00, f01, f11, oscillator_psi, oscillator_psi_table
 from .cv import (
+    DifferenceBlocks,
     FockTruncation,
     GaussThreshold,
     TruncationError,
     apply_gaussian_noise,
     cv_witness,
+    cv_witness_expectation,
     gauss_separability_threshold,
     gauss_witness_expectation,
     gaussian_noise_blocks,
@@ -49,11 +51,10 @@ from .cv import (
     pt_eigenvalue_pair,
     pt_min_eigenvalue,
     pt_spectrum_analytic,
-    quadrature_operator,
-    single_mode_gaussian_noise,
     sum_mode_variance,
     twb_mean_photons,
     twb_state,
+    twin_beam_blocks,
 )
 from .tomography import (
     HomodyneBatch,

@@ -168,11 +168,23 @@ def _truncation(args, x: float) -> cv.FockTruncation:
     return cv.FockTruncation.for_twb(x, tol=args.tol)
 
 
-def cmd_cv_phase(args) -> None:
+def _twin_beam(args, kappa: float, gamma_t: float):
+    """The twin beam of ``--x`` after phase diffusion gamma_t and
+    displacement noise kappa, as index-difference blocks, with the
+    truncation they live on: the noise channel's own unless ``--trunc``
+    is given."""
     trunc = _truncation(args, args.x)
-    rho = cv.phase_noisy_twb(args.x, args.gammat, trunc)
-    witness = cv.cv_witness(trunc)
-    expectation = witness_finite.evaluate_witness(witness, rho)
+    state = cv.twin_beam_blocks(args.x, trunc, gamma_t)
+    if kappa != 0.0:
+        if args.trunc is None:
+            trunc = cv.noise_truncation(args.x, kappa, tol=args.tol)
+        state = cv.apply_gaussian_noise(state, kappa, trunc)
+    return state, trunc
+
+
+def cmd_cv_phase(args) -> None:
+    state, trunc = _twin_beam(args, 0.0, args.gammat)
+    expectation = cv.cv_witness_expectation(state)
     analytic = cv.phase_witness_expectation(args.x, args.gammat)
     report = {
         "config": {"command": "cv-phase", "x": args.x,
@@ -182,7 +194,7 @@ def cmd_cv_phase(args) -> None:
         "gamma_t": _gamma_t_field(args.gammat),
         "n_max": trunc.n_max,
         "tail_bound": trunc.tail_bound,
-        "trace_deficit": rho.trace_deficit,
+        "trace_deficit": state.trace_deficit,
         "expectation": expectation,
         "analytic_expectation": analytic,
         "entangled": bool(expectation < -BOUNDARY_TOL),
@@ -244,32 +256,20 @@ def cmd_gauss_scan(args) -> None:
     sys.stdout.write(dump_report(summary))
 
 
-def _tomo_state(args):
-    trunc = _truncation(args, args.x)
-    if args.kappa is not None:
-        base = cv.twb_state(args.x, trunc)
-        if args.trunc is None:
-            trunc = cv.noise_truncation(args.x, args.kappa, tol=args.tol)
-        rho = cv.apply_gaussian_noise(base, args.kappa, trunc)
-        label = f"gauss-twb(x={args.x},kappa={args.kappa})"
-    elif args.gammat is not None:
-        rho = cv.phase_noisy_twb(args.x, args.gammat, trunc)
-        label = f"phase-twb(x={args.x},gamma_t={args.gammat})"
-    else:
-        rho = cv.twb_state(args.x, trunc)
-        label = f"twb(x={args.x})"
-    return rho, trunc, label
-
-
 def cmd_tomo_estimate(args) -> None:
     if args.kappa is not None and args.gammat is not None:
         raise ValueError("give at most one of --gammat / --kappa")
     seed = _resolve_seed(args)
-    rho, trunc, label = _tomo_state(args)
-    witness = cv.cv_witness(trunc)
-    direct = witness_finite.evaluate_witness(witness, rho)
     gamma_t = 0.0 if args.gammat is None else args.gammat
     kappa = 0.0 if args.kappa is None else args.kappa
+    if args.kappa is not None:
+        label = f"gauss-twb(x={args.x},kappa={args.kappa})"
+    elif args.gammat is not None:
+        label = f"phase-twb(x={args.x},gamma_t={args.gammat})"
+    else:
+        label = f"twb(x={args.x})"
+    state, _ = _twin_beam(args, kappa, gamma_t)
+    direct = cv.cv_witness_expectation(state)
     closed_form = (cv.gauss_witness_expectation(args.x, kappa)
                    if args.kappa is not None
                    else cv.phase_witness_expectation(args.x, gamma_t))
@@ -301,17 +301,9 @@ def cmd_tomo_estimate(args) -> None:
 
 
 def cmd_bs_squeeze(args) -> None:
-    trunc = _truncation(args, args.x)
-    base = cv.twb_state(args.x, trunc)
-    if args.kappa > 0:
-        channel_trunc = (cv.noise_truncation(args.x, args.kappa, tol=args.tol)
-                         if args.trunc is None else trunc)
-        noisy = cv.apply_gaussian_noise(base, args.kappa, channel_trunc)
-    else:
-        channel_trunc = trunc
-        noisy = base
+    state, trunc = _twin_beam(args, args.kappa, 0.0)
     direct = cv.gauss_witness_expectation(args.x, args.kappa)
-    variance = cv.sum_mode_variance(noisy, args.transmissivity)
+    variance = cv.sum_mode_variance(state, args.transmissivity)
     squeeze = variance - 0.25
     report = {
         "config": {"command": "bs-squeeze", "x": args.x, "kappa": args.kappa,
@@ -320,7 +312,7 @@ def cmd_bs_squeeze(args) -> None:
         "x": args.x,
         "kappa": args.kappa,
         "transmissivity": args.transmissivity,
-        "n_max": channel_trunc.n_max,
+        "n_max": trunc.n_max,
         "sum_mode_variance": variance,
         "squeeze_witness": squeeze,
         "squeezed": bool(squeeze < -BOUNDARY_TOL),

@@ -1,10 +1,13 @@
 """Twin-beam states on a truncated two-mode Fock space, their noisy
 relatives, and the continuous-variable witness.
 
-States live on Fock levels 0..n_max per mode.  Truncated states are not
-renormalized; the neglected weight is carried as ``trace_deficit`` metadata
-on the returned density.  Quadrature convention: X = (a^dag + a)/2 with
-vacuum variance 1/4.
+States live on Fock levels 0..n_max per mode.  The twin-beam family is
+supported on n - n' = m - m' and is kept as its index-difference blocks
+(:class:`DifferenceBlocks`); the noise channel, the witness and the
+sum-mode variance act on those blocks.  Truncated states are not
+renormalized; the neglected weight is carried as ``trace_deficit``
+metadata.  Quadrature convention: X = (a^dag + a)/2 with vacuum variance
+1/4.
 """
 
 from __future__ import annotations
@@ -17,7 +20,9 @@ from scipy.special import gammaln
 
 from .states import BipartiteDensity, WitnessOperator
 
-_NOISE_EPS = 1e-14  # radial cutoff: exp(-R^2/kappa) = _NOISE_EPS
+_NOISE_EPS = 1e-14   # radial cutoff: exp(-R^2/kappa) = _NOISE_EPS
+_LEAK_FACTOR = 10.0  # noise_truncation keeps the leakage under this many tail bounds
+MAX_LEAKAGE = 1e-6   # apply_gaussian_noise fails once more weight than this leaks
 
 
 class TruncationError(RuntimeError):
@@ -66,21 +71,21 @@ def twb_mean_photons(x: float) -> float:
     return 2.0 * x * x / (1.0 - x * x)
 
 
-MAX_TWO_MODE_LEVELS = 128  # dense (dim^2)^2 storage past this is not desk scale
+MAX_TWO_MODE_LEVELS = 128  # levels per mode; one dense copy past this is not desk scale
 
 
-def _check_dense_levels(dim: int):
+def _check_levels(dim: int):
     if dim > MAX_TWO_MODE_LEVELS:
         raise ValueError(
-            f"dense two-mode representation with {dim} levels per mode "
-            f"exceeds the supported scale ({MAX_TWO_MODE_LEVELS}); pick a "
-            "smaller truncation")
+            f"two-mode truncation with {dim} levels per mode exceeds the "
+            f"supported scale ({MAX_TWO_MODE_LEVELS}); pick a smaller "
+            "truncation")
 
 
 def _check_twb_params(x: float, trunc: FockTruncation):
     if not 0.0 <= x < 1.0:
         raise ValueError(f"twin-beam parameter x={x} outside [0, 1)")
-    _check_dense_levels(trunc.dim)
+    _check_levels(trunc.dim)
     tail = x ** (2 * trunc.dim)
     if tail >= 1e-3:
         raise TruncationError(
@@ -100,15 +105,92 @@ def _check_kappa(kappa: float):
         raise ValueError(f"kappa must be finite and non-negative, got {kappa}")
 
 
-def twb_state(x: float, trunc: FockTruncation) -> BipartiteDensity:
-    """Twin-beam (two-mode squeezed vacuum): amplitudes sqrt(1-x^2) x^n on |nn>."""
+# -- index-difference blocks --------------------------------------------------
+
+def _block_index(d: int, j: int):
+    """Flat (row, column) positions of B_j[i, l] in the (d^2, d^2) matrix."""
+    i, l = np.indices((d - j, d - j))
+    return (i + j) * d + l + j, i * d + l
+
+
+@dataclass(frozen=True)
+class DifferenceBlocks:
+    """A two-mode state supported on n - n' = m - m', kept as its blocks
+    B_j[i, l] = rho_{(i+j)(l+j), il} for j = 0..d-1.
+
+    B_j is (d-j) x (d-j).  The elements with n - n' = -j are conj(B_j[i, l])
+    by Hermiticity, and B_0 holds the joint populations.  The twin beam, its
+    phase-diffused and Gauss-noisy relatives and every output of a
+    phase-covariant channel have this support; their blocks hold about d^3/3
+    numbers where the dense matrix holds d^4.  ``trace_deficit`` is the
+    weight lost to truncation, as on :class:`BipartiteDensity`.
+    """
+
+    blocks: tuple
+    trace_deficit: float = 0.0
+
+    @property
+    def dim(self) -> int:
+        return self.blocks[0].shape[0]
+
+    def trace(self) -> float:
+        return float(self.blocks[0].sum().real)
+
+    @classmethod
+    def of(cls, rho: BipartiteDensity) -> "DifferenceBlocks | None":
+        """The blocks of rho, or None if rho has an element off
+        n - n' = m - m'.  The blocks are real when rho is."""
+        d = rho.dim_a
+        if rho.dim_b != d:
+            return None
+        m = rho.matrix
+        index = [_block_index(d, j) for j in range(d)]
+        off = np.ones(m.shape, dtype=bool)
+        for rows, cols in index:
+            off[rows, cols] = off[cols, rows] = False
+        if np.any(m[off]):
+            return None
+        real = not np.any(m.imag)
+        return cls(tuple(m[rows, cols].real if real else m[rows, cols]
+                         for rows, cols in index), rho.trace_deficit)
+
+    def density(self) -> BipartiteDensity:
+        """The dense (d^2, d^2) matrix, after checking its size."""
+        d = self.dim
+        _check_levels(d)
+        m = np.zeros((d * d, d * d), dtype=complex)
+        for j, block in enumerate(self.blocks):
+            rows, cols = _block_index(d, j)
+            m[cols, rows] = block.conj()
+            m[rows, cols] = block  # the only write at j = 0
+        return BipartiteDensity(dim_a=d, dim_b=d, matrix=m,
+                                trace_deficit=self.trace_deficit)
+
+
+def twin_beam_blocks(x: float, trunc: FockTruncation,
+                     gamma_t: float = 0.0) -> DifferenceBlocks:
+    """Twin beam with amplitudes sqrt(1-x^2) x^n on |nn>, after phase
+    diffusion of strength gamma_t on both modes.
+
+    Every block is diagonal: B_j[i, i] = (1-x^2) x^(2i+j) exp(-gamma_t j^2)
+    is the coherence between |i+j, i+j> and |ii>.
+    """
+    _check_gamma_t(gamma_t)
     tail = _check_twb_params(x, trunc)
     d = trunc.dim
-    amps = math.sqrt(1.0 - x * x) * x ** np.arange(d)
-    v = np.zeros(d * d, dtype=complex)
-    v[np.arange(d) * d + np.arange(d)] = amps
-    return BipartiteDensity(dim_a=d, dim_b=d, matrix=np.outer(v, v.conj()),
-                            trace_deficit=tail)
+    n = np.arange(d)
+    # the decay only off j = 0: gamma_t = inf gives exact zeros there
+    # instead of inf * 0 = NaN at j = 0
+    decay = np.ones(d)
+    decay[1:] = np.exp(-gamma_t * n[1:] ** 2)
+    blocks = tuple(np.diag((1.0 - x * x) * x ** (2 * n[: d - j] + j) * decay[j])
+                   for j in range(d))
+    return DifferenceBlocks(blocks, tail)
+
+
+def twb_state(x: float, trunc: FockTruncation) -> BipartiteDensity:
+    """Twin-beam (two-mode squeezed vacuum): amplitudes sqrt(1-x^2) x^n on |nn>."""
+    return twin_beam_blocks(x, trunc).density()
 
 
 def phase_noisy_twb(x: float, gamma_t: float,
@@ -118,22 +200,7 @@ def phase_noisy_twb(x: float, gamma_t: float,
     Matrix elements (1-x^2) x^(p+q) exp(-gamma_t (p-q)^2) at (|pp>, <qq|);
     everything outside those positions is exactly zero.
     """
-    _check_gamma_t(gamma_t)
-    tail = _check_twb_params(x, trunc)
-    d = trunc.dim
-    n = np.arange(d)
-    # exp(-gamma_t k^2) only off the diagonal: gamma_t = inf gives the fully
-    # dephased (diagonal) state instead of inf * 0 = NaN at k = 0
-    sq = (n[:, None] - n[None, :]) ** 2
-    off = sq > 0
-    decay = np.ones((d, d))
-    decay[off] = np.exp(-gamma_t * sq[off])
-    weights = (1.0 - x * x) * x ** (n[:, None] + n[None, :]) * decay
-    matrix = np.zeros((d * d, d * d), dtype=complex)
-    diag_idx = n * d + n
-    matrix[np.ix_(diag_idx, diag_idx)] = weights
-    return BipartiteDensity(dim_a=d, dim_b=d, matrix=matrix,
-                            trace_deficit=tail)
+    return twin_beam_blocks(x, trunc, gamma_t).density()
 
 
 # -- analytic partial-transpose spectrum of the phase-noisy twin beam -------
@@ -196,6 +263,13 @@ def cv_witness(trunc: FockTruncation) -> WitnessOperator:
                            provenance=f"fock-01-singlet(n_max={trunc.n_max})")
 
 
+def cv_witness_expectation(state: DifferenceBlocks) -> float:
+    """Tr[rho W] for the witness of :func:`cv_witness`, read off the blocks:
+    (B_0[0, 1] + B_0[1, 0])/2 - Re B_1[0, 0], since rho_{11,00} = B_1[0, 0]."""
+    b0, b1 = state.blocks[0], state.blocks[1]
+    return float(0.5 * (b0[0, 1] + b0[1, 0]).real - b1[0, 0].real)
+
+
 def phase_witness_expectation(x: float, gamma_t: float) -> float:
     """Closed-form Tr[R(t) W] = -(1-x^2) x exp(-gamma_t) for the phase-noisy
     twin beam: negative for every x in (0,1), so phase noise alone never
@@ -208,11 +282,15 @@ def phase_witness_expectation(x: float, gamma_t: float) -> float:
 
 # -- Gaussian displacement noise ---------------------------------------------
 
-def _radial_rule(kappa: float, n_nodes: int):
+def _radial_rule(kappa: float, dim: int):
     """Gauss-Legendre nodes/weights for (2/kappa) int_0^R dr r e^{-r^2/kappa},
-    with R chosen so the discarded tail of the Gaussian weight is _NOISE_EPS."""
+    with R chosen so the discarded tail of the Gaussian weight is _NOISE_EPS.
+
+    The rule has max(64, 2 dim + 48) nodes, enough for the oscillating
+    displacement elements of a dim-level table.
+    """
     r_max = math.sqrt(kappa * math.log(1.0 / _NOISE_EPS))
-    nodes, weights = np.polynomial.legendre.leggauss(n_nodes)
+    nodes, weights = np.polynomial.legendre.leggauss(max(64, 2 * dim + 48))
     r = 0.5 * r_max * (nodes + 1.0)
     w = 0.5 * r_max * weights * (2.0 / kappa) * r * np.exp(-r * r / kappa)
     return r, w
@@ -248,8 +326,7 @@ def _displacement_table(dim: int, radii: np.ndarray) -> np.ndarray:
     return table
 
 
-def gaussian_noise_blocks(dim: int, kappa: float,
-                          n_nodes: int | None = None) -> dict:
+def gaussian_noise_blocks(dim: int, kappa: float) -> dict:
     """Superoperator blocks of the Gaussian displacement noise channel.
 
     The channel averages D(alpha) rho D(alpha)^dag over a complex Gaussian of
@@ -258,9 +335,7 @@ def gaussian_noise_blocks(dim: int, kappa: float,
     for k >= 0 (negative k reuses the same blocks by symmetry).
     """
     _check_kappa(kappa)
-    if n_nodes is None:
-        n_nodes = max(64, 2 * dim + 48)
-    r, w = _radial_rule(kappa, n_nodes)
+    r, w = _radial_rule(kappa, dim)
     d_table = _displacement_table(dim, r)
     blocks = {}
     for k in range(dim):
@@ -270,46 +345,11 @@ def gaussian_noise_blocks(dim: int, kappa: float,
     return blocks
 
 
-def single_mode_gaussian_noise(rho: np.ndarray, kappa: float,
-                               blocks: dict | None = None) -> np.ndarray:
-    """Apply the displacement-noise channel to a single-mode density matrix."""
-    rho = np.asarray(rho, dtype=complex)
-    d = rho.shape[0]
-    if kappa == 0.0:
-        return rho.copy()
-    if blocks is None:
-        blocks = gaussian_noise_blocks(d, kappa)
-    out = np.zeros_like(rho)
-    idx = np.arange(d)
-    for k in range(d):
-        present = idx[k:]
-        out[present, present - k] = blocks[k] @ rho[present, present - k]
-        if k > 0:
-            out[present - k, present] = blocks[k] @ rho[present - k, present]
-    return out
-
-
-def _apply_blocks_mode(t: np.ndarray, blocks: dict, axis_pair: tuple) -> np.ndarray:
-    """Contract the channel blocks over one mode of a rank-4 density tensor."""
-    d = t.shape[axis_pair[0]]
-    moved = np.moveaxis(t, axis_pair, (0, 1))
-    out = np.zeros_like(moved)
-    idx = np.arange(d)
-    for k in range(d):
-        rows = idx[k:]
-        gathered = moved[rows, rows - k]
-        out[rows, rows - k] = np.einsum("mp,p...->m...", blocks[k], gathered)
-        if k > 0:
-            gathered = moved[rows - k, rows]
-            out[rows - k, rows] = np.einsum("mp,p...->m...", blocks[k], gathered)
-    return np.moveaxis(out, (0, 1), axis_pair)
-
-
-def noise_truncation(x: float, kappa: float, tol: float = 1e-10,
-                     leak_factor: float = 10.0) -> FockTruncation:
+def noise_truncation(x: float, kappa: float,
+                     tol: float = 1e-10) -> FockTruncation:
     """Truncation for applying Gaussian noise of variance kappa to a twin
     beam, padded so the predicted channel leakage stays below
-    leak_factor * tail_bound.
+    _LEAK_FACTOR * tail_bound.
 
     The channel's upward tail from Fock level p is much heavier than the
     twin-beam tail itself, so the padding is sized from the actual per-level
@@ -319,11 +359,11 @@ def noise_truncation(x: float, kappa: float, tol: float = 1e-10,
     base = FockTruncation.for_twb(x, tol)
     if kappa == 0.0:
         return base
-    target = leak_factor * max(base.tail_bound, 1e-14)
+    target = _LEAK_FACTOR * max(base.tail_bound, 1e-14)
     weights = (1.0 - x * x) * x ** (2 * np.arange(base.dim))
     for pad in range(8, 301, 4):
         dim = base.dim + pad
-        r, w = _radial_rule(kappa, max(64, 2 * dim + 48))
+        r, w = _radial_rule(kappa, dim)
         d_table = _displacement_table(dim, r)
         survival = np.einsum("mpi,mpi,i->p",
                              d_table[:, : base.dim, :],
@@ -336,48 +376,40 @@ def noise_truncation(x: float, kappa: float, tol: float = 1e-10,
         f"leakage under {target:.3e} for x={x}, kappa={kappa}")
 
 
-def apply_gaussian_noise(rho: BipartiteDensity, kappa: float,
-                         trunc: FockTruncation | None = None,
-                         max_leakage: float = 1e-6) -> BipartiteDensity:
+def apply_gaussian_noise(state: DifferenceBlocks, kappa: float,
+                         trunc: FockTruncation | None = None
+                         ) -> DifferenceBlocks:
     """Apply the Gaussian displacement-noise channel to both modes.
 
-    The input is embedded into the (possibly larger) target truncation first;
-    the channel pushes population upward, and whatever escapes past n_max is
-    reported as additional trace deficit.  kappa = 0 is the identity.
+    The channel keeps each mode's index difference, so it maps every block
+    on its own: B_j -> G_j B_j G_j^T with G_j = gaussian_noise_blocks(d,
+    kappa)[j], after B_j is zero-padded to the target truncation.  The
+    channel pushes population upward, and whatever escapes past n_max is
+    reported as additional trace deficit.  kappa = 0 only pads.
 
     Raises:
-        ValueError: if the target truncation has more than
-            ``MAX_TWO_MODE_LEVELS`` levels per mode (checked before the dense
-            arrays are allocated).
-        TruncationError: if the leaked weight exceeds ``max_leakage``.
+        ValueError: if the target truncation is smaller than the input's or
+            has more than ``MAX_TWO_MODE_LEVELS`` levels per mode.
+        TruncationError: if the leaked weight exceeds ``MAX_LEAKAGE``.
     """
     _check_kappa(kappa)
-    d_in = rho.dim_a
-    if rho.dim_b != d_in:
-        raise ValueError("expected equal mode dimensions")
+    d_in = state.dim
     d = trunc.dim if trunc is not None else d_in
     if d < d_in:
         raise ValueError(f"target truncation {d - 1} smaller than input {d_in - 1}")
-    _check_dense_levels(d)
-    big = np.zeros((d * d, d * d), dtype=complex)
-    t_in = rho.matrix.reshape(d_in, d_in, d_in, d_in)
-    t_big = big.reshape(d, d, d, d)
-    t_big[:d_in, :d_in, :d_in, :d_in] = t_in
+    _check_levels(d)
+    padded = ([np.pad(block, (0, d - d_in)) for block in state.blocks]
+              + [np.zeros((d - j, d - j)) for j in range(d_in, d)])
     if kappa == 0.0:
-        return BipartiteDensity(dim_a=d, dim_b=d, matrix=big,
-                                trace_deficit=rho.trace_deficit)
-    blocks = gaussian_noise_blocks(d, kappa)
-    t_out = _apply_blocks_mode(t_big, blocks, (0, 2))
-    t_out = _apply_blocks_mode(t_out, blocks, (1, 3))
-    matrix = t_out.reshape(d * d, d * d)
-    matrix = (matrix + matrix.conj().T) / 2
-    leak = rho.trace() - float(np.trace(matrix).real)
-    if leak > max_leakage:
+        return DifferenceBlocks(tuple(padded), state.trace_deficit)
+    g = gaussian_noise_blocks(d, kappa)
+    blocks = tuple(g[j] @ block @ g[j].T for j, block in enumerate(padded))
+    leak = state.trace() - float(blocks[0].sum().real)
+    if leak > MAX_LEAKAGE:
         raise TruncationError(
             f"channel leaked {leak:.3e} of the trace past n_max={d - 1} "
-            f"(threshold {max_leakage:.1e}); increase the truncation")
-    return BipartiteDensity(dim_a=d, dim_b=d, matrix=matrix,
-                            trace_deficit=rho.trace_deficit + max(leak, 0.0))
+            f"(threshold {MAX_LEAKAGE:.1e}); increase the truncation")
+    return DifferenceBlocks(blocks, state.trace_deficit + max(leak, 0.0))
 
 
 # -- witness expectation under amplitude noise -------------------------------
@@ -429,37 +461,20 @@ def gauss_separability_threshold(x: float) -> GaussThreshold:
 
 # -- the sum-mode squeezing test ---------------------------------------------
 
-def _destroy(dim: int) -> np.ndarray:
-    return np.diag(np.sqrt(np.arange(1.0, dim)), 1).astype(complex)
-
-
-def quadrature_operator(dim: int) -> np.ndarray:
-    """X = (a^dag + a)/2 on the truncated Fock space."""
-    a = _destroy(dim)
-    return (a + a.conj().T) / 2
-
-
-def _mode_moments(rho_mode: np.ndarray):
-    """X on the retained levels, <X> and Var X of a single-mode state.
-
-    <X^2> uses the square of the untruncated X restricted to the retained
-    levels, so the top level keeps its a a^dag term."""
-    d = rho_mode.shape[0]
-    x = quadrature_operator(d + 1)
-    mean = np.trace(x[:d, :d] @ rho_mode).real
-    second = np.trace((x @ x)[:d, :d] @ rho_mode).real
-    return x[:d, :d], mean, second - mean ** 2
-
-
-def sum_mode_variance(rho: BipartiteDensity, transmissivity: float) -> float:
+def sum_mode_variance(state: DifferenceBlocks, transmissivity: float) -> float:
     """Var(sqrt(T) X_b - sqrt(1-T) X_a) of a two-mode state.
 
     This is the variance of X on output port b of the beam splitter
     U = exp[theta (a^dag b - a b^dag)], cos(theta) = sqrt(T), taken in the
-    Heisenberg picture: only the first and second quadrature moments of
-    ``rho`` enter, on its own truncation.  At T = 1/2 a value below the vacuum
+    Heisenberg picture: only the first and second quadrature moments of the
+    state enter, on its own truncation.  At T = 1/2 a value below the vacuum
     1/4 certifies entanglement of a Gaussian input (sum-mode criterion,
     Duan et al., PRL 84, 2722 (2000)).
+
+    On the index-difference support both reduced states are diagonal, so
+    <X> = 0 and Var X = sum_n p(n) (2n+1)/4 over the row (mode a) or column
+    (mode b) sums p of B_0; the top level keeps its a a^dag term.  The
+    correlation <X_a X_b> = Re <a b>/2 = Re sum sqrt((i+1)(l+1)) B_1[i, l] / 2.
 
     Raises:
         ValueError: T outside [0, 1] or NaN, or |Tr rho - 1| > 1e-6 (the
@@ -467,14 +482,16 @@ def sum_mode_variance(rho: BipartiteDensity, transmissivity: float) -> float:
     """
     if not 0.0 <= transmissivity <= 1.0:
         raise ValueError(f"transmissivity={transmissivity} outside [0, 1]")
-    tr = rho.trace()
+    tr = state.trace()
     if abs(tr - 1.0) > 1e-6:
         raise ValueError(f"state trace {tr} deviates from 1 beyond 1e-6; "
                          "truncation is insufficient")
-    x_a, mean_a, var_a = _mode_moments(rho.reduced(0))
-    x_b, mean_b, var_b = _mode_moments(rho.reduced(1))
-    t4 = rho.matrix.reshape(rho.dim_a, rho.dim_b, rho.dim_a, rho.dim_b)
-    cov = np.einsum("ijkl,ki,lj->", t4, x_a, x_b).real - mean_a * mean_b
+    populations = state.blocks[0].real
+    level = (2.0 * np.arange(state.dim) + 1.0) / 4.0
+    var_a = float(populations.sum(axis=1) @ level)
+    var_b = float(populations.sum(axis=0) @ level)
+    root = np.sqrt(np.arange(1.0, state.dim))
+    cov = 0.5 * float(np.sum(np.outer(root, root) * state.blocks[1]).real)
     t = transmissivity
     return float(t * var_b + (1.0 - t) * var_a
                  - 2.0 * math.sqrt(t * (1.0 - t)) * cov)

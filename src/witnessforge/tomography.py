@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cv import _check_gamma_t, _check_kappa
+from .cv import DifferenceBlocks, _check_gamma_t, _check_kappa
 from .specfn import f00, f01, f11, oscillator_psi_table
 from .states import BipartiteDensity
 
@@ -237,37 +237,6 @@ def _sample_rows(rows: np.ndarray, u: np.ndarray, nodes: np.ndarray,
     return nodes[2 * idx] + t * delta
 
 
-class _DifferenceBlocks:
-    """Index-difference blocks of a two-mode density tensor.
-
-    Blocks exist when rho_{nm,n'm'} is supported on n - n' = m - m' (true for
-    the twin beam, its phase-diffused version, and any phase-covariant channel
-    output).  The pair weights of the conditional density then factor into
-    one small matrix product per difference j: with
-    B_j[i, l] = rho_{(i+j)(l+j), il} and a_j(s)_i = psi_{i+j}(x1) psi_i(x1),
-
-        W_(j,l)(s) = c_j Re[e^{ij(phi1+phi2)} (a_j(s) B_j)_l],
-
-    c_0 = 1 and c_j = 2, where the cosine and sine of j(phi1+phi2) fold into
-    W, so real and complex blocks share one pair table.
-    """
-
-    def __init__(self, t: np.ndarray):
-        d = t.shape[0]
-        nz = np.argwhere(np.abs(t) > 0.0)
-        self.valid = bool(len(nz) == 0
-                          or np.all(nz[:, 0] - nz[:, 2] == nz[:, 1] - nz[:, 3]))
-        real = bool(np.abs(t.imag).max() == 0.0)
-        self.blocks = []
-        if not self.valid:
-            return
-        for j in range(d):
-            ii, ll = np.meshgrid(np.arange(d - j), np.arange(d - j),
-                                 indexing="ij")
-            block = t[ii + j, ll + j, ii, ll]
-            self.blocks.append(block.real if real else block)
-
-
 @dataclass
 class _SamplerTables:
     """Everything precomputed once per (state, grid) for the sampling loop.
@@ -287,7 +256,7 @@ class _SamplerTables:
                                 # else (2d-1, G + cells + 1) phase-coefficient
                                 # rows
     pairs: np.ndarray           # (d(d+1)/2, G + cells + 1) pair-product rows
-    diff: _DifferenceBlocks
+    diff: DifferenceBlocks | None
     t_cond: np.ndarray | None   # (d^2, d^2) map C(s) = (u1 x conj(u1)) @ t_cond,
                                 # for states without blocks
     pair_j: np.ndarray          # index difference m - M of each pair
@@ -317,14 +286,14 @@ class _SamplerTables:
                 rows.append(2.0 * cj.real)
                 rows.append(-2.0 * cj.imag)
             marginal = np.vstack(rows)
-        t = rho.matrix.reshape(d, d, d, d)
         pair_j = np.concatenate([np.full(d - j, j) for j in range(d)])
         pair_m = np.concatenate([np.arange(j, d) for j in range(d)])
         pairs = np.vstack([psi_nodes[j:] * psi_nodes[: d - j]
                            for j in range(d)])
-        diff = _DifferenceBlocks(t)
-        t_cond = (None if diff.valid
-                  else t.transpose(0, 2, 1, 3).reshape(d * d, d * d))
+        diff = DifferenceBlocks.of(rho)
+        t_cond = (None if diff is not None
+                  else rho.matrix.reshape(d, d, d, d).transpose(0, 2, 1, 3)
+                  .reshape(d * d, d * d))
         return cls(d=d, nodes=nodes, delta=delta,
                    marginal=_with_cdf(marginal, delta),
                    pairs=_with_cdf(pairs, delta), diff=diff, t_cond=t_cond,
@@ -346,10 +315,21 @@ class _SamplerTables:
     # ---- stage 2: x2 from the conditional at the sampled x1 ----
     def pair_weights(self, x1: np.ndarray, phi1: np.ndarray,
                      phi2: np.ndarray) -> np.ndarray:
-        """Real weights W(s) of the pair rows in the conditional density."""
+        """Real weights W(s) of the pair rows in the conditional density.
+
+        On the index-difference support (see :class:`cv.DifferenceBlocks`)
+        they factor into one small matrix product per difference j: with
+        B_j[i, l] = rho_{(i+j)(l+j), il} and a_j(s)_i = psi_{i+j}(x1) psi_i(x1),
+
+            W_(j,l)(s) = c_j Re[e^{ij(phi1+phi2)} (a_j(s) B_j)_l],
+
+        c_0 = 1 and c_j = 2, where the cosine and sine of j(phi1+phi2) fold
+        into W, so real and complex blocks share one pair table.  Any other
+        state takes W from the mode-2 conditional operator C(s).
+        """
         d = self.d
         psi1 = oscillator_psi_table(d - 1, x1)
-        if self.diff.valid:
+        if self.diff is not None:
             phase_sum = phi1 + phi2
             cos_w = np.cos(np.outer(phase_sum, np.arange(d)))
             cos_w[:, 1:] *= 2.0

@@ -15,8 +15,18 @@ import math
 import numpy as np
 from scipy.linalg import expm
 
-from witnessforge.cv import FockTruncation, quadrature_operator
+from witnessforge.cv import FockTruncation
 from witnessforge.states import BipartiteDensity
+
+
+def _destroy(dim: int) -> np.ndarray:
+    return np.diag(np.sqrt(np.arange(1.0, dim)), 1).astype(complex)
+
+
+def quadrature_operator(dim: int) -> np.ndarray:
+    """X = (a^dag + a)/2 on the truncated Fock space."""
+    a = _destroy(dim)
+    return (a + a.conj().T) / 2
 
 
 def embed(rho: BipartiteDensity, trunc: FockTruncation) -> BipartiteDensity:

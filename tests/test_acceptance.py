@@ -19,10 +19,10 @@ from pathlib import Path
 import numpy as np
 
 from beam_splitter_oracle import beam_splitter, embed, squeezing_witness
+from noise_channel_oracle import apply_gaussian_noise
 from witnessforge.cli import main as cli_main
 from witnessforge.cv import (
     FockTruncation,
-    apply_gaussian_noise,
     cv_witness,
     gauss_separability_threshold,
     gauss_witness_expectation,

@@ -20,7 +20,7 @@ from witnessforge.formats import (
     matrix_to_json,
     write_csv,
 )
-from witnessforge.states import maximally_entangled_operator
+from witnessforge.states import BipartiteDensity, maximally_entangled_operator
 from witnessforge.tomography import HomodyneBatch, sample_twin_beam
 
 
@@ -307,6 +307,75 @@ def test_dense_channel_size_guard_exits_2(capsys, monkeypatch, argv):
     code, _, err = run(capsys, *argv)
     assert code == 2
     assert "exceeds the supported scale" in err
+
+
+# On Linux ru_maxrss survives exec, so a child started from this test
+# process would report the test process's own peak; VmHWM is the peak of
+# the child's address space alone
+_CHILD = """
+import contextlib, io, json, resource, sys
+from witnessforge.cli import main
+out = io.StringIO()
+with contextlib.redirect_stdout(out):
+    code = main(sys.argv[1:])
+try:
+    with open("/proc/self/status") as fh:
+        peak = next(int(l.split()[1]) for l in fh if l.startswith("VmHWM:"))
+except OSError:
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    peak //= 1024 if sys.platform == "darwin" else 1
+print(json.dumps({"code": code, "report": out.getvalue(), "peak_kb": peak}))
+"""
+
+
+def run_child(*argv):
+    """Run the CLI in a fresh interpreter and check its exit code and its
+    peak resident memory."""
+    src = str(Path(witnessforge.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    result = subprocess.run([sys.executable, "-c", _CHILD, *argv],
+                            capture_output=True, text=True, env=env, check=True)
+    child = json.loads(result.stdout)
+    assert child["code"] == 0, result.stderr
+    assert child["peak_kb"] < 300 * 1024
+    return json.loads(child["report"])
+
+
+def test_large_twin_beam_commands_stay_small():
+    # x = 0.9 puts the noise channel at 118 levels per mode: one dense
+    # two-mode copy would take 3.1 GB
+    x, kappa = 0.9, 0.2
+    report = run_child("bs-squeeze", "--x", str(x), "--kappa", str(kappa))
+    assert report["sum_mode_variance"] == pytest.approx(
+        0.25 * (1 - x) / (1 + x) + kappa / 2, abs=1e-8)
+    report = run_child("tomo-estimate", "--x", str(x), "--kappa", str(kappa),
+                       "--samples", "10000", "--seed", "3")
+    closed_form = gauss_witness_expectation(x, kappa)
+    assert report["direct_value"] == pytest.approx(closed_form, abs=1e-12)
+    assert abs(report["mean"] - closed_form) <= 4 * report["std_error"]
+    report = run_child("cv-phase", "--x", str(x), "--gammat", "1")
+    assert report["expectation"] == pytest.approx(
+        -(1 - x * x) * x * math.exp(-1.0), abs=1e-12)
+
+
+@pytest.mark.parametrize("argv", [
+    ("cv-phase", "--x", "0.5", "--gammat", "1"),
+    ("tomo-estimate", "--x", "0.5", "--samples", "1000", "--seed", "1"),
+    ("tomo-estimate", "--x", "0.5", "--samples", "1000", "--seed", "1",
+     "--gammat", "1"),
+    ("tomo-estimate", "--x", "0.5", "--samples", "1000", "--seed", "1",
+     "--kappa", "0.2"),
+    ("bs-squeeze", "--x", "0.5", "--kappa", "0.2"),
+], ids=["cv-phase", "tomo-twb", "tomo-phase", "tomo-gauss", "bs-squeeze"])
+def test_cv_commands_build_no_dense_state(capsys, monkeypatch, argv):
+    def refuse(self):
+        raise AssertionError("a dense two-mode state was built")
+
+    monkeypatch.setattr(BipartiteDensity, "__post_init__", refuse)
+    code, _, err = run(capsys, *argv)
+    assert code == 0, err
 
 
 def test_tomo_estimate_conflicting_noise_flags(capsys):

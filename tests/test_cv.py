@@ -9,15 +9,18 @@ from beam_splitter_oracle import (
     beam_splitter,
     beam_splitter_unitary,
     embed,
+    quadrature_operator,
     squeezing_witness,
 )
+from noise_channel_oracle import apply_gaussian_noise
 from witnessforge import cv
 from witnessforge.cv import (
+    DifferenceBlocks,
     FockTruncation,
     noise_truncation,
     TruncationError,
-    apply_gaussian_noise,
     cv_witness,
+    cv_witness_expectation,
     gauss_separability_threshold,
     gauss_witness_expectation,
     gaussian_noise_blocks,
@@ -27,14 +30,12 @@ from witnessforge.cv import (
     pt_eigenvalue_pair,
     pt_min_eigenvalue,
     pt_spectrum_analytic,
-    quadrature_operator,
-    single_mode_gaussian_noise,
     sum_mode_variance,
     twb_mean_photons,
     twb_state,
+    twin_beam_blocks,
 )
 from witnessforge.linalg import hermitian_eig
-from witnessforge.states import BipartiteDensity
 from witnessforge.witness_finite import evaluate_witness
 
 
@@ -133,8 +134,10 @@ def test_phase_noise_rejects_bad_strength(gamma_t):
 @pytest.mark.parametrize("kappa", [math.nan, math.inf, -math.inf, -0.1])
 def test_noise_rejects_non_finite_kappa(kappa):
     rho = twb_state(0.5, FockTruncation.for_twb(0.5))
+    blocks = twin_beam_blocks(0.5, FockTruncation.for_twb(0.5))
     calls = [lambda: gaussian_noise_blocks(4, kappa),
              lambda: apply_gaussian_noise(rho, kappa),
+             lambda: cv.apply_gaussian_noise(blocks, kappa),
              lambda: gauss_witness_expectation(0.5, kappa),
              lambda: noise_truncation(0.5, kappa)]
     for call in calls:
@@ -239,14 +242,27 @@ def test_noise_channel_vacuum_survival():
     assert survival == pytest.approx(1 / (1 + kappa), abs=1e-12)
 
 
+def _with_vacuum_b(populations):
+    """Block state sum_n p(n) |n><n| (x) |0><0|: mode b in vacuum."""
+    d = len(populations)
+    blocks = [np.zeros((d - j, d - j)) for j in range(d)]
+    blocks[0][:, 0] = populations
+    return DifferenceBlocks(tuple(blocks))
+
+
+def _mode_a_populations(state):
+    return state.blocks[0].sum(axis=1)
+
+
 def test_noise_channel_adds_kappa_photons():
     kappa = 0.4
     dim = 30
-    rho = np.zeros((dim, dim), dtype=complex)
-    rho[2, 2] = 1.0  # two-photon Fock state
-    out = single_mode_gaussian_noise(rho, kappa)
-    mean = float(np.arange(dim) @ np.diag(out).real)
-    assert np.trace(out).real == pytest.approx(1.0, abs=1e-12)
+    populations = np.zeros(dim)
+    populations[2] = 1.0  # two-photon Fock state
+    out = _mode_a_populations(
+        cv.apply_gaussian_noise(_with_vacuum_b(populations), kappa))
+    mean = float(np.arange(dim) @ out)
+    assert out.sum() == pytest.approx(1.0, abs=1e-12)
     assert mean == pytest.approx(2.0 + kappa, abs=1e-9)
 
 
@@ -277,22 +293,66 @@ def test_noise_channel_two_mode_properties():
         assert 0.0 <= leak <= 10 * base_tr.tail_bound
 
 
+@pytest.mark.parametrize("x, kappa", [(0.5, 0.4), (0.3, 0.65)])
+def test_block_channel_matches_dense_oracle(x, kappa):
+    base_tr = FockTruncation.for_twb(x)
+    tr = noise_truncation(x, kappa)
+    dense = apply_gaussian_noise(twb_state(x, base_tr), kappa, tr)
+    out = cv.apply_gaussian_noise(twin_beam_blocks(x, base_tr), kappa, tr)
+    assert out.dim == tr.dim
+    assert np.abs(out.density().matrix - dense.matrix).max() <= 1e-15
+    assert out.trace_deficit == pytest.approx(dense.trace_deficit, abs=1e-15)
+
+
+def test_block_channel_at_zero_kappa_only_pads():
+    base_tr = FockTruncation.for_twb(0.4)
+    state = twin_beam_blocks(0.4, base_tr, 0.7)
+    tr = FockTruncation(base_tr.n_max + 3)
+    out = cv.apply_gaussian_noise(state, 0.0, tr)
+    assert out.trace_deficit == state.trace_deficit
+    assert np.array_equal(out.density().matrix, apply_gaussian_noise(
+        state.density(), 0.0, tr).matrix)
+    for j, block in enumerate(out.blocks):
+        kept = block[: state.dim - j, : state.dim - j]
+        if j < state.dim:
+            assert np.array_equal(kept, state.blocks[j])
+        assert np.count_nonzero(block) == np.count_nonzero(kept)
+
+
+def test_block_witness_matches_dense_trace():
+    x = 0.5
+    tr = FockTruncation.for_twb(x)
+    states = [twin_beam_blocks(x, tr), twin_beam_blocks(x, tr, 1.0),
+              cv.apply_gaussian_noise(twin_beam_blocks(x, tr), 0.4,
+                                      noise_truncation(x, 0.4))]
+    for state in states:
+        dense = evaluate_witness(cv_witness(FockTruncation(state.dim - 1)),
+                                 state.density())
+        assert cv_witness_expectation(state) == pytest.approx(dense, abs=1e-15)
+
+
 def test_noise_channel_leakage_guard():
     tr_small = FockTruncation(3)
-    rho = twb_state(0.6, FockTruncation.for_twb(0.6))
-    with pytest.raises(ValueError):
-        apply_gaussian_noise(rho, 0.5, tr_small)  # target smaller than input
-    cramped = twb_state(0.5, FockTruncation.for_twb(0.5))
-    with pytest.raises(TruncationError):
-        apply_gaussian_noise(cramped, 2.0)  # no headroom for the noise
+    for make, channel in ((twb_state, apply_gaussian_noise),
+                          (twin_beam_blocks, cv.apply_gaussian_noise)):
+        rho = make(0.6, FockTruncation.for_twb(0.6))
+        with pytest.raises(ValueError):
+            channel(rho, 0.5, tr_small)  # target smaller than input
+        cramped = make(0.5, FockTruncation.for_twb(0.5))
+        with pytest.raises(TruncationError):
+            channel(cramped, 2.0)  # no headroom for the noise
 
 
 def test_noise_channel_checks_size_before_allocating(monkeypatch):
     rho = twb_state(0.1, FockTruncation.for_twb(0.1))
+    blocks = twin_beam_blocks(0.1, FockTruncation.for_twb(0.1))
     monkeypatch.setattr(cv, "MAX_TWO_MODE_LEVELS", 8)
     assert apply_gaussian_noise(rho, 0.05, FockTruncation(7)).dim_a == 8
+    assert cv.apply_gaussian_noise(blocks, 0.05, FockTruncation(7)).dim == 8
     with pytest.raises(ValueError, match="exceeds the supported scale"):
         apply_gaussian_noise(rho, 0.05, FockTruncation(8))
+    with pytest.raises(ValueError, match="exceeds the supported scale"):
+        cv.apply_gaussian_noise(blocks, 0.05, FockTruncation(8))
 
 
 def test_gauss_expectation_routes_agree():
@@ -441,9 +501,10 @@ def test_squeezing_witness_twb_sum_mode():
 
 def test_squeezing_witness_thermalized_vacuum_positive():
     dim = 20
-    vac = np.zeros((dim, dim), dtype=complex)
-    vac[0, 0] = 1.0
-    thermal = single_mode_gaussian_noise(vac, 0.3)
+    vac = np.zeros(dim)
+    vac[0] = 1.0
+    thermal = np.diag(_mode_a_populations(
+        cv.apply_gaussian_noise(_with_vacuum_b(vac), 0.3)))
     assert squeezing_witness(thermal) == pytest.approx(0.15, abs=1e-9)
 
 
@@ -461,10 +522,10 @@ def sum_mode_closed_form(x, kappa, t):
 
 
 def _noisy_twb(x, kappa):
-    base = twb_state(x, FockTruncation.for_twb(x))
+    base = twin_beam_blocks(x, FockTruncation.for_twb(x))
     if kappa == 0:
         return base
-    return apply_gaussian_noise(base, kappa, noise_truncation(x, kappa))
+    return cv.apply_gaussian_noise(base, kappa, noise_truncation(x, kappa))
 
 
 # the dense oracle costs O(d^6) in the truncation d, so x stays <= 0.5
@@ -476,7 +537,8 @@ DENSE_POINTS = [(0.5, 0.0, 0.5), (0.3, 0.1, 0.31), (0.4, 0.0, 1.0),
 def test_sum_mode_variance_matches_dense_splitter(x, kappa, t):
     rho = _noisy_twb(x, kappa)
     # |nn> scatters to single-mode level 2n on the splitter: double the room
-    mixed = beam_splitter(embed(rho, FockTruncation(2 * rho.dim_a - 1)), t)
+    mixed = beam_splitter(embed(rho.density(), FockTruncation(2 * rho.dim - 1)),
+                          t)
     dense = squeezing_witness(mixed.reduced(1)) + 0.25
     assert sum_mode_variance(rho, t) == pytest.approx(dense, abs=1e-8)
 
@@ -488,14 +550,40 @@ def test_sum_mode_variance_closed_form(x, kappa, t):
 
 
 def test_sum_mode_variance_rejects_bad_input():
-    rho = twb_state(0.3, FockTruncation.for_twb(0.3))
-    half = BipartiteDensity(dim_a=rho.dim_a, dim_b=rho.dim_b,
-                            matrix=0.5 * rho.matrix)
+    rho = twin_beam_blocks(0.3, FockTruncation.for_twb(0.3))
+    half = DifferenceBlocks(tuple(0.5 * block for block in rho.blocks))
     with pytest.raises(ValueError, match="truncation is insufficient"):
         sum_mode_variance(half, 0.5)
     for t in (1.5, math.nan):
         with pytest.raises(ValueError, match="transmissivity"):
             sum_mode_variance(rho, t)
+
+
+def test_sum_mode_variance_matches_dense_moments():
+    # asymmetric populations and a complex B_1 tell the two modes and the
+    # two halves of the coherence apart, which the twin beams cannot
+    d = 3
+    state = DifferenceBlocks((
+        np.array([[0.4, 0.1, 0.05], [0.2, 0.1, 0.0], [0.03, 0.02, 0.1]]),
+        np.array([[0.1 + 0.05j, 0.02 - 0.01j], [0.03j, 0.01]]),
+        np.array([[0.02 - 0.01j]])))
+    rho = state.density().matrix
+    x_op = quadrature_operator(d + 1)
+    x_sq = (x_op @ x_op)[:d, :d]  # the top level keeps its a a^dag term
+    x_op = x_op[:d, :d]
+    eye = np.eye(d)
+
+    def moment(op):
+        return np.trace(rho @ op).real
+
+    mean_a, mean_b = moment(np.kron(x_op, eye)), moment(np.kron(eye, x_op))
+    var_a = moment(np.kron(x_sq, eye)) - mean_a ** 2
+    var_b = moment(np.kron(eye, x_sq)) - mean_b ** 2
+    cov = moment(np.kron(x_op, x_op)) - mean_a * mean_b
+    for t in (0.0, 0.31, 0.5, 1.0):
+        dense = (t * var_b + (1 - t) * var_a
+                 - 2 * math.sqrt(t * (1 - t)) * cov)
+        assert sum_mode_variance(state, t) == pytest.approx(dense, abs=1e-15)
 
 
 def test_quadrature_operator_vacuum_variance():

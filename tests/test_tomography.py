@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 from scipy.stats import chi2
 
+from noise_channel_oracle import apply_gaussian_noise
 from witnessforge.cv import (
+    DifferenceBlocks,
     FockTruncation,
-    apply_gaussian_noise,
     cv_witness,
     gauss_witness_expectation,
     noise_truncation,
@@ -15,7 +16,7 @@ from witnessforge.cv import (
     twb_state,
 )
 from witnessforge.formats import batch_rows_from_csv, batch_to_csv
-from witnessforge.states import BipartiteDensity
+from witnessforge.states import BipartiteDensity, random_state_operator
 from witnessforge.tomography import (
     BLOCK_SIZE,
     HomodyneBatch,
@@ -26,7 +27,7 @@ from witnessforge.tomography import (
     sample_twin_beam,
     witness_kernel,
 )
-from witnessforge.witness_finite import evaluate_witness
+from witnessforge.witness_finite import depolarized_state, evaluate_witness
 
 
 def vacuum_state(n_max=3):
@@ -300,9 +301,69 @@ def test_sampler_rejects_negative_conditional_density(i, k, block):
     # states have a valid reduced state, so only the conditional stage's
     # negativity check can catch them
     bad = _hermitian_pair_state(3, i, k, 0.5, 2.0)
-    assert _SamplerTables.build(bad, 512, None).diff.valid is block
+    assert (_SamplerTables.build(bad, 512, None).diff is not None) is block
     with pytest.raises(ValueError, match="conditional quadrature density"):
         sample_homodyne(bad, 1000, seed=3)
+
+
+def complex_block_state():
+    """The state of test_complex_block_path."""
+    d = 4
+    vec = np.zeros(d * d, dtype=complex)
+    for n, amp in enumerate((0.8, 0.5 * np.exp(1j * 0.9), 0.33)):
+        vec[n * d + n] = amp
+    vec /= np.linalg.norm(vec)
+    return BipartiteDensity(d, d, np.outer(vec, vec.conj()))
+
+
+def asymmetric_block_state():
+    """Blocks with B_0 != B_0^T and complex coherences: the conjugate half
+    must take B_j.conj() at the same (i, l), which the symmetric twin beams
+    cannot tell from B_j.conj().T."""
+    return DifferenceBlocks((
+        np.array([[0.4, 0.1, 0.05], [0.2, 0.1, 0.0], [0.03, 0.02, 0.1]]),
+        np.array([[0.1 + 0.05j, 0.02 - 0.01j], [0.03j, 0.01]]),
+        np.array([[0.02 - 0.01j]])))
+
+
+@pytest.mark.parametrize("make_state", [
+    lambda: rotated_twb(0.5, 1.1), complex_block_state,
+    lambda: asymmetric_block_state().density()],
+    ids=["rotated-twb", "complex-block-path", "asymmetric"])
+def test_difference_blocks_round_trip_bitwise(make_state):
+    # the blocks hold the lower triangle (n >= n'), which comes back
+    # bitwise; the upper one is its conjugate, so it can differ from rho
+    # only by rho's own Hermiticity defect (nonzero for the rotated twin
+    # beam, whose complex products round asymmetrically)
+    rho = make_state()
+    state = DifferenceBlocks.of(rho)
+    dense = state.density().matrix
+    assert np.array_equal(np.tril(dense), np.tril(rho.matrix))
+    defect = np.abs(rho.matrix - rho.matrix.conj().T).max()
+    assert np.abs(dense - rho.matrix).max() <= defect
+    assert state.trace() == pytest.approx(rho.trace(), abs=1e-15)
+
+
+def test_difference_blocks_layout():
+    state = asymmetric_block_state()
+    m = state.density().matrix
+    d = state.dim
+    assert np.array_equal(m, m.conj().T)
+    for j, block in enumerate(state.blocks):
+        for i in range(d - j):
+            for l in range(d - j):
+                assert m[(i + j) * d + l + j, i * d + l] == block[i, l]
+    for got, want in zip(DifferenceBlocks.of(state.density()).blocks,
+                         state.blocks):
+        assert np.array_equal(got, want)
+    assert DifferenceBlocks.of(twb_state(0.5, FockTruncation(6))).blocks[1] \
+        .dtype == np.float64
+
+
+def test_difference_blocks_need_the_support():
+    psi = random_state_operator(3, np.random.default_rng(5))
+    for rho in (general_d3_state(), depolarized_state(psi, 0.8)):
+        assert DifferenceBlocks.of(rho) is None
 
 
 @pytest.mark.parametrize("make_state", [
