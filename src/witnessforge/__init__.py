@@ -38,13 +38,9 @@ from .cv import (
     FockTruncation,
     GaussThreshold,
     TruncationError,
-    apply_gaussian_noise,
     cv_witness,
-    cv_witness_expectation,
     gauss_separability_threshold,
     gauss_witness_expectation,
-    gaussian_noise_blocks,
-    noise_truncation,
     phase_noisy_twb,
     phase_witness_expectation,
     pt_eigenvalue_diagonal,

@@ -1,7 +1,7 @@
 """Command-line front end: build witnesses, scan thresholds, run tomography.
 
 Exit codes: 0 success, 2 precondition violation (bad flags or inputs),
-3 numerical failure (truncation leakage, non-convergence).
+3 numerical failure (non-convergence).
 """
 
 from __future__ import annotations
@@ -162,41 +162,14 @@ def _parse_grid(spec: str) -> np.ndarray:
     return start + step * np.arange(int(round(intervals)) + 1)
 
 
-def _truncation(args, x: float) -> cv.FockTruncation:
-    if args.trunc is not None:
-        return cv.FockTruncation(args.trunc, x ** (2 * (args.trunc + 1)))
-    return cv.FockTruncation.for_twb(x, tol=args.tol)
-
-
-def _twin_beam(args, kappa: float, gamma_t: float):
-    """The twin beam of ``--x`` after phase diffusion gamma_t and
-    displacement noise kappa, as index-difference blocks, with the
-    truncation they live on: the noise channel's own unless ``--trunc``
-    is given."""
-    trunc = _truncation(args, args.x)
-    state = cv.twin_beam_blocks(args.x, trunc, gamma_t)
-    if kappa != 0.0:
-        if args.trunc is None:
-            trunc = cv.noise_truncation(args.x, kappa, tol=args.tol)
-        state = cv.apply_gaussian_noise(state, kappa, trunc)
-    return state, trunc
-
-
 def cmd_cv_phase(args) -> None:
-    state, trunc = _twin_beam(args, 0.0, args.gammat)
-    expectation = cv.cv_witness_expectation(state)
-    analytic = cv.phase_witness_expectation(args.x, args.gammat)
+    expectation = cv.phase_witness_expectation(args.x, args.gammat)
     report = {
         "config": {"command": "cv-phase", "x": args.x,
-                   "gamma_t": _gamma_t_field(args.gammat),
-                   "trunc": args.trunc, "tol": args.tol},
+                   "gamma_t": _gamma_t_field(args.gammat)},
         "x": args.x,
         "gamma_t": _gamma_t_field(args.gammat),
-        "n_max": trunc.n_max,
-        "tail_bound": trunc.tail_bound,
-        "trace_deficit": state.trace_deficit,
         "expectation": expectation,
-        "analytic_expectation": analytic,
         "entangled": bool(expectation < -BOUNDARY_TOL),
     }
     _emit(args, report)
@@ -205,17 +178,13 @@ def cmd_cv_phase(args) -> None:
 def cmd_cv_gauss(args) -> None:
     if (args.kappa is None) == (args.scan_kappa is None):
         raise ValueError("give one of --kappa / --scan-kappa")
-    trunc = _truncation(args, args.x)
     if args.scan_kappa is None:
         expectation = cv.gauss_witness_expectation(args.x, args.kappa)
         report = {
-            "config": {"command": "cv-gauss", "x": args.x, "kappa": args.kappa,
-                       "trunc": args.trunc, "tol": args.tol},
+            "config": {"command": "cv-gauss", "x": args.x,
+                       "kappa": args.kappa},
             "x": args.x,
             "kappa": args.kappa,
-            "n_max": trunc.n_max,
-            "tail_bound": trunc.tail_bound,
-            "trace_deficit": 0.0,
             "expectation": expectation,
             "entangled": bool(expectation < -BOUNDARY_TOL),
         }
@@ -232,8 +201,7 @@ def cmd_cv_gauss(args) -> None:
     threshold = cv.gauss_separability_threshold(args.x)
     summary = {
         "config": {"command": "cv-gauss", "x": args.x,
-                   "scan_kappa": args.scan_kappa, "trunc": args.trunc,
-                   "tol": args.tol},
+                   "scan_kappa": args.scan_kappa},
         "csv": args.output,
         "kappa_star": threshold.kappa_star,
         "stated_reference": threshold.stated_reference,
@@ -268,11 +236,9 @@ def cmd_tomo_estimate(args) -> None:
         label = f"phase-twb(x={args.x},gamma_t={args.gammat})"
     else:
         label = f"twb(x={args.x})"
-    state, _ = _twin_beam(args, kappa, gamma_t)
-    direct = cv.cv_witness_expectation(state)
-    closed_form = (cv.gauss_witness_expectation(args.x, kappa)
-                   if args.kappa is not None
-                   else cv.phase_witness_expectation(args.x, gamma_t))
+    direct = (cv.gauss_witness_expectation(args.x, kappa)
+              if args.kappa is not None
+              else cv.phase_witness_expectation(args.x, gamma_t))
     batch = tomography.sample_twin_beam(args.x, args.samples, seed,
                                         gamma_t=gamma_t, kappa=kappa,
                                         workers=args.workers,
@@ -284,14 +250,12 @@ def cmd_tomo_estimate(args) -> None:
         "config": {"command": "tomo-estimate", "x": args.x,
                    "gamma_t": _gamma_t_field(args.gammat), "kappa": args.kappa,
                    "samples": args.samples, "seed": seed,
-                   "workers": args.workers, "trunc": args.trunc,
-                   "tol": args.tol, "state": label},
+                   "workers": args.workers, "state": label},
         "n_samples": estimate.n_samples,
         "seed": seed,
         "mean": estimate.mean,
         "std_error": estimate.std_error,
         "direct_value": direct,
-        "closed_form_value": closed_form,
         "z_score": z,
     }
     if args.batch_csv is not None:
@@ -301,18 +265,15 @@ def cmd_tomo_estimate(args) -> None:
 
 
 def cmd_bs_squeeze(args) -> None:
-    state, trunc = _twin_beam(args, args.kappa, 0.0)
     direct = cv.gauss_witness_expectation(args.x, args.kappa)
-    variance = cv.sum_mode_variance(state, args.transmissivity)
+    variance = cv.sum_mode_variance(args.x, args.kappa, args.transmissivity)
     squeeze = variance - 0.25
     report = {
         "config": {"command": "bs-squeeze", "x": args.x, "kappa": args.kappa,
-                   "transmissivity": args.transmissivity,
-                   "trunc": args.trunc, "tol": args.tol},
+                   "transmissivity": args.transmissivity},
         "x": args.x,
         "kappa": args.kappa,
         "transmissivity": args.transmissivity,
-        "n_max": trunc.n_max,
         "sum_mode_variance": variance,
         "squeeze_witness": squeeze,
         "squeezed": bool(squeeze < -BOUNDARY_TOL),
@@ -332,12 +293,9 @@ def _add_psi_flags(sub):
                      help="JSON file with a 'psi' matrix payload")
 
 
-def _add_cv_flags(sub, scope=""):
-    sub.add_argument("--x", type=float, required=True, help="twin-beam parameter")
-    sub.add_argument("--trunc", type=int, default=None,
-                     help="override Fock truncation n_max" + scope)
-    sub.add_argument("--tol", type=float, default=1e-10,
-                     help="truncation tail tolerance" + scope)
+def _add_x_flag(sub):
+    sub.add_argument("--x", type=float, required=True,
+                     help="twin-beam parameter in [0, 1)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -365,12 +323,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_finite_scan)
 
     p = add_parser("cv-phase", help="phase-noisy twin beam expectation")
-    _add_cv_flags(p)
+    _add_x_flag(p)
     p.add_argument("--gammat", type=float, required=True)
     p.set_defaults(func=cmd_cv_phase)
 
     p = add_parser("cv-gauss", help="amplitude-noisy twin beam expectation")
-    _add_cv_flags(p)
+    _add_x_flag(p)
     p.add_argument("--kappa", type=float, default=None)
     p.add_argument("--scan-kappa", type=str, default=None,
                    help="grid start:stop:step")
@@ -381,8 +339,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_gauss_scan)
 
     p = add_parser("tomo-estimate", help="Monte Carlo witness estimate")
-    _add_cv_flags(p, scope=" of the Fock-space direct_value only; the "
-                           "samples come from the exact Gaussian law")
+    _add_x_flag(p)
     p.add_argument("--gammat", type=float, default=None)
     p.add_argument("--kappa", type=float, default=None)
     p.add_argument("--samples", type=int, required=True)
@@ -393,7 +350,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_tomo_estimate)
 
     p = add_parser("bs-squeeze", help="beam-splitter squeezing witness")
-    _add_cv_flags(p)
+    _add_x_flag(p)
     p.add_argument("--kappa", type=float, default=0.0)
     p.add_argument("--transmissivity", type=float, default=0.5)
     p.set_defaults(func=cmd_bs_squeeze)
@@ -405,7 +362,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         args.func(args)
-    except (cv.TruncationError, ConvergenceError) as exc:
+    except ConvergenceError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
     except (ValueError, TypeError, OSError, KeyError) as exc:

@@ -1,11 +1,13 @@
 """Twin-beam states on a truncated two-mode Fock space, their noisy
 relatives, and the continuous-variable witness.
 
-States live on Fock levels 0..n_max per mode.  The twin-beam family is
-supported on n - n' = m - m' and is kept as its index-difference blocks
-(:class:`DifferenceBlocks`); the noise channel, the witness and the
-sum-mode variance act on those blocks.  Truncated states are not
-renormalized; the neglected weight is carried as ``trace_deficit``
+The paper's three twin-beam families (plain, phase-diffused and
+Gauss-noisy) are Gaussian, and the witness expectation, the separability
+threshold and the sum-mode variance of each are given here in closed form.
+The Fock-space states serve the homodyne sampler for arbitrary states and
+the tests: they live on levels 0..n_max per mode and are kept as their
+index-difference blocks (:class:`DifferenceBlocks`).  Truncated states are
+not renormalized; the neglected weight is carried as ``trace_deficit``
 metadata.  Quadrature convention: X = (a^dag + a)/2 with vacuum variance
 1/4.
 """
@@ -16,13 +18,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
 
 from .states import BipartiteDensity, WitnessOperator
-
-_NOISE_EPS = 1e-14   # radial cutoff: exp(-R^2/kappa) = _NOISE_EPS
-_LEAK_FACTOR = 10.0  # noise_truncation keeps the leakage under this many tail bounds
-MAX_LEAKAGE = 1e-6   # apply_gaussian_noise fails once more weight than this leaks
 
 
 class TruncationError(RuntimeError):
@@ -226,8 +223,11 @@ def pt_eigenvalue_pair(x: float, gamma_t: float, n: int, m: int,
 
 
 def pt_min_eigenvalue(x: float, gamma_t: float) -> float:
-    """Minimum PT eigenvalue -(1-x^2) x exp(-gamma_t), attained at (n,m)=(0,1)."""
-    return -(1.0 - x * x) * x * math.exp(-gamma_t)
+    """Minimum PT eigenvalue -(1-x^2) x exp(-gamma_t), attained at (n,m)=(0,1).
+
+    1 - x^2 is taken as (1 - x)(1 + x), which keeps its relative accuracy
+    as x -> 1."""
+    return -(1.0 - x) * (1.0 + x) * x * math.exp(-gamma_t)
 
 
 def pt_spectrum_analytic(x: float, gamma_t: float, n_max: int) -> np.ndarray:
@@ -263,13 +263,6 @@ def cv_witness(trunc: FockTruncation) -> WitnessOperator:
                            provenance=f"fock-01-singlet(n_max={trunc.n_max})")
 
 
-def cv_witness_expectation(state: DifferenceBlocks) -> float:
-    """Tr[rho W] for the witness of :func:`cv_witness`, read off the blocks:
-    (B_0[0, 1] + B_0[1, 0])/2 - Re B_1[0, 0], since rho_{11,00} = B_1[0, 0]."""
-    b0, b1 = state.blocks[0], state.blocks[1]
-    return float(0.5 * (b0[0, 1] + b0[1, 0]).real - b1[0, 0].real)
-
-
 def phase_witness_expectation(x: float, gamma_t: float) -> float:
     """Closed-form Tr[R(t) W] = -(1-x^2) x exp(-gamma_t) for the phase-noisy
     twin beam: negative for every x in (0,1), so phase noise alone never
@@ -278,138 +271,6 @@ def phase_witness_expectation(x: float, gamma_t: float) -> float:
         raise ValueError(f"x={x} outside [0, 1)")
     _check_gamma_t(gamma_t)
     return pt_min_eigenvalue(x, gamma_t)
-
-
-# -- Gaussian displacement noise ---------------------------------------------
-
-def _radial_rule(kappa: float, dim: int):
-    """Gauss-Legendre nodes/weights for (2/kappa) int_0^R dr r e^{-r^2/kappa},
-    with R chosen so the discarded tail of the Gaussian weight is _NOISE_EPS.
-
-    The rule has max(64, 2 dim + 48) nodes, enough for the oscillating
-    displacement elements of a dim-level table.
-    """
-    r_max = math.sqrt(kappa * math.log(1.0 / _NOISE_EPS))
-    nodes, weights = np.polynomial.legendre.leggauss(max(64, 2 * dim + 48))
-    r = 0.5 * r_max * (nodes + 1.0)
-    w = 0.5 * r_max * weights * (2.0 / kappa) * r * np.exp(-r * r / kappa)
-    return r, w
-
-
-def _displacement_table(dim: int, radii: np.ndarray) -> np.ndarray:
-    """Real matrix elements <m|D(r)|n> for 0 <= m, n < dim at each radius.
-
-    Built columnwise by the normalized associated-Laguerre recurrence, which
-    stays bounded for indices well beyond the dimensions used here.
-    Returns an array of shape (dim, dim, len(radii)).
-    """
-    r = np.asarray(radii, dtype=float)
-    u = r * r
-    table = np.zeros((dim, dim, r.size))
-    log_r = np.log(r)
-    for alpha in range(dim):
-        # g_n tracks sqrt(n!/(n+alpha)!) L_n^(alpha)(u); start from the
-        # coherent-state column <alpha|D(r)|0> = e^{-u/2} r^alpha / sqrt(alpha!)
-        prefactor = np.exp(alpha * log_r - 0.5 * gammaln(alpha + 1.0) - 0.5 * u)
-        g_prev = np.zeros_like(u)
-        g = np.ones_like(u)
-        table[alpha, 0] = prefactor
-        for n in range(0, dim - alpha - 1):
-            g_next = ((2 * n + alpha + 1 - u) * g
-                      - math.sqrt(n * (n + alpha)) * g_prev) \
-                / math.sqrt((n + 1) * (n + 1 + alpha))
-            g_prev, g = g, g_next
-            table[alpha + n + 1, n + 1] = prefactor * g
-    lower = np.tril_indices(dim, k=-1)
-    signs = (-1.0) ** (lower[0] - lower[1])
-    table[lower[1], lower[0]] = signs[:, None] * table[lower]
-    return table
-
-
-def gaussian_noise_blocks(dim: int, kappa: float) -> dict:
-    """Superoperator blocks of the Gaussian displacement noise channel.
-
-    The channel averages D(alpha) rho D(alpha)^dag over a complex Gaussian of
-    variance kappa.  It conserves the index difference m - n, so the matrix
-    splits into blocks: blocks[k][m-k-index, p-k-index] = <m|G(|p><p-k|)|m-k>
-    for k >= 0 (negative k reuses the same blocks by symmetry).
-    """
-    _check_kappa(kappa)
-    r, w = _radial_rule(kappa, dim)
-    d_table = _displacement_table(dim, r)
-    blocks = {}
-    for k in range(dim):
-        upper = d_table[k:, k:, :]
-        lower = d_table[: dim - k, : dim - k, :]
-        blocks[k] = np.einsum("mpi,mpi,i->mp", upper, lower, w)
-    return blocks
-
-
-def noise_truncation(x: float, kappa: float,
-                     tol: float = 1e-10) -> FockTruncation:
-    """Truncation for applying Gaussian noise of variance kappa to a twin
-    beam, padded so the predicted channel leakage stays below
-    _LEAK_FACTOR * tail_bound.
-
-    The channel's upward tail from Fock level p is much heavier than the
-    twin-beam tail itself, so the padding is sized from the actual per-level
-    survival probabilities rather than a fixed number of extra levels.
-    """
-    _check_kappa(kappa)
-    base = FockTruncation.for_twb(x, tol)
-    if kappa == 0.0:
-        return base
-    target = _LEAK_FACTOR * max(base.tail_bound, 1e-14)
-    weights = (1.0 - x * x) * x ** (2 * np.arange(base.dim))
-    for pad in range(8, 301, 4):
-        dim = base.dim + pad
-        r, w = _radial_rule(kappa, dim)
-        d_table = _displacement_table(dim, r)
-        survival = np.einsum("mpi,mpi,i->p",
-                             d_table[:, : base.dim, :],
-                             d_table[:, : base.dim, :], w)
-        leak = 2.0 * float(weights @ (1.0 - survival))
-        if leak <= target:
-            return FockTruncation(dim - 1, base.tail_bound)
-    raise TruncationError(
-        f"no truncation below n_max={base.dim + 300} keeps the channel "
-        f"leakage under {target:.3e} for x={x}, kappa={kappa}")
-
-
-def apply_gaussian_noise(state: DifferenceBlocks, kappa: float,
-                         trunc: FockTruncation | None = None
-                         ) -> DifferenceBlocks:
-    """Apply the Gaussian displacement-noise channel to both modes.
-
-    The channel keeps each mode's index difference, so it maps every block
-    on its own: B_j -> G_j B_j G_j^T with G_j = gaussian_noise_blocks(d,
-    kappa)[j], after B_j is zero-padded to the target truncation.  The
-    channel pushes population upward, and whatever escapes past n_max is
-    reported as additional trace deficit.  kappa = 0 only pads.
-
-    Raises:
-        ValueError: if the target truncation is smaller than the input's or
-            has more than ``MAX_TWO_MODE_LEVELS`` levels per mode.
-        TruncationError: if the leaked weight exceeds ``MAX_LEAKAGE``.
-    """
-    _check_kappa(kappa)
-    d_in = state.dim
-    d = trunc.dim if trunc is not None else d_in
-    if d < d_in:
-        raise ValueError(f"target truncation {d - 1} smaller than input {d_in - 1}")
-    _check_levels(d)
-    padded = ([np.pad(block, (0, d - d_in)) for block in state.blocks]
-              + [np.zeros((d - j, d - j)) for j in range(d_in, d)])
-    if kappa == 0.0:
-        return DifferenceBlocks(tuple(padded), state.trace_deficit)
-    g = gaussian_noise_blocks(d, kappa)
-    blocks = tuple(g[j] @ block @ g[j].T for j, block in enumerate(padded))
-    leak = state.trace() - float(blocks[0].sum().real)
-    if leak > MAX_LEAKAGE:
-        raise TruncationError(
-            f"channel leaked {leak:.3e} of the trace past n_max={d - 1} "
-            f"(threshold {MAX_LEAKAGE:.1e}); increase the truncation")
-    return DifferenceBlocks(blocks, state.trace_deficit + max(leak, 0.0))
 
 
 # -- witness expectation under amplitude noise -------------------------------
@@ -423,16 +284,19 @@ def gauss_witness_expectation(x: float, kappa: float) -> float:
 
     At x = 0 this is kappa / (1 + kappa)^3, the witness on a product of two
     thermal states; at kappa = 0 it is -(1 - x^2) x.  N and Q are evaluated
-    scaled by (1 + kappa)^-2, so a large finite kappa cannot overflow them.
+    scaled by (1 + kappa)^-2, so a large finite kappa cannot overflow them,
+    and 1 - x^2 as (1 - x)(1 + x), which keeps its relative accuracy as
+    x -> 1.
     """
     if not 0.0 <= x < 1.0:
         raise ValueError(f"x={x} outside [0, 1)")
     _check_kappa(kappa)
     c = 1.0 / (1.0 + kappa)
     s = kappa * c
-    numerator = (1.0 - x * x) * s * s + (1.0 + x * x) * s * c - x * c * c
+    one_minus_x2 = (1.0 - x) * (1.0 + x)
+    numerator = one_minus_x2 * s * s + (1.0 + x * x) * s * c - x * c * c
     q = 1.0 - x * x * s * s
-    return (1.0 - x * x) * c * c * numerator / (q * q)
+    return one_minus_x2 * c * c * numerator / (q * q)
 
 
 @dataclass(frozen=True)
@@ -461,37 +325,29 @@ def gauss_separability_threshold(x: float) -> GaussThreshold:
 
 # -- the sum-mode squeezing test ---------------------------------------------
 
-def sum_mode_variance(state: DifferenceBlocks, transmissivity: float) -> float:
-    """Var(sqrt(T) X_b - sqrt(1-T) X_a) of a two-mode state.
+def sum_mode_variance(x: float, kappa: float, transmissivity: float) -> float:
+    """Var(sqrt(T) X_b - sqrt(1-T) X_a) of the twin beam after Gaussian
+    displacement noise kappa on both modes, in closed form:
+
+        ((1-x)^2 + 2 x (sqrt(T) - sqrt(1-T))^2) / (4 (1-x)(1+x)) + kappa/2.
 
     This is the variance of X on output port b of the beam splitter
-    U = exp[theta (a^dag b - a b^dag)], cos(theta) = sqrt(T), taken in the
-    Heisenberg picture: only the first and second quadrature moments of the
-    state enter, on its own truncation.  At T = 1/2 a value below the vacuum
-    1/4 certifies entanglement of a Gaussian input (sum-mode criterion,
-    Duan et al., PRL 84, 2722 (2000)).
-
-    On the index-difference support both reduced states are diagonal, so
-    <X> = 0 and Var X = sum_n p(n) (2n+1)/4 over the row (mode a) or column
-    (mode b) sums p of B_0; the top level keeps its a a^dag term.  The
-    correlation <X_a X_b> = Re <a b>/2 = Re sum sqrt((i+1)(l+1)) B_1[i, l] / 2.
+    U = exp[theta (a^dag b - a b^dag)], cos(theta) = sqrt(T), and equals
+    (1 + x^2 - 4 sqrt(T(1-T)) x) / (4 (1 - x^2)) + kappa/2 written without
+    the cancellation of that numerator as x -> 1.  At T = 1/2 it is
+    (1-x)/(4(1+x)) + kappa/2, and a value below the vacuum 1/4 certifies
+    entanglement of a Gaussian input (sum-mode criterion, Duan et al.,
+    PRL 84, 2722 (2000)).
 
     Raises:
-        ValueError: T outside [0, 1] or NaN, or |Tr rho - 1| > 1e-6 (the
-            truncation is insufficient).
+        ValueError: x outside [0, 1), kappa not finite and non-negative,
+            or T outside [0, 1] or NaN.
     """
+    if not 0.0 <= x < 1.0:
+        raise ValueError(f"x={x} outside [0, 1)")
+    _check_kappa(kappa)
     if not 0.0 <= transmissivity <= 1.0:
         raise ValueError(f"transmissivity={transmissivity} outside [0, 1]")
-    tr = state.trace()
-    if abs(tr - 1.0) > 1e-6:
-        raise ValueError(f"state trace {tr} deviates from 1 beyond 1e-6; "
-                         "truncation is insufficient")
-    populations = state.blocks[0].real
-    level = (2.0 * np.arange(state.dim) + 1.0) / 4.0
-    var_a = float(populations.sum(axis=1) @ level)
-    var_b = float(populations.sum(axis=0) @ level)
-    root = np.sqrt(np.arange(1.0, state.dim))
-    cov = 0.5 * float(np.sum(np.outer(root, root) * state.blocks[1]).real)
-    t = transmissivity
-    return float(t * var_b + (1.0 - t) * var_a
-                 - 2.0 * math.sqrt(t * (1.0 - t)) * cov)
+    split = math.sqrt(transmissivity) - math.sqrt(1.0 - transmissivity)
+    numerator = (1.0 - x) ** 2 + 2.0 * x * split * split
+    return numerator / (4.0 * (1.0 - x) * (1.0 + x)) + 0.5 * kappa

@@ -1,11 +1,14 @@
-"""Dense beam-splitter oracle for the sum-mode squeezing test.
+"""Fock-space oracles for the sum-mode squeezing test.
 
-The library takes the sum-mode variance from the input's quadrature
-moments (``witnessforge.cv.sum_mode_variance``).  This module keeps the
-independent route the tests compare against: zero-pad the two-mode state
-into a larger truncation, conjugate it with the sector-by-sector splitter
-unitary, and take the single-mode X variance of one output port.  The
-conjugation is dense (d^2) x (d^2) algebra, O(d^6) in time.
+The library takes the sum-mode variance of the noisy twin beam from its
+closed form (``witnessforge.cv.sum_mode_variance``).  This module keeps two
+independent routes the tests compare against.  :func:`block_sum_mode_variance`
+reads the variance off the first and second quadrature moments of a state
+kept as index-difference blocks.  The splitter route zero-pads the two-mode
+state into a larger truncation, conjugates it with the splitter unitary and
+takes the single-mode X variance of one output port; the unitary conserves
+total photon number, so the conjugation runs sector by sector, O(d^5) in
+time.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ import math
 import numpy as np
 from scipy.linalg import expm
 
-from witnessforge.cv import FockTruncation
+from witnessforge.cv import DifferenceBlocks, FockTruncation
 from witnessforge.states import BipartiteDensity
 
 
@@ -40,6 +43,18 @@ def embed(rho: BipartiteDensity, trunc: FockTruncation) -> BipartiteDensity:
                             trace_deficit=rho.trace_deficit)
 
 
+def _sectors(dim: int, transmissivity: float):
+    """Per total photon number s: the flat indices n1 * dim + (s - n1) of the
+    sector and the splitter unitary's block on them, from the matrix
+    exponential of the exactly antisymmetric generator block."""
+    theta = math.acos(math.sqrt(transmissivity))
+    for s in range(2 * dim - 1):
+        n1 = np.arange(max(0, s - dim + 1), min(s, dim - 1) + 1)
+        hop = theta * np.sqrt((n1[:-1] + 1.0) * (s - n1[:-1]))
+        gen = np.diag(hop, -1) - np.diag(hop, 1)
+        yield n1 * dim + (s - n1), expm(gen)
+
+
 def beam_splitter_unitary(dim: int, transmissivity: float) -> np.ndarray:
     """U = exp[theta (a^dag b - a b^dag)], theta = arccos(sqrt(transmissivity)),
     on the truncated two-mode space.
@@ -54,14 +69,8 @@ def beam_splitter_unitary(dim: int, transmissivity: float) -> np.ndarray:
     """
     if not 0.0 <= transmissivity <= 1.0:
         raise ValueError(f"transmissivity={transmissivity} outside [0, 1]")
-    theta = math.acos(math.sqrt(transmissivity))
     u = np.zeros((dim * dim, dim * dim))
-    for s in range(2 * dim - 1):
-        n1 = np.arange(max(0, s - dim + 1), min(s, dim - 1) + 1)
-        hop = theta * np.sqrt((n1[:-1] + 1.0) * (s - n1[:-1]))
-        gen = np.diag(hop, -1) - np.diag(hop, 1)
-        block = expm(gen)
-        flat = n1 * dim + (s - n1)
+    for flat, block in _sectors(dim, transmissivity):
         u[np.ix_(flat, flat)] = block
     return u
 
@@ -70,7 +79,10 @@ def beam_splitter(rho: BipartiteDensity, transmissivity: float) -> BipartiteDens
     """Mix the two modes on a beam splitter of the given transmissivity.
 
     Conjugation by the exact unitary of :func:`beam_splitter_unitary`
-    preserves trace and spectrum exactly.
+    preserves trace and spectrum exactly.  rho is permuted once into
+    total-photon-number order, where U is block diagonal; each sector's
+    block then acts on its rows and on its columns, and the result is
+    permuted back.
     """
     if not 0.0 <= transmissivity <= 1.0:
         raise ValueError(f"transmissivity={transmissivity} outside [0, 1]")
@@ -81,8 +93,17 @@ def beam_splitter(rho: BipartiteDensity, transmissivity: float) -> BipartiteDens
     d = rho.dim_a
     if rho.dim_b != d:
         raise ValueError("expected equal mode dimensions")
-    u = beam_splitter_unitary(d, transmissivity)
-    matrix = u @ rho.matrix @ u.T
+    sectors = list(_sectors(d, transmissivity))
+    order = np.concatenate([flat for flat, _ in sectors])
+    m = rho.matrix[order][:, order]
+    start = 0
+    for flat, block in sectors:
+        rows = slice(start, start + flat.size)
+        m[rows] = block @ m[rows]
+        m[:, rows] = m[:, rows] @ block.T
+        start += flat.size
+    matrix = np.empty_like(m)
+    matrix[np.ix_(order, order)] = m
     return BipartiteDensity(dim_a=d, dim_b=d, matrix=matrix,
                             trace_deficit=rho.trace_deficit)
 
@@ -105,3 +126,40 @@ def squeezing_witness(rho_single: np.ndarray, trace_tol: float = 1e-6) -> float:
     mean = float(np.trace(x_op @ rho).real)
     second = float(np.trace(x_op @ x_op @ rho).real)
     return second - mean * mean - 0.25
+
+
+def block_sum_mode_variance(state: DifferenceBlocks,
+                            transmissivity: float) -> float:
+    """Var(sqrt(T) X_b - sqrt(1-T) X_a) of a two-mode state.
+
+    This is the variance of X on output port b of the beam splitter
+    U = exp[theta (a^dag b - a b^dag)], cos(theta) = sqrt(T), taken in the
+    Heisenberg picture: only the first and second quadrature moments of the
+    state enter, on its own truncation.  At T = 1/2 a value below the vacuum
+    1/4 certifies entanglement of a Gaussian input (sum-mode criterion,
+    Duan et al., PRL 84, 2722 (2000)).
+
+    On the index-difference support both reduced states are diagonal, so
+    <X> = 0 and Var X = sum_n p(n) (2n+1)/4 over the row (mode a) or column
+    (mode b) sums p of B_0; the top level keeps its a a^dag term.  The
+    correlation <X_a X_b> = Re <a b>/2 = Re sum sqrt((i+1)(l+1)) B_1[i, l] / 2.
+
+    Raises:
+        ValueError: T outside [0, 1] or NaN, or |Tr rho - 1| > 1e-6 (the
+            truncation is insufficient).
+    """
+    if not 0.0 <= transmissivity <= 1.0:
+        raise ValueError(f"transmissivity={transmissivity} outside [0, 1]")
+    tr = state.trace()
+    if abs(tr - 1.0) > 1e-6:
+        raise ValueError(f"state trace {tr} deviates from 1 beyond 1e-6; "
+                         "truncation is insufficient")
+    populations = state.blocks[0].real
+    level = (2.0 * np.arange(state.dim) + 1.0) / 4.0
+    var_a = float(populations.sum(axis=1) @ level)
+    var_b = float(populations.sum(axis=0) @ level)
+    root = np.sqrt(np.arange(1.0, state.dim))
+    cov = 0.5 * float(np.sum(np.outer(root, root) * state.blocks[1]).real)
+    t = transmissivity
+    return float(t * var_b + (1.0 - t) * var_a
+                 - 2.0 * math.sqrt(t * (1.0 - t)) * cov)

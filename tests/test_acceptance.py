@@ -19,14 +19,13 @@ from pathlib import Path
 import numpy as np
 
 from beam_splitter_oracle import beam_splitter, embed, squeezing_witness
-from noise_channel_oracle import apply_gaussian_noise
+from noise_channel_oracle import apply_gaussian_noise, noise_truncation
 from witnessforge.cli import main as cli_main
 from witnessforge.cv import (
     FockTruncation,
     cv_witness,
     gauss_separability_threshold,
     gauss_witness_expectation,
-    noise_truncation,
     phase_noisy_twb,
     pt_spectrum_analytic,
     twb_mean_photons,

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -8,22 +9,26 @@ from scipy.linalg import expm
 from beam_splitter_oracle import (
     beam_splitter,
     beam_splitter_unitary,
+    block_sum_mode_variance,
     embed,
     quadrature_operator,
     squeezing_witness,
 )
-from noise_channel_oracle import apply_gaussian_noise
+from noise_channel_oracle import (
+    apply_gaussian_noise,
+    block_gaussian_noise,
+    cv_witness_expectation,
+    gaussian_noise_blocks,
+    noise_truncation,
+)
 from witnessforge import cv
 from witnessforge.cv import (
     DifferenceBlocks,
     FockTruncation,
-    noise_truncation,
     TruncationError,
     cv_witness,
-    cv_witness_expectation,
     gauss_separability_threshold,
     gauss_witness_expectation,
-    gaussian_noise_blocks,
     phase_noisy_twb,
     phase_witness_expectation,
     pt_eigenvalue_diagonal,
@@ -137,7 +142,7 @@ def test_noise_rejects_non_finite_kappa(kappa):
     blocks = twin_beam_blocks(0.5, FockTruncation.for_twb(0.5))
     calls = [lambda: gaussian_noise_blocks(4, kappa),
              lambda: apply_gaussian_noise(rho, kappa),
-             lambda: cv.apply_gaussian_noise(blocks, kappa),
+             lambda: block_gaussian_noise(blocks, kappa),
              lambda: gauss_witness_expectation(0.5, kappa),
              lambda: noise_truncation(0.5, kappa)]
     for call in calls:
@@ -260,7 +265,7 @@ def test_noise_channel_adds_kappa_photons():
     populations = np.zeros(dim)
     populations[2] = 1.0  # two-photon Fock state
     out = _mode_a_populations(
-        cv.apply_gaussian_noise(_with_vacuum_b(populations), kappa))
+        block_gaussian_noise(_with_vacuum_b(populations), kappa))
     mean = float(np.arange(dim) @ out)
     assert out.sum() == pytest.approx(1.0, abs=1e-12)
     assert mean == pytest.approx(2.0 + kappa, abs=1e-9)
@@ -298,7 +303,7 @@ def test_block_channel_matches_dense_oracle(x, kappa):
     base_tr = FockTruncation.for_twb(x)
     tr = noise_truncation(x, kappa)
     dense = apply_gaussian_noise(twb_state(x, base_tr), kappa, tr)
-    out = cv.apply_gaussian_noise(twin_beam_blocks(x, base_tr), kappa, tr)
+    out = block_gaussian_noise(twin_beam_blocks(x, base_tr), kappa, tr)
     assert out.dim == tr.dim
     assert np.abs(out.density().matrix - dense.matrix).max() <= 1e-15
     assert out.trace_deficit == pytest.approx(dense.trace_deficit, abs=1e-15)
@@ -308,7 +313,7 @@ def test_block_channel_at_zero_kappa_only_pads():
     base_tr = FockTruncation.for_twb(0.4)
     state = twin_beam_blocks(0.4, base_tr, 0.7)
     tr = FockTruncation(base_tr.n_max + 3)
-    out = cv.apply_gaussian_noise(state, 0.0, tr)
+    out = block_gaussian_noise(state, 0.0, tr)
     assert out.trace_deficit == state.trace_deficit
     assert np.array_equal(out.density().matrix, apply_gaussian_noise(
         state.density(), 0.0, tr).matrix)
@@ -323,8 +328,8 @@ def test_block_witness_matches_dense_trace():
     x = 0.5
     tr = FockTruncation.for_twb(x)
     states = [twin_beam_blocks(x, tr), twin_beam_blocks(x, tr, 1.0),
-              cv.apply_gaussian_noise(twin_beam_blocks(x, tr), 0.4,
-                                      noise_truncation(x, 0.4))]
+              block_gaussian_noise(twin_beam_blocks(x, tr), 0.4,
+                                  noise_truncation(x, 0.4))]
     for state in states:
         dense = evaluate_witness(cv_witness(FockTruncation(state.dim - 1)),
                                  state.density())
@@ -334,7 +339,7 @@ def test_block_witness_matches_dense_trace():
 def test_noise_channel_leakage_guard():
     tr_small = FockTruncation(3)
     for make, channel in ((twb_state, apply_gaussian_noise),
-                          (twin_beam_blocks, cv.apply_gaussian_noise)):
+                          (twin_beam_blocks, block_gaussian_noise)):
         rho = make(0.6, FockTruncation.for_twb(0.6))
         with pytest.raises(ValueError):
             channel(rho, 0.5, tr_small)  # target smaller than input
@@ -348,11 +353,11 @@ def test_noise_channel_checks_size_before_allocating(monkeypatch):
     blocks = twin_beam_blocks(0.1, FockTruncation.for_twb(0.1))
     monkeypatch.setattr(cv, "MAX_TWO_MODE_LEVELS", 8)
     assert apply_gaussian_noise(rho, 0.05, FockTruncation(7)).dim_a == 8
-    assert cv.apply_gaussian_noise(blocks, 0.05, FockTruncation(7)).dim == 8
+    assert block_gaussian_noise(blocks, 0.05, FockTruncation(7)).dim == 8
     with pytest.raises(ValueError, match="exceeds the supported scale"):
         apply_gaussian_noise(rho, 0.05, FockTruncation(8))
     with pytest.raises(ValueError, match="exceeds the supported scale"):
-        cv.apply_gaussian_noise(blocks, 0.05, FockTruncation(8))
+        block_gaussian_noise(blocks, 0.05, FockTruncation(8))
 
 
 def test_gauss_expectation_routes_agree():
@@ -504,7 +509,7 @@ def test_squeezing_witness_thermalized_vacuum_positive():
     vac = np.zeros(dim)
     vac[0] = 1.0
     thermal = np.diag(_mode_a_populations(
-        cv.apply_gaussian_noise(_with_vacuum_b(vac), 0.3)))
+        block_gaussian_noise(_with_vacuum_b(vac), 0.3)))
     assert squeezing_witness(thermal) == pytest.approx(0.15, abs=1e-9)
 
 
@@ -525,7 +530,7 @@ def _noisy_twb(x, kappa):
     base = twin_beam_blocks(x, FockTruncation.for_twb(x))
     if kappa == 0:
         return base
-    return cv.apply_gaussian_noise(base, kappa, noise_truncation(x, kappa))
+    return block_gaussian_noise(base, kappa, noise_truncation(x, kappa))
 
 
 # the dense oracle costs O(d^6) in the truncation d, so x stays <= 0.5
@@ -540,23 +545,66 @@ def test_sum_mode_variance_matches_dense_splitter(x, kappa, t):
     mixed = beam_splitter(embed(rho.density(), FockTruncation(2 * rho.dim - 1)),
                           t)
     dense = squeezing_witness(mixed.reduced(1)) + 0.25
-    assert sum_mode_variance(rho, t) == pytest.approx(dense, abs=1e-8)
+    assert block_sum_mode_variance(rho, t) == pytest.approx(dense, abs=1e-8)
 
 
-@pytest.mark.parametrize("x, kappa, t", DENSE_POINTS + [(0.5, 0.4, 0.5)])
+@pytest.mark.parametrize("x, kappa, t", DENSE_POINTS + [(0.5, 0.4, 0.5),
+                                                         (0.7, 0.2, 0.31)])
 def test_sum_mode_variance_closed_form(x, kappa, t):
-    assert sum_mode_variance(_noisy_twb(x, kappa), t) == pytest.approx(
-        sum_mode_closed_form(x, kappa, t), abs=1e-8)
+    # the block moments differ from the closed form by the truncation only
+    closed = sum_mode_closed_form(x, kappa, t)
+    assert block_sum_mode_variance(_noisy_twb(x, kappa), t) == pytest.approx(
+        closed, abs=1e-8)
+    assert sum_mode_variance(x, kappa, t) == pytest.approx(closed, rel=1e-14)
+
+
+@pytest.mark.parametrize("x, kappa, t", [
+    (1.0, 0.0, 0.5), (-0.1, 0.0, 0.5), (math.nan, 0.0, 0.5),
+    (0.5, math.nan, 0.5), (0.5, math.inf, 0.5), (0.5, -0.1, 0.5),
+    (0.5, 0.0, 1.5), (0.5, 0.0, -0.1), (0.5, 0.0, math.nan)])
+def test_closed_form_sum_mode_variance_rejects_bad_input(x, kappa, t):
+    with pytest.raises(ValueError):
+        sum_mode_variance(x, kappa, t)
+
+
+def _exact_twin_beam_values(x, kappa):
+    """Witness and sum-mode variances at T = 0, 1/2, 1 of the noisy twin
+    beam, in exact rational arithmetic on the binary values of x, kappa."""
+    x, kappa = Fraction(x), Fraction(kappa)
+    one_minus_x2 = 1 - x * x
+    numerator = one_minus_x2 * kappa ** 2 + (1 + x * x) * kappa - x
+    q = (1 + kappa) ** 2 - x * x * kappa ** 2
+    witness = one_minus_x2 * numerator / q ** 2
+    # sqrt(T(1-T)) is 0 at T = 0, 1 and exactly 1/2 at T = 1/2
+    variance = {t: (1 + x * x - 4 * s * x) / (4 * one_minus_x2) + kappa / 2
+                for t, s in ((0.0, 0), (0.5, Fraction(1, 2)), (1.0, 0))}
+    return witness, variance
+
+
+@pytest.mark.parametrize("x", [1 - 2.0 ** -30, 1 - 1e-12])
+@pytest.mark.parametrize("kappa", [0.0, 0.2])
+def test_closed_forms_keep_relative_accuracy_near_x_one(x, kappa):
+    witness, variance = _exact_twin_beam_values(x, kappa)
+
+    def rel(value, exact):
+        return abs(Fraction(value) - exact) / abs(exact)
+
+    assert rel(gauss_witness_expectation(x, kappa), witness) <= 1e-15
+    if kappa == 0.0:
+        assert rel(phase_witness_expectation(x, 0.0), witness) <= 1e-15
+        assert rel(pt_min_eigenvalue(x, 0.0), witness) <= 1e-15
+    for t, exact in variance.items():
+        assert rel(sum_mode_variance(x, kappa, t), exact) <= 1e-15
 
 
 def test_sum_mode_variance_rejects_bad_input():
     rho = twin_beam_blocks(0.3, FockTruncation.for_twb(0.3))
     half = DifferenceBlocks(tuple(0.5 * block for block in rho.blocks))
     with pytest.raises(ValueError, match="truncation is insufficient"):
-        sum_mode_variance(half, 0.5)
+        block_sum_mode_variance(half, 0.5)
     for t in (1.5, math.nan):
         with pytest.raises(ValueError, match="transmissivity"):
-            sum_mode_variance(rho, t)
+            block_sum_mode_variance(rho, t)
 
 
 def test_sum_mode_variance_matches_dense_moments():
@@ -583,7 +631,8 @@ def test_sum_mode_variance_matches_dense_moments():
     for t in (0.0, 0.31, 0.5, 1.0):
         dense = (t * var_b + (1 - t) * var_a
                  - 2 * math.sqrt(t * (1 - t)) * cov)
-        assert sum_mode_variance(state, t) == pytest.approx(dense, abs=1e-15)
+        assert block_sum_mode_variance(state, t) == pytest.approx(dense,
+                                                                  abs=1e-15)
 
 
 def test_quadrature_operator_vacuum_variance():

@@ -4,13 +4,12 @@ import numpy as np
 import pytest
 from scipy.stats import chi2
 
-from noise_channel_oracle import apply_gaussian_noise
+from noise_channel_oracle import apply_gaussian_noise, noise_truncation
 from witnessforge.cv import (
     DifferenceBlocks,
     FockTruncation,
     cv_witness,
     gauss_witness_expectation,
-    noise_truncation,
     phase_noisy_twb,
     phase_witness_expectation,
     twb_state,
