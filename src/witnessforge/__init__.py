@@ -21,10 +21,10 @@ from .states import (
     schmidt_operator,
 )
 from .witness_finite import (
-    DepolarizedFamily,
     QuorumDecomposition,
     QuorumTerm,
     build_witness,
+    depolarized_expectation,
     depolarized_state,
     detection_threshold,
     evaluate_witness,

@@ -86,8 +86,7 @@ def _witness_report(psi: np.ndarray, p: float) -> dict:
     svd = complex_svd(psi)
     abar = witness_finite.min_eigvec_operator(psi)
     witness = witness_finite.build_witness(abar)
-    rho = witness_finite.depolarized_state(psi, p)
-    trace_wr = witness_finite.evaluate_witness(witness, rho)
+    trace_wr = witness_finite.depolarized_expectation(witness, psi)(p)
     lam = witness_finite.min_pt_eigenvalue(psi, p)
     return {
         "d": int(psi.shape[0]),
@@ -122,19 +121,16 @@ def cmd_finite_scan(args) -> None:
     psi = _load_psi(args)
     abar = witness_finite.min_eigvec_operator(psi)
     witness = witness_finite.build_witness(abar)
-    p_grid = _parse_grid(args.scan_p)
+    trace_wr = witness_finite.depolarized_expectation(witness, psi)
     rows = []
-    for p in p_grid:
-        val = witness_finite.evaluate_witness(
-            witness, witness_finite.depolarized_state(psi, p))
-        rows.append((float(p), val, bool(val < -BOUNDARY_TOL)))
+    for p in _parse_grid(args.scan_p).tolist():
+        val = trace_wr(p)
+        rows.append((p, val, bool(val < -BOUNDARY_TOL)))
     write_csv(args.output, ["p", "trace_wr", "entangled"], rows)
     lo, hi = 0.0, 1.0
     for _ in range(60):
         mid = 0.5 * (lo + hi)
-        val = witness_finite.evaluate_witness(
-            witness, witness_finite.depolarized_state(psi, mid))
-        lo, hi = (lo, mid) if val < 0 else (mid, hi)
+        lo, hi = (lo, mid) if trace_wr(mid) < 0 else (mid, hi)
     summary = {
         "config": {"command": "finite-scan", "dim": args.dim,
                    "scan_p": args.scan_p, "psi": _psi_config(args)},

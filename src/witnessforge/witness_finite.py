@@ -9,6 +9,7 @@ into one projector-like product term plus three local product observables.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,34 +44,23 @@ def _check_normalized(psi: np.ndarray) -> np.ndarray:
     return psi
 
 
-@dataclass(frozen=True)
-class DepolarizedFamily:
-    """Pure-state operator Psi mixed with white noise at weight p."""
+def _check_mixing_weight(p: float) -> None:
+    if not 0.0 <= p <= 1.0:
+        raise ValueError(f"mixing weight p={p} outside [0, 1]")
 
-    psi: np.ndarray
-    p: float
 
-    def __post_init__(self):
-        object.__setattr__(self, "psi", _check_normalized(self.psi))
-        if not 0.0 <= self.p <= 1.0:
-            raise ValueError(f"mixing weight p={self.p} outside [0, 1]")
-
-    @property
-    def d(self) -> int:
-        return self.psi.shape[0]
-
-    def density(self) -> BipartiteDensity:
-        return depolarized_state(self.psi, self.p)
-
-    def min_pt_eigenvalue(self) -> float:
-        return min_pt_eigenvalue(self.psi, self.p)
+def _real_trace(val: complex, name: str) -> float:
+    """The real part of a trace whose imaginary part must vanish to 1e-10."""
+    if abs(val.imag) > 1e-10:
+        raise ValueError(f"{name} has imaginary part {val.imag:.3e}; "
+                         "inputs are not both Hermitian")
+    return float(val.real)
 
 
 def depolarized_state(psi: np.ndarray, p: float) -> BipartiteDensity:
     """R = p |Psi>><<Psi| + (1-p)/d^2 I on H (x) H."""
     psi = _check_normalized(psi)
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"mixing weight p={p} outside [0, 1]")
+    _check_mixing_weight(p)
     d = psi.shape[0]
     v = vectorize(psi)
     matrix = p * np.outer(v, v.conj()) + (1.0 - p) / d**2 * np.eye(d * d)
@@ -135,10 +125,32 @@ def evaluate_witness(w, rho) -> float:
     if wm.shape != rm.shape:
         raise ValueError(f"dimension mismatch: {wm.shape} vs {rm.shape}")
     val = np.sum(wm * rm.T)  # Tr[W rho] without forming the product
-    if abs(val.imag) > 1e-10:
-        raise ValueError(f"Tr[W rho] has imaginary part {val.imag:.3e}; "
-                         "inputs are not both Hermitian")
-    return float(val.real)
+    return _real_trace(val, "Tr[W rho]")
+
+
+def depolarized_expectation(w, psi: np.ndarray) -> Callable[[float], float]:
+    """Tr[W R(p)] as a function of the mixing weight p of the family R(p).
+
+    Tr[W R(p)] = p <<Psi|W|Psi>> + (1-p) Tr W / d^2 is a straight line in p.
+    Both traces are taken once, each with the imaginary-part check of
+    :func:`evaluate_witness`, so a point costs O(1) instead of a dense
+    R(p).  The returned function rejects p outside [0, 1] as
+    :func:`depolarized_state` does.
+    """
+    wm = w.matrix if isinstance(w, WitnessOperator) else as_complex_matrix(w)
+    psi = _check_normalized(psi)
+    d = psi.shape[0]
+    if wm.shape != (d * d, d * d):
+        raise ValueError(f"dimension mismatch: {wm.shape} vs {(d * d, d * d)}")
+    v = vectorize(psi)
+    pure = _real_trace(np.vdot(v, wm @ v), "<<Psi|W|Psi>>")
+    flat = _real_trace(np.trace(wm), "Tr W") / d**2
+
+    def expectation(p: float) -> float:
+        _check_mixing_weight(p)
+        return p * pure + (1.0 - p) * flat
+
+    return expectation
 
 
 def detection_threshold(psi: np.ndarray) -> float:

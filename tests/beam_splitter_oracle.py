@@ -13,6 +13,7 @@ time.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -43,16 +44,25 @@ def embed(rho: BipartiteDensity, trunc: FockTruncation) -> BipartiteDensity:
                             trace_deficit=rho.trace_deficit)
 
 
-def _sectors(dim: int, transmissivity: float):
+@functools.lru_cache(maxsize=4)
+def _sectors(dim: int, transmissivity: float) -> tuple:
     """Per total photon number s: the flat indices n1 * dim + (s - n1) of the
     sector and the splitter unitary's block on them, from the matrix
-    exponential of the exactly antisymmetric generator block."""
+    exponential of the exactly antisymmetric generator block.
+
+    Cached, because a test splits many states at one (dim, transmissivity);
+    the arrays are read-only so that no caller can alter the cached blocks.
+    """
     theta = math.acos(math.sqrt(transmissivity))
+    sectors = []
     for s in range(2 * dim - 1):
         n1 = np.arange(max(0, s - dim + 1), min(s, dim - 1) + 1)
         hop = theta * np.sqrt((n1[:-1] + 1.0) * (s - n1[:-1]))
         gen = np.diag(hop, -1) - np.diag(hop, 1)
-        yield n1 * dim + (s - n1), expm(gen)
+        flat, block = n1 * dim + (s - n1), expm(gen)
+        flat.flags.writeable = block.flags.writeable = False
+        sectors.append((flat, block))
+    return tuple(sectors)
 
 
 def beam_splitter_unitary(dim: int, transmissivity: float) -> np.ndarray:
@@ -93,7 +103,7 @@ def beam_splitter(rho: BipartiteDensity, transmissivity: float) -> BipartiteDens
     d = rho.dim_a
     if rho.dim_b != d:
         raise ValueError("expected equal mode dimensions")
-    sectors = list(_sectors(d, transmissivity))
+    sectors = _sectors(d, transmissivity)
     order = np.concatenate([flat for flat, _ in sectors])
     m = rho.matrix[order][:, order]
     start = 0

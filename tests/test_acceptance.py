@@ -19,7 +19,11 @@ from pathlib import Path
 import numpy as np
 
 from beam_splitter_oracle import beam_splitter, embed, squeezing_witness
-from noise_channel_oracle import apply_gaussian_noise, noise_truncation
+from noise_channel_oracle import (
+    apply_gaussian_noise,
+    block_gaussian_noise,
+    noise_truncation,
+)
 from witnessforge.cli import main as cli_main
 from witnessforge.cv import (
     FockTruncation,
@@ -30,6 +34,7 @@ from witnessforge.cv import (
     pt_spectrum_analytic,
     twb_mean_photons,
     twb_state,
+    twin_beam_blocks,
 )
 from witnessforge.linalg import hermitian_eig
 from witnessforge.states import (
@@ -331,10 +336,10 @@ def test_criterion_12_beam_splitter_consistency():
     ok = True
     details = []
     for kappa in (0.0, 0.05, 0.15, 0.25, 0.30, 0.3333, 0.37, 0.45, 0.55, 0.65):
-        rho = twb_state(x, base)
+        blocks = twin_beam_blocks(x, base)
         if kappa > 0:
-            rho = apply_gaussian_noise(rho, kappa, channel_trunc)
-        mixed = beam_splitter(embed(rho, bs_trunc), 0.5)
+            blocks = block_gaussian_noise(blocks, kappa, channel_trunc)
+        mixed = beam_splitter(embed(blocks.density(), bs_trunc), 0.5)
         squeeze = squeezing_witness(mixed.reduced(1))
         direct = gauss_witness_expectation(x, kappa)
         agree = (squeeze < 0) == (direct < 0)

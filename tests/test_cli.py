@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import witnessforge
-from witnessforge import cli
+from witnessforge import cli, witness_finite
 from witnessforge.cli import main
 from witnessforge.cv import (
     FockTruncation,
@@ -375,6 +375,31 @@ def test_cv_commands_near_x_one(capsys, x):
     assert report["sum_mode_variance"] == pytest.approx(
         0.25 * (1 - x) / (1 + x) + kappa / 2, rel=1e-14)
     assert report["consistent"] is True
+
+
+def test_finite_scan_rejects_mixing_weight_above_one(capsys, tmp_path):
+    csv_path = tmp_path / "f.csv"
+    code, _, err = run(capsys, "finite-scan", "--dim", "3", "--max-entangled",
+                       "--scan-p", "0:1.5:0.5", "--output", str(csv_path))
+    assert code == 2
+    assert "mixing weight p=1.5 outside [0, 1]" in err
+    assert not csv_path.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ("finite-scan", "--dim", "4", "--schmidt", "0.8,0.5,0.3,0.1",
+     "--scan-p", "0:1:0.1"),
+    ("finite-witness", "--dim", "4", "--max-entangled", "--p", "0.3"),
+], ids=["finite-scan", "finite-witness"])
+def test_finite_commands_build_no_dense_state(capsys, monkeypatch, tmp_path,
+                                              argv):
+    def refuse(*args):
+        raise AssertionError("a dense depolarized state was built or traced")
+
+    monkeypatch.setattr(witness_finite, "depolarized_state", refuse)
+    monkeypatch.setattr(witness_finite, "evaluate_witness", refuse)
+    code, _, err = run(capsys, *argv, "--output", str(tmp_path / "out"))
+    assert code == 0, err
 
 
 @pytest.mark.parametrize("argv", [

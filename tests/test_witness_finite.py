@@ -1,6 +1,9 @@
+import math
+
 import numpy as np
 import pytest
 
+from depolarized_family import DepolarizedFamily
 from witnessforge.linalg import complex_svd, hermitian_eig, vectorize
 from witnessforge.states import (
     maximally_entangled_operator,
@@ -9,8 +12,8 @@ from witnessforge.states import (
     schmidt_operator,
 )
 from witnessforge.witness_finite import (
-    DepolarizedFamily,
     build_witness,
+    depolarized_expectation,
     depolarized_state,
     detection_threshold,
     evaluate_witness,
@@ -200,6 +203,51 @@ def test_threshold_matches_sign_flip():
                 hi = mid
         assert 0.5 * (lo + hi) == pytest.approx(detection_threshold(psi),
                                                 abs=1e-10)
+
+
+DENSE_ORACLE_CASES = {
+    "max-d2": lambda: maximally_entangled_operator(2),
+    "max-d3": lambda: maximally_entangled_operator(3),
+    "schmidt-d16": lambda: schmidt_operator([0.8, 0.5, 0.3, 0.1], 16),
+    "max-d32": lambda: maximally_entangled_operator(32),
+    "random-d5": lambda: random_state_operator(5, np.random.default_rng(31)),
+}
+
+
+@pytest.mark.parametrize("case", DENSE_ORACLE_CASES)
+def test_depolarized_expectation_matches_dense_oracle(case):
+    psi = DENSE_ORACLE_CASES[case]()
+    w = witness_for(psi)
+    line = depolarized_expectation(w, psi)
+    for p in (0.0, detection_threshold(psi), 0.37, 1.0):
+        dense = evaluate_witness(w, depolarized_state(psi, p))
+        assert abs(line(p) - dense) <= 1e-13
+
+
+@pytest.mark.parametrize("p", [-0.1, 1.5, math.nan])
+def test_depolarized_expectation_rejects_bad_mixing_weight(p):
+    psi = maximally_entangled_operator(3)
+    line = depolarized_expectation(witness_for(psi), psi)
+    with pytest.raises(ValueError, match=r"mixing weight p=.* outside \[0, 1\]"):
+        line(p)
+
+
+def test_depolarized_expectation_rejects_non_hermitian_witness():
+    psi = maximally_entangled_operator(3)
+    w = witness_for(psi).matrix
+    v = vectorize(psi)
+    imaginary_trace = w + 1j * np.eye(9) / 9
+    # traceless, so only <<Psi|W|Psi>> picks up the imaginary part
+    imaginary_pure = w + 1j * (np.outer(v, v.conj()) - np.eye(9) / 9)
+    for bad in (imaginary_trace, imaginary_pure):
+        with pytest.raises(ValueError, match="imaginary part"):
+            depolarized_expectation(bad, psi)
+
+
+def test_depolarized_expectation_rejects_dimension_mismatch():
+    w = witness_for(maximally_entangled_operator(2))
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        depolarized_expectation(w, maximally_entangled_operator(3))
 
 
 def test_pt_spectrum_structure():
