@@ -55,7 +55,6 @@ from .cv import (
 from .tomography import (
     HomodyneBatch,
     McEstimate,
-    joint_quadrature_pdf,
     mc_estimate_witness,
     sample_homodyne,
     sample_twin_beam,

@@ -28,7 +28,7 @@ from .specfn import f00, f01, f11, oscillator_psi_table
 from .states import BipartiteDensity
 
 BLOCK_SIZE = 65536          # determinism unit: one RNG substream per block
-_CHUNK = 2048               # rows of every table product (see _fixed_rows)
+_CHUNK = 2048               # samples per draw; rows of the block products
 PDF_NEGATIVITY_TOL = 1e-10
 
 
@@ -91,7 +91,7 @@ def mc_estimate_witness(batch: HomodyneBatch) -> McEstimate:
     return McEstimate(mean=mean, std_error=std_error, n_samples=n)
 
 
-# -- joint quadrature distribution -------------------------------------------
+# -- sampling window ----------------------------------------------------------
 
 def mean_photons_per_mode(rho: BipartiteDensity) -> float:
     """Largest single-mode mean photon number of the two modes."""
@@ -105,38 +105,6 @@ def mean_photons_per_mode(rho: BipartiteDensity) -> float:
 def quadrature_span(rho: BipartiteDensity) -> float:
     """Half-width L of the sampling window [-L, L]."""
     return max(4.0, 3.0 * math.sqrt(mean_photons_per_mode(rho) + 1.0))
-
-
-def joint_quadrature_pdf(rho: BipartiteDensity, phi1: float, phi2: float,
-                         xs: np.ndarray | None = None, cells: int = 256):
-    """Joint quadrature density p(x1, x2 | phi1, phi2) on a grid.
-
-    Returns (xs, pdf) with pdf[i, j] = p(xs[i], xs[j]).  The density must be
-    non-negative to -1e-10 and integrate to trace(rho); violations signal an
-    invalid state or a failing truncation and raise ValueError.
-    """
-    if rho.dim_a != rho.dim_b:
-        raise ValueError("expected equal mode dimensions")
-    d = rho.dim_a
-    if xs is None:
-        span = quadrature_span(rho)
-        xs = np.linspace(-span, span, 2 * cells + 1)
-    xs = np.asarray(xs, dtype=float)
-    psi = oscillator_psi_table(d - 1, xs)
-    n = np.arange(d)
-    u1 = psi * np.exp(1j * n * phi1)[:, None]
-    u2 = psi * np.exp(1j * n * phi2)[:, None]
-    t = rho.matrix.reshape(d, d, d, d)
-    c1 = np.einsum("ng,Ng,nmNM->gmM", u1, u1.conj(), t, optimize=True)
-    pdf = np.einsum("gmM,mh,Mh->gh", c1, u2, u2.conj(), optimize=True)
-    if np.abs(pdf.imag).max() > PDF_NEGATIVITY_TOL:
-        raise ValueError("joint quadrature density is not real")
-    pdf = pdf.real
-    if pdf.min() < -PDF_NEGATIVITY_TOL:
-        raise ValueError(
-            f"joint quadrature density reaches {pdf.min():.3e} < -1e-10; "
-            "the state is invalid or the truncation failed")
-    return xs, pdf
 
 
 # -- exact per-sample inverse-CDF sampling ------------------------------------
@@ -181,60 +149,77 @@ def _fixed_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def _invert_cells(p0, p1, p2, residual, n_steps: int = 42) -> np.ndarray:
     """Solve for t in [0, 2] with int_0^t quad(p0,p1,p2) = residual / delta.
 
-    The integrated quadratic interpolant is a cubic; plain vectorized
-    bisection is unconditionally robust and bitwise deterministic.
+    The integrated quadratic interpolant is the cubic t (a + t (b + t c));
+    plain vectorized bisection is unconditionally robust and bitwise
+    deterministic.  Every midpoint lo + step is a dyadic number of at most
+    43 bits, so it is exact.
     """
+    a = p0
+    b = p1 - 0.75 * p0 - 0.25 * p2
+    c = (p0 - 2.0 * p1 + p2) / 6.0
     lo = np.zeros_like(residual)
-    hi = np.full_like(residual, 2.0)
+    step = 1.0
     for _ in range(n_steps):
-        t = 0.5 * (lo + hi)
-        val = (p0 * (t * t * t / 6 - 0.75 * t * t + t)
-               + p1 * (t * t - t * t * t / 3)
-               + p2 * (t * t * t / 6 - 0.25 * t * t))
-        above = val > residual
-        hi = np.where(above, t, hi)
-        lo = np.where(above, lo, t)
-    return 0.5 * (lo + hi)
+        t = lo + step
+        lo = np.where(t * (a + t * (b + t * c)) > residual, lo, t)
+        step *= 0.5
+    return lo + step
 
 
-def _sample_rows(rows: np.ndarray, u: np.ndarray, nodes: np.ndarray,
-                 delta: float) -> np.ndarray:
-    """Draw one outcome per row of ``[density | cdf | total]`` rows (see
-    :func:`_with_cdf`) by inverse CDF.
+def _row_columns(rows: np.ndarray):
+    """Column accessor of ``[density | cdf | total]`` rows (see
+    :func:`_with_cdf`): one shared row of shape (width,), or one row per
+    draw of shape (n, width)."""
+    if rows.ndim == 1:
+        return rows.__getitem__
+    take = np.arange(rows.shape[0])
+    return lambda k: rows[take, k]
 
-    rows has shape (n, G + cells + 1) for G = 2*cells + 1 nodes (or
-    (G + cells + 1,) shared across all draws); the draw is located in the
-    bracketing cell and inverted inside it.  The target u * total is
-    compared as itself on the lower half of the cells and as
-    (u - 1) * total on the upper half, where cdf holds minus the mass after
-    each cell.
+
+def _weighted_columns(weights: np.ndarray, table: np.ndarray):
+    """Column accessor of the rows ``weights @ table`` that never forms
+    them: column k[i] of row i is the dot product of weights[i] with
+    column k[i] of the table.  Each is a row-wise einsum, which rounds a
+    row the same way whatever the number of rows."""
+    columns = table.T
+    return lambda k: np.einsum("np,np->n", weights, columns[k])
+
+
+def _sample_columns(column, u: np.ndarray, nodes: np.ndarray,
+                    delta: float) -> np.ndarray:
+    """Draw one outcome per entry of u by inverse CDF from
+    ``[density | cdf | total]`` rows (see :func:`_with_cdf`) read through
+    ``column(k)``, which returns entry k[i] of row i for an index array k.
+
+    A binary search of ceil(log2 cells) steps finds the first cell whose
+    CDF is not below its target, u * total on the lower half of the cells
+    and (u - 1) * total on the upper half, where cdf holds minus the mass
+    after each cell; the draw is inverted inside that cell.  The last cell
+    always qualifies, as its cdf is 0 and u < 1, so the search stays in
+    range.  Each draw reads about a dozen entries of its row, not all of it.
     """
     g = nodes.size
-    pdf, cdf, total = rows[..., :g], rows[..., g:-1], rows[..., -1]
-    half = cdf.shape[-1] // 2
+    cells = g // 2
+    half = cells // 2
+    total = column(np.full(u.size, g + cells))
     if np.any(total <= 0.0):
         raise ValueError("quadrature density has vanishing total mass")
     below_target = u * total
     above_target = (u - 1.0) * total
-    if rows.ndim == 1:
-        idx = (np.searchsorted(cdf[:half], below_target)
-               + np.searchsorted(cdf[half:], above_target))
-
-        def pick(table, k):
-            return table[k]
-    else:
-        idx = (np.sum(cdf[:, :half] < below_target[:, None], axis=-1)
-               + np.sum(cdf[:, half:] < above_target[:, None], axis=-1))
-        take = np.arange(rows.shape[0])
-
-        def pick(table, k):
-            return table[take, k]
-    idx = np.minimum(idx, cdf.shape[-1] - 1)
-    target = np.where(idx > half, above_target, below_target)
-    below = np.where(idx > 0, pick(cdf, np.maximum(idx - 1, 0)), 0.0)
-    t = _invert_cells(pick(pdf, 2 * idx), pick(pdf, 2 * idx + 1),
-                      pick(pdf, 2 * idx + 2), (target - below) / delta)
-    return nodes[2 * idx] + t * delta
+    lo = np.zeros(u.size, dtype=np.intp)
+    hi = np.full(u.size, cells - 1)
+    below = np.zeros(u.size)       # cdf[lo - 1], or 0 while lo = 0
+    for _ in range((cells - 1).bit_length()):
+        mid = (lo + hi) // 2
+        cdf = column(g + mid)
+        right = cdf < np.where(mid < half, below_target, above_target)
+        lo = np.where(right, mid + 1, lo)
+        hi = np.where(right, hi, mid)
+        below = np.where(right, cdf, below)
+    target = np.where(lo > half, above_target, below_target)
+    t = _invert_cells(column(2 * lo), column(2 * lo + 1), column(2 * lo + 2),
+                      (target - below) / delta)
+    return nodes[2 * lo] + t * delta
 
 
 @dataclass
@@ -246,7 +231,8 @@ class _SamplerTables:
     from :func:`_with_cdf`.  Stage 1 weighs the phase-coefficient rows of the
     mode-1 marginal; stage 2 weighs the pair products psi_m psi_M (m >= M,
     ordered by j = m - M, then M) with the pair weights W(s) of the mode-2
-    conditional operator at the sampled x1.
+    conditional operator at the sampled x1.  The tables are stored column
+    by column, so the entries a draw reads are contiguous.
     """
 
     d: int
@@ -295,22 +281,36 @@ class _SamplerTables:
                   else rho.matrix.reshape(d, d, d, d).transpose(0, 2, 1, 3)
                   .reshape(d * d, d * d))
         return cls(d=d, nodes=nodes, delta=delta,
-                   marginal=_with_cdf(marginal, delta),
-                   pairs=_with_cdf(pairs, delta), diff=diff, t_cond=t_cond,
-                   pair_j=pair_j, upper=pair_m * d + pair_m - pair_j,
+                   marginal=np.asfortranarray(_with_cdf(marginal, delta)),
+                   pairs=np.asfortranarray(_with_cdf(pairs, delta)),
+                   diff=diff, t_cond=t_cond, pair_j=pair_j,
+                   upper=pair_m * d + pair_m - pair_j,
                    lower=(pair_m - pair_j) * d + pair_m)
 
     # ---- stage 1: x1 from the phi1 marginal ----
-    def marginal_rows(self, phi1: np.ndarray) -> np.ndarray:
-        if self.marginal.ndim == 1:
-            return self.marginal
+    def marginal_weights(self, phi1: np.ndarray) -> np.ndarray:
+        """Weights (1, cos j phi1, sin j phi1, ...) of the marginal rows."""
         j = np.arange(1, self.d)
         angles = phi1[:, None] * j[None, :]
         weights = np.empty((phi1.size, 2 * self.d - 1))
         weights[:, 0] = 1.0
         weights[:, 1::2] = np.cos(angles)
         weights[:, 2::2] = np.sin(angles)
-        return _fixed_rows(weights, self.marginal)
+        return weights
+
+    def marginal_rows(self, phi1: np.ndarray) -> np.ndarray:
+        """The formed rows that :meth:`draw_marginal` reads from."""
+        if self.marginal.ndim == 1:
+            return self.marginal
+        return self.marginal_weights(phi1) @ self.marginal
+
+    def draw_marginal(self, phi1: np.ndarray, u: np.ndarray) -> np.ndarray:
+        if self.marginal.ndim == 1:
+            column = _row_columns(self.marginal)
+        else:
+            column = _weighted_columns(self.marginal_weights(phi1),
+                                       self.marginal)
+        return _sample_columns(column, u, self.nodes, self.delta)
 
     # ---- stage 2: x2 from the conditional at the sampled x1 ----
     def pair_weights(self, x1: np.ndarray, phi1: np.ndarray,
@@ -324,29 +324,35 @@ class _SamplerTables:
             W_(j,l)(s) = c_j Re[e^{ij(phi1+phi2)} (a_j(s) B_j)_l],
 
         c_0 = 1 and c_j = 2, where the cosine and sine of j(phi1+phi2) fold
-        into W, so real and complex blocks share one pair table.  Any other
-        state takes W from the mode-2 conditional operator C(s).
+        into W, so real and complex blocks share one pair table.  a_j(s) is
+        real, so the products with the real and imaginary parts of B_j run
+        as real products.  Any other state takes W from the mode-2
+        conditional operator C(s), a row-wise einsum (d <= 4 in practice).
         """
         d = self.d
         psi1 = oscillator_psi_table(d - 1, x1)
         if self.diff is not None:
-            phase_sum = phi1 + phi2
-            cos_w = np.cos(np.outer(phase_sum, np.arange(d)))
-            cos_w[:, 1:] *= 2.0
+            # 2 e^{ij(phi1+phi2)} by repeated products: d cosines and sines
+            # per sample cost more than the block products
+            turn = np.ones((x1.size, d), dtype=complex)
+            turn[:, 1:] = np.exp(1j * (phi1 + phi2))[:, None]
+            turn = np.cumprod(turn, axis=1)
+            turn[:, 1:] *= 2.0
             weights = np.empty((x1.size, self.pair_j.size))
             col = 0
             for j, block in enumerate(self.diff.blocks):
-                b_j = _fixed_rows((psi1[j:] * psi1[: d - j]).T, block)
+                a_j = (psi1[j:] * psi1[: d - j]).T
                 cols = slice(col, col + d - j)
                 col += d - j
-                weights[:, cols] = cos_w[:, j, None] * b_j.real
-                if np.iscomplexobj(b_j) and j > 0:
-                    sin_w = -2.0 * np.sin(j * phase_sum)
-                    weights[:, cols] += sin_w[:, None] * b_j.imag
+                weights[:, cols] = turn[:, j, None].real * _fixed_rows(
+                    a_j, np.ascontiguousarray(block.real))
+                if np.iscomplexobj(block) and j > 0:
+                    weights[:, cols] -= turn[:, j, None].imag * _fixed_rows(
+                        a_j, np.ascontiguousarray(block.imag))
             return weights
         u1 = psi1.T * np.exp(1j * np.outer(phi1, np.arange(d)))
         outer = (u1[:, :, None] * u1.conj()[:, None, :]).reshape(x1.size, -1)
-        c = _fixed_rows(outer, self.t_cond)
+        c = np.einsum("nk,kl->nl", outer, self.t_cond)
         turn = np.exp(1j * np.outer(phi2, self.pair_j))
         weights = (c[:, self.upper] * turn).real \
             + (c[:, self.lower] * turn.conj()).real
@@ -355,17 +361,47 @@ class _SamplerTables:
 
     def conditional_rows(self, x1: np.ndarray, phi1: np.ndarray,
                          phi2: np.ndarray) -> np.ndarray:
-        return _fixed_rows(self.pair_weights(x1, phi1, phi2), self.pairs)
+        """The formed rows that :meth:`draw_conditional` reads from."""
+        return self.pair_weights(x1, phi1, phi2) @ self.pairs
+
+    def draw_conditional(self, x1: np.ndarray, phi1: np.ndarray,
+                         phi2: np.ndarray, u: np.ndarray) -> np.ndarray:
+        column = _weighted_columns(self.pair_weights(x1, phi1, phi2),
+                                   self.pairs)
+        return _sample_columns(column, u, self.nodes, self.delta)
 
     def draw(self, rows: np.ndarray, u: np.ndarray) -> np.ndarray:
-        """Check the node densities of ``[density | cdf]`` rows, then sample."""
-        density = rows[..., : self.nodes.size]
-        floor = density.min()
-        if floor < -PDF_NEGATIVITY_TOL * max(1.0, density.max()):
-            raise ValueError(
-                f"conditional quadrature density reaches {floor:.3e}; "
-                "the state is invalid or the truncation failed")
-        return _sample_rows(rows, u, self.nodes, self.delta)
+        """Sample from formed ``[density | cdf | total]`` rows."""
+        return _sample_columns(_row_columns(rows), u, self.nodes, self.delta)
+
+
+def _check_positive(rho: BipartiteDensity, nodes: np.ndarray,
+                    sectors: bool) -> None:
+    """Reject a state whose quadrature densities can fall below -1e-10
+    on the grid.
+
+    p(x1, x2) = <v|rho|v> with |v|^2 = |psi(x1)|^2 |psi(x2)|^2, where
+    |psi(x)|^2 = sum_n psi_n(x)^2 <= M on the grid, so p >= lambda_min(rho)
+    M^2; likewise the phi1 marginal is >= lambda_min(rho_A) M.  One
+    eigenvalue check per state bounds every density row the sampler could
+    draw.  A state on the index-difference support conserves n - m, so
+    with ``sectors`` its spectrum is that of its blocks of fixed n - m.
+    """
+    d = rho.dim_a
+    if sectors:
+        diff = np.subtract.outer(np.arange(d), np.arange(d)).ravel()
+        lowest = min(np.linalg.eigvalsh(rho.matrix[np.ix_(k, k)])[0]
+                     for k in (np.flatnonzero(diff == j)
+                               for j in range(1 - d, d)))
+    else:
+        lowest = np.linalg.eigvalsh(rho.matrix)[0]
+    psi = oscillator_psi_table(d - 1, nodes)
+    m = float(np.max(np.sum(psi * psi, axis=0)))
+    floor = min(lowest * m * m, np.linalg.eigvalsh(rho.reduced(0))[0] * m)
+    if floor < -PDF_NEGATIVITY_TOL:
+        raise ValueError(
+            f"marginal or conditional quadrature density can reach "
+            f"{floor:.3e}; the state is invalid or the truncation failed")
 
 
 def _sample_blocks(n: int, seed: int, workers: int, draw, quadratures,
@@ -420,21 +456,26 @@ def sample_homodyne(rho: BipartiteDensity, n: int, seed: int, workers: int = 1,
     Every state takes one path.  A density row is linear in a few real pair
     weights W(s), one per product psi_m psi_M with m >= M, so the sampler
     tabulates those products and their cumulative Simpson cell masses (each
-    tail accumulated from its own end) once per state; one real product
-    W @ [products | cell CDFs] then gives each sample's node densities
-    (checked for negativity) and its CDF.  W comes from the
+    tail accumulated from its own end) once per state.  A draw never forms
+    its row W @ [products | cell CDFs]: a binary search over the cells reads
+    one CDF entry per step as the dot product of W with one table column,
+    then the three node densities of the cell it lands in.  W comes from the
     index-difference blocks when rho has that support, and from the mode-2
-    conditional operator C(s) otherwise.
+    conditional operator C(s) otherwise.  rho is checked once: a ValueError
+    is raised if its smallest eigenvalue lets a quadrature density on the
+    grid fall below -1e-10.
 
     Samples are organized in fixed blocks of 65536 with one spawned RNG
     substream per block, so the result is bitwise reproducible and
     independent of the worker count; workers > 1 parallelizes over blocks.
-    Every matrix product runs at one fixed row count, padding a short chunk
-    with zero rows, so a shorter run is a bitwise prefix of a longer one.
+    Every value of a sample is computed row by row (the BLAS block products
+    at one fixed row count, padding a short chunk with zero rows), so a
+    shorter run is a bitwise prefix of a longer one.
     """
     if not isinstance(rho, BipartiteDensity):
         raise TypeError("rho must be a BipartiteDensity")
     tables = _SamplerTables.build(rho, cells=cells, span=span)
+    _check_positive(rho, tables.nodes, tables.diff is not None)
 
     def draw(rng):
         return rng.random(BLOCK_SIZE), rng.random(BLOCK_SIZE)
@@ -444,9 +485,9 @@ def sample_homodyne(rho: BipartiteDensity, n: int, seed: int, workers: int = 1,
         x2 = np.empty(phi1.size)
         for start in range(0, phi1.size, _CHUNK):
             sl = slice(start, start + _CHUNK)
-            x1[sl] = tables.draw(tables.marginal_rows(phi1[sl]), u1[sl])
-            x2[sl] = tables.draw(
-                tables.conditional_rows(x1[sl], phi1[sl], phi2[sl]), u2[sl])
+            x1[sl] = tables.draw_marginal(phi1[sl], u1[sl])
+            x2[sl] = tables.draw_conditional(x1[sl], phi1[sl], phi2[sl],
+                                             u2[sl])
         return x1, x2
 
     return _sample_blocks(

@@ -5,6 +5,7 @@ import pytest
 from scipy.stats import chi2
 
 from noise_channel_oracle import apply_gaussian_noise, noise_truncation
+from quadrature_pdf_oracle import joint_quadrature_pdf
 from witnessforge.cv import (
     DifferenceBlocks,
     FockTruncation,
@@ -20,7 +21,6 @@ from witnessforge.tomography import (
     BLOCK_SIZE,
     HomodyneBatch,
     _SamplerTables,
-    joint_quadrature_pdf,
     mc_estimate_witness,
     sample_homodyne,
     sample_twin_beam,
