@@ -10,47 +10,104 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.special import dawsn
+
+from ._dawson_poly import G_POLY, Q_POLY, SWITCH
 
 MAX_OSCILLATOR_INDEX = 4096
 
+_CHUNK = 8192  # points per pass, so that the coefficient gather stays in cache
+_POLY = np.concatenate([G_POLY, Q_POLY])
+_INTERVALS = G_POLY.shape[1]
+_SCALE = 2 * _INTERVALS / SWITCH  # z -> 2k + 1 + t on interval k
 
-def _dawson_terms(x):
-    """z = sqrt(2)|x|, D/z with its limit 1 at z = 0, and
-    M1 = M(1, 1/2; -z^2) = 1 - 2 z D, where D is Dawson's integral D(z)."""
+# Above z = SWITCH, with w = 1/(2 z^2) = 1/(4 x^2) and (2k-1)!! = _ODD[k-1],
+# from the asymptotic series of Dawson's integral (DLMF 7.12; Cody,
+# Math. Comp. 24, 171 (1970)):
+#   f00 = -2 sum_{k>=1} (2k-1)!! w^k
+#   f01 = -(1/x) sum_{k>=1} (2k-1)!! 2k w^k
+#   f11 = -2 sum_{k>=1} (2k-1)!! (2k-1) w^k
+# so that no leading term cancels.  16 terms reach double precision there.
+_K = np.arange(1.0, 17.0)
+_ODD = np.cumprod(2.0 * _K - 1.0)
+_SERIES_F00 = -2.0 * _ODD
+_SERIES_F01 = -2.0 * _K * _ODD
+_SERIES_F11 = -2.0 * _ODD * (2.0 * _K - 1.0)
+
+
+def _horner(coeffs, t):
+    """sum_j coeffs[j] t^j; each coeffs[j] is a scalar or has t's shape."""
+    p = np.zeros_like(t)
+    for c in coeffs[::-1]:
+        p *= t
+        p += c
+    return p
+
+
+def _near(x, z):
+    """f00, f01, f11 for z = sqrt(2)|x| < SWITCH, from the interpolating
+    polynomials of z's interval, evaluated in t in [-1, 1], of g = D(z)/z
+    and q = g + M1 = f01/(4x), where M1 = M(1, 1/2; -z^2) = 1 - 2 z D.
+    q has its own fit because g + M1 cancels as z grows."""
+    u = z * _SCALE
+    k = np.minimum(u.astype(np.intp) >> 1, _INTERVALS - 1)
+    t = u - (2 * k + 1)
+    coeffs = np.take(_POLY, k, axis=1)
+    g = _horner(coeffs[:len(G_POLY)], t)
+    q = _horner(coeffs[len(G_POLY):], t)
+    m1 = q - g
+    return 2.0 * m1, 4.0 * x * q, 2.0 + 4.0 * (z * z - 1.0) * m1
+
+
+def _far(x):
+    """f00, f01, f11 for z >= SWITCH (or NaN), from their series in w."""
+    w = (0.5 / x) ** 2
+    return (w * _horner(_SERIES_F00, w), w / x * _horner(_SERIES_F01, w),
+            w * _horner(_SERIES_F11, w))
+
+
+def pattern_functions(x):
+    """The pattern functions (f00(x), f01(x), f11(x)), each of x's shape.
+
+    Dawson's integral is evaluated once per point and shared by all three:
+    from piecewise polynomials of D(z)/z and f01/(4x) below
+    z = sqrt(2)|x| = 10, and from each function's own asymptotic series
+    above.  At x = +-inf all three are 0; NaN propagates.
+    """
     x = np.asarray(x, dtype=float)
-    z = math.sqrt(2.0) * np.abs(x)
-    d = dawsn(z)
-    d_over_z = np.divide(d, z, out=np.ones_like(z), where=z > 0.0)
-    return z, d_over_z, 1.0 - 2.0 * z * d
+    flat = x.reshape(-1)
+    out = np.empty((3, flat.size))
+    for start in range(0, flat.size, _CHUNK):
+        xs = flat[start:start + _CHUNK]
+        block = out[:, start:start + _CHUNK]
+        z = math.sqrt(2.0) * np.abs(xs)
+        near = z < SWITCH  # False for NaN, whose series stays NaN
+        if near.all():
+            block[:] = _near(xs, z)
+        else:
+            far = ~near
+            block[:, near] = _near(xs[near], z[near])
+            block[:, far] = _far(xs[far])
+    return tuple(f.reshape(x.shape)[()] for f in out)
 
 
 def f00(x):
     """Pattern function reconstructing the |0><0| population from homodyne
     outcomes: 2 M(1, 1/2; -2 x^2) = 2 (1 - 2 z D(z)), z = sqrt(2)|x|."""
-    _, _, m1 = _dawson_terms(x)
-    return 2.0 * m1
+    return pattern_functions(x)[0]
 
 
 def f01(x):
     """Pattern function reconstructing the 0-1 Fock coherence:
     8 x M(2, 3/2; -2 x^2) = 4 x (D(z)/z + 1 - 2 z D(z)), normalized so that
     the weighted overlap integral of psi_0 psi_1 equals exactly 1."""
-    x = np.asarray(x, dtype=float)
-    _, d_over_z, m1 = _dawson_terms(x)
-    return 4.0 * x * (d_over_z + m1)
+    return pattern_functions(x)[1]
 
 
 def f11(x):
     """Pattern function reconstructing the |1><1| population:
     2 [M(1, 1/2; -2 x^2) - 2 M(2, 1/2; -2 x^2)] = 2 (1 + 2 (z^2 - 1) M1),
-    by the contiguous relation M(2, 1/2; -u) = (3/2 - u) M1 - 1/2.
-
-    Cancellation in M1 makes the absolute error grow like x^2 times the
-    double-precision epsilon: against mpmath it is at most 8e-12 for
-    |x| <= 25 and 1.5e-7 at |x| = 1e4."""
-    z, _, m1 = _dawson_terms(x)
-    return 2.0 * (1.0 + 2.0 * (z * z - 1.0) * m1)
+    by the contiguous relation M(2, 1/2; -u) = (3/2 - u) M1 - 1/2."""
+    return pattern_functions(x)[2]
 
 
 def oscillator_psi_table(n_max: int, x) -> np.ndarray:
@@ -78,9 +135,3 @@ def oscillator_psi_table(n_max: int, x) -> np.ndarray:
                     - math.sqrt((n - 1) / n) * table[n - 2])
     return table
 
-
-def oscillator_psi(n: int, x):
-    """Single oscillator eigenfunction psi_n(x); see oscillator_psi_table."""
-    if n < 0:
-        raise ValueError("n must be non-negative")
-    return oscillator_psi_table(n, x)[n]

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cv import DifferenceBlocks, _check_gamma_t, _check_kappa
-from .specfn import f00, f01, f11, oscillator_psi_table
+from .specfn import oscillator_psi_table, pattern_functions
 from .states import BipartiteDensity
 
 BLOCK_SIZE = 65536          # determinism unit: one RNG substream per block
@@ -75,11 +75,10 @@ def witness_kernel(x1, phi1, x2, phi2):
 
     Depends on the phases only through phi1 + phi2.
     """
-    x1 = np.asarray(x1, dtype=float)
-    x2 = np.asarray(x2, dtype=float)
     phase = np.cos(np.asarray(phi1, dtype=float) + np.asarray(phi2, dtype=float))
-    return 0.5 * (f00(x1) * f11(x2) + f11(x1) * f00(x2)
-                  - 2.0 * phase * f01(x1) * f01(x2))
+    a00, a01, a11 = pattern_functions(x1)
+    b00, b01, b11 = pattern_functions(x2)
+    return 0.5 * (a00 * b11 + a11 * b00 - 2.0 * phase * a01 * b01)
 
 
 def mc_estimate_witness(batch: HomodyneBatch) -> McEstimate:

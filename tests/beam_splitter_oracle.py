@@ -105,16 +105,15 @@ def beam_splitter(rho: BipartiteDensity, transmissivity: float) -> BipartiteDens
         raise ValueError("expected equal mode dimensions")
     sectors = _sectors(d, transmissivity)
     order = np.concatenate([flat for flat, _ in sectors])
-    m = rho.matrix[order][:, order]
+    m = rho.matrix[np.ix_(order, order)]
     start = 0
     for flat, block in sectors:
         rows = slice(start, start + flat.size)
         m[rows] = block @ m[rows]
         m[:, rows] = m[:, rows] @ block.T
         start += flat.size
-    matrix = np.empty_like(m)
-    matrix[np.ix_(order, order)] = m
-    return BipartiteDensity(dim_a=d, dim_b=d, matrix=matrix,
+    back = np.argsort(order)
+    return BipartiteDensity(dim_a=d, dim_b=d, matrix=m[np.ix_(back, back)],
                             trace_deficit=rho.trace_deficit)
 
 

@@ -46,3 +46,10 @@ def joint_quadrature_pdf(rho: BipartiteDensity, phi1: float, phi2: float,
             f"joint quadrature density reaches {pdf.min():.3e} < -1e-10; "
             "the state is invalid or the truncation failed")
     return xs, pdf
+
+
+def oscillator_psi(n: int, x):
+    """Single oscillator eigenfunction psi_n(x); see oscillator_psi_table."""
+    if n < 0:
+        raise ValueError("n must be non-negative")
+    return oscillator_psi_table(n, x)[n]

@@ -505,6 +505,19 @@ def test_import_does_not_load_scipy_linalg():
     assert result.stdout.strip() == "False"
 
 
+def test_import_loads_no_scipy():
+    # the library and its commands run on numpy alone; scipy serves the tests
+    src = str(Path(witnessforge.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    result = subprocess.run(
+        [sys.executable, "-c",
+         "import witnessforge, witnessforge.cli, sys; "
+         "print(sorted(m for m in sys.modules if m.startswith('scipy')))"],
+        capture_output=True, text=True, env=env, check=True)
+    assert result.stdout.strip() == "[]"
+
 def test_exit_code_numerical_failure(capsys, monkeypatch):
     def no_convergence(psi):
         raise ConvergenceError("SVD did not converge")

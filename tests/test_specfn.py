@@ -4,11 +4,13 @@ import numpy as np
 import pytest
 
 from kummer_oracle import chf, pattern_functions
+from quadrature_pdf_oracle import oscillator_psi
+from witnessforge import specfn
 from witnessforge.specfn import (
+    SWITCH,
     f00,
     f01,
     f11,
-    oscillator_psi,
     oscillator_psi_table,
 )
 
@@ -143,6 +145,121 @@ def test_f_reference_values_at_ten():
     assert f01(10.0) == pytest.approx(-0.000507644001701236871, rel=1e-10)
     assert f11(10.0) == pytest.approx(-0.00511490289108231954, rel=1e-10)
 
+
+# frozen mpmath evaluations of the Kummer forms at 40 digits:
+# (x, f00, f01, f11)
+LARGE_X_REFERENCE = [
+    (1e2, -0.0000500037504688320497121, -5.00075014065782173156e-7,
+     -0.0000500112523443243849191),
+    (1e3, -5.0000037500046875082e-7, -5.00000750001406253281e-10,
+     -5.00001125002343755742e-7),
+    (1e4, -5.00000003750000046875e-9, -5.00000007500000140625e-13,
+     -5.00000011250000234375e-9),
+    (1e6, -5.00000000000375e-13, -5.0000000000075e-19,
+     -5.00000000001125e-13),
+]
+
+# the same just below and just above z = sqrt(2) x = SWITCH
+SWITCH_REFERENCE = [
+    (7.07106781186547, -0.0101538875039411360906,
+     -0.00145830968058856055112, -0.0104697257803420350776),
+    (7.07106781186548, -0.0101538875039411075954,
+     -0.00145830968058855437966, -0.0104697257803420047905),
+]
+
+# frozen mpmath values of Dawson's integral D(z) = z M(1, 3/2; -z^2)
+DAWSON_REFERENCE = [
+    (1e-300, 1.00000000000000002506e-300),
+    (1e-8, 9.99999999999999954256e-9),
+    (0.5, 0.424436383502022295934),
+    (0.924138873, 0.541044224635181698473),
+    (2.0, 0.301340388923791966035),
+    (5.0, 0.102134074424276835439),
+    (9.99, 0.0503046682368452458008),
+    (12.0, 0.0418128764539882603179),
+    (1e8, 5.00000000000000025e-9),
+]
+
+
+def dawson(z):
+    """D(z) read back from the pattern functions: D/z = f01/(4x) - f00/2."""
+    x = np.asarray(z, dtype=float) / math.sqrt(2.0)
+    v00, v01, _ = specfn.pattern_functions(x)
+    return z * (v01 / (4.0 * x) - v00 / 2.0)
+
+
+@pytest.mark.parametrize("x,e00,e01,e11", LARGE_X_REFERENCE)
+def test_f_reference_values_at_large_x(x, e00, e01, e11):
+    for sign in (1.0, -1.0):
+        v00, v01, v11 = specfn.pattern_functions(sign * x)
+        assert v00 == pytest.approx(e00, rel=1e-13)
+        assert v01 == pytest.approx(sign * e01, rel=1e-13)
+        assert v11 == pytest.approx(e11, rel=1e-13)
+
+
+def test_f_reference_values_at_the_switch():
+    below, above = SWITCH_REFERENCE
+    assert math.sqrt(2.0) * below[0] < SWITCH <= math.sqrt(2.0) * above[0]
+    for x, *expected in SWITCH_REFERENCE:
+        for f, e in zip((f00, f01, f11), expected):
+            assert f(x) == pytest.approx(e, rel=1e-12)
+
+
+@pytest.mark.parametrize("z,expected", DAWSON_REFERENCE)
+def test_dawson_reference_values(z, expected):
+    assert dawson(z) == pytest.approx(expected, rel=2e-15)
+
+
+def test_dawson_against_scipy():
+    from scipy.special import dawsn
+    z = np.concatenate([np.linspace(1e-3, 14.0, 3001),
+                        np.logspace(-300, 8, 200)])
+    assert np.max(np.abs(dawson(z) / dawsn(z) - 1.0)) <= 2e-14
+
+
+def test_f_scalar_input():
+    for x in (0.3, -2.5, 9.0, 1e-300, -1e-300):
+        values = specfn.pattern_functions(x)
+        batch = specfn.pattern_functions(np.array([x, 0.0]))
+        for v, b in zip(values, batch):
+            assert np.ndim(v) == 0
+            assert v == b[0]
+        assert np.ndim(specfn.pattern_functions(np.array(x))[0]) == 0
+    assert f00(1e-300) == 2.0 and f11(-1e-300) == -2.0
+    assert f01(1e-300) == pytest.approx(8e-300, rel=1e-15)
+    assert f01(-1e-300) == pytest.approx(-8e-300, rel=1e-15)
+
+
+def test_f_shape_and_chunking():
+    # several chunks of points, about 8 % of them past the switch
+    rng = np.random.default_rng(7)
+    xs = rng.normal(0.0, 4.0, size=(3, 7000))
+    values = specfn.pattern_functions(xs)
+    picks = np.r_[0:40, 8180:8200, 16380:16390, 20990:21000]
+    one_by_one = [specfn.pattern_functions(x) for x in xs.ravel()[picks]]
+    for i, v in enumerate(values):
+        assert v.shape == xs.shape
+        assert np.array_equal(v.ravel()[picks], [p[i] for p in one_by_one])
+    assert [v.shape for v in specfn.pattern_functions(np.empty(0))] == [(0,)] * 3
+
+
+def test_f_on_interval_edges():
+    # z = sqrt(2) x on every edge of the polynomial intervals, SWITCH included
+    edges = np.linspace(0.0, SWITCH, 65)
+    xs = np.concatenate([edges, np.nextafter(edges, 0.0),
+                         np.nextafter(edges, SWITCH + 1.0)]) / math.sqrt(2.0)
+    oracle = pattern_functions(xs)
+    for f, ref, tol in zip((f00, f01, f11), oracle, (1e-14, 1e-12, 2e-11)):
+        assert np.max(np.abs(f(xs) - ref)) <= tol
+
+
+def test_f_limits_at_infinity_and_nan():
+    xs = np.array([np.inf, -np.inf, np.nan, 0.5, 1e300, -1e300])
+    for v in specfn.pattern_functions(xs):
+        assert np.all(v[:2] == 0.0)
+        assert np.isnan(v[2]) and np.isfinite(v[3])
+        assert np.all(np.abs(v[4:]) < 1e-300)
+    assert np.isnan(f01(np.nan))
 
 def test_f_bounded_and_decaying():
     xs = np.linspace(-10, 10, 401)
