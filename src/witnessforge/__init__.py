@@ -14,7 +14,6 @@ from .linalg import (
 )
 from .states import (
     BipartiteDensity,
-    WitnessOperator,
     maximally_entangled_operator,
     random_product_state,
     random_state_operator,

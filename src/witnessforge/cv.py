@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .states import BipartiteDensity, WitnessOperator
+from .states import BipartiteDensity
 
 
 class TruncationError(RuntimeError):
@@ -243,7 +243,7 @@ def pt_spectrum_analytic(x: float, gamma_t: float, n_max: int) -> np.ndarray:
 
 # -- the continuous-variable witness ----------------------------------------
 
-def cv_witness(trunc: FockTruncation) -> WitnessOperator:
+def cv_witness(trunc: FockTruncation) -> np.ndarray:
     """Witness (|01><01| + |10><10| - |00><11| - |11><00|)/2 embedded in the
     truncated two-mode space.
 
@@ -259,8 +259,7 @@ def cv_witness(trunc: FockTruncation) -> WitnessOperator:
     w[i10, i10] = 0.5
     w[i00, i11] = -0.5
     w[i11, i00] = -0.5
-    return WitnessOperator(matrix=w, normalization=1.0,
-                           provenance=f"fock-01-singlet(n_max={trunc.n_max})")
+    return w
 
 
 def phase_witness_expectation(x: float, gamma_t: float) -> float:

@@ -36,8 +36,7 @@ def matrix_from_json(obj: dict) -> np.ndarray:
     return (re + 1j * im).reshape(rows, cols)
 
 
-def dump_report(payload: dict, path: str | None = None,
-                timestamp: bool = True) -> str:
+def dump_report(payload: dict, path: str | None = None) -> str:
     """Serialize a report deterministically (sorted keys); the timestamp is
     isolated under the single top-level key ``timestamp``.
 
@@ -45,8 +44,7 @@ def dump_report(payload: dict, path: str | None = None,
     instead of being written as a non-standard token.
     """
     body = dict(payload)
-    if timestamp:
-        body["timestamp"] = time.strftime("%Y-%m-%dT%H:%M:%S%z")
+    body["timestamp"] = time.strftime("%Y-%m-%dT%H:%M:%S%z")
     text = json.dumps(body, indent=2, sort_keys=True, allow_nan=False) + "\n"
     if path is not None:
         with open(path, "w", encoding="utf-8") as fh:

@@ -78,24 +78,6 @@ class BipartiteDensity:
         return self
 
 
-@dataclass(frozen=True)
-class WitnessOperator:
-    """Hermitian witness operator together with its construction metadata.
-
-    ``normalization`` is the Hilbert-Schmidt norm of the generating operator
-    (1.0 under the unit-norm convention used throughout this package, which
-    makes Tr[W rho] coincide with the corresponding PT eigenvalue).
-    """
-
-    matrix: np.ndarray
-    normalization: float = 1.0
-    provenance: str = ""
-
-    def rank(self, tol: float = 1e-9) -> int:
-        w = np.linalg.eigvalsh((self.matrix + self.matrix.conj().T) / 2)
-        return int(np.sum(np.abs(w) > tol))
-
-
 def maximally_entangled_operator(d: int) -> np.ndarray:
     """Operator I/sqrt(d), whose vectorization is the maximally entangled state."""
     if d < 2:
@@ -109,6 +91,8 @@ def schmidt_operator(coeffs, d: int) -> np.ndarray:
     Coefficients are normalized to unit Hilbert-Schmidt norm.
     """
     c = np.asarray(coeffs, dtype=float)
+    if not np.all(np.isfinite(c)):
+        raise ValueError("Schmidt coefficients must be finite")
     if c.size > d:
         raise ValueError(f"{c.size} coefficients do not fit in dimension {d}")
     if np.any(c < 0):

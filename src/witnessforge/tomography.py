@@ -28,20 +28,19 @@ from .specfn import oscillator_psi_table, pattern_functions
 from .states import BipartiteDensity
 
 BLOCK_SIZE = 65536          # determinism unit: one RNG substream per block
+CELLS = 512                 # Simpson cells of the sampling grid
 _CHUNK = 2048               # samples per draw; rows of the block products
 PDF_NEGATIVITY_TOL = 1e-10
 
 
 @dataclass
 class HomodyneBatch:
-    """Joint homodyne samples (phi1, x1, phi2, x2) with their RNG seed."""
+    """Joint homodyne samples (phi1, x1, phi2, x2)."""
 
     phi1: np.ndarray
     x1: np.ndarray
     phi2: np.ndarray
     x2: np.ndarray
-    seed: int
-    state_descriptor: str = ""
 
     def __post_init__(self):
         sizes = {len(self.phi1), len(self.x1), len(self.phi2), len(self.x2)}
@@ -249,11 +248,10 @@ class _SamplerTables:
     lower: np.ndarray           # flat index M*d + m
 
     @classmethod
-    def build(cls, rho: BipartiteDensity, cells: int, span: float | None):
+    def build(cls, rho: BipartiteDensity):
         d = rho.dim_a
-        if span is None:
-            span = quadrature_span(rho)
-        nodes = np.linspace(-span, span, 2 * cells + 1)
+        span = quadrature_span(rho)
+        nodes = np.linspace(-span, span, 2 * CELLS + 1)
         delta = nodes[1] - nodes[0]
         psi_nodes = oscillator_psi_table(d - 1, nodes)
         reduced = rho.reduced(0)
@@ -403,8 +401,8 @@ def _check_positive(rho: BipartiteDensity, nodes: np.ndarray,
             f"{floor:.3e}; the state is invalid or the truncation failed")
 
 
-def _sample_blocks(n: int, seed: int, workers: int, draw, quadratures,
-                   state_descriptor: str) -> HomodyneBatch:
+def _sample_blocks(n: int, seed: int, workers: int, draw,
+                   quadratures) -> HomodyneBatch:
     """Run a sampler over fixed blocks of BLOCK_SIZE samples.
 
     Block b gets its own generator from the b-th child of
@@ -438,18 +436,16 @@ def _sample_blocks(n: int, seed: int, workers: int, draw, quadratures,
             parts = list(pool.map(block, range(n_blocks)))
     phi1, phi2, x1, x2 = (np.concatenate([p[i] for p in parts])
                           for i in range(4))
-    return HomodyneBatch(phi1=phi1, x1=x1, phi2=phi2, x2=x2, seed=seed,
-                         state_descriptor=state_descriptor)
+    return HomodyneBatch(phi1=phi1, x1=x1, phi2=phi2, x2=x2)
 
 
-def sample_homodyne(rho: BipartiteDensity, n: int, seed: int, workers: int = 1,
-                    cells: int = 512, span: float | None = None,
-                    state_descriptor: str = "") -> HomodyneBatch:
+def sample_homodyne(rho: BipartiteDensity, n: int, seed: int,
+                    workers: int = 1) -> HomodyneBatch:
     """Draw n joint homodyne samples from a two-mode state.
 
     Outcomes are drawn per sample by inverse CDF: x1 from the phi1 marginal,
     then x2 from the conditional at the sampled x1, both tabulated on a fixed
-    grid of 2*cells+1 nodes over [-L, L] and integrated cell-wise with
+    grid of 2*CELLS+1 nodes over [-L, L] and integrated cell-wise with
     Simpson weights (grid CDF error well below 1e-6 at the default size).
 
     Every state takes one path.  A density row is linear in a few real pair
@@ -473,7 +469,7 @@ def sample_homodyne(rho: BipartiteDensity, n: int, seed: int, workers: int = 1,
     """
     if not isinstance(rho, BipartiteDensity):
         raise TypeError("rho must be a BipartiteDensity")
-    tables = _SamplerTables.build(rho, cells=cells, span=span)
+    tables = _SamplerTables.build(rho)
     _check_positive(rho, tables.nodes, tables.diff is not None)
 
     def draw(rng):
@@ -489,14 +485,11 @@ def sample_homodyne(rho: BipartiteDensity, n: int, seed: int, workers: int = 1,
                                              u2[sl])
         return x1, x2
 
-    return _sample_blocks(
-        n, seed, workers, draw, quadratures,
-        state_descriptor or f"fock(dim={rho.dim_a}x{rho.dim_b})")
+    return _sample_blocks(n, seed, workers, draw, quadratures)
 
 
 def sample_twin_beam(x: float, n: int, seed: int, gamma_t: float = 0.0,
-                     kappa: float = 0.0, workers: int = 1,
-                     state_descriptor: str = "") -> HomodyneBatch:
+                     kappa: float = 0.0, workers: int = 1) -> HomodyneBatch:
     """Draw n joint homodyne samples from the twin beam with amplitudes
     sqrt(1-x^2) x^n on |nn>, after phase diffusion gamma_t and Gaussian
     displacement noise kappa on both modes, from their exact law.
@@ -537,6 +530,4 @@ def sample_twin_beam(x: float, n: int, seed: int, gamma_t: float = 0.0,
         x2 = cov / var * x1 + np.sqrt((var - cov) * (var + cov) / var) * z2
         return x1, x2
 
-    return _sample_blocks(
-        n, seed, workers, draw, quadratures,
-        state_descriptor or f"twb(x={x},gamma_t={gamma_t},kappa={kappa})")
+    return _sample_blocks(n, seed, workers, draw, quadratures)

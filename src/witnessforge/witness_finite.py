@@ -22,7 +22,7 @@ from .linalg import (
     require_square,
     vectorize,
 )
-from .states import BipartiteDensity, WitnessOperator
+from .states import BipartiteDensity
 
 SCHMIDT_RANK_TOL = 1e-12
 NORMALIZATION_TOL = 1e-10
@@ -35,26 +35,21 @@ _SIGMA = {
 }
 
 
-def _check_normalized(psi: np.ndarray) -> np.ndarray:
-    psi = as_complex_matrix(psi)
-    require_square(psi)
-    norm = np.linalg.norm(psi)
+def _check_normalized(op: np.ndarray) -> np.ndarray:
+    """A unit-norm d x d operator with d >= 2, as a complex matrix."""
+    op = as_complex_matrix(op)
+    d = require_square(op)
+    if d < 2:
+        raise ValueError(f"dimension d={d}: a bipartite witness needs d >= 2")
+    norm = np.linalg.norm(op)
     if abs(norm - 1.0) > NORMALIZATION_TOL:
-        raise ValueError(f"pure-state operator not normalized: |Psi| = {norm}")
-    return psi
+        raise ValueError(f"operator not normalized: Hilbert-Schmidt norm {norm}")
+    return op
 
 
 def _check_mixing_weight(p: float) -> None:
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"mixing weight p={p} outside [0, 1]")
-
-
-def _real_trace(val: complex, name: str) -> float:
-    """The real part of a trace whose imaginary part must vanish to 1e-10."""
-    if abs(val.imag) > 1e-10:
-        raise ValueError(f"{name} has imaginary part {val.imag:.3e}; "
-                         "inputs are not both Hermitian")
-    return float(val.real)
 
 
 def depolarized_state(psi: np.ndarray, p: float) -> BipartiteDensity:
@@ -101,50 +96,51 @@ def min_eigvec_operator(psi: np.ndarray) -> np.ndarray:
     return fix_global_phase(abar)
 
 
-def build_witness(eigvec_op: np.ndarray) -> WitnessOperator:
-    """Witness W = PT(|A>><<A|) from a unit-norm eigenvector operator A.
+def build_witness(eigvec_op: np.ndarray) -> np.ndarray:
+    """Dense witness W = PT(|A>><<A|) from a unit-norm eigenvector operator A.
 
-    The result is Hermitian with rank 4 and does not depend on the mixing
-    weight p of the family it detects.
+    The (d^2 x d^2) result is Hermitian with rank 4 and does not depend on
+    the mixing weight p of the family it detects.  The commands never form
+    it: :func:`depolarized_expectation` reads the traces they need from A.
     """
-    a = as_complex_matrix(eigvec_op)
-    d = require_square(a)
-    norm = float(np.linalg.norm(a))
-    if abs(norm - 1.0) > NORMALIZATION_TOL:
-        raise ValueError(f"eigenvector operator not unit-norm: {norm}")
+    a = _check_normalized(eigvec_op)
+    d = a.shape[0]
     v = vectorize(a)
-    w = partial_transpose(np.outer(v, v.conj()), d, d, subsystem="B")
-    return WitnessOperator(matrix=w, normalization=norm,
-                           provenance=f"depolarized-family(d={d})")
+    return partial_transpose(np.outer(v, v.conj()), d, d, subsystem="B")
 
 
 def evaluate_witness(w, rho) -> float:
     """Tr[W rho]; the imaginary part must vanish to 1e-10."""
-    wm = w.matrix if isinstance(w, WitnessOperator) else as_complex_matrix(w)
+    wm = as_complex_matrix(w)
     rm = rho.matrix if isinstance(rho, BipartiteDensity) else as_complex_matrix(rho)
     if wm.shape != rm.shape:
         raise ValueError(f"dimension mismatch: {wm.shape} vs {rm.shape}")
     val = np.sum(wm * rm.T)  # Tr[W rho] without forming the product
-    return _real_trace(val, "Tr[W rho]")
+    if abs(val.imag) > 1e-10:
+        raise ValueError(f"Tr[W rho] has imaginary part {val.imag:.3e}; "
+                         "inputs are not both Hermitian")
+    return float(val.real)
 
 
-def depolarized_expectation(w, psi: np.ndarray) -> Callable[[float], float]:
-    """Tr[W R(p)] as a function of the mixing weight p of the family R(p).
+def depolarized_expectation(eigvec_op: np.ndarray,
+                            psi: np.ndarray) -> Callable[[float], float]:
+    """Tr[W R(p)] as a function of the mixing weight p of the family R(p),
+    for the witness W = PT(|A>><<A|) of the eigenvector operator A.
 
     Tr[W R(p)] = p <<Psi|W|Psi>> + (1-p) Tr W / d^2 is a straight line in p.
-    Both traces are taken once, each with the imaginary-part check of
-    :func:`evaluate_witness`, so a point costs O(1) instead of a dense
-    R(p).  The returned function rejects p outside [0, 1] as
+    Both traces are read from A in O(d^3), without forming W: the partial
+    transpose keeps the trace, so Tr W = |A|^2, and <<Psi|W|Psi>> is the
+    Hilbert-Schmidt inner product <Psi A^T, A Psi^T>, which is real for any
+    A and Psi.  The returned function rejects p outside [0, 1] as
     :func:`depolarized_state` does.
     """
-    wm = w.matrix if isinstance(w, WitnessOperator) else as_complex_matrix(w)
+    a = _check_normalized(eigvec_op)
     psi = _check_normalized(psi)
+    if a.shape != psi.shape:
+        raise ValueError(f"dimension mismatch: {a.shape} vs {psi.shape}")
     d = psi.shape[0]
-    if wm.shape != (d * d, d * d):
-        raise ValueError(f"dimension mismatch: {wm.shape} vs {(d * d, d * d)}")
-    v = vectorize(psi)
-    pure = _real_trace(np.vdot(v, wm @ v), "<<Psi|W|Psi>>")
-    flat = _real_trace(np.trace(wm), "Tr W") / d**2
+    pure = float(np.vdot(psi @ a.T, a @ psi.T).real)
+    flat = float(np.vdot(a, a).real) / d**2
 
     def expectation(p: float) -> float:
         _check_mixing_weight(p)

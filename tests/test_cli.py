@@ -80,7 +80,7 @@ def test_finite_witness_psi_file(capsys, tmp_path):
     path = tmp_path / "psi.json"
     payload = {"psi": matrix_to_json(maximally_entangled_operator(3)),
                "label": "max3"}
-    dump_report(payload, str(path), timestamp=False)
+    dump_report(payload, str(path))
     code, out, _ = run(capsys, "finite-witness", "--dim", "3",
                        "--psi-file", str(path), "--p", "0.5")
     assert code == 0
@@ -255,7 +255,7 @@ def test_batch_csv_writes_the_generic_writer_bytes(tmp_path):
     quads = np.array([-0.0, 1e300, -1.2345678901234567e-5, 0.1, -5e-324,
                       2.5])
     batch = HomodyneBatch(phi1=phases, x1=quads, phi2=phases[::-1].copy(),
-                          x2=-quads, seed=0)
+                          x2=-quads)
     streamed, generic = tmp_path / "streamed.csv", tmp_path / "generic.csv"
     batch_to_csv(streamed, batch)
     write_csv(generic, ["phi1", "x1", "phi2", "x2"],
@@ -398,8 +398,71 @@ def test_finite_commands_build_no_dense_state(capsys, monkeypatch, tmp_path,
 
     monkeypatch.setattr(witness_finite, "depolarized_state", refuse)
     monkeypatch.setattr(witness_finite, "evaluate_witness", refuse)
+    monkeypatch.setattr(witness_finite, "build_witness", refuse)
+    monkeypatch.setattr(witness_finite, "partial_transpose", refuse)
     code, _, err = run(capsys, *argv, "--output", str(tmp_path / "out"))
     assert code == 0, err
+
+
+def test_finite_commands_at_dim_64_stay_small(tmp_path):
+    # one dense (d^2 x d^2) witness at d = 64 takes 268 MB
+    d = 64
+    report = run_child("finite-witness", "--dim", str(d), "--max-entangled",
+                       "--p", "0.3")
+    assert report["trace_wr"] == pytest.approx(report["lambda_min"],
+                                               abs=1e-12)
+    assert report["lambda_min"] == pytest.approx(-0.3 / d + 0.7 / d**2,
+                                                 abs=1e-15)
+    report = run_child("finite-scan", "--dim", str(d), "--max-entangled",
+                       "--output", str(tmp_path / "scan.csv"))
+    assert report["p_threshold_bisection"] == pytest.approx(1 / (d + 1),
+                                                            abs=1e-12)
+
+
+@pytest.mark.parametrize("argv", [
+    ("finite-witness", "--dim", "1", "--schmidt", "1", "--p", "0.5"),
+    ("finite-scan", "--dim", "1", "--schmidt", "1"),
+    ("finite-witness", "--dim", "1", "--psi-file", "PSI", "--p", "0.5"),
+], ids=["finite-witness", "finite-scan", "psi-file"])
+def test_finite_commands_reject_dimension_one(capsys, tmp_path, argv):
+    path = tmp_path / "psi.json"
+    dump_report({"psi": matrix_to_json(np.ones((1, 1)))}, str(path))
+    argv = [str(path) if a == "PSI" else a for a in argv]
+    code, _, err = run(capsys, *argv, "--output", str(tmp_path / "out"))
+    assert code == 2
+    assert "needs d >= 2" in err
+
+
+@pytest.mark.parametrize("source", [
+    ("--max-entangled",), ("--schmidt", "1,1"), ("--psi-file", "psi.json"),
+], ids=["max-entangled", "schmidt", "psi-file"])
+def test_dim_cap_is_checked_before_any_allocation(capsys, monkeypatch,
+                                                  tmp_path, source):
+    def refuse(*args):
+        raise AssertionError("a state was built past the --dim cap")
+
+    monkeypatch.setattr(cli, "MAX_DIM", 3)
+    code, _, err = run(capsys, "finite-witness", "--dim", "3",
+                       "--max-entangled", "--p", "0.5")
+    assert code == 0, err
+    for name in ("maximally_entangled_operator", "schmidt_operator",
+                 "load_report"):
+        monkeypatch.setattr(cli, name, refuse)
+    for command, extra in (("finite-witness", ("--p", "0.5")),
+                           ("finite-scan", ())):
+        code, _, err = run(capsys, command, "--dim", "4", *source, *extra,
+                           "--output", str(tmp_path / "out"))
+        assert code == 2
+        assert "--dim 4 exceeds the limit of 3" in err
+
+
+@pytest.mark.parametrize("coeffs", ["inf,1", "nan,1", "1,-inf"])
+def test_non_finite_schmidt_coefficients_exit_2(capsys, coeffs):
+    # a numpy RuntimeWarning would fail the suite (filterwarnings = error)
+    code, _, err = run(capsys, "finite-witness", "--dim", "4",
+                       f"--schmidt={coeffs}", "--p", "0.5")
+    assert code == 2
+    assert "Schmidt coefficients must be finite" in err
 
 
 @pytest.mark.parametrize("argv", [

@@ -99,14 +99,14 @@ def assert_search_matches_rows(tables, x1, phi1, phi2, u):
     lambda: asymmetric_block_state().density()],
     ids=["general-d3", "twb", "rotated-twb", "complex-block", "asymmetric"])
 def test_search_matches_formed_rows(make_state):
-    tables = _SamplerTables.build(make_state(), 512, None)
+    tables = _SamplerTables.build(make_state())
     assert_search_matches_rows(tables, *draw_inputs(tables, 300, 3))
 
 
 def test_general_d3_marginal_is_per_sample():
     # the marginal half of the comparison above is only a per-sample search
     # when the reduced state has coherences
-    assert _SamplerTables.build(general_d3_state(), 512, None) \
+    assert _SamplerTables.build(general_d3_state()) \
         .marginal.ndim == 2
 
 
@@ -159,7 +159,7 @@ def small_states(draw):
 @settings(derandomize=True, deadline=None, max_examples=50, database=None)
 @given(small_states(), st.integers(0, 2 ** 32 - 1))
 def test_search_matches_formed_rows_on_random_states(rho, seed):
-    tables = _SamplerTables.build(rho, 512, None)
+    tables = _SamplerTables.build(rho)
     x1, phi1, phi2, u = draw_inputs(tables, 40, seed)
     assert_search_matches_rows(tables, x1, phi1, phi2, u)
     # the CDF read from the left is non-decreasing and ends at the total;
@@ -183,8 +183,7 @@ def test_search_matches_formed_rows_on_random_states(rho, seed):
 
 def squared_norm_bound(d):
     """M = max over the default grid of sum_n psi_n(x)^2."""
-    nodes = _SamplerTables.build(twb_state(0.0, FockTruncation(d - 1)), 512,
-                                 None).nodes
+    nodes = _SamplerTables.build(twb_state(0.0, FockTruncation(d - 1))).nodes
     return float(np.max(np.sum(oscillator_psi_table(d - 1, nodes) ** 2,
                                axis=0)))
 
@@ -198,7 +197,7 @@ def test_positivity_bound_is_lambda_min_times_m_squared(i, k):
     # -0.9e-10 / M^2 just inside it
     m = squared_norm_bound(3)
     bad = _hermitian_pair_state(3, i, k, 0.5, 0.5 + 1.1e-10 / m ** 2)
-    _SamplerTables.build(bad, 512, None)
+    _SamplerTables.build(bad)
     with pytest.raises(ValueError, match="conditional quadrature density"):
         sample_homodyne(bad, 100, seed=3)
     inside = _hermitian_pair_state(3, i, k, 0.5, 0.5 + 0.9e-10 / m ** 2)
@@ -222,7 +221,7 @@ def test_positivity_check_covers_the_marginal():
         for level in range(d):
             matrix[d + level, d + level] = -eps
         rho = BipartiteDensity(d, d, matrix)
-        assert _SamplerTables.build(rho, 512, None).marginal.ndim == 2
+        assert _SamplerTables.build(rho).marginal.ndim == 2
         if rejected:
             with pytest.raises(ValueError,
                                match="conditional quadrature density"):

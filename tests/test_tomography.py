@@ -250,21 +250,21 @@ def test_batch_validation():
     good = np.zeros(4)
     with pytest.raises(ValueError):
         HomodyneBatch(phi1=np.array([]), x1=np.array([]), phi2=np.array([]),
-                      x2=np.array([]), seed=0)
+                      x2=np.array([]))
     with pytest.raises(ValueError):
         HomodyneBatch(phi1=np.array([3.5]), x1=np.array([0.0]),
-                      phi2=np.array([0.1]), x2=np.array([0.0]), seed=0)
+                      phi2=np.array([0.1]), x2=np.array([0.0]))
     with pytest.raises(ValueError):
-        HomodyneBatch(phi1=good, x1=good, phi2=good, x2=np.zeros(3), seed=0)
+        HomodyneBatch(phi1=good, x1=good, phi2=good, x2=np.zeros(3))
     bad_phase = np.array([0.1, np.nan, 0.2, 0.3])
     for phi1, phi2 in [(bad_phase, good), (good, bad_phase)]:
         with pytest.raises(ValueError, match="phases"):
-            HomodyneBatch(phi1=phi1, x1=good, phi2=phi2, x2=good, seed=0)
+            HomodyneBatch(phi1=phi1, x1=good, phi2=phi2, x2=good)
     for bad in (np.nan, np.inf, -np.inf):
         bad_x = np.array([0.0, bad, 0.0, 0.0])
         for x1, x2 in [(bad_x, good), (good, bad_x)]:
             with pytest.raises(ValueError, match="finite"):
-                HomodyneBatch(phi1=good, x1=x1, phi2=good, x2=x2, seed=0)
+                HomodyneBatch(phi1=good, x1=x1, phi2=good, x2=x2)
 
 
 def test_sample_count_guard():
@@ -300,7 +300,7 @@ def test_sampler_rejects_negative_conditional_density(i, k, block):
     # states have a valid reduced state, so only the conditional stage's
     # negativity check can catch them
     bad = _hermitian_pair_state(3, i, k, 0.5, 2.0)
-    assert (_SamplerTables.build(bad, 512, None).diff is not None) is block
+    assert (_SamplerTables.build(bad).diff is not None) is block
     with pytest.raises(ValueError, match="conditional quadrature density"):
         sample_homodyne(bad, 1000, seed=3)
 
@@ -392,7 +392,7 @@ def test_two_block_sampling_worker_independent(make_state):
 @pytest.mark.parametrize("rho", [general_d3_state(), rotated_twb(0.5, 1.1)],
                          ids=["general-d3", "rotated-twb"])
 def test_table_node_density_matches_joint_pdf(rho):
-    tables = _SamplerTables.build(rho, 512, None)
+    tables = _SamplerTables.build(rho)
     nodes = tables.nodes
     rng = np.random.default_rng(13)
     index = rng.integers(0, nodes.size, size=6)
@@ -421,10 +421,9 @@ def test_inverse_cdf_resolves_both_tails():
     # accumulated from its own end, so this holds to rounding even where the
     # tail mass is 1e-9 of the total
     u = np.array([2.0 ** -30, 2.0 ** -23, 2.0 ** -13, 0.375])
-    vacuum = _SamplerTables.build(vacuum_state(), 512, None)
+    vacuum = _SamplerTables.build(vacuum_state())
     shared = vacuum.marginal_rows(np.zeros(4))
-    twb = _SamplerTables.build(twb_state(0.5, FockTruncation.for_twb(0.5)),
-                               512, None)
+    twb = _SamplerTables.build(twb_state(0.5, FockTruncation.for_twb(0.5)))
     # at x1 = 0 only even Fock levels contribute to the conditional
     per_sample = twb.conditional_rows(np.zeros(4), np.full(4, 0.3),
                                       np.full(4, 1.2))

@@ -116,16 +116,16 @@ def test_min_eigvec_operator_rejects_product_state():
 
 def test_witness_qubit_spectrum_and_trace():
     w = witness_for(maximally_entangled_operator(2))
-    assert np.allclose(np.sort(np.linalg.eigvalsh(w.matrix)),
+    assert np.allclose(np.sort(np.linalg.eigvalsh(w)),
                        [-0.5, 0.5, 0.5, 0.5], atol=1e-12)
-    assert np.trace(w.matrix).real == pytest.approx(1.0, abs=1e-12)
+    assert np.trace(w).real == pytest.approx(1.0, abs=1e-12)
 
 
 def test_witness_rank_four_all_dims():
     rng = np.random.default_rng(22)
     for d in range(2, 9):
         w = witness_for(random_state_operator(d, rng))
-        assert w.rank() == 4
+        assert np.linalg.matrix_rank(w, tol=1e-9, hermitian=True) == 4
 
 
 def test_witness_expectation_equals_min_eigenvalue():
@@ -143,7 +143,7 @@ def test_witness_independent_of_mixing_weight():
     psi = random_state_operator(4, np.random.default_rng(24))
     w1 = witness_for(psi)
     w2 = witness_for(psi)
-    assert np.array_equal(w1.matrix, w2.matrix)
+    assert np.array_equal(w1, w2)
 
 
 def test_evaluate_witness_maximally_mixed():
@@ -173,7 +173,7 @@ def test_witness_nonnegative_on_product_states():
         w = witness_for(random_state_operator(d, rng))
         for _ in range(1000):
             v = random_product_state(d, d, rng)
-            val = np.real(np.vdot(v, w.matrix @ v))
+            val = np.real(np.vdot(v, w @ v))
             assert val >= -1e-9
 
 
@@ -217,8 +217,9 @@ DENSE_ORACLE_CASES = {
 @pytest.mark.parametrize("case", DENSE_ORACLE_CASES)
 def test_depolarized_expectation_matches_dense_oracle(case):
     psi = DENSE_ORACLE_CASES[case]()
-    w = witness_for(psi)
-    line = depolarized_expectation(w, psi)
+    a = min_eigvec_operator(psi)
+    w = build_witness(a)
+    line = depolarized_expectation(a, psi)
     for p in (0.0, detection_threshold(psi), 0.37, 1.0):
         dense = evaluate_witness(w, depolarized_state(psi, p))
         assert abs(line(p) - dense) <= 1e-13
@@ -227,27 +228,55 @@ def test_depolarized_expectation_matches_dense_oracle(case):
 @pytest.mark.parametrize("p", [-0.1, 1.5, math.nan])
 def test_depolarized_expectation_rejects_bad_mixing_weight(p):
     psi = maximally_entangled_operator(3)
-    line = depolarized_expectation(witness_for(psi), psi)
+    line = depolarized_expectation(min_eigvec_operator(psi), psi)
     with pytest.raises(ValueError, match=r"mixing weight p=.* outside \[0, 1\]"):
         line(p)
 
 
-def test_depolarized_expectation_rejects_non_hermitian_witness():
+def test_evaluate_witness_rejects_non_hermitian_witness():
     psi = maximally_entangled_operator(3)
-    w = witness_for(psi).matrix
+    w = witness_for(psi)
     v = vectorize(psi)
+    rho = depolarized_state(psi, 0.5)
     imaginary_trace = w + 1j * np.eye(9) / 9
-    # traceless, so only <<Psi|W|Psi>> picks up the imaginary part
+    # traceless, so only the |Psi>> part of rho picks up the imaginary part
     imaginary_pure = w + 1j * (np.outer(v, v.conj()) - np.eye(9) / 9)
     for bad in (imaginary_trace, imaginary_pure):
         with pytest.raises(ValueError, match="imaginary part"):
-            depolarized_expectation(bad, psi)
+            evaluate_witness(bad, rho)
 
 
 def test_depolarized_expectation_rejects_dimension_mismatch():
-    w = witness_for(maximally_entangled_operator(2))
+    a = min_eigvec_operator(maximally_entangled_operator(2))
     with pytest.raises(ValueError, match="dimension mismatch"):
-        depolarized_expectation(w, maximally_entangled_operator(3))
+        depolarized_expectation(a, maximally_entangled_operator(3))
+
+
+def test_depolarized_expectation_rejects_unnormalized_operator():
+    psi = maximally_entangled_operator(3)
+    with pytest.raises(ValueError, match="not normalized"):
+        depolarized_expectation(2 * min_eigvec_operator(psi), psi)
+
+
+@pytest.mark.parametrize("call", [
+    lambda op: min_pt_eigenvalue(op, 0.5),
+    detection_threshold,
+    min_eigvec_operator,
+    quorum_decompose,
+    lambda op: depolarized_state(op, 0.5),
+    lambda op: depolarized_expectation(op, op),
+], ids=["min_pt_eigenvalue", "detection_threshold", "min_eigvec_operator",
+        "quorum_decompose", "depolarized_state", "depolarized_expectation"])
+def test_one_dimensional_input_is_rejected(call):
+    # d = 1 has one Schmidt coefficient: no second one to read
+    with pytest.raises(ValueError, match="needs d >= 2"):
+        call(np.ones((1, 1)))
+
+
+def test_schmidt_operator_rejects_non_finite_coefficients():
+    for bad in ([math.inf, 1.0], [math.nan, 1.0]):
+        with pytest.raises(ValueError, match="finite"):
+            schmidt_operator(bad, 4)
 
 
 def test_pt_spectrum_structure():
@@ -270,7 +299,7 @@ def test_quorum_qubit_matches_singlet_pt():
     psi = maximally_entangled_operator(2)
     decomp = quorum_decompose(psi)
     w = witness_for(psi)
-    assert np.abs(decomp.reconstruct() - w.matrix).max() < 1e-12
+    assert np.abs(decomp.reconstruct() - w).max() < 1e-12
     # the three non-trivial local factors are the Pauli matrices themselves
     paulis = [np.array([[0, 1], [1, 0]]), np.array([[0, -1j], [1j, 0]]),
               np.array([[1, 0], [0, -1]])]
@@ -282,7 +311,7 @@ def test_quorum_reconstruction_random_d5():
     psi = random_state_operator(5, np.random.default_rng(28))
     decomp = quorum_decompose(psi)
     w = witness_for(psi)
-    assert np.abs(decomp.reconstruct() - w.matrix).max() < 1e-10
+    assert np.abs(decomp.reconstruct() - w).max() < 1e-10
 
 
 def test_quorum_shape_and_hermiticity():

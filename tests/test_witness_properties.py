@@ -59,20 +59,20 @@ def witness_for(psi):
 @PROPERTY_SETTINGS
 @given(entangled_psi(), st.floats(0.0, 1.0))
 def test_two_trace_line_equals_dense_oracle(psi, p):
-    w = witness_for(psi)
-    dense = evaluate_witness(w, depolarized_state(psi, p))
-    assert abs(depolarized_expectation(w, psi)(p) - dense) <= 1e-13
+    a = min_eigvec_operator(psi)
+    dense = evaluate_witness(build_witness(a), depolarized_state(psi, p))
+    assert abs(depolarized_expectation(a, psi)(p) - dense) <= 1e-13
 
 
 @PROPERTY_SETTINGS
 @given(psi_and_product_vector())
 def test_witness_nonnegative_on_product_vectors(case):
     psi, v = case
-    assert np.vdot(v, witness_for(psi).matrix @ v).real >= -1e-12
+    assert np.vdot(v, witness_for(psi) @ v).real >= -1e-12
 
 
 @PROPERTY_SETTINGS
 @given(entangled_psi())
 def test_witness_vanishes_at_detection_threshold(psi):
-    line = depolarized_expectation(witness_for(psi), psi)
+    line = depolarized_expectation(min_eigvec_operator(psi), psi)
     assert abs(line(detection_threshold(psi))) <= 1e-12
