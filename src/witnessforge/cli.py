@@ -22,7 +22,7 @@ from .formats import (
     matrix_to_json,
     write_csv,
 )
-from .linalg import ConvergenceError, complex_svd
+from .linalg import ConvergenceError, SvdResult, complex_svd
 from .states import maximally_entangled_operator, schmidt_operator
 
 BOUNDARY_TOL = 1e-12
@@ -52,11 +52,19 @@ def _load_psi(args) -> np.ndarray:
     if args.max_entangled:
         return maximally_entangled_operator(args.dim)
     if args.schmidt is not None:
-        coeffs = np.array([float(s) for s in args.schmidt.split(",")])
+        coeffs = [float(s) for s in args.schmidt.split(",")]
         psi = schmidt_operator(coeffs, args.dim)
-        if abs(np.sum(coeffs**2) - 1.0) > 1e-12:
+        # the sum of squares is ratio * scale^2, read in log10 so that no
+        # square of a finite coefficient overflows or underflows
+        scale = max(coeffs)
+        ratio = math.fsum((c / scale) ** 2 for c in coeffs)
+        log_total = math.log10(ratio) + 2 * math.log10(scale)
+        if abs(log_total) > math.log10(1 + 1e-12):
+            exponent = math.floor(log_total)
+            total = (f"{ratio * scale * scale:.6g}" if abs(exponent) < 300
+                     else f"{10 ** (log_total - exponent):.6g}e{exponent:+d}")
             print(f"note: normalizing Schmidt coefficients (sum of squares "
-                  f"was {np.sum(coeffs**2):.6g})", file=sys.stderr)
+                  f"was {total})", file=sys.stderr)
         return psi
     payload = load_report(args.psi_file)
     psi = matrix_from_json(payload["psi"])
@@ -88,11 +96,17 @@ def _quorum_payload(decomp) -> dict:
     return {"terms": terms}
 
 
+def _psi_svd(psi: np.ndarray) -> SvdResult:
+    """The SVD of the checked operator, taken once per finite command; the
+    witness, its threshold and its quorum are all read from it."""
+    return complex_svd(witness_finite._check_normalized(psi))
+
+
 def _witness_report(psi: np.ndarray, p: float) -> dict:
-    svd = complex_svd(psi)
-    abar = witness_finite.min_eigvec_operator(psi)
+    svd = _psi_svd(psi)
+    abar = witness_finite._min_eigvec_operator(svd)
     trace_wr = witness_finite.depolarized_expectation(abar, psi)(p)
-    lam = witness_finite.min_pt_eigenvalue(psi, p)
+    lam = witness_finite._min_pt_eigenvalue(svd, p)
     return {
         "d": int(psi.shape[0]),
         "p": p,
@@ -101,8 +115,8 @@ def _witness_report(psi: np.ndarray, p: float) -> dict:
         "trace_wr": trace_wr,
         "entangled": bool(trace_wr < -BOUNDARY_TOL),
         "boundary": bool(abs(trace_wr) <= BOUNDARY_TOL),
-        "p_threshold": witness_finite.detection_threshold(psi),
-        "quorum": _quorum_payload(witness_finite.quorum_decompose(psi)),
+        "p_threshold": witness_finite._detection_threshold(svd),
+        "quorum": _quorum_payload(witness_finite._quorum_decompose(svd)),
     }
 
 
@@ -124,7 +138,8 @@ def _psi_config(args) -> dict:
 
 def cmd_finite_scan(args) -> None:
     psi = _load_psi(args)
-    abar = witness_finite.min_eigvec_operator(psi)
+    svd = _psi_svd(psi)
+    abar = witness_finite._min_eigvec_operator(svd)
     trace_wr = witness_finite.depolarized_expectation(abar, psi)
     rows = []
     for p in _parse_grid(args.scan_p).tolist():
@@ -140,7 +155,7 @@ def cmd_finite_scan(args) -> None:
                    "scan_p": args.scan_p, "psi": _psi_config(args)},
         "csv": args.output,
         "p_threshold_bisection": 0.5 * (lo + hi),
-        "p_threshold_closed_form": witness_finite.detection_threshold(psi),
+        "p_threshold_closed_form": witness_finite._detection_threshold(svd),
     }
     sys.stdout.write(dump_report(summary))
 

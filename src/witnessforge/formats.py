@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import json
 import time
 
@@ -73,18 +74,136 @@ def _cell(v) -> str:
     return str(v)
 
 
+# rows formatted and written at a time: bounds the export's working memory
+CHUNK_ROWS = 4096
+
+# the exact doubles 10^0 .. 10^22 and their Veltkamp halves (hi + lo = 10^k,
+# each with at most 26 significant bits) for the Dekker two-product
+_SPLITTER = 134217729.0  # 2^27 + 1
+_POW10 = np.array([float(10 ** k) for k in range(23)])
+_POW10_HI = _SPLITTER * _POW10 - (_SPLITTER * _POW10 - _POW10)
+_POW10_LO = _POW10 - _POW10_HI
+
+# A cell is 40 bytes, read as five little-endian 64-bit words: the sign,
+# "0." and up to three zeros for a negative exponent, then the 17 digits,
+# each followed by a slot for the decimal point, and the separator last.
+# Slots left 0 are dropped when a chunk is joined.  Word 0 holds the prefix
+# and the leading digit; words 1-4 each hold four digits.
+_WORD = np.dtype("<u8")
+_SEPARATORS = np.array([ord(c) << 56 for c in ",,,\n"], dtype=_WORD)
+# the prefix for the exponents E = -4 .. 16 (index E + 4)
+_PREFIX = np.array([int.from_bytes(b"\0" + text.encode("ascii"), "little")
+                    for text in ("0.000", "0.00", "0.0", "0.")]
+                   + [0] * 17, dtype=_WORD)
+# the first c digits of a group, c = 0 .. 4
+_KEEP = np.array([(1 << 16 * c) - 1 for c in range(5)], dtype=_WORD)
+_GROUP_START = np.arange(0, 16, 4)
+
+
+@functools.cache
+def _group_tables() -> tuple[np.ndarray, np.ndarray]:
+    """For each four-digit group g = 100 h + l: its text, the digits in the
+    low byte of each 16 bits, and the 1-based place of its last non-zero
+    digit, -12 for 0000 (which keeps an all-zero group below the leading
+    digit's place 0 in the maximum taken over a value's groups).  Built on
+    the first export, not at import."""
+    pair = np.arange(100)
+    pair_text = (pair // 10 + ord("0")) | (pair % 10 + ord("0")) << 16
+    pair_last = np.where(pair % 10 != 0, 2, np.where(pair != 0, 1, -12))
+    text = (pair_text[:, None] | pair_text << 32).astype(_WORD).ravel()
+    last = np.where(pair != 0, 2 + pair_last, pair_last[:, None]).ravel()
+    return text, last
+
+
+def _scaled_digits(a: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """a * 10^k rounded half to even, as int64, for products in [2^53, 2^63).
+
+    Dekker's two-product gives the rounded product p and its exact error;
+    p is an even integer there, so p + rint(err) is the exact product
+    rounded half to even.  Below 2^53 the result is within 1 of it.
+    """
+    b, b_hi, b_lo = _POW10.take(k), _POW10_HI.take(k), _POW10_LO.take(k)
+    p = a * b
+    c = _SPLITTER * a
+    a_hi = c - (c - a)
+    a_lo = a - a_hi
+    err = ((a_hi * b_hi - p) + a_hi * b_lo + a_lo * b_hi) + a_lo * b_lo
+    return p.astype(np.int64) + np.rint(err).astype(np.int64)
+
+
+def _format_cells(values: np.ndarray) -> np.ndarray:
+    """The ``%.17g`` text of each value, as the rows of an (n, 5) array of
+    cells laid out as described above, separator slot empty.
+
+    A value with 1e-4 <= |v| < 1e17 has the fixed-notation form: its 17
+    significant digits are D = round(|v| 10^(16-E)) for the decimal
+    exponent E of the rounded value, which lies in [-4, 16] and makes
+    10^(16-E) an exact double.  Any other value (zero, subnormal, tiny,
+    huge, not finite) is formatted by Python.
+    """
+    n = values.size
+    a = np.abs(values)
+    fast = (a >= 1e-4) & (a < 1e17)
+    a[~fast] = 1.0
+    # floor(log10 a) is E, or one off next to a power of ten
+    e = np.clip(np.floor(np.log10(a)), -5, 16).astype(np.intp)
+    significand = _scaled_digits(a, 16 - e)
+    off = np.flatnonzero((significand < 10 ** 16)
+                         | (significand >= 10 ** 17))
+    if off.size:
+        e[off] += np.where(significand[off] < 10 ** 16, -1, 1)
+        fast[off] &= (e[off] >= -4) & (e[off] <= 16)
+        redo = off[fast[off]]
+        significand[redo] = _scaled_digits(a[redo], 16 - e[redo])
+    # placeholders for the values Python formats at the end
+    slow = np.flatnonzero(~fast)
+    e[slow] = 0
+    significand[slow] = 10 ** 16
+    # the leading digit, then four groups of four digits
+    lead = significand
+    groups = np.empty((4, n), dtype=np.int64)
+    for i in range(3, -1, -1):
+        rest = lead // 10 ** 4
+        groups[i] = lead - rest * 10 ** 4
+        lead = rest
+    # the last digit that %g keeps: the last non-zero one, or the units
+    # digit (place E) if that comes later
+    group_text, group_last = _group_tables()
+    last = np.maximum.reduce(group_last.take(groups) + _GROUP_START[:, None])
+    np.maximum(last, e, out=last)
+    kept = np.clip(last - _GROUP_START[:, None], 0, 4)
+    cells = np.empty((n, 5), dtype=_WORD)
+    cells[:, 0] = (_PREFIX.take(e + 4) | (values < 0).astype(_WORD) * ord("-")
+                   | (lead + ord("0")).astype(_WORD) << 48)
+    cells[:, 1:] = (group_text.take(groups) & _KEEP.take(kept)).T
+    text = cells.view(np.uint8)
+    point = np.flatnonzero((e >= 0) & (last > e))
+    text[point, 7 + 2 * e[point]] = ord(".")
+    for i in slow:
+        cell = ("%.17g" % values[i]).encode("ascii")
+        text[i] = 0
+        text[i, :len(cell)] = np.frombuffer(cell, dtype=np.uint8)
+    return cells
+
+
 def batch_to_csv(path: str, batch) -> None:
     """Export a homodyne batch as phi1,x1,phi2,x2 rows.
 
-    The bytes are those of :func:`write_csv` on the same rows.  The rows are
-    formatted as a stream of Python floats instead of cell by cell, and never
-    held in memory as one string.
+    The bytes are those of :func:`write_csv` on the same rows: every cell is
+    the ``%.17g`` text of its value.  The cells are formatted with numpy,
+    :data:`CHUNK_ROWS` rows at a time, and each chunk is written as soon as
+    it is formed.
     """
     columns = (batch.phi1, batch.x1, batch.phi2, batch.x2)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("phi1,x1,phi2,x2\n")
-        fh.writelines(map("%.17g,%.17g,%.17g,%.17g\n".__mod__,
-                          zip(*(col.tolist() for col in columns))))
+        for start in range(0, len(columns[0]), CHUNK_ROWS):
+            block = np.column_stack(
+                [col[start:start + CHUNK_ROWS] for col in columns])
+            cells = _format_cells(block.astype(float, copy=False).ravel())
+            cells.reshape(-1, 4, 5)[:, :, 4] |= _SEPARATORS
+            text = cells.view(np.uint8).reshape(-1)
+            fh.write(np.compress(text != 0, text).tobytes().decode("ascii"))
 
 
 def batch_rows_from_csv(path: str) -> np.ndarray:

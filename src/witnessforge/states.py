@@ -88,7 +88,8 @@ def maximally_entangled_operator(d: int) -> np.ndarray:
 def schmidt_operator(coeffs, d: int) -> np.ndarray:
     """Diagonal pure-state operator with the given Schmidt coefficients.
 
-    Coefficients are normalized to unit Hilbert-Schmidt norm.
+    Coefficients are normalized to unit Hilbert-Schmidt norm; any finite,
+    non-negative coefficients that are not all zero are accepted.
     """
     c = np.asarray(coeffs, dtype=float)
     if not np.all(np.isfinite(c)):
@@ -97,11 +98,13 @@ def schmidt_operator(coeffs, d: int) -> np.ndarray:
         raise ValueError(f"{c.size} coefficients do not fit in dimension {d}")
     if np.any(c < 0):
         raise ValueError("Schmidt coefficients must be non-negative")
-    norm = np.linalg.norm(c)
-    if norm == 0:
+    scale = c.max(initial=0.0)
+    if scale == 0:
         raise ValueError("all Schmidt coefficients are zero")
+    # scaled first, so that no square overflows or underflows
+    c = c / scale
     psi = np.zeros((d, d), dtype=complex)
-    np.fill_diagonal(psi[: c.size, : c.size], c / norm)
+    np.fill_diagonal(psi[: c.size, : c.size], c / np.linalg.norm(c))
     return psi
 
 

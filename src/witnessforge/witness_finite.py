@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import (
+    SvdResult,
     as_complex_matrix,
     complex_svd,
     fix_global_phase,
@@ -64,10 +65,12 @@ def depolarized_state(psi: np.ndarray, p: float) -> BipartiteDensity:
 
 def min_pt_eigenvalue(psi: np.ndarray, p: float) -> float:
     """Closed-form minimum eigenvalue of the partial transpose of R(p)."""
-    psi = _check_normalized(psi)
-    s = complex_svd(psi).sigma
-    d = psi.shape[0]
-    return float(-p * s[0] * s[1] + (1.0 - p) / d**2)
+    return _min_pt_eigenvalue(complex_svd(_check_normalized(psi)), p)
+
+
+def _min_pt_eigenvalue(svd: SvdResult, p: float) -> float:
+    s = svd.sigma
+    return float(-p * s[0] * s[1] + (1.0 - p) / s.size**2)
 
 
 def _antisymmetric_core(d: int) -> np.ndarray:
@@ -86,13 +89,14 @@ def min_eigvec_operator(psi: np.ndarray) -> np.ndarray:
     min_pt_eigenvalue(psi, p) for every p.  The global phase is fixed so the
     first nonzero component of vectorize(A) is real positive.
     """
-    psi = _check_normalized(psi)
-    svd = complex_svd(psi)
+    return _min_eigvec_operator(complex_svd(_check_normalized(psi)))
+
+
+def _min_eigvec_operator(svd: SvdResult) -> np.ndarray:
     if svd.sigma[1] <= SCHMIDT_RANK_TOL:
         raise ValueError(
             "Schmidt rank < 2: a product state carries no entanglement to witness")
-    d = psi.shape[0]
-    abar = svd.x @ _antisymmetric_core(d) @ svd.y.T
+    abar = svd.x @ _antisymmetric_core(svd.sigma.size) @ svd.y.T
     return fix_global_phase(abar)
 
 
@@ -155,12 +159,14 @@ def detection_threshold(psi: np.ndarray) -> float:
     p* = 1 / (1 + d^2 s1 s2); at p = p* the expectation is exactly zero and
     the witness is inconclusive.
     """
-    psi = _check_normalized(psi)
-    s = complex_svd(psi).sigma
+    return _detection_threshold(complex_svd(_check_normalized(psi)))
+
+
+def _detection_threshold(svd: SvdResult) -> float:
+    s = svd.sigma
     if s[1] <= SCHMIDT_RANK_TOL:
         raise ValueError("Schmidt rank < 2: no detection threshold exists")
-    d = psi.shape[0]
-    return float(1.0 / (1.0 + d**2 * s[0] * s[1]))
+    return float(1.0 / (1.0 + s.size**2 * s[0] * s[1]))
 
 
 @dataclass(frozen=True)
@@ -211,11 +217,13 @@ def quorum_decompose(psi: np.ndarray) -> QuorumDecomposition:
     onto the two-level subspace.  Only the x, y, z terms require measuring
     a non-trivial observable on the second subsystem.
     """
-    psi = _check_normalized(psi)
-    svd = complex_svd(psi)
+    return _quorum_decompose(complex_svd(_check_normalized(psi)))
+
+
+def _quorum_decompose(svd: SvdResult) -> QuorumDecomposition:
     if svd.sigma[1] <= SCHMIDT_RANK_TOL:
         raise ValueError("Schmidt rank < 2: nothing to decompose")
-    d = psi.shape[0]
+    d = svd.sigma.size
     y_conj = svd.y.conj()
     xprime = svd.x @ svd.y.T
 

@@ -4,10 +4,14 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import witnessforge
 from witnessforge import cli, witness_finite
@@ -74,6 +78,23 @@ def test_finite_witness_schmidt_normalization_warning(capsys):
     assert "normalizing" in err
     report = parse(out)
     assert report["sigma"][0] == pytest.approx(0.8, abs=1e-12)
+
+
+@pytest.mark.parametrize("coeffs", ["1e200,1e200", "1e-200,1e-200",
+                                    "1e-170,1e-170"])
+def test_finite_witness_extreme_schmidt_coefficients(capsys, coeffs):
+    """Coefficients whose squares overflow or underflow give the report of
+    their normalized form; any numpy warning fails the test."""
+    reports = []
+    for given in ("1,1", coeffs):
+        code, out, err = run(capsys, "finite-witness", "--dim", "4",
+                             "--schmidt", given, "--p", "0.3")
+        assert code == 0, err
+        assert "normalizing" in err
+        report = parse(out)
+        del report["config"], report["timestamp"]
+        reports.append(report)
+    assert reports[0] == reports[1]
 
 
 def test_finite_witness_psi_file(capsys, tmp_path):
@@ -250,22 +271,123 @@ def test_tomo_estimate_batch_csv_is_the_sampled_batch(capsys, tmp_path):
         assert np.array_equal(data[name], getattr(batch, name))
 
 
-def test_batch_csv_writes_the_generic_writer_bytes(tmp_path):
-    phases = np.array([0.0, 5e-324, 0.1, np.nextafter(np.pi, 0.0), 1.0, 3.0])
-    quads = np.array([-0.0, 1e300, -1.2345678901234567e-5, 0.1, -5e-324,
-                      2.5])
-    batch = HomodyneBatch(phi1=phases, x1=quads, phi2=phases[::-1].copy(),
-                          x2=-quads)
-    streamed, generic = tmp_path / "streamed.csv", tmp_path / "generic.csv"
+def _tie_values():
+    """Doubles v = m 2^-(k+1), m odd, whose 17-digit rounding is an exact
+    tie: v 10^k = m 5^k / 2 lies in [1e16, 1e17) for k = 16 - E, so %.17g
+    rounds it half to even.  From E = 16 on every double is an even
+    integer, so no tie exists there."""
+    rng = np.random.default_rng(17)
+    values = []
+    for exponent in range(-4, 16):
+        k = 16 - exponent
+        low = -(-2 * 10 ** 16 // 5 ** k) | 1  # the least odd m in range
+        high = min(2 * 10 ** 17 // 5 ** k, 2 ** 53)
+        picks = [low, low + 2, high - 1 - high % 2]
+        picks += [int(m) | 1 for m in rng.integers(low, high - 1, 4)]
+        for m in picks:
+            v = math.ldexp(m, -(k + 1))
+            assert (Fraction(v) * 10 ** k).denominator == 2
+            assert 10 ** 16 <= Fraction(v) * 10 ** k < 10 ** 17
+            values += [v, -v]
+    return np.array(values)
+
+
+def _power_of_ten_neighbours():
+    values = []
+    for e in range(-5, 18):
+        p = float(Fraction(10) ** e)
+        values += [np.nextafter(p, 0.0), p, np.nextafter(p, np.inf)]
+    values = np.array(values)
+    return np.concatenate([values, -values])
+
+
+def _edge_values():
+    tiny = np.finfo(float).tiny
+    values = np.array([0.0, 1e-4, np.nextafter(1e-4, 0.0),
+                       np.nextafter(1e-4, 1.0), 1e17, np.nextafter(1e17, 0.0),
+                       5e-324, 1e-310, np.nextafter(tiny, 0.0), tiny,
+                       1e300, np.finfo(float).max, 1.2345678901234567e-5,
+                       0.1, 2.5, 100.0, 1e16 + 2, 123456789.0])
+    return np.concatenate([values, -values])
+
+
+def _assert_generic_writer_bytes(path, batch, roundtrip=True):
+    streamed, generic = path / "streamed.csv", path / "generic.csv"
     batch_to_csv(streamed, batch)
     write_csv(generic, ["phi1", "x1", "phi2", "x2"],
               zip(batch.phi1, batch.x1, batch.phi2, batch.x2))
     assert streamed.read_bytes() == generic.read_bytes()
+    if not roundtrip:
+        return
     data = batch_rows_from_csv(streamed)
     for name in ("phi1", "x1", "phi2", "x2"):
-        assert np.array_equal(data[name], getattr(batch, name))
-        assert np.array_equal(np.signbit(data[name]),
+        column = np.atleast_1d(data[name])
+        assert np.array_equal(column, getattr(batch, name))
+        assert np.array_equal(np.signbit(column),
                               np.signbit(getattr(batch, name)))
+
+
+def _batch_of(quads, rng):
+    """A batch with the given quadratures in x1 and, reversed and negated,
+    in x2; phases in [0, pi) include those of the quadratures that fit."""
+    quads = np.asarray(quads, dtype=float)
+    phases = np.where((quads >= 0.0) & (quads < math.pi), quads,
+                      rng.random(quads.size) * math.pi)
+    return HomodyneBatch(phi1=phases, x1=quads, phi2=phases[::-1].copy(),
+                         x2=-quads[::-1])
+
+
+def test_batch_csv_writes_the_generic_writer_bytes(tmp_path):
+    rng = np.random.default_rng(2024)
+    phases = np.array([0.0, 5e-324, 0.1, np.nextafter(np.pi, 0.0), 1.0, 3.0])
+    quads = np.array([-0.0, 1e300, -1.2345678901234567e-5, 0.1, -5e-324,
+                      2.5])
+    _assert_generic_writer_bytes(tmp_path, HomodyneBatch(
+        phi1=phases, x1=quads, phi2=phases[::-1].copy(), x2=-quads))
+    for quads in (_tie_values(), _power_of_ten_neighbours(), _edge_values()):
+        _assert_generic_writer_bytes(tmp_path, _batch_of(quads, rng))
+    # one batch of the size the benchmark exports, spanning several chunks
+    n = 2 ** 17
+    _assert_generic_writer_bytes(tmp_path, HomodyneBatch(
+        phi1=rng.random(n) * math.pi, x1=rng.standard_normal(n),
+        phi2=rng.random(n) * math.pi,
+        x2=rng.standard_normal(n) * 10.0 ** rng.integers(-6, 19, n)),
+        roundtrip=False)
+
+    finite = st.floats(allow_nan=False, allow_infinity=False)
+    phase = st.floats(0.0, math.pi, exclude_max=True)
+
+    @settings(derandomize=True, deadline=None, max_examples=200,
+              database=None)
+    @given(st.lists(st.tuples(phase, finite, phase, finite), min_size=1,
+                    max_size=20))
+    def same_bytes(rows):
+        phi1, x1, phi2, x2 = (np.array(col) for col in zip(*rows))
+        _assert_generic_writer_bytes(tmp_path, HomodyneBatch(
+            phi1=phi1, x1=x1, phi2=phi2, x2=x2))
+
+    same_bytes()
+
+
+def test_batch_csv_memory_does_not_grow_with_the_batch(tmp_path):
+    """The export works chunk by chunk: its peak allocation at 2^17 rows is
+    that at 2^14 rows, up to a fixed margin."""
+    rng = np.random.default_rng(5)
+
+    def peak(n):
+        batch = HomodyneBatch(phi1=rng.random(n) * math.pi,
+                              x1=rng.standard_normal(n),
+                              phi2=rng.random(n) * math.pi,
+                              x2=rng.standard_normal(n))
+        tracemalloc.start()
+        try:
+            batch_to_csv(tmp_path / f"batch{n}.csv", batch)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    small, large = peak(2 ** 14), peak(2 ** 17)
+    assert large - small < 2 ** 20, (small, large)
 
 
 @pytest.mark.parametrize("noise, closed_form", [
@@ -590,6 +712,26 @@ def test_exit_code_numerical_failure(capsys, monkeypatch):
                        "--max-entangled", "--p", "0.3")
     assert code == 3
     assert "numerical failure" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("finite-witness", "--p", "0.3"),
+    ("finite-scan", "--scan-p", "0:1:0.1"),
+], ids=["finite-witness", "finite-scan"])
+def test_finite_commands_take_one_svd(capsys, monkeypatch, tmp_path, argv):
+    calls = []
+    svd = np.linalg.svd
+
+    def counted(m, *args, **kwargs):
+        calls.append(m.shape)
+        return svd(m, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    code, _, err = run(capsys, *argv, "--dim", "5", "--schmidt",
+                       "0.8,0.5,0.3,0.1", "--output",
+                       str(tmp_path / "out"))
+    assert code == 0, err
+    assert calls == [(5, 5)]
 
 
 def test_bad_grid_spec(capsys, tmp_path):

@@ -16,8 +16,8 @@ z = (2k + 1 + t) SWITCH / (2 N_INTERVALS) with t in [-1, 1].  Each function
 is interpolated at the DEGREE + 1 Chebyshev nodes of t in 50-digit
 arithmetic, then rewritten in powers of t for Horner evaluation.
 
-Requires mpmath, which the package does not depend on.  Run from the
-repository root:
+Requires mpmath, which the package does not depend on; the ``tools`` extra
+installs it (``pip install -e .[tools]``).  Run from the repository root:
 
     python tools/dawson_coefficients.py > src/witnessforge/_dawson_poly.py
 
