@@ -5,11 +5,7 @@ from .linalg import (
     ConvergenceError,
     SvdResult,
     complex_svd,
-    hermitian_eig,
-    hs_inner,
-    kron,
     partial_transpose,
-    unvectorize,
     vectorize,
 )
 from .states import (
@@ -31,7 +27,7 @@ from .witness_finite import (
     min_pt_eigenvalue,
     quorum_decompose,
 )
-from .specfn import f00, f01, f11, oscillator_psi_table, pattern_functions
+from .specfn import oscillator_psi_table, pattern_functions
 from .cv import (
     DifferenceBlocks,
     FockTruncation,
@@ -42,12 +38,8 @@ from .cv import (
     gauss_witness_expectation,
     phase_noisy_twb,
     phase_witness_expectation,
-    pt_eigenvalue_diagonal,
-    pt_eigenvalue_pair,
-    pt_min_eigenvalue,
     pt_spectrum_analytic,
     sum_mode_variance,
-    twb_mean_photons,
     twb_state,
     twin_beam_blocks,
 )

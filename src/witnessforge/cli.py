@@ -22,7 +22,7 @@ from .formats import (
     matrix_to_json,
     write_csv,
 )
-from .linalg import ConvergenceError, SvdResult, complex_svd
+from .linalg import ConvergenceError, complex_svd
 from .states import maximally_entangled_operator, schmidt_operator
 
 BOUNDARY_TOL = 1e-12
@@ -96,17 +96,11 @@ def _quorum_payload(decomp) -> dict:
     return {"terms": terms}
 
 
-def _psi_svd(psi: np.ndarray) -> SvdResult:
-    """The SVD of the checked operator, taken once per finite command; the
-    witness, its threshold and its quorum are all read from it."""
-    return complex_svd(witness_finite._check_normalized(psi))
-
-
 def _witness_report(psi: np.ndarray, p: float) -> dict:
-    svd = _psi_svd(psi)
-    abar = witness_finite._min_eigvec_operator(svd)
+    svd = complex_svd(psi)
+    abar = witness_finite.min_eigvec_operator(svd)
     trace_wr = witness_finite.depolarized_expectation(abar, psi)(p)
-    lam = witness_finite._min_pt_eigenvalue(svd, p)
+    lam = witness_finite.min_pt_eigenvalue(svd, p)
     return {
         "d": int(psi.shape[0]),
         "p": p,
@@ -115,8 +109,8 @@ def _witness_report(psi: np.ndarray, p: float) -> dict:
         "trace_wr": trace_wr,
         "entangled": bool(trace_wr < -BOUNDARY_TOL),
         "boundary": bool(abs(trace_wr) <= BOUNDARY_TOL),
-        "p_threshold": witness_finite._detection_threshold(svd),
-        "quorum": _quorum_payload(witness_finite._quorum_decompose(svd)),
+        "p_threshold": witness_finite.detection_threshold(svd),
+        "quorum": _quorum_payload(witness_finite.quorum_decompose(svd)),
     }
 
 
@@ -138,8 +132,8 @@ def _psi_config(args) -> dict:
 
 def cmd_finite_scan(args) -> None:
     psi = _load_psi(args)
-    svd = _psi_svd(psi)
-    abar = witness_finite._min_eigvec_operator(svd)
+    svd = complex_svd(psi)
+    abar = witness_finite.min_eigvec_operator(svd)
     trace_wr = witness_finite.depolarized_expectation(abar, psi)
     rows = []
     for p in _parse_grid(args.scan_p).tolist():
@@ -155,7 +149,7 @@ def cmd_finite_scan(args) -> None:
                    "scan_p": args.scan_p, "psi": _psi_config(args)},
         "csv": args.output,
         "p_threshold_bisection": 0.5 * (lo + hi),
-        "p_threshold_closed_form": witness_finite._detection_threshold(svd),
+        "p_threshold_closed_form": witness_finite.detection_threshold(svd),
     }
     sys.stdout.write(dump_report(summary))
 

@@ -43,11 +43,6 @@ class FockTruncation:
     def dim(self) -> int:
         return self.n_max + 1
 
-    def padded(self, extra: int = 8) -> "FockTruncation":
-        """Same guarantee with extra headroom levels (used before applying
-        channels that push population upward)."""
-        return FockTruncation(self.n_max + extra, self.tail_bound)
-
     @classmethod
     def for_twb(cls, x: float, tol: float = 1e-10) -> "FockTruncation":
         """Smallest truncation with x^(2(n_max+1)) < tol."""
@@ -61,11 +56,6 @@ class FockTruncation:
         while x ** (2 * (n_max + 1)) >= tol:
             n_max += 1
         return cls(n_max=n_max, tail_bound=x ** (2 * (n_max + 1)))
-
-
-def twb_mean_photons(x: float) -> float:
-    """Average total photon number 2 x^2 / (1 - x^2) of the twin beam."""
-    return 2.0 * x * x / (1.0 - x * x)
 
 
 MAX_TWO_MODE_LEVELS = 128  # levels per mode; one dense copy past this is not desk scale
@@ -202,43 +192,17 @@ def phase_noisy_twb(x: float, gamma_t: float,
 
 # -- analytic partial-transpose spectrum of the phase-noisy twin beam -------
 
-def pt_eigenvalue_diagonal(x: float, n: int, n_max: int | None = None) -> float:
-    """PT eigenvalue (1-x^2) x^(2n) of the eigenvector |nn>."""
-    if n < 0 or (n_max is not None and n > n_max):
-        raise ValueError(f"index n={n} outside truncation")
-    return (1.0 - x * x) * x ** (2 * n)
-
-
-def pt_eigenvalue_pair(x: float, gamma_t: float, n: int, m: int,
-                       sign: int = -1, n_max: int | None = None) -> float:
-    """PT eigenvalue +/- (1-x^2) x^(n+m) exp(-gamma_t (n-m)^2) of the
-    eigenvectors (|nm> +/- |mn>)/sqrt(2), n != m."""
-    if n == m:
-        raise ValueError("pair eigenvalues require n != m")
-    if min(n, m) < 0 or (n_max is not None and max(n, m) > n_max):
-        raise ValueError(f"indices ({n}, {m}) outside truncation")
-    if sign not in (-1, 1):
-        raise ValueError("sign must be +1 or -1")
-    return sign * (1.0 - x * x) * x ** (n + m) * math.exp(-gamma_t * (n - m) ** 2)
-
-
-def pt_min_eigenvalue(x: float, gamma_t: float) -> float:
-    """Minimum PT eigenvalue -(1-x^2) x exp(-gamma_t), attained at (n,m)=(0,1).
-
-    1 - x^2 is taken as (1 - x)(1 + x), which keeps its relative accuracy
-    as x -> 1."""
-    return -(1.0 - x) * (1.0 + x) * x * math.exp(-gamma_t)
-
-
 def pt_spectrum_analytic(x: float, gamma_t: float, n_max: int) -> np.ndarray:
     """All (n_max+1)^2 PT eigenvalues of the truncated phase-noisy twin beam,
-    sorted ascending."""
-    vals = [pt_eigenvalue_diagonal(x, n) for n in range(n_max + 1)]
-    for n in range(n_max + 1):
-        for m in range(n + 1, n_max + 1):
-            lam = (1.0 - x * x) * x ** (n + m) * math.exp(-gamma_t * (n - m) ** 2)
-            vals.extend([lam, -lam])
-    return np.sort(np.asarray(vals))
+    sorted ascending: (1-x^2) x^(2n) of the eigenvector |nn>, and
+    +/- (1-x^2) x^(n+m) exp(-gamma_t (n-m)^2) of (|nm> +/- |mn>)/sqrt(2)
+    for n < m."""
+    diagonal = (1.0 - x * x) * x ** (2 * np.arange(n_max + 1))
+    # the exponential only off the diagonal: gamma_t = inf gives exact zeros
+    # there instead of exp(-inf * 0) = NaN on it
+    n, m = np.triu_indices(n_max + 1, 1)
+    pair = (1.0 - x * x) * x ** (n + m) * np.exp(-gamma_t * (n - m) ** 2)
+    return np.sort(np.concatenate([diagonal, pair, -pair]))
 
 
 # -- the continuous-variable witness ----------------------------------------
@@ -265,11 +229,13 @@ def cv_witness(trunc: FockTruncation) -> np.ndarray:
 def phase_witness_expectation(x: float, gamma_t: float) -> float:
     """Closed-form Tr[R(t) W] = -(1-x^2) x exp(-gamma_t) for the phase-noisy
     twin beam: negative for every x in (0,1), so phase noise alone never
-    destroys the entanglement."""
+    destroys the entanglement.  It is the minimum PT eigenvalue, attained at
+    (n, m) = (0, 1).  1 - x^2 is taken as (1 - x)(1 + x), which keeps its
+    relative accuracy as x -> 1."""
     if not 0.0 <= x < 1.0:
         raise ValueError(f"x={x} outside [0, 1)")
     _check_gamma_t(gamma_t)
-    return pt_min_eigenvalue(x, gamma_t)
+    return -(1.0 - x) * (1.0 + x) * x * math.exp(-gamma_t)
 
 
 # -- witness expectation under amplitude noise -------------------------------

@@ -207,5 +207,6 @@ def batch_to_csv(path: str, batch) -> None:
 
 
 def batch_rows_from_csv(path: str) -> np.ndarray:
-    data = np.genfromtxt(path, delimiter=",", names=True)
-    return data
+    """The rows of a batch file as a 1-d array with fields phi1, x1, phi2
+    and x2; ``genfromtxt`` alone would squeeze a one-row file to 0-d."""
+    return np.atleast_1d(np.genfromtxt(path, delimiter=",", names=True))

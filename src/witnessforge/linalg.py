@@ -39,18 +39,6 @@ def hermiticity_defect(m: np.ndarray) -> float:
     return float(np.abs(m - m.conj().T).max())
 
 
-def require_hermitian(m: np.ndarray, tol: float = HERMITIAN_TOL) -> np.ndarray:
-    defect = hermiticity_defect(m)
-    if defect > tol:
-        raise ValueError(f"matrix is not Hermitian: defect {defect:.3e} > {tol:.1e}")
-    return m
-
-
-def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product A (x) B."""
-    return np.kron(as_complex_matrix(a), as_complex_matrix(b))
-
-
 def vectorize(a: np.ndarray) -> np.ndarray:
     """Map a square operator A to the vector with component (i*d + j) = A_ij.
 
@@ -59,24 +47,6 @@ def vectorize(a: np.ndarray) -> np.ndarray:
     m = as_complex_matrix(a)
     require_square(m)
     return m.reshape(-1)
-
-
-def unvectorize(v: np.ndarray) -> np.ndarray:
-    """Inverse of :func:`vectorize` for a length-d^2 vector."""
-    v = np.asarray(v, dtype=complex).reshape(-1)
-    d = int(round(np.sqrt(v.size)))
-    if d * d != v.size:
-        raise ValueError(f"vector length {v.size} is not a perfect square")
-    return v.reshape(d, d)
-
-
-def hs_inner(a: np.ndarray, b: np.ndarray) -> complex:
-    """Hilbert-Schmidt inner product Tr[A^dagger B]."""
-    a = as_complex_matrix(a)
-    b = as_complex_matrix(b)
-    if a.shape != b.shape:
-        raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
-    return complex(np.vdot(a, b))
 
 
 def partial_transpose(m: np.ndarray, dim_a: int, dim_b: int,
@@ -98,18 +68,6 @@ def partial_transpose(m: np.ndarray, dim_a: int, dim_b: int,
     else:
         raise ValueError(f"subsystem must be 'A' or 'B', got {subsystem!r}")
     return t.reshape(d, d)
-
-
-def hermitian_eig(h: np.ndarray, tol: float = HERMITIAN_TOL):
-    """Eigendecomposition of a Hermitian matrix.
-
-    Returns (eigenvalues ascending, eigenvector columns forming a unitary).
-    """
-    h = as_complex_matrix(h)
-    require_square(h)
-    require_hermitian(h, tol)
-    w, v = np.linalg.eigh(h)
-    return w, v
 
 
 @dataclass(frozen=True)

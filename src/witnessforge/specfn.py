@@ -68,10 +68,21 @@ def _far(x):
 def pattern_functions(x):
     """The pattern functions (f00(x), f01(x), f11(x)), each of x's shape.
 
+    With z = sqrt(2)|x|, Dawson's integral D(z) and
+    M1 = M(1, 1/2; -2 x^2) = 1 - 2 z D(z):
+
+    - f00 = 2 M1 reconstructs the |0><0| population from homodyne outcomes;
+    - f01 = 8 x M(2, 3/2; -2 x^2) = 4 x (D(z)/z + M1) reconstructs the 0-1
+      Fock coherence, normalized so that the weighted overlap integral of
+      psi_0 psi_1 equals exactly 1;
+    - f11 = 2 [M1 - 2 M(2, 1/2; -2 x^2)] = 2 (1 + 2 (z^2 - 1) M1)
+      reconstructs the |1><1| population, by the contiguous relation
+      M(2, 1/2; -u) = (3/2 - u) M1 - 1/2.
+
     Dawson's integral is evaluated once per point and shared by all three:
-    from piecewise polynomials of D(z)/z and f01/(4x) below
-    z = sqrt(2)|x| = 10, and from each function's own asymptotic series
-    above.  At x = +-inf all three are 0; NaN propagates.
+    from piecewise polynomials of D(z)/z and f01/(4x) below z = 10, and from
+    each function's own asymptotic series above.  At x = +-inf all three
+    are 0; NaN propagates.
     """
     x = np.asarray(x, dtype=float)
     flat = x.reshape(-1)
@@ -88,26 +99,6 @@ def pattern_functions(x):
             block[:, near] = _near(xs[near], z[near])
             block[:, far] = _far(xs[far])
     return tuple(f.reshape(x.shape)[()] for f in out)
-
-
-def f00(x):
-    """Pattern function reconstructing the |0><0| population from homodyne
-    outcomes: 2 M(1, 1/2; -2 x^2) = 2 (1 - 2 z D(z)), z = sqrt(2)|x|."""
-    return pattern_functions(x)[0]
-
-
-def f01(x):
-    """Pattern function reconstructing the 0-1 Fock coherence:
-    8 x M(2, 3/2; -2 x^2) = 4 x (D(z)/z + 1 - 2 z D(z)), normalized so that
-    the weighted overlap integral of psi_0 psi_1 equals exactly 1."""
-    return pattern_functions(x)[1]
-
-
-def f11(x):
-    """Pattern function reconstructing the |1><1| population:
-    2 [M(1, 1/2; -2 x^2) - 2 M(2, 1/2; -2 x^2)] = 2 (1 + 2 (z^2 - 1) M1),
-    by the contiguous relation M(2, 1/2; -u) = (3/2 - u) M1 - 1/2."""
-    return pattern_functions(x)[2]
 
 
 def oscillator_psi_table(n_max: int, x) -> np.ndarray:

@@ -17,7 +17,6 @@ import numpy as np
 from .linalg import (
     SvdResult,
     as_complex_matrix,
-    complex_svd,
     fix_global_phase,
     partial_transpose,
     require_square,
@@ -36,16 +35,26 @@ _SIGMA = {
 }
 
 
+def _check_unit_norm(d: int, norm: float) -> None:
+    if d < 2:
+        raise ValueError(f"dimension d={d}: a bipartite witness needs d >= 2")
+    if abs(norm - 1.0) > NORMALIZATION_TOL:
+        raise ValueError(f"operator not normalized: Hilbert-Schmidt norm {norm}")
+
+
 def _check_normalized(op: np.ndarray) -> np.ndarray:
     """A unit-norm d x d operator with d >= 2, as a complex matrix."""
     op = as_complex_matrix(op)
-    d = require_square(op)
-    if d < 2:
-        raise ValueError(f"dimension d={d}: a bipartite witness needs d >= 2")
-    norm = np.linalg.norm(op)
-    if abs(norm - 1.0) > NORMALIZATION_TOL:
-        raise ValueError(f"operator not normalized: Hilbert-Schmidt norm {norm}")
+    _check_unit_norm(require_square(op), np.linalg.norm(op))
     return op
+
+
+def _schmidt_coefficients(svd: SvdResult) -> np.ndarray:
+    """The singular values of a unit-norm d x d operator with d >= 2, whose
+    Hilbert-Schmidt norm is theirs."""
+    s = svd.sigma
+    _check_unit_norm(s.size, np.linalg.norm(s))
+    return s
 
 
 def _check_mixing_weight(p: float) -> None:
@@ -63,13 +72,10 @@ def depolarized_state(psi: np.ndarray, p: float) -> BipartiteDensity:
     return BipartiteDensity(dim_a=d, dim_b=d, matrix=matrix)
 
 
-def min_pt_eigenvalue(psi: np.ndarray, p: float) -> float:
-    """Closed-form minimum eigenvalue of the partial transpose of R(p)."""
-    return _min_pt_eigenvalue(complex_svd(_check_normalized(psi)), p)
-
-
-def _min_pt_eigenvalue(svd: SvdResult, p: float) -> float:
-    s = svd.sigma
+def min_pt_eigenvalue(svd: SvdResult, p: float) -> float:
+    """Closed-form minimum eigenvalue of the partial transpose of R(p), from
+    the SVD of Psi (``complex_svd(psi)``)."""
+    s = _schmidt_coefficients(svd)
     return float(-p * s[0] * s[1] + (1.0 - p) / s.size**2)
 
 
@@ -81,22 +87,20 @@ def _antisymmetric_core(d: int) -> np.ndarray:
     return core
 
 
-def min_eigvec_operator(psi: np.ndarray) -> np.ndarray:
-    """Operator A whose vectorization is the minimal-PT-eigenvalue eigenvector.
+def min_eigvec_operator(svd: SvdResult) -> np.ndarray:
+    """Operator A whose vectorization is the minimal-PT-eigenvalue eigenvector,
+    from the SVD Psi = X Sigma Y^dagger of Psi (``complex_svd(psi)``).
 
     A = X B Y^T with B the unit-norm antisymmetric matrix on the two largest
     Schmidt modes; vectorize(A) is an eigenvector of PT(R(p)) with eigenvalue
-    min_pt_eigenvalue(psi, p) for every p.  The global phase is fixed so the
+    min_pt_eigenvalue(svd, p) for every p.  The global phase is fixed so the
     first nonzero component of vectorize(A) is real positive.
     """
-    return _min_eigvec_operator(complex_svd(_check_normalized(psi)))
-
-
-def _min_eigvec_operator(svd: SvdResult) -> np.ndarray:
-    if svd.sigma[1] <= SCHMIDT_RANK_TOL:
+    s = _schmidt_coefficients(svd)
+    if s[1] <= SCHMIDT_RANK_TOL:
         raise ValueError(
             "Schmidt rank < 2: a product state carries no entanglement to witness")
-    abar = svd.x @ _antisymmetric_core(svd.sigma.size) @ svd.y.T
+    abar = svd.x @ _antisymmetric_core(s.size) @ svd.y.T
     return fix_global_phase(abar)
 
 
@@ -153,17 +157,14 @@ def depolarized_expectation(eigvec_op: np.ndarray,
     return expectation
 
 
-def detection_threshold(psi: np.ndarray) -> float:
-    """Mixing weight p* above which the witness turns negative.
+def detection_threshold(svd: SvdResult) -> float:
+    """Mixing weight p* above which the witness turns negative, from the SVD
+    of Psi (``complex_svd(psi)``).
 
     p* = 1 / (1 + d^2 s1 s2); at p = p* the expectation is exactly zero and
     the witness is inconclusive.
     """
-    return _detection_threshold(complex_svd(_check_normalized(psi)))
-
-
-def _detection_threshold(svd: SvdResult) -> float:
-    s = svd.sigma
+    s = _schmidt_coefficients(svd)
     if s[1] <= SCHMIDT_RANK_TOL:
         raise ValueError("Schmidt rank < 2: no detection threshold exists")
     return float(1.0 / (1.0 + s.size**2 * s[0] * s[1]))
@@ -206,9 +207,10 @@ def _embed_two_level(op2: np.ndarray, d: int) -> np.ndarray:
     return out
 
 
-def quorum_decompose(psi: np.ndarray) -> QuorumDecomposition:
+def quorum_decompose(svd: SvdResult) -> QuorumDecomposition:
     """Decompose the witness for Psi into three local observables plus a
-    projector-like term.
+    projector-like term, from the SVD Psi = X Sigma Y^dagger
+    (``complex_svd(psi)``).
 
     With X' = X Y^T and the embedded two-level operators
     s_alpha = Y* (sigma_alpha (+) 0) Y^T, the witness takes the form
@@ -217,13 +219,10 @@ def quorum_decompose(psi: np.ndarray) -> QuorumDecomposition:
     onto the two-level subspace.  Only the x, y, z terms require measuring
     a non-trivial observable on the second subsystem.
     """
-    return _quorum_decompose(complex_svd(_check_normalized(psi)))
-
-
-def _quorum_decompose(svd: SvdResult) -> QuorumDecomposition:
-    if svd.sigma[1] <= SCHMIDT_RANK_TOL:
+    s = _schmidt_coefficients(svd)
+    if s[1] <= SCHMIDT_RANK_TOL:
         raise ValueError("Schmidt rank < 2: nothing to decompose")
-    d = svd.sigma.size
+    d = s.size
     y_conj = svd.y.conj()
     xprime = svd.x @ svd.y.T
 

@@ -10,6 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from witnessforge.linalg import complex_svd
 from witnessforge.states import BipartiteDensity
 from witnessforge.witness_finite import (
     _check_normalized,
@@ -38,4 +39,4 @@ class DepolarizedFamily:
         return depolarized_state(self.psi, self.p)
 
     def min_pt_eigenvalue(self) -> float:
-        return min_pt_eigenvalue(self.psi, self.p)
+        return min_pt_eigenvalue(complex_svd(self.psi), self.p)

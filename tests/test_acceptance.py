@@ -19,6 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from beam_splitter_oracle import beam_splitter, embed, squeezing_witness
+from gaussian_oracle import twb_mean_photons
 from noise_channel_oracle import (
     apply_gaussian_noise,
     block_gaussian_noise,
@@ -32,11 +33,10 @@ from witnessforge.cv import (
     gauss_witness_expectation,
     phase_noisy_twb,
     pt_spectrum_analytic,
-    twb_mean_photons,
     twb_state,
     twin_beam_blocks,
 )
-from witnessforge.linalg import hermitian_eig
+from witnessforge.linalg import complex_svd
 from witnessforge.states import (
     maximally_entangled_operator,
     random_product_state,
@@ -69,7 +69,7 @@ def _report(num, description, ok, detail=""):
 
 
 def _bisect_threshold(psi, iters=60):
-    witness = build_witness(min_eigvec_operator(psi))
+    witness = build_witness(min_eigvec_operator(complex_svd(psi)))
     lo, hi = 0.0, 1.0
     for _ in range(iters):
         mid = 0.5 * (lo + hi)
@@ -94,7 +94,7 @@ def test_criterion_01_maximally_entangled_threshold():
     worst = 0.0
     for d in range(2, 9):
         psi = maximally_entangled_operator(d)
-        witness = build_witness(min_eigvec_operator(psi))
+        witness = build_witness(min_eigvec_operator(complex_svd(psi)))
         p_star = 1.0 / (d + 1)
         below = evaluate_witness(witness, depolarized_state(psi, p_star - 1e-3))
         above = evaluate_witness(witness, depolarized_state(psi, p_star + 1e-3))
@@ -120,7 +120,7 @@ def test_criterion_02_schmidt_rank_two_threshold():
         dev = abs(_bisect_threshold(psi) - p_star)
         worst = max(worst, dev)
         ok &= dev <= 1e-10
-        ok &= abs(detection_threshold(psi) - p_star) <= 1e-12
+        ok &= abs(detection_threshold(complex_svd(psi)) - p_star) <= 1e-12
     _report(2, "Schmidt-rank-2 threshold = 2/(d^2+2) to 1e-10 (d = 3..8)",
             ok, f"max dev {worst:.2e}")
 
@@ -130,9 +130,9 @@ def test_criterion_03_analytic_vs_numeric_spectrum():
     worst = 0.0
     for psi in _random_psis():
         for p in (0.2, 0.7):
-            numeric, _ = hermitian_eig(
+            numeric = np.linalg.eigvalsh(
                 depolarized_state(psi, p).partial_transpose())
-            dev = abs(numeric[0] - min_pt_eigenvalue(psi, p))
+            dev = abs(numeric[0] - min_pt_eigenvalue(complex_svd(psi), p))
             worst = max(worst, dev)
             ok &= dev <= 1e-9
     _report(3, "min PT eigenvalue matches -p s1 s2 + (1-p)/d^2 to 1e-9 "
@@ -148,8 +148,9 @@ def _all_case_psis():
 
 
 def test_criterion_04_witness_rank_four():
-    ranks = {np.linalg.matrix_rank(build_witness(min_eigvec_operator(psi)),
-                                   tol=1e-9, hermitian=True)
+    ranks = {np.linalg.matrix_rank(
+                 build_witness(min_eigvec_operator(complex_svd(psi))),
+                 tol=1e-9, hermitian=True)
              for psi in _all_case_psis()}
     _report(4, "witness rank = 4 for every case of criteria 1-3",
             ranks == {4}, f"observed ranks {sorted(ranks)}")
@@ -159,8 +160,9 @@ def test_criterion_05_quorum_reconstruction():
     ok = True
     worst = 0.0
     for psi in _all_case_psis():
-        witness = build_witness(min_eigvec_operator(psi))
-        decomp = quorum_decompose(psi)
+        svd = complex_svd(psi)
+        witness = build_witness(min_eigvec_operator(svd))
+        decomp = quorum_decompose(svd)
         dev = float(np.abs(decomp.reconstruct() - witness).max())
         worst = max(worst, dev)
         ok &= dev <= 1e-10
@@ -175,7 +177,7 @@ def test_criterion_06_positivity_on_product_states():
     for psi in (maximally_entangled_operator(4),
                 random_state_operator(5, rng)):
         d = psi.shape[0]
-        witness = build_witness(min_eigvec_operator(psi))
+        witness = build_witness(min_eigvec_operator(complex_svd(psi)))
         vectors = np.stack([random_product_state(d, d, rng)
                             for _ in range(10_000)])
         values = np.einsum("sd,de,se->s", vectors.conj(), witness,
@@ -208,7 +210,7 @@ def test_criterion_08_cv_pt_spectrum():
     worst = 0.0
     for gt in (0.0, 1.0):
         rho = phase_noisy_twb(x, gt, FockTruncation(n_max))
-        numeric, _ = hermitian_eig(rho.partial_transpose())
+        numeric = np.linalg.eigvalsh(rho.partial_transpose())
         dev = float(np.abs(numeric - pt_spectrum_analytic(x, gt, n_max)).max())
         worst = max(worst, dev)
         ok &= dev <= 1e-9
@@ -332,7 +334,7 @@ def test_criterion_11_kernel_phase_sum_property():
 def test_criterion_12_beam_splitter_consistency():
     x = 0.5
     base = FockTruncation.for_twb(x)
-    channel_trunc = base.padded(12)
+    channel_trunc = FockTruncation(base.n_max + 12, base.tail_bound)
     bs_trunc = FockTruncation(40)
     ok = True
     details = []

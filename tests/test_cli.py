@@ -1,3 +1,4 @@
+import ast
 import json
 import math
 import os
@@ -260,15 +261,16 @@ def test_tomo_estimate_batch_csv(capsys, tmp_path):
 
 
 def test_tomo_estimate_batch_csv_is_the_sampled_batch(capsys, tmp_path):
-    csv_path = tmp_path / "batch.csv"
-    code, _, _ = run(capsys, "tomo-estimate", "--x", "0.3", "--gammat", "0.5",
-                     "--samples", "3000", "--seed", "3",
-                     "--batch-csv", str(csv_path))
-    assert code == 0
-    batch = sample_twin_beam(0.3, 3000, 3, gamma_t=0.5)
-    data = batch_rows_from_csv(csv_path)
-    for name in ("phi1", "x1", "phi2", "x2"):
-        assert np.array_equal(data[name], getattr(batch, name))
+    for samples in (3000, 1):
+        csv_path = tmp_path / f"batch{samples}.csv"
+        code, _, _ = run(capsys, "tomo-estimate", "--x", "0.3", "--gammat",
+                         "0.5", "--samples", str(samples), "--seed", "3",
+                         "--batch-csv", str(csv_path))
+        assert code == 0
+        batch = sample_twin_beam(0.3, samples, 3, gamma_t=0.5)
+        data = batch_rows_from_csv(csv_path)
+        for name in ("phi1", "x1", "phi2", "x2"):
+            assert np.array_equal(data[name], getattr(batch, name))
 
 
 def _tie_values():
@@ -321,9 +323,8 @@ def _assert_generic_writer_bytes(path, batch, roundtrip=True):
         return
     data = batch_rows_from_csv(streamed)
     for name in ("phi1", "x1", "phi2", "x2"):
-        column = np.atleast_1d(data[name])
-        assert np.array_equal(column, getattr(batch, name))
-        assert np.array_equal(np.signbit(column),
+        assert np.array_equal(data[name], getattr(batch, name))
+        assert np.array_equal(np.signbit(data[name]),
                               np.signbit(getattr(batch, name)))
 
 
@@ -732,6 +733,28 @@ def test_finite_commands_take_one_svd(capsys, monkeypatch, tmp_path, argv):
                        str(tmp_path / "out"))
     assert code == 0, err
     assert calls == [(5, 5)]
+
+
+def _private_names_read_by_cli():
+    """Each `_`-prefixed name that cli.py imports from, or reads as an
+    attribute of, another witnessforge module."""
+    tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
+    modules, found = set(), []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (
+                node.level > 0 or node.module.startswith("witnessforge")):
+            found += [a.name for a in node.names if a.name.startswith("_")]
+            if node.module in (None, "witnessforge"):  # package modules
+                modules.update(a.asname or a.name for a in node.names)
+    found += [f"{node.value.id}.{node.attr}" for node in ast.walk(tree)
+              if isinstance(node, ast.Attribute) and node.attr.startswith("_")
+              and isinstance(node.value, ast.Name)
+              and node.value.id in modules]
+    return found
+
+
+def test_cli_reads_no_private_name_of_another_module():
+    assert _private_names_read_by_cli() == []
 
 
 def test_bad_grid_spec(capsys, tmp_path):

@@ -14,6 +14,7 @@ from beam_splitter_oracle import (
     quadrature_operator,
     squeezing_witness,
 )
+from gaussian_oracle import twb_mean_photons
 from noise_channel_oracle import (
     apply_gaussian_noise,
     block_gaussian_noise,
@@ -31,16 +32,11 @@ from witnessforge.cv import (
     gauss_witness_expectation,
     phase_noisy_twb,
     phase_witness_expectation,
-    pt_eigenvalue_diagonal,
-    pt_eigenvalue_pair,
-    pt_min_eigenvalue,
     pt_spectrum_analytic,
     sum_mode_variance,
-    twb_mean_photons,
     twb_state,
     twin_beam_blocks,
 )
-from witnessforge.linalg import hermitian_eig
 from witnessforge.witness_finite import evaluate_witness
 
 
@@ -164,32 +160,21 @@ def test_phase_noisy_element_and_support():
     assert np.all(rho.matrix[~mask] == 0.0)
 
 
-def test_pt_eigenvalue_formulas():
-    x = 0.6
-    assert pt_eigenvalue_diagonal(x, 0) == pytest.approx(1 - x * x)
-    assert pt_min_eigenvalue(0.5, 0.0) == pytest.approx(-0.375)
-    assert pt_eigenvalue_pair(x, 0.7, 0, 1, sign=-1) == pytest.approx(
-        -(1 - x * x) * x * math.exp(-0.7))
-    with pytest.raises(ValueError):
-        pt_eigenvalue_pair(x, 0.0, 2, 2)
-    with pytest.raises(ValueError):
-        pt_eigenvalue_diagonal(x, 5, n_max=3)
-
-
 def test_pt_spectrum_matches_dense_solver():
     n_max = 15
-    for x in (0.3, 0.6):
-        for gt in (0.0, 1.0):
+    for x in (0.0, 0.3, 0.6):
+        for gt in (0.0, 1.0, math.inf):
             rho = phase_noisy_twb(x, gt, FockTruncation(n_max))
-            numeric, _ = hermitian_eig(rho.partial_transpose())
+            numeric = np.linalg.eigvalsh(rho.partial_transpose())
             analytic = pt_spectrum_analytic(x, gt, n_max)
             assert np.abs(numeric - analytic).max() < 1e-9
 
 
 def test_pt_min_eigenvalue_matches_dense_solver():
     rho = phase_noisy_twb(0.5, 0.8, FockTruncation(20))
-    numeric, _ = hermitian_eig(rho.partial_transpose())
-    assert numeric[0] == pytest.approx(pt_min_eigenvalue(0.5, 0.8), abs=1e-9)
+    numeric = np.linalg.eigvalsh(rho.partial_transpose())
+    assert numeric[0] == pytest.approx(phase_witness_expectation(0.5, 0.8),
+                                       abs=1e-9)
 
 
 def test_cv_witness_structure():
@@ -363,7 +348,7 @@ def test_noise_channel_checks_size_before_allocating(monkeypatch):
 def test_gauss_expectation_routes_agree():
     x = 0.5
     base_tr = FockTruncation.for_twb(x)
-    tr = base_tr.padded(8)
+    tr = FockTruncation(base_tr.n_max + 8, base_tr.tail_bound)
     rho = twb_state(x, base_tr)
     w = cv_witness(tr)
     for kappa in (0.1, 0.4, 0.9):
@@ -592,7 +577,6 @@ def test_closed_forms_keep_relative_accuracy_near_x_one(x, kappa):
     assert rel(gauss_witness_expectation(x, kappa), witness) <= 1e-15
     if kappa == 0.0:
         assert rel(phase_witness_expectation(x, 0.0), witness) <= 1e-15
-        assert rel(pt_min_eigenvalue(x, 0.0), witness) <= 1e-15
     for t, exact in variance.items():
         assert rel(sum_mode_variance(x, kappa, t), exact) <= 1e-15
 

@@ -5,38 +5,17 @@ from witnessforge.formats import matrix_from_json, matrix_to_json
 from witnessforge.linalg import (
     complex_svd,
     fix_global_phase,
-    hermitian_eig,
-    hs_inner,
-    kron,
     partial_transpose,
-    unvectorize,
     vectorize,
 )
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
-SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
-SZ = np.array([[1, 0], [0, -1]], dtype=complex)
 I2 = np.eye(2, dtype=complex)
 
 
 def random_hermitian(d, rng):
     m = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
     return (m + m.conj().T) / 2
-
-
-def test_kron_identity():
-    assert np.array_equal(kron(I2, I2), np.eye(4))
-
-
-def test_kron_diagonal():
-    out = kron(np.diag([1.0, 2.0]), np.diag([3.0, 4.0]))
-    assert np.allclose(out, np.diag([3.0, 4.0, 6.0, 8.0]))
-
-
-def test_kron_flips_both_qubits():
-    ket00 = np.array([1, 0, 0, 0], dtype=complex)
-    ket11 = np.array([0, 0, 0, 1], dtype=complex)
-    assert np.allclose(kron(SX, SX) @ ket00, ket11)
 
 
 def test_vectorize_maximally_entangled():
@@ -54,47 +33,19 @@ def test_vectorize_rejects_nonsquare():
         vectorize(np.ones((2, 3)))
 
 
-def test_unvectorize_roundtrip():
-    rng = np.random.default_rng(5)
-    a = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-    assert np.array_equal(unvectorize(vectorize(a)), a)
-
-
 def test_hs_inner_matches_vector_inner():
     rng = np.random.default_rng(0)
     a = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
     b = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-    assert hs_inner(a, b) == pytest.approx(
+    assert np.trace(a.conj().T @ b) == pytest.approx(
         np.vdot(vectorize(a), vectorize(b)), abs=1e-12)
-
-
-def test_hs_inner_identity_dimension():
-    for d in (2, 3, 7):
-        assert hs_inner(np.eye(d), np.eye(d)) == pytest.approx(d)
-
-
-def test_hs_inner_pauli_orthogonality():
-    assert hs_inner(SX, SY) == pytest.approx(0.0, abs=1e-14)
-
-
-def test_hs_inner_self_is_frobenius():
-    rng = np.random.default_rng(1)
-    a = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-    val = hs_inner(a, a)
-    assert val.imag == pytest.approx(0.0, abs=1e-12)
-    assert val.real == pytest.approx(np.linalg.norm(a) ** 2)
-
-
-def test_hs_inner_shape_mismatch():
-    with pytest.raises(ValueError):
-        hs_inner(np.eye(2), np.eye(3))
 
 
 def test_partial_transpose_product_state_real_b():
     rng = np.random.default_rng(2)
     rho_a = random_hermitian(3, rng)
     rho_b = random_hermitian(3, rng).real.astype(complex)
-    rho = kron(rho_a, rho_b)
+    rho = np.kron(rho_a, rho_b)
     assert np.allclose(partial_transpose(rho, 3, 3, "B"), rho, atol=1e-12)
 
 
@@ -124,35 +75,11 @@ def test_partial_transpose_dimension_mismatch():
         partial_transpose(np.eye(6), 2, 2, "B")
 
 
-def test_hermitian_eig_sorted():
-    w, _ = hermitian_eig(np.diag([3.0, 1.0, 2.0]).astype(complex))
-    assert np.allclose(w, [1.0, 2.0, 3.0])
-
-
-def test_hermitian_eig_sigma_x():
-    w, _ = hermitian_eig(SX)
-    assert np.allclose(w, [-1.0, 1.0])
-
-
 def test_hermitian_eig_isotropic_pt():
     v = np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2)
     pt = partial_transpose(np.outer(v, v.conj()), 2, 2, "B")
-    w, _ = hermitian_eig(pt)
+    w = np.linalg.eigvalsh(pt)
     assert np.allclose(w, [-0.5, 0.5, 0.5, 0.5], atol=1e-12)
-
-
-def test_hermitian_eig_residual_unitarity_trace():
-    rng = np.random.default_rng(4)
-    h = random_hermitian(9, rng)
-    w, v = hermitian_eig(h)
-    assert np.abs(h @ v - v * w).max() < 1e-9
-    assert np.abs(v.conj().T @ v - np.eye(9)).max() < 1e-10
-    assert np.sum(w) == pytest.approx(np.trace(h).real, abs=1e-9)
-
-
-def test_hermitian_eig_rejects_non_hermitian():
-    with pytest.raises(ValueError):
-        hermitian_eig(np.array([[0, 1], [0, 0]], dtype=complex))
 
 
 def test_svd_maximally_entangled():
@@ -196,7 +123,7 @@ def test_vectorization_identity():
         a = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
         b = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
         psi = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-        lhs = kron(a, b) @ vectorize(psi)
+        lhs = np.kron(a, b) @ vectorize(psi)
         rhs = vectorize(a @ psi @ b.T)
         assert np.abs(lhs - rhs).max() < 1e-10
 

@@ -6,13 +6,7 @@ import pytest
 from kummer_oracle import chf, pattern_functions
 from quadrature_pdf_oracle import oscillator_psi
 from witnessforge import specfn
-from witnessforge.specfn import (
-    SWITCH,
-    f00,
-    f01,
-    f11,
-    oscillator_psi_table,
-)
+from witnessforge.specfn import SWITCH, oscillator_psi_table
 
 # reference values computed with mpmath.hyp1f1 at 40 digits
 CHF_REFERENCE = [
@@ -126,24 +120,27 @@ def test_oscillator_guard_rails():
 
 
 def test_f_values_at_origin():
-    assert f00(0.0) == pytest.approx(2.0, abs=1e-14)
-    assert f01(0.0) == pytest.approx(0.0, abs=1e-14)
-    assert f11(0.0) == pytest.approx(-2.0, abs=1e-14)
+    v00, v01, v11 = specfn.pattern_functions(0.0)
+    assert v00 == pytest.approx(2.0, abs=1e-14)
+    assert v01 == pytest.approx(0.0, abs=1e-14)
+    assert v11 == pytest.approx(-2.0, abs=1e-14)
 
 
 def test_f_closed_forms_match_kummer_oracle():
     xs = np.concatenate([np.linspace(-25, 25, 5001),
                          [0.0, 1e-300, -1e-300, 1e-12, -1e-12]])
     oracle = pattern_functions(xs)
-    for f, ref, tol in zip((f00, f01, f11), oracle, (1e-14, 1e-12, 2e-11)):
-        assert np.max(np.abs(f(xs) - ref)) <= tol
+    for v, ref, tol in zip(specfn.pattern_functions(xs), oracle,
+                           (1e-14, 1e-12, 2e-11)):
+        assert np.max(np.abs(v - ref)) <= tol
 
 
 def test_f_reference_values_at_ten():
     # frozen mpmath evaluations of the closed forms
-    assert f00(10.0) == pytest.approx(-0.00503797714294241789, rel=1e-10)
-    assert f01(10.0) == pytest.approx(-0.000507644001701236871, rel=1e-10)
-    assert f11(10.0) == pytest.approx(-0.00511490289108231954, rel=1e-10)
+    v00, v01, v11 = specfn.pattern_functions(10.0)
+    assert v00 == pytest.approx(-0.00503797714294241789, rel=1e-10)
+    assert v01 == pytest.approx(-0.000507644001701236871, rel=1e-10)
+    assert v11 == pytest.approx(-0.00511490289108231954, rel=1e-10)
 
 
 # frozen mpmath evaluations of the Kummer forms at 40 digits:
@@ -201,8 +198,8 @@ def test_f_reference_values_at_the_switch():
     below, above = SWITCH_REFERENCE
     assert math.sqrt(2.0) * below[0] < SWITCH <= math.sqrt(2.0) * above[0]
     for x, *expected in SWITCH_REFERENCE:
-        for f, e in zip((f00, f01, f11), expected):
-            assert f(x) == pytest.approx(e, rel=1e-12)
+        for v, e in zip(specfn.pattern_functions(x), expected):
+            assert v == pytest.approx(e, rel=1e-12)
 
 
 @pytest.mark.parametrize("z,expected", DAWSON_REFERENCE)
@@ -225,9 +222,11 @@ def test_f_scalar_input():
             assert np.ndim(v) == 0
             assert v == b[0]
         assert np.ndim(specfn.pattern_functions(np.array(x))[0]) == 0
-    assert f00(1e-300) == 2.0 and f11(-1e-300) == -2.0
-    assert f01(1e-300) == pytest.approx(8e-300, rel=1e-15)
-    assert f01(-1e-300) == pytest.approx(-8e-300, rel=1e-15)
+    v00, v01, _ = specfn.pattern_functions(1e-300)
+    _, w01, w11 = specfn.pattern_functions(-1e-300)
+    assert v00 == 2.0 and w11 == -2.0
+    assert v01 == pytest.approx(8e-300, rel=1e-15)
+    assert w01 == pytest.approx(-8e-300, rel=1e-15)
 
 
 def test_f_shape_and_chunking():
@@ -249,8 +248,9 @@ def test_f_on_interval_edges():
     xs = np.concatenate([edges, np.nextafter(edges, 0.0),
                          np.nextafter(edges, SWITCH + 1.0)]) / math.sqrt(2.0)
     oracle = pattern_functions(xs)
-    for f, ref, tol in zip((f00, f01, f11), oracle, (1e-14, 1e-12, 2e-11)):
-        assert np.max(np.abs(f(xs) - ref)) <= tol
+    for v, ref, tol in zip(specfn.pattern_functions(xs), oracle,
+                           (1e-14, 1e-12, 2e-11)):
+        assert np.max(np.abs(v - ref)) <= tol
 
 
 def test_f_limits_at_infinity_and_nan():
@@ -259,15 +259,16 @@ def test_f_limits_at_infinity_and_nan():
         assert np.all(v[:2] == 0.0)
         assert np.isnan(v[2]) and np.isfinite(v[3])
         assert np.all(np.abs(v[4:]) < 1e-300)
-    assert np.isnan(f01(np.nan))
+    assert np.isnan(specfn.pattern_functions(np.nan)[1])
 
 def test_f_bounded_and_decaying():
     xs = np.linspace(-10, 10, 401)
-    for f in (f00, f01, f11):
-        vals = f(xs)
+    at_ten = specfn.pattern_functions(10.0)
+    at_one = specfn.pattern_functions(1.0)
+    for vals, ten, one in zip(specfn.pattern_functions(xs), at_ten, at_one):
         assert np.all(np.isfinite(vals))
-        assert abs(float(f(10.0))) < 1.0
-        assert abs(float(f(10.0))) < abs(float(f(1.0)))
+        assert abs(float(ten)) < 1.0
+        assert abs(float(ten)) < abs(float(one))
 
 
 def test_pattern_function_biorthogonality():
@@ -276,9 +277,7 @@ def test_pattern_function_biorthogonality():
     # int psi_p psi_{p+1} f01 = delta_p0
     xs = np.linspace(-9, 9, 18001)
     table = oscillator_psi_table(7, xs)
-    v00 = f00(xs)
-    v11 = f11(xs)
-    v01 = f01(xs)
+    v00, v01, v11 = specfn.pattern_functions(xs)
     for n in range(7):
         g00 = np.trapezoid(table[n] ** 2 * v00, xs)
         g11 = np.trapezoid(table[n] ** 2 * v11, xs)

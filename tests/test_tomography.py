@@ -126,10 +126,12 @@ def test_kernel_depends_on_phase_sum_only():
 
 
 def test_kernel_cosine_term_vanishes_at_right_angle():
-    from witnessforge.specfn import f00, f11
+    from witnessforge.specfn import pattern_functions
     x1, x2 = 0.7, -0.4
     val = witness_kernel(x1, np.pi / 4, x2, np.pi / 4)
-    expected = 0.5 * (f00(x1) * f11(x2) + f11(x1) * f00(x2))
+    a00, _, a11 = pattern_functions(x1)
+    b00, _, b11 = pattern_functions(x2)
+    expected = 0.5 * (a00 * b11 + a11 * b00)
     assert val == pytest.approx(float(expected), abs=1e-12)
 
 

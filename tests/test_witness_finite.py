@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from depolarized_family import DepolarizedFamily
-from witnessforge.linalg import complex_svd, hermitian_eig, vectorize
+from witnessforge.linalg import complex_svd, vectorize
 from witnessforge.states import (
     maximally_entangled_operator,
     random_product_state,
@@ -24,7 +24,7 @@ from witnessforge.witness_finite import (
 
 
 def witness_for(psi):
-    return build_witness(min_eigvec_operator(psi))
+    return build_witness(min_eigvec_operator(complex_svd(psi)))
 
 
 def test_depolarized_extremes():
@@ -59,27 +59,28 @@ def test_depolarized_rejects_bad_inputs():
 
 def test_min_pt_eigenvalue_maximally_entangled():
     for d in (2, 3, 5):
-        psi = maximally_entangled_operator(d)
+        svd = complex_svd(maximally_entangled_operator(d))
         for p in (0.0, 0.4, 1.0):
             expected = -p / d + (1 - p) / d**2
-            assert min_pt_eigenvalue(psi, p) == pytest.approx(expected, abs=1e-14)
+            assert min_pt_eigenvalue(svd, p) == pytest.approx(expected, abs=1e-14)
 
 
 def test_min_pt_eigenvalue_against_dense_solver():
     psi = maximally_entangled_operator(3)
     rho = depolarized_state(psi, 0.5)
-    w, _ = hermitian_eig(rho.partial_transpose())
+    w = np.linalg.eigvalsh(rho.partial_transpose())
     assert w[0] == pytest.approx(-1.0 / 9.0, abs=1e-12)
-    assert min_pt_eigenvalue(psi, 0.5) == pytest.approx(w[0], abs=1e-9)
+    assert min_pt_eigenvalue(complex_svd(psi), 0.5) == pytest.approx(w[0],
+                                                                      abs=1e-9)
 
 
 def test_min_pt_eigenvalue_no_noise_positive():
-    psi = maximally_entangled_operator(4)
-    assert min_pt_eigenvalue(psi, 0.0) == pytest.approx(1.0 / 16.0)
+    svd = complex_svd(maximally_entangled_operator(4))
+    assert min_pt_eigenvalue(svd, 0.0) == pytest.approx(1.0 / 16.0)
 
 
 def test_min_eigvec_operator_qubit():
-    abar = min_eigvec_operator(maximally_entangled_operator(2))
+    abar = min_eigvec_operator(complex_svd(maximally_entangled_operator(2)))
     v = vectorize(abar)
     singlet = np.array([0, 1, -1, 0]) / np.sqrt(2)
     assert np.abs(np.abs(np.vdot(singlet, v)) - 1.0) < 1e-12
@@ -89,7 +90,7 @@ def test_min_eigvec_operator_qubit():
 
 def test_min_eigvec_operator_schmidt_two():
     psi = schmidt_operator([1, 1], 5)
-    v = vectorize(min_eigvec_operator(psi))
+    v = vectorize(min_eigvec_operator(complex_svd(psi)))
     expected = np.zeros(25)
     expected[1] = 1 / np.sqrt(2)
     expected[5] = -1 / np.sqrt(2)
@@ -100,10 +101,10 @@ def test_min_eigvec_operator_is_pt_eigenvector():
     rng = np.random.default_rng(21)
     for _ in range(5):
         psi = random_state_operator(4, rng)
-        v = vectorize(min_eigvec_operator(psi))
+        v = vectorize(min_eigvec_operator(complex_svd(psi)))
         for p in (0.0, 0.3, 0.8):
             pt = depolarized_state(psi, p).partial_transpose()
-            lam = min_pt_eigenvalue(psi, p)
+            lam = min_pt_eigenvalue(complex_svd(psi), p)
             assert np.abs(pt @ v - lam * v).max() < 1e-9
 
 
@@ -111,7 +112,7 @@ def test_min_eigvec_operator_rejects_product_state():
     psi = np.zeros((3, 3), dtype=complex)
     psi[0, 0] = 1.0
     with pytest.raises(ValueError):
-        min_eigvec_operator(psi)
+        min_eigvec_operator(complex_svd(psi))
 
 
 def test_witness_qubit_spectrum_and_trace():
@@ -135,7 +136,8 @@ def test_witness_expectation_equals_min_eigenvalue():
         w = witness_for(psi)
         for p in (0.0, 0.3, 1.0):
             val = evaluate_witness(w, depolarized_state(psi, p))
-            assert val == pytest.approx(min_pt_eigenvalue(psi, p), abs=1e-9)
+            assert val == pytest.approx(min_pt_eigenvalue(complex_svd(psi), p),
+                                        abs=1e-9)
 
 
 def test_witness_independent_of_mixing_weight():
@@ -179,13 +181,14 @@ def test_witness_nonnegative_on_product_states():
 
 def test_detection_threshold_values():
     for d in range(2, 9):
-        psi = maximally_entangled_operator(d)
-        assert detection_threshold(psi) == pytest.approx(1.0 / (d + 1), abs=1e-12)
-        psi2 = schmidt_operator([1, 1], d) if d >= 2 else None
-        assert detection_threshold(psi2) == pytest.approx(2.0 / (d**2 + 2),
+        svd = complex_svd(maximally_entangled_operator(d))
+        assert detection_threshold(svd) == pytest.approx(1.0 / (d + 1),
+                                                         abs=1e-12)
+        svd2 = complex_svd(schmidt_operator([1, 1], d))
+        assert detection_threshold(svd2) == pytest.approx(2.0 / (d**2 + 2),
                                                           abs=1e-12)
-    assert detection_threshold(maximally_entangled_operator(3)) == \
-        pytest.approx(0.25, abs=1e-14)
+    assert detection_threshold(complex_svd(maximally_entangled_operator(3))) \
+        == pytest.approx(0.25, abs=1e-14)
 
 
 def test_threshold_matches_sign_flip():
@@ -201,8 +204,8 @@ def test_threshold_matches_sign_flip():
                 lo = mid
             else:
                 hi = mid
-        assert 0.5 * (lo + hi) == pytest.approx(detection_threshold(psi),
-                                                abs=1e-10)
+        assert 0.5 * (lo + hi) == pytest.approx(
+            detection_threshold(complex_svd(psi)), abs=1e-10)
 
 
 DENSE_ORACLE_CASES = {
@@ -217,10 +220,10 @@ DENSE_ORACLE_CASES = {
 @pytest.mark.parametrize("case", DENSE_ORACLE_CASES)
 def test_depolarized_expectation_matches_dense_oracle(case):
     psi = DENSE_ORACLE_CASES[case]()
-    a = min_eigvec_operator(psi)
+    a = min_eigvec_operator(complex_svd(psi))
     w = build_witness(a)
     line = depolarized_expectation(a, psi)
-    for p in (0.0, detection_threshold(psi), 0.37, 1.0):
+    for p in (0.0, detection_threshold(complex_svd(psi)), 0.37, 1.0):
         dense = evaluate_witness(w, depolarized_state(psi, p))
         assert abs(line(p) - dense) <= 1e-13
 
@@ -228,7 +231,7 @@ def test_depolarized_expectation_matches_dense_oracle(case):
 @pytest.mark.parametrize("p", [-0.1, 1.5, math.nan])
 def test_depolarized_expectation_rejects_bad_mixing_weight(p):
     psi = maximally_entangled_operator(3)
-    line = depolarized_expectation(min_eigvec_operator(psi), psi)
+    line = depolarized_expectation(min_eigvec_operator(complex_svd(psi)), psi)
     with pytest.raises(ValueError, match=r"mixing weight p=.* outside \[0, 1\]"):
         line(p)
 
@@ -247,7 +250,7 @@ def test_evaluate_witness_rejects_non_hermitian_witness():
 
 
 def test_depolarized_expectation_rejects_dimension_mismatch():
-    a = min_eigvec_operator(maximally_entangled_operator(2))
+    a = min_eigvec_operator(complex_svd(maximally_entangled_operator(2)))
     with pytest.raises(ValueError, match="dimension mismatch"):
         depolarized_expectation(a, maximally_entangled_operator(3))
 
@@ -255,14 +258,27 @@ def test_depolarized_expectation_rejects_dimension_mismatch():
 def test_depolarized_expectation_rejects_unnormalized_operator():
     psi = maximally_entangled_operator(3)
     with pytest.raises(ValueError, match="not normalized"):
-        depolarized_expectation(2 * min_eigvec_operator(psi), psi)
+        depolarized_expectation(2 * min_eigvec_operator(complex_svd(psi)), psi)
 
 
 @pytest.mark.parametrize("call", [
-    lambda op: min_pt_eigenvalue(op, 0.5),
+    lambda svd: min_pt_eigenvalue(svd, 0.5),
     detection_threshold,
     min_eigvec_operator,
     quorum_decompose,
+], ids=["min_pt_eigenvalue", "detection_threshold", "min_eigvec_operator",
+        "quorum_decompose"])
+def test_svd_of_unnormalized_operator_is_rejected(call):
+    svd = complex_svd(2 * maximally_entangled_operator(3))
+    with pytest.raises(ValueError, match="not normalized"):
+        call(svd)
+
+
+@pytest.mark.parametrize("call", [
+    lambda op: min_pt_eigenvalue(complex_svd(op), 0.5),
+    lambda op: detection_threshold(complex_svd(op)),
+    lambda op: min_eigvec_operator(complex_svd(op)),
+    lambda op: quorum_decompose(complex_svd(op)),
     lambda op: depolarized_state(op, 0.5),
     lambda op: depolarized_expectation(op, op),
 ], ids=["min_pt_eigenvalue", "detection_threshold", "min_eigvec_operator",
@@ -291,13 +307,14 @@ def test_pt_spectrum_structure():
             for i in range(d):
                 for j in range(i + 1, d):
                     expected.extend([p * s[i] * s[j] + c, -p * s[i] * s[j] + c])
-            numeric, _ = hermitian_eig(depolarized_state(psi, p).partial_transpose())
+            numeric = np.linalg.eigvalsh(
+                depolarized_state(psi, p).partial_transpose())
             assert np.abs(np.sort(expected) - numeric).max() < 1e-9
 
 
 def test_quorum_qubit_matches_singlet_pt():
     psi = maximally_entangled_operator(2)
-    decomp = quorum_decompose(psi)
+    decomp = quorum_decompose(complex_svd(psi))
     w = witness_for(psi)
     assert np.abs(decomp.reconstruct() - w).max() < 1e-12
     # the three non-trivial local factors are the Pauli matrices themselves
@@ -309,7 +326,7 @@ def test_quorum_qubit_matches_singlet_pt():
 
 def test_quorum_reconstruction_random_d5():
     psi = random_state_operator(5, np.random.default_rng(28))
-    decomp = quorum_decompose(psi)
+    decomp = quorum_decompose(complex_svd(psi))
     w = witness_for(psi)
     assert np.abs(decomp.reconstruct() - w).max() < 1e-10
 
@@ -317,7 +334,7 @@ def test_quorum_reconstruction_random_d5():
 def test_quorum_shape_and_hermiticity():
     rng = np.random.default_rng(29)
     for d in (2, 3, 6):
-        decomp = quorum_decompose(random_state_operator(d, rng))
+        decomp = quorum_decompose(complex_svd(random_state_operator(d, rng)))
         assert len(decomp.pauli_terms) == 3
         assert len(decomp.terms) == 4
         for term in decomp.terms:
@@ -329,7 +346,8 @@ def test_quorum_shape_and_hermiticity():
 
 
 def test_quorum_identity_term_is_projector_like():
-    decomp = quorum_decompose(random_state_operator(4, np.random.default_rng(30)))
+    psi = random_state_operator(4, np.random.default_rng(30))
+    decomp = quorum_decompose(complex_svd(psi))
     eigs = np.sort(np.linalg.eigvalsh(decomp.identity_term.local_b))
     # embedded rank-2 projector on the second subsystem
     assert np.allclose(eigs[-2:], [1.0, 1.0], atol=1e-12)
@@ -340,4 +358,4 @@ def test_quorum_rejects_product_state():
     psi = np.zeros((4, 4), dtype=complex)
     psi[0, 0] = 1.0
     with pytest.raises(ValueError):
-        quorum_decompose(psi)
+        quorum_decompose(complex_svd(psi))

@@ -53,13 +53,13 @@ def psi_and_product_vector(draw):
 
 
 def witness_for(psi):
-    return build_witness(min_eigvec_operator(psi))
+    return build_witness(min_eigvec_operator(complex_svd(psi)))
 
 
 @PROPERTY_SETTINGS
 @given(entangled_psi(), st.floats(0.0, 1.0))
 def test_two_trace_line_equals_dense_oracle(psi, p):
-    a = min_eigvec_operator(psi)
+    a = min_eigvec_operator(complex_svd(psi))
     dense = evaluate_witness(build_witness(a), depolarized_state(psi, p))
     assert abs(depolarized_expectation(a, psi)(p) - dense) <= 1e-13
 
@@ -74,5 +74,5 @@ def test_witness_nonnegative_on_product_vectors(case):
 @PROPERTY_SETTINGS
 @given(entangled_psi())
 def test_witness_vanishes_at_detection_threshold(psi):
-    line = depolarized_expectation(min_eigvec_operator(psi), psi)
-    assert abs(line(detection_threshold(psi))) <= 1e-12
+    line = depolarized_expectation(min_eigvec_operator(complex_svd(psi)), psi)
+    assert abs(line(detection_threshold(complex_svd(psi)))) <= 1e-12
