@@ -28,9 +28,13 @@ from .specfn import oscillator_psi_table, pattern_functions
 from .states import BipartiteDensity
 
 BLOCK_SIZE = 65536          # determinism unit: one RNG substream per block
-CELLS = 512                 # Simpson cells of the sampling grid
+CELLS = 512                 # Simpson cells of the sampling grid; a power
+                            # of two, which the cell search relies on
 _CHUNK = 2048               # samples per draw; rows of the block products
 PDF_NEGATIVITY_TOL = 1e-10
+_NEWTON_STEPS = 7           # safeguarded Newton steps per cell inversion:
+                            # cells next to a zero of the density need up
+                            # to 7 to reach rounding
 
 
 @dataclass
@@ -135,33 +139,48 @@ def _fixed_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """a @ b evaluated at exactly _CHUNK rows of a.
 
     BLAS may round a row differently depending on how many rows the call
-    holds, so a short chunk is padded with zero rows.  Every row then has
+    holds, so a short operand is padded with zero rows.  Every row then has
     the same bits whatever the sample count, which keeps a shorter run a
     bitwise prefix of a longer one.
     """
-    padded = np.zeros((_CHUNK, a.shape[1]), dtype=a.dtype)
-    padded[: a.shape[0]] = a
-    return (padded @ b)[: a.shape[0]]
+    n = a.shape[0]
+    if n != _CHUNK:
+        padded = np.zeros((_CHUNK, a.shape[1]), dtype=a.dtype)
+        padded[:n] = a
+        a = padded
+    return (a @ b)[:n]
 
 
-def _invert_cells(p0, p1, p2, residual, n_steps: int = 42) -> np.ndarray:
+def _invert_cells(p0, p1, p2, residual) -> np.ndarray:
     """Solve for t in [0, 2] with int_0^t quad(p0,p1,p2) = residual / delta.
 
-    The integrated quadratic interpolant is the cubic t (a + t (b + t c));
-    plain vectorized bisection is unconditionally robust and bitwise
-    deterministic.  Every midpoint lo + step is a dyadic number of at most
-    43 bits, so it is exact.
+    The integrated quadratic interpolant is the cubic
+    F(t) = t (a + t (b + t c)), with derivative a + t (2b + 3tc).  From the
+    linear guess t = 2 residual / F(2), clamped to [0, 2], _NEWTON_STEPS
+    Newton steps run inside a bracket [lo, hi] with F(lo) <= residual <=
+    F(hi): a step that leaves the bracket is replaced by its midpoint.  The
+    bounds are inclusive, so a converged t (F(t) = residual, where the
+    bracket closes on t) stays put.  A zero cell or a zero derivative
+    gives a NaN step, which also takes the midpoint.  Newton converges
+    slowly only where the density nearly vanishes inside the cell, which
+    then holds little mass; t still stays inside its bracket.  Every
+    operation is elementwise, so each t is the same whatever else the call
+    holds.
     """
     a = p0
     b = p1 - 0.75 * p0 - 0.25 * p2
     c = (p0 - 2.0 * p1 + p2) / 6.0
     lo = np.zeros_like(residual)
-    step = 1.0
-    for _ in range(n_steps):
-        t = lo + step
-        lo = np.where(t * (a + t * (b + t * c)) > residual, lo, t)
-        step *= 0.5
-    return lo + step
+    hi = np.full_like(residual, 2.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = np.clip(residual / (a + 2.0 * (b + 2.0 * c)), 0.0, 2.0)
+        for _ in range(_NEWTON_STEPS):
+            f = t * (a + t * (b + t * c)) - residual
+            lo = np.where(f <= 0.0, t, lo)
+            hi = np.where(f >= 0.0, t, hi)
+            step = t - f / (a + t * (2.0 * b + 3.0 * t * c))
+            t = np.where((lo <= step) & (step <= hi), step, 0.5 * (lo + hi))
+    return t
 
 
 def _row_columns(rows: np.ndarray):
@@ -189,12 +208,15 @@ def _sample_columns(column, u: np.ndarray, nodes: np.ndarray,
     ``[density | cdf | total]`` rows (see :func:`_with_cdf`) read through
     ``column(k)``, which returns entry k[i] of row i for an index array k.
 
-    A binary search of ceil(log2 cells) steps finds the first cell whose
-    CDF is not below its target, u * total on the lower half of the cells
-    and (u - 1) * total on the upper half, where cdf holds minus the mass
-    after each cell; the draw is inverted inside that cell.  The last cell
-    always qualifies, as its cdf is 0 and u < 1, so the search stays in
-    range.  Each draw reads about a dozen entries of its row, not all of it.
+    A binary search of log2(cells) steps finds the first cell whose CDF is
+    not below its target, u * total on the lower half of the cells and
+    (u - 1) * total on the upper half, where cdf holds minus the mass after
+    each cell; the draw is inverted inside that cell.  The cell count is a
+    power of two, so the search is branchless: at each step size, from
+    cells/2 down to 1, it probes lo + step - 1 and moves lo past the probe
+    when that CDF entry is below its target.  The last cell always
+    qualifies, as its cdf is 0 and u < 1, so the search stays in range.
+    Each draw reads about a dozen entries of its row, not all of it.
     """
     g = nodes.size
     cells = g // 2
@@ -205,15 +227,15 @@ def _sample_columns(column, u: np.ndarray, nodes: np.ndarray,
     below_target = u * total
     above_target = (u - 1.0) * total
     lo = np.zeros(u.size, dtype=np.intp)
-    hi = np.full(u.size, cells - 1)
     below = np.zeros(u.size)       # cdf[lo - 1], or 0 while lo = 0
-    for _ in range((cells - 1).bit_length()):
-        mid = (lo + hi) // 2
-        cdf = column(g + mid)
-        right = cdf < np.where(mid < half, below_target, above_target)
-        lo = np.where(right, mid + 1, lo)
-        hi = np.where(right, hi, mid)
+    step = half
+    while step:
+        probe = lo + (step - 1)
+        cdf = column(g + probe)
+        right = cdf < np.where(probe < half, below_target, above_target)
+        lo += right * step
         below = np.where(right, cdf, below)
+        step //= 2
     target = np.where(lo > half, above_target, below_target)
     t = _invert_cells(column(2 * lo), column(2 * lo + 1), column(2 * lo + 2),
                       (target - below) / delta)
@@ -240,12 +262,12 @@ class _SamplerTables:
                                 # else (2d-1, G + cells + 1) phase-coefficient
                                 # rows
     pairs: np.ndarray           # (d(d+1)/2, G + cells + 1) pair-product rows
-    diff: DifferenceBlocks | None
-    t_cond: np.ndarray | None   # (d^2, d^2) map C(s) = (u1 x conj(u1)) @ t_cond,
-                                # for states without blocks
     pair_j: np.ndarray          # index difference m - M of each pair
-    upper: np.ndarray           # flat index m*d + M of C[m, M] for each pair
-    lower: np.ndarray           # flat index M*d + m
+    diff: DifferenceBlocks | None
+    block_parts: tuple          # contiguous (B_j.real, B_j.imag or None) per j
+    cond: np.ndarray | None     # (d^2, d(d+1)/2) map c_j C(s)[m, M] =
+                                # (u1 x conj(u1)) @ cond, for states without
+                                # blocks
 
     @classmethod
     def build(cls, rho: BipartiteDensity):
@@ -270,19 +292,30 @@ class _SamplerTables:
                 rows.append(-2.0 * cj.imag)
             marginal = np.vstack(rows)
         pair_j = np.concatenate([np.full(d - j, j) for j in range(d)])
-        pair_m = np.concatenate([np.arange(j, d) for j in range(d)])
         pairs = np.vstack([psi_nodes[j:] * psi_nodes[: d - j]
                            for j in range(d)])
         diff = DifferenceBlocks.of(rho)
-        t_cond = (None if diff is not None
-                  else rho.matrix.reshape(d, d, d, d).transpose(0, 2, 1, 3)
-                  .reshape(d * d, d * d))
+        block_parts = ()
+        cond = None
+        if diff is not None:
+            block_parts = tuple(
+                (np.ascontiguousarray(block.real),
+                 np.ascontiguousarray(block.imag)
+                 if j > 0 and np.iscomplexobj(block) else None)
+                for j, block in enumerate(diff.blocks))
+        else:
+            # C(s)[m, M] = sum_kl u1_k conj(u1_l) rho_{km, lM}; the factor
+            # c_j is a power of two, so folding it in changes no bits
+            pair_m = np.concatenate([np.arange(j, d) for j in range(d)])
+            t_cond = (rho.matrix.reshape(d, d, d, d).transpose(0, 2, 1, 3)
+                      .reshape(d * d, d * d))
+            cond = (t_cond[:, pair_m * d + pair_m - pair_j]
+                    * np.where(pair_j == 0, 1.0, 2.0))
         return cls(d=d, nodes=nodes, delta=delta,
                    marginal=np.asfortranarray(_with_cdf(marginal, delta)),
                    pairs=np.asfortranarray(_with_cdf(pairs, delta)),
-                   diff=diff, t_cond=t_cond, pair_j=pair_j,
-                   upper=pair_m * d + pair_m - pair_j,
-                   lower=(pair_m - pair_j) * d + pair_m)
+                   pair_j=pair_j, diff=diff, block_parts=block_parts,
+                   cond=cond)
 
     # ---- stage 1: x1 from the phi1 marginal ----
     def marginal_weights(self, phi1: np.ndarray) -> np.ndarray:
@@ -323,37 +356,45 @@ class _SamplerTables:
         c_0 = 1 and c_j = 2, where the cosine and sine of j(phi1+phi2) fold
         into W, so real and complex blocks share one pair table.  a_j(s) is
         real, so the products with the real and imaginary parts of B_j run
-        as real products.  Any other state takes W from the mode-2
-        conditional operator C(s), a row-wise einsum (d <= 4 in practice).
+        as real products.  x1 is padded to _CHUNK once, so every product
+        has that fixed row count, and each is written straight into its
+        columns of W.  Any other state takes W from the mode-2 conditional
+        operator C(s), which is Hermitian: W_(j,l)(s) = c_j Re[C(s)[m, M]
+        e^{ij phi2}] over the pairs m = M + j alone, one row-wise einsum
+        (d <= 4 in practice).
         """
         d = self.d
-        psi1 = oscillator_psi_table(d - 1, x1)
-        if self.diff is not None:
-            # 2 e^{ij(phi1+phi2)} by repeated products: d cosines and sines
-            # per sample cost more than the block products
-            turn = np.ones((x1.size, d), dtype=complex)
-            turn[:, 1:] = np.exp(1j * (phi1 + phi2))[:, None]
-            turn = np.cumprod(turn, axis=1)
-            turn[:, 1:] *= 2.0
-            weights = np.empty((x1.size, self.pair_j.size))
-            col = 0
-            for j, block in enumerate(self.diff.blocks):
-                a_j = (psi1[j:] * psi1[: d - j]).T
-                cols = slice(col, col + d - j)
-                col += d - j
-                weights[:, cols] = turn[:, j, None].real * _fixed_rows(
-                    a_j, np.ascontiguousarray(block.real))
-                if np.iscomplexobj(block) and j > 0:
-                    weights[:, cols] -= turn[:, j, None].imag * _fixed_rows(
-                        a_j, np.ascontiguousarray(block.imag))
-            return weights
-        u1 = psi1.T * np.exp(1j * np.outer(phi1, np.arange(d)))
-        outer = (u1[:, :, None] * u1.conj()[:, None, :]).reshape(x1.size, -1)
-        c = np.einsum("nk,kl->nl", outer, self.t_cond)
-        turn = np.exp(1j * np.outer(phi2, self.pair_j))
-        weights = (c[:, self.upper] * turn).real \
-            + (c[:, self.lower] * turn.conj()).real
-        weights[:, self.pair_j == 0] *= 0.5
+        n = x1.size
+        if self.diff is None:
+            psi1 = oscillator_psi_table(d - 1, x1)
+            u1 = psi1.T * np.exp(1j * np.outer(phi1, np.arange(d)))
+            outer = (u1[:, :, None] * u1.conj()[:, None, :]).reshape(n, -1)
+            c = np.einsum("nk,kl->nl", outer, self.cond)
+            return (c * np.exp(1j * np.outer(phi2, self.pair_j))).real
+        padded = np.zeros(_CHUNK)
+        padded[:n] = x1
+        psi1 = oscillator_psi_table(d - 1, padded)
+        # 1 and 2 e^{ij(phi1+phi2)} by one cumulative product: d cosines and
+        # sines per sample cost more than the block products
+        turn = np.empty((d, n), dtype=complex)
+        turn[0] = 1.0
+        turn[1:] = np.exp(1j * (phi1 + phi2))
+        turn[1] *= 2.0
+        turn = np.cumprod(turn, axis=0)[:, :, None]
+        weights = np.empty((n, self.pair_j.size))
+        col = 0
+        for j, (re, im) in enumerate(self.block_parts):
+            a_j = (psi1[j:] * psi1[: d - j]).T
+            out = weights[:, col:col + d - j]
+            col += d - j
+            product = _fixed_rows(a_j, re)[:n]
+            if im is None:
+                np.multiply(turn[j].real, product, out=out)
+            else:
+                product *= turn[j].real
+                rest = _fixed_rows(a_j, im)[:n]
+                rest *= turn[j].imag
+                np.subtract(product, rest, out=out)
         return weights
 
     def conditional_rows(self, x1: np.ndarray, phi1: np.ndarray,
@@ -454,9 +495,11 @@ def sample_homodyne(rho: BipartiteDensity, n: int, seed: int,
     tail accumulated from its own end) once per state.  A draw never forms
     its row W @ [products | cell CDFs]: a binary search over the cells reads
     one CDF entry per step as the dot product of W with one table column,
-    then the three node densities of the cell it lands in.  W comes from the
-    index-difference blocks when rho has that support, and from the mode-2
-    conditional operator C(s) otherwise.  rho is checked once: a ValueError
+    then the three node densities of the cell it lands in, and a few
+    safeguarded Newton steps invert that cell's Simpson cubic.  W comes from
+    the index-difference blocks when rho has that support, and from the
+    Hermitian mode-2 conditional operator C(s) otherwise, of which only the
+    entries m >= M are formed.  rho is checked once: a ValueError
     is raised if its smallest eigenvalue lets a quadrature density on the
     grid fall below -1e-10.
 
@@ -464,8 +507,8 @@ def sample_homodyne(rho: BipartiteDensity, n: int, seed: int,
     substream per block, so the result is bitwise reproducible and
     independent of the worker count; workers > 1 parallelizes over blocks.
     Every value of a sample is computed row by row (the BLAS block products
-    at one fixed row count, padding a short chunk with zero rows), so a
-    shorter run is a bitwise prefix of a longer one.
+    at one fixed row count, with x1 of a short chunk padded once to that
+    count), so a shorter run is a bitwise prefix of a longer one.
     """
     if not isinstance(rho, BipartiteDensity):
         raise TypeError("rho must be a BipartiteDensity")

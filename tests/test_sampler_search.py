@@ -1,14 +1,16 @@
 """The Fock-space sampler's table search against its formed density rows,
-and its per-state positivity check.
+its cell inversion, and its per-state positivity check.
 
 ``sample_homodyne`` never forms a sample's density row W @ table: it reads
 the few table columns its binary search visits.  These tests compare that
 search with the draw from the formed rows (``conditional_rows``,
-``marginal_rows``), and check the eigenvalue bound that replaced the scan
-of each row's node densities.
+``marginal_rows``), the Newton inversion of a cell with the bisection
+oracle, and check the eigenvalue bound that replaced the scan of each
+row's node densities.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -16,6 +18,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from cell_inversion_oracle import cell_integral, invert_cells_by_bisection
 from noise_channel_oracle import apply_gaussian_noise, noise_truncation
 from test_tomography import (
     _hermitian_pair_state,
@@ -25,10 +28,19 @@ from test_tomography import (
     rotated_twb,
 )
 from witnessforge import tomography
-from witnessforge.cv import FockTruncation, phase_noisy_twb, twb_state
+from witnessforge.cv import (
+    DifferenceBlocks,
+    FockTruncation,
+    phase_noisy_twb,
+    twb_state,
+)
 from witnessforge.specfn import oscillator_psi_table
 from witnessforge.states import BipartiteDensity
-from witnessforge.tomography import _SamplerTables, sample_homodyne
+from witnessforge.tomography import (
+    _invert_cells,
+    _SamplerTables,
+    sample_homodyne,
+)
 
 EDGE_U = np.array([2.0 ** -30, 1.0 - 2.0 ** -30])
 
@@ -122,12 +134,14 @@ def test_sampler_forms_no_rows_and_no_complex_products(make_state,
     rho = make_state()
     expected = sample_homodyne(rho, 3000, seed=21)
     block_product = tomography._fixed_rows
+    calls = []
 
     def real_block_product(a, b):
         # every remaining matrix product is a real block product, at most
         # d columns wide
         assert not np.iscomplexobj(a) and not np.iscomplexobj(b)
         assert b.shape[1] <= rho.dim_a
+        calls.append(b.shape)
         return block_product(a, b)
 
     monkeypatch.setattr(_SamplerTables, "conditional_rows", _raise)
@@ -136,6 +150,98 @@ def test_sampler_forms_no_rows_and_no_complex_products(make_state,
     batch = sample_homodyne(rho, 3000, seed=21)
     assert np.array_equal(batch.x1, expected.x1)
     assert np.array_equal(batch.x2, expected.x2)
+    # the block products went through the guard, so it checked them
+    assert (len(calls) > 0) == (DifferenceBlocks.of(rho) is not None)
+
+
+@pytest.mark.parametrize("make_state", [
+    general_d3_state, lambda: rotated_twb(0.5, 1.1)],
+    ids=["general-d3", "rotated-twb"])
+def test_one_sample_is_the_first_of_a_longer_run(make_state):
+    # a 1-row chunk: x1 padded to the full chunk, a Newton inversion of one
+    # cell
+    rho = make_state()
+    one = sample_homodyne(rho, 1, seed=29)
+    longer = sample_homodyne(rho, 3000, seed=29)
+    for name in ("phi1", "x1", "phi2", "x2"):
+        assert np.array_equal(getattr(one, name), getattr(longer, name)[:1])
+
+
+# -- the cell inversion -------------------------------------------------------
+
+def assert_inverts(p0, p1, p2, residual):
+    """_invert_cells returns t in [0, 2] with |F(t) - residual| <=
+    1e-15 max(F(2), 1e-300), and raises no warning; returns t."""
+    p0, p1, p2, residual = np.broadcast_arrays(
+        *(np.asarray(v, dtype=float) for v in (p0, p1, p2, residual)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        t = _invert_cells(p0, p1, p2, residual)
+    full = cell_integral(p0, p1, p2, 2.0)
+    assert np.all((t >= 0.0) & (t <= 2.0))
+    miss = np.abs(cell_integral(p0, p1, p2, t) - residual)
+    assert np.all(miss <= 1e-15 * np.maximum(full, 1e-300))
+    return t
+
+
+def conditional_cells(seed, states=20, rows=8):
+    """Node densities (p0, p1, p2) of every cell of conditional rows of
+    random states of rank 1 or 2 with d <= 4, whose densities come close
+    to zero, at random x1 and phases."""
+    rng = np.random.default_rng(seed)
+    cells = []
+    for k in range(states):
+        d = int(rng.integers(2, 5))
+        g = rng.normal(size=(d * d, int(rng.integers(1, 3)))).astype(complex)
+        if k % 2:
+            g += 1j * rng.normal(size=g.shape)
+        g /= np.linalg.norm(g)
+        tables = _SamplerTables.build(BipartiteDensity(d, d, g @ g.conj().T))
+        phi1, phi2 = rng.uniform(0, math.pi, (2, rows))
+        x1 = rng.uniform(-2.5, 2.5, rows)
+        pdf = tables.conditional_rows(x1, phi1, phi2)[:, :tables.nodes.size]
+        cells.append(np.stack([pdf[:, 0:-2:2], pdf[:, 1:-1:2],
+                               pdf[:, 2::2]]).reshape(3, -1))
+    return np.hstack(cells)
+
+
+@pytest.mark.parametrize("seed", [41, 42])
+def test_newton_inversion_against_bisection_on_random_cells(seed):
+    p0, p1, p2 = conditional_cells(seed)
+    full = cell_integral(p0, p1, p2, 2.0)
+    # where the cell's density stays well away from zero, both solve the
+    # same strictly increasing cubic: the oracle to 2^-42 in t
+    smooth = np.minimum(np.minimum(p0, p1), p2) >= 0.01 * np.maximum(
+        np.maximum(p0, p1), p2)
+    assert smooth.mean() > 0.5
+    rng = np.random.default_rng(seed)
+    for residual in (rng.random(p0.size) * full, 0.0 * full, full):
+        t = assert_inverts(p0, p1, p2, residual)
+        oracle = invert_cells_by_bisection(p0, p1, p2, residual)
+        assert np.all(np.abs(t - oracle)[smooth] <= 2.0 ** -41)
+
+
+@pytest.mark.parametrize("p0, p1, p2", [
+    (0.0, 0.0, 0.0), (1.0, 1.0, 1.0), (0.0, 1.0, 0.0), (-1e-12, 0.5, 1.0),
+    (1.0, 0.5, -1e-12), (3e-300, 2e-300, 1e-300)],
+    ids=["zero", "constant", "zero-ends", "negative-left", "negative-right",
+         "subnormal-scale"])
+def test_newton_inversion_on_edge_cells(p0, p1, p2):
+    full = cell_integral(p0, p1, p2, 2.0)
+    t = assert_inverts(p0, p1, p2, np.array([0.0, full]))
+    oracle = invert_cells_by_bisection(p0, p1, p2, np.array([0.0, full]))
+    if full > 0.0 and min(p0, p1, p2) >= 0.0:
+        # a strictly increasing cubic: both ends are exact
+        assert np.array_equal(t, [0.0, 2.0])
+        assert np.abs(t - oracle).max() <= 2.0 ** -42
+
+
+def test_newton_inversion_of_a_constant_cell_is_exact():
+    residual = np.random.default_rng(5).random(1000) * 2.0
+    t = assert_inverts(1.0, 1.0, 1.0, residual)
+    assert np.array_equal(t, residual)
+    oracle = invert_cells_by_bisection(1.0, 1.0, 1.0, residual)
+    assert np.abs(t - oracle).max() <= 2.0 ** -42
 
 
 # -- property: random small states --------------------------------------------
@@ -143,22 +249,27 @@ def test_sampler_forms_no_rows_and_no_complex_products(make_state,
 _parts = st.floats(-1.0, 1.0, allow_nan=False, allow_infinity=False)
 
 
-@st.composite
-def small_states(draw):
-    """A random two-mode density operator with d <= 3 and rank <= d^2."""
-    d = draw(st.integers(2, 3))
+def random_density(draw, d_max):
+    """The Gram matrix of a random complex d^2 x rank factor, d <= d_max,
+    normalized to trace 1."""
+    d = draw(st.integers(2, d_max))
     rank = draw(st.integers(1, d * d))
     re_im = draw(arrays(np.float64, (2, d * d, rank), elements=_parts))
     g = re_im[0] + 1j * re_im[1]
     norm = np.linalg.norm(g)
     assume(norm > 1e-3)
     g /= norm
-    return BipartiteDensity(d, d, g @ g.conj().T)
+    return d, g @ g.conj().T
 
 
-@settings(derandomize=True, deadline=None, max_examples=50, database=None)
-@given(small_states(), st.integers(0, 2 ** 32 - 1))
-def test_search_matches_formed_rows_on_random_states(rho, seed):
+@st.composite
+def small_states(draw):
+    """A random two-mode density operator with d <= 3 and rank <= d^2."""
+    d, matrix = random_density(draw, 3)
+    return BipartiteDensity(d, d, matrix)
+
+
+def assert_random_state_draws(rho, seed):
     tables = _SamplerTables.build(rho)
     x1, phi1, phi2, u = draw_inputs(tables, 40, seed)
     assert_search_matches_rows(tables, x1, phi1, phi2, u)
@@ -177,6 +288,31 @@ def test_search_matches_formed_rows_on_random_states(rho, seed):
         assert np.array_equal(from_left[:, -1:], total)
     assert np.abs(rows[:, -1] - marginal[np.arange(9), index]).max() < 1e-9
     assert np.abs(marginal[:, -1] - rho.trace()).max() < 1e-9
+
+
+@settings(derandomize=True, deadline=None, max_examples=50, database=None)
+@given(small_states(), st.integers(0, 2 ** 32 - 1))
+def test_search_matches_formed_rows_on_random_states(rho, seed):
+    assert_random_state_draws(rho, seed)
+
+
+@st.composite
+def phase_covariant_states(draw):
+    """A random state with d <= 4 pinched onto n - m = n' - m': the
+    average over the phase rotations e^{i theta (n - m)}, which keeps it
+    positive semidefinite with trace 1."""
+    d, matrix = random_density(draw, 4)
+    sector = np.subtract.outer(np.arange(d), np.arange(d)).ravel()
+    matrix[sector[:, None] != sector[None, :]] = 0.0
+    return BipartiteDensity(d, d, matrix)
+
+
+@settings(derandomize=True, deadline=None, max_examples=50, database=None)
+@given(phase_covariant_states(), st.integers(0, 2 ** 32 - 1))
+def test_search_matches_formed_rows_on_phase_covariant_states(rho, seed):
+    # the index-difference block path of the pair weights
+    assert DifferenceBlocks.of(rho) is not None
+    assert_random_state_draws(rho, seed)
 
 
 # -- the per-state positivity check -------------------------------------------
