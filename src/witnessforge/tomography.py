@@ -32,9 +32,9 @@ CELLS = 512                 # Simpson cells of the sampling grid; a power
                             # of two, which the cell search relies on
 _CHUNK = 2048               # samples per draw; rows of the block products
 PDF_NEGATIVITY_TOL = 1e-10
-_NEWTON_STEPS = 7           # safeguarded Newton steps per cell inversion:
-                            # cells next to a zero of the density need up
-                            # to 7 to reach rounding
+_NEWTON_STEPS = 5           # safeguarded Newton steps every cell inversion
+                            # takes; those still short of rounding go on
+_NEWTON_STEP_LIMIT = 64     # alone, up to this many steps in all
 
 
 @dataclass
@@ -136,19 +136,21 @@ def _with_cdf(rows: np.ndarray, delta: float) -> np.ndarray:
 
 
 def _fixed_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a @ b evaluated at exactly _CHUNK rows of a.
+    """a @ b for an operand a of exactly _CHUNK rows (see
+    :meth:`_SamplerTables.pair_weights`)."""
+    assert a.shape[0] == _CHUNK
+    return a @ b
 
-    BLAS may round a row differently depending on how many rows the call
-    holds, so a short operand is padded with zero rows.  Every row then has
-    the same bits whatever the sample count, which keeps a shorter run a
-    bitwise prefix of a longer one.
-    """
-    n = a.shape[0]
-    if n != _CHUNK:
-        padded = np.zeros((_CHUNK, a.shape[1]), dtype=a.dtype)
-        padded[:n] = a
-        a = padded
-    return (a @ b)[:n]
+
+def _newton_step(t, lo, hi, a, b, c, residual):
+    """One safeguarded Newton step of :func:`_invert_cells`: returns the
+    new t, the bracket updated at the old t and F(t) - residual there."""
+    f = t * (a + t * (b + t * c)) - residual
+    lo = np.where(f <= 0.0, t, lo)
+    hi = np.where(f >= 0.0, t, hi)
+    step = t - f / (a + t * (2.0 * b + 3.0 * t * c))
+    inside = (lo <= step) & (step <= hi)
+    return np.where(inside, step, 0.5 * (lo + hi)), lo, hi, f
 
 
 def _invert_cells(p0, p1, p2, residual) -> np.ndarray:
@@ -156,16 +158,21 @@ def _invert_cells(p0, p1, p2, residual) -> np.ndarray:
 
     The integrated quadratic interpolant is the cubic
     F(t) = t (a + t (b + t c)), with derivative a + t (2b + 3tc).  From the
-    linear guess t = 2 residual / F(2), clamped to [0, 2], _NEWTON_STEPS
-    Newton steps run inside a bracket [lo, hi] with F(lo) <= residual <=
-    F(hi): a step that leaves the bracket is replaced by its midpoint.  The
-    bounds are inclusive, so a converged t (F(t) = residual, where the
-    bracket closes on t) stays put.  A zero cell or a zero derivative
-    gives a NaN step, which also takes the midpoint.  Newton converges
-    slowly only where the density nearly vanishes inside the cell, which
-    then holds little mass; t still stays inside its bracket.  Every
-    operation is elementwise, so each t is the same whatever else the call
-    holds.
+    linear guess t = 2 residual / F(2), clamped to [0, 2], Newton steps run
+    inside a bracket [lo, hi] with F(lo) <= residual <= F(hi): a step that
+    leaves the bracket is replaced by its midpoint.  The bounds are
+    inclusive, so a converged t (F(t) = residual, where the bracket closes
+    on t) stays put.  A zero cell or a zero derivative gives a NaN step,
+    which also takes the midpoint.
+
+    Every entry takes _NEWTON_STEPS steps.  Next to a zero of the density,
+    where F is flat, Newton converges only linearly, so an entry whose
+    |F(t) - residual| is still above 2^-50 |F(2)| goes on alone until it
+    is not, until a step leaves t unchanged, or until _NEWTON_STEP_LIMIT
+    steps.  That error in F is below the rounding of the residual itself,
+    a difference of CDF entries.  Each entry's steps depend on that entry
+    alone, and every operation is elementwise, so each t is the same
+    whatever else the call holds.
     """
     a = p0
     b = p1 - 0.75 * p0 - 0.25 * p2
@@ -173,13 +180,25 @@ def _invert_cells(p0, p1, p2, residual) -> np.ndarray:
     lo = np.zeros_like(residual)
     hi = np.full_like(residual, 2.0)
     with np.errstate(divide="ignore", invalid="ignore"):
-        t = np.clip(residual / (a + 2.0 * (b + 2.0 * c)), 0.0, 2.0)
+        half = a + 2.0 * (b + 2.0 * c)
+        t = np.clip(residual / half, 0.0, 2.0)
         for _ in range(_NEWTON_STEPS):
-            f = t * (a + t * (b + t * c)) - residual
-            lo = np.where(f <= 0.0, t, lo)
-            hi = np.where(f >= 0.0, t, hi)
-            step = t - f / (a + t * (2.0 * b + 3.0 * t * c))
-            t = np.where((lo <= step) & (step <= hi), step, 0.5 * (lo + hi))
+            t, lo, hi, _ = _newton_step(t, lo, hi, a, b, c, residual)
+        tol = 2.0 ** -49 * np.abs(half)
+        slow = np.flatnonzero(
+            np.abs(t * (a + t * (b + t * c)) - residual) > tol)
+        if slow.size:
+            t_s, lo_s, hi_s, a_s, b_s, c_s, r_s, tol_s = (
+                v[slow] for v in (t, lo, hi, a, b, c, residual, tol))
+            moving = np.ones(slow.size, dtype=bool)
+            for _ in range(_NEWTON_STEP_LIMIT - _NEWTON_STEPS):
+                step, lo_s, hi_s, f_s = _newton_step(t_s, lo_s, hi_s,
+                                                     a_s, b_s, c_s, r_s)
+                moving &= (np.abs(f_s) > tol_s) & (step != t_s)
+                if not moving.any():
+                    break
+                t_s = np.where(moving, step, t_s)
+            t[slow] = t_s
     return t
 
 
@@ -356,12 +375,11 @@ class _SamplerTables:
         c_0 = 1 and c_j = 2, where the cosine and sine of j(phi1+phi2) fold
         into W, so real and complex blocks share one pair table.  a_j(s) is
         real, so the products with the real and imaginary parts of B_j run
-        as real products.  x1 is padded to _CHUNK once, so every product
-        has that fixed row count, and each is written straight into its
-        columns of W.  Any other state takes W from the mode-2 conditional
-        operator C(s), which is Hermitian: W_(j,l)(s) = c_j Re[C(s)[m, M]
-        e^{ij phi2}] over the pairs m = M + j alone, one row-wise einsum
-        (d <= 4 in practice).
+        as real products, each written straight into its columns of W.
+        Any other state takes W from the mode-2 conditional operator C(s),
+        which is Hermitian: W_(j,l)(s) = c_j Re[C(s)[m, M] e^{ij phi2}]
+        over the pairs m = M + j alone, one row-wise einsum (d <= 4 in
+        practice).
         """
         d = self.d
         n = x1.size
@@ -371,6 +389,11 @@ class _SamplerTables:
             outer = (u1[:, :, None] * u1.conj()[:, None, :]).reshape(n, -1)
             c = np.einsum("nk,kl->nl", outer, self.cond)
             return (c * np.exp(1j * np.outer(phi2, self.pair_j))).real
+        # BLAS may round a row differently depending on how many rows the
+        # call holds, so x1 is padded with zeros to _CHUNK once: every block
+        # product then has that row count, and each row the same bits
+        # whatever the sample count, which keeps a shorter run a bitwise
+        # prefix of a longer one
         padded = np.zeros(_CHUNK)
         padded[:n] = x1
         psi1 = oscillator_psi_table(d - 1, padded)
@@ -495,13 +518,13 @@ def sample_homodyne(rho: BipartiteDensity, n: int, seed: int,
     tail accumulated from its own end) once per state.  A draw never forms
     its row W @ [products | cell CDFs]: a binary search over the cells reads
     one CDF entry per step as the dot product of W with one table column,
-    then the three node densities of the cell it lands in, and a few
-    safeguarded Newton steps invert that cell's Simpson cubic.  W comes from
-    the index-difference blocks when rho has that support, and from the
-    Hermitian mode-2 conditional operator C(s) otherwise, of which only the
-    entries m >= M are formed.  rho is checked once: a ValueError
-    is raised if its smallest eigenvalue lets a quadrature density on the
-    grid fall below -1e-10.
+    then the three node densities of the cell it lands in, and safeguarded
+    Newton steps invert that cell's Simpson cubic to 2^-50 of the cell's
+    mass.  W comes from the index-difference blocks when rho has that
+    support, and from the Hermitian mode-2 conditional operator C(s)
+    otherwise, of which only the entries m >= M are formed.  rho is checked
+    once: a ValueError is raised if its smallest eigenvalue lets a
+    quadrature density on the grid fall below -1e-10.
 
     Samples are organized in fixed blocks of 65536 with one spawned RNG
     substream per block, so the result is bitwise reproducible and

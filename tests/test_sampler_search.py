@@ -222,18 +222,25 @@ def test_newton_inversion_against_bisection_on_random_cells(seed):
 
 
 @pytest.mark.parametrize("p0, p1, p2", [
-    (0.0, 0.0, 0.0), (1.0, 1.0, 1.0), (0.0, 1.0, 0.0), (-1e-12, 0.5, 1.0),
-    (1.0, 0.5, -1e-12), (3e-300, 2e-300, 1e-300)],
-    ids=["zero", "constant", "zero-ends", "negative-left", "negative-right",
-         "subnormal-scale"])
+    (0.0, 0.0, 0.0), (1.0, 1.0, 1.0), (0.0, 1.0, 0.0), (0.0, 1.0, 4.0),
+    (4.0, 1.0, 0.0), (1.0, 0.0, 1.0), (-1e-12, 0.5, 1.0), (1.0, 0.5, -1e-12),
+    (3e-300, 2e-300, 1e-300)],
+    ids=["zero", "constant", "zero-ends", "zero-left", "zero-right",
+         "zero-middle", "negative-left", "negative-right", "subnormal-scale"])
 def test_newton_inversion_on_edge_cells(p0, p1, p2):
+    # both ends, residuals down to 1e-20 of the cell, and uniform ones;
+    # next to a zero of the density Newton converges only linearly
     full = cell_integral(p0, p1, p2, 2.0)
-    t = assert_inverts(p0, p1, p2, np.array([0.0, full]))
-    oracle = invert_cells_by_bisection(p0, p1, p2, np.array([0.0, full]))
+    fraction = np.concatenate([[0.0, 1.0], 10.0 ** -np.arange(1.0, 21.0),
+                               np.random.default_rng(3).random(20000)])
+    t = assert_inverts(p0, p1, p2, fraction * full)
+    oracle = invert_cells_by_bisection(p0, p1, p2, fraction[:2] * full)
     if full > 0.0 and min(p0, p1, p2) >= 0.0:
-        # a strictly increasing cubic: both ends are exact
-        assert np.array_equal(t, [0.0, 2.0])
-        assert np.abs(t - oracle).max() <= 2.0 ** -42
+        # a nondecreasing cubic: both ends are exact
+        assert np.array_equal(t[:2], [0.0, 2.0])
+    if min(p0, p2) > 0.0:
+        # F has a slope at both ends, so the oracle resolves them too
+        assert np.abs(t[:2] - oracle).max() <= 2.0 ** -42
 
 
 def test_newton_inversion_of_a_constant_cell_is_exact():
