@@ -252,8 +252,9 @@ def cmd_tomo_estimate(args) -> None:
                                         gamma_t=gamma_t, kappa=kappa,
                                         workers=args.workers)
     estimate = tomography.mc_estimate_witness(batch)
+    # one sample, or samples without spread, cannot be compared with direct
     z = (estimate.mean - direct) / estimate.std_error \
-        if estimate.std_error > 0 else 0.0
+        if estimate.std_error else None
     report = {
         "config": {"command": "tomo-estimate", "x": args.x,
                    "gamma_t": _gamma_t_field(args.gammat), "kappa": args.kappa,

@@ -191,19 +191,19 @@ def batch_to_csv(path: str, batch) -> None:
 
     The bytes are those of :func:`write_csv` on the same rows: every cell is
     the ``%.17g`` text of its value.  The cells are formatted with numpy,
-    :data:`CHUNK_ROWS` rows at a time, and each chunk is written as soon as
-    it is formed.
+    :data:`CHUNK_ROWS` rows at a time, and each chunk's bytes are written
+    as soon as it is formed.
     """
     columns = (batch.phi1, batch.x1, batch.phi2, batch.x2)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("phi1,x1,phi2,x2\n")
+    with open(path, "wb") as fh:
+        fh.write(b"phi1,x1,phi2,x2\n")
         for start in range(0, len(columns[0]), CHUNK_ROWS):
             block = np.column_stack(
                 [col[start:start + CHUNK_ROWS] for col in columns])
             cells = _format_cells(block.astype(float, copy=False).ravel())
             cells.reshape(-1, 4, 5)[:, :, 4] |= _SEPARATORS
             text = cells.view(np.uint8).reshape(-1)
-            fh.write(np.compress(text != 0, text).tobytes().decode("ascii"))
+            fh.write(np.compress(text != 0, text).tobytes())
 
 
 def batch_rows_from_csv(path: str) -> np.ndarray:

@@ -24,13 +24,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cv import DifferenceBlocks, _check_gamma_t, _check_kappa
+from .specfn import _CHUNK as _KERNEL_CHUNK
 from .specfn import oscillator_psi_table, pattern_functions
 from .states import BipartiteDensity
 
 BLOCK_SIZE = 65536          # determinism unit: one RNG substream per block
 CELLS = 512                 # Simpson cells of the sampling grid; a power
                             # of two, which the cell search relies on
-_CHUNK = 2048               # samples per draw; rows of the block products
+_CHUNK = 1024               # samples per draw; rows of the block products
 PDF_NEGATIVITY_TOL = 1e-10
 _NEWTON_STEPS = 5           # safeguarded Newton steps every cell inversion
                             # takes; those still short of rounding go on
@@ -65,10 +66,11 @@ class HomodyneBatch:
 
 @dataclass(frozen=True)
 class McEstimate:
-    """Monte Carlo mean with its standard error."""
+    """Monte Carlo mean with its standard error; one sample has no spread,
+    so its standard error is None."""
 
     mean: float
-    std_error: float
+    std_error: float | None
     n_samples: int
 
 
@@ -76,20 +78,37 @@ def witness_kernel(x1, phi1, x2, phi2):
     """Homodyne estimator kernel whose sample average converges to Tr[rho W]
     for the two-mode witness W = (|01><01| + |10><10| - |00><11| - |11><00|)/2.
 
-    Depends on the phases only through phi1 + phi2.
+    Depends on the phases only through phi1 + phi2.  The kernel is
+    elementwise, so it is evaluated specfn._CHUNK points at a time into
+    one values array: its temporaries do not grow with the input.
     """
-    phase = np.cos(np.asarray(phi1, dtype=float) + np.asarray(phi2, dtype=float))
-    a00, a01, a11 = pattern_functions(x1)
-    b00, b01, b11 = pattern_functions(x2)
-    return 0.5 * (a00 * b11 + a11 * b00 - 2.0 * phase * a01 * b01)
+    args = np.broadcast_arrays(*(np.asarray(a, dtype=float)
+                                 for a in (x1, phi1, x2, phi2)))
+    x1, phi1, x2, phi2 = (a.reshape(-1) for a in args)
+    values = np.empty(x1.size)
+    for start in range(0, values.size, _KERNEL_CHUNK):
+        sl = slice(start, start + _KERNEL_CHUNK)
+        phase = np.cos(phi1[sl] + phi2[sl])
+        a00, a01, a11 = pattern_functions(x1[sl])
+        b00, b01, b11 = pattern_functions(x2[sl])
+        values[sl] = 0.5 * (a00 * b11 + a11 * b00 - 2.0 * phase * a01 * b01)
+    return values.reshape(args[0].shape)[()]
 
 
 def mc_estimate_witness(batch: HomodyneBatch) -> McEstimate:
-    """Sample mean and standard error of the witness kernel over a batch."""
+    """Sample mean and standard error of the witness kernel over a batch.
+
+    The deviations are squared in place in the values array, which gives
+    the bits of ``np.std(values, ddof=1)`` without its second array.
+    """
     values = witness_kernel(batch.x1, batch.phi1, batch.x2, batch.phi2)
     n = len(values)
     mean = float(np.mean(values))
-    std_error = float(np.std(values, ddof=1) / math.sqrt(n)) if n > 1 else 0.0
+    if n == 1:
+        return McEstimate(mean=mean, std_error=None, n_samples=n)
+    values -= mean
+    values *= values
+    std_error = float(np.sqrt(np.sum(values) / (n - 1)) / math.sqrt(n))
     return McEstimate(mean=mean, std_error=std_error, n_samples=n)
 
 
@@ -140,6 +159,18 @@ def _fixed_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     :meth:`_SamplerTables.pair_weights`)."""
     assert a.shape[0] == _CHUNK
     return a @ b
+
+
+def _phase_powers(angle: np.ndarray, d: int,
+                  factor: float = 1.0) -> np.ndarray:
+    """The (d, n) array of 1 and factor e^{ij angle}, j = 1 .. d-1, by one
+    complex exponential and a cumulative product: d cosines and sines per
+    sample cost more than the products that use them."""
+    turn = np.empty((d, angle.size), dtype=complex)
+    turn[0] = 1.0
+    turn[1:] = np.exp(1j * angle)
+    turn[1] *= factor
+    return np.cumprod(turn, axis=0)
 
 
 def _newton_step(t, lo, hi, a, b, c, residual):
@@ -205,7 +236,7 @@ def _invert_cells(p0, p1, p2, residual) -> np.ndarray:
 def _row_columns(rows: np.ndarray):
     """Column accessor of ``[density | cdf | total]`` rows (see
     :func:`_with_cdf`): one shared row of shape (width,), or one row per
-    draw of shape (n, width)."""
+    draw of shape (n, width).  An int k reads column k of every row."""
     if rows.ndim == 1:
         return rows.__getitem__
     take = np.arange(rows.shape[0])
@@ -216,16 +247,24 @@ def _weighted_columns(weights: np.ndarray, table: np.ndarray):
     """Column accessor of the rows ``weights @ table`` that never forms
     them: column k[i] of row i is the dot product of weights[i] with
     column k[i] of the table.  Each is a row-wise einsum, which rounds a
-    row the same way whatever the number of rows."""
+    row the same way whatever the number of rows.  An int k, a column
+    that every row reads, is read once rather than gathered per row, with
+    the same bits."""
     columns = table.T
-    return lambda k: np.einsum("np,np->n", weights, columns[k])
+
+    def column(k):
+        if np.ndim(k) == 0:
+            return np.einsum("np,p->n", weights, columns[k])
+        return np.einsum("np,np->n", weights, columns[k])
+    return column
 
 
 def _sample_columns(column, u: np.ndarray, nodes: np.ndarray,
                     delta: float) -> np.ndarray:
     """Draw one outcome per entry of u by inverse CDF from
     ``[density | cdf | total]`` rows (see :func:`_with_cdf`) read through
-    ``column(k)``, which returns entry k[i] of row i for an index array k.
+    ``column(k)``, which returns entry k[i] of row i for an index array k
+    and entry k of every row for an int k.
 
     A binary search of log2(cells) steps finds the first cell whose CDF is
     not below its target, u * total on the lower half of the cells and
@@ -235,18 +274,20 @@ def _sample_columns(column, u: np.ndarray, nodes: np.ndarray,
     cells/2 down to 1, it probes lo + step - 1 and moves lo past the probe
     when that CDF entry is below its target.  The last cell always
     qualifies, as its cdf is 0 and u < 1, so the search stays in range.
-    Each draw reads about a dozen entries of its row, not all of it.
+    Each draw reads about a dozen entries of its row, not all of it; the
+    total and the first probe are the same column for every draw, so lo
+    stays an int until the first move and those two are shared reads.
     """
     g = nodes.size
     cells = g // 2
     half = cells // 2
-    total = column(np.full(u.size, g + cells))
+    total = column(g + cells)
     if np.any(total <= 0.0):
         raise ValueError("quadrature density has vanishing total mass")
     below_target = u * total
     above_target = (u - 1.0) * total
-    lo = np.zeros(u.size, dtype=np.intp)
-    below = np.zeros(u.size)       # cdf[lo - 1], or 0 while lo = 0
+    lo = 0
+    below = 0.0                    # cdf[lo - 1], or 0 while lo = 0
     step = half
     while step:
         probe = lo + (step - 1)
@@ -385,10 +426,10 @@ class _SamplerTables:
         n = x1.size
         if self.diff is None:
             psi1 = oscillator_psi_table(d - 1, x1)
-            u1 = psi1.T * np.exp(1j * np.outer(phi1, np.arange(d)))
+            u1 = (psi1 * _phase_powers(phi1, d)).T
             outer = (u1[:, :, None] * u1.conj()[:, None, :]).reshape(n, -1)
             c = np.einsum("nk,kl->nl", outer, self.cond)
-            return (c * np.exp(1j * np.outer(phi2, self.pair_j))).real
+            return (c * _phase_powers(phi2, d)[self.pair_j].T).real
         # BLAS may round a row differently depending on how many rows the
         # call holds, so x1 is padded with zeros to _CHUNK once: every block
         # product then has that row count, and each row the same bits
@@ -397,13 +438,8 @@ class _SamplerTables:
         padded = np.zeros(_CHUNK)
         padded[:n] = x1
         psi1 = oscillator_psi_table(d - 1, padded)
-        # 1 and 2 e^{ij(phi1+phi2)} by one cumulative product: d cosines and
-        # sines per sample cost more than the block products
-        turn = np.empty((d, n), dtype=complex)
-        turn[0] = 1.0
-        turn[1:] = np.exp(1j * (phi1 + phi2))
-        turn[1] *= 2.0
-        turn = np.cumprod(turn, axis=0)[:, :, None]
+        # 1 and 2 e^{ij(phi1+phi2)}
+        turn = _phase_powers(phi1 + phi2, d, 2.0)[:, :, None]
         weights = np.empty((n, self.pair_j.size))
         col = 0
         for j, (re, im) in enumerate(self.block_parts):
@@ -471,12 +507,18 @@ def _sample_blocks(n: int, seed: int, workers: int, draw,
 
     Block b gets its own generator from the b-th child of
     ``SeedSequence(seed)``.  It draws phi1 and phi2 uniform on [0, pi), then
-    the arrays ``draw(rng)``, every one at full block length, and cuts them
-    all to the block's count before ``quadratures(phi1, phi2, *draws)``
-    turns them into (x1, x2).  So the output is bitwise the same for any
-    worker count (workers > 1 runs blocks in a thread pool), and a shorter
-    run is a prefix of a longer one as long as ``quadratures`` computes
-    each sample independently of how many it is given.
+    the arrays ``draw(rng)``, every one at full block length, and writes
+    its phases into its own slice of the batch.  Then
+    ``quadratures(phi1, phi2, *draws)`` turns pieces of at most _CHUNK
+    samples into (x1, x2), which are written into that slice as well.  So
+    the output is bitwise the same for any worker count (workers > 1 runs
+    blocks in a thread pool), and a shorter run is a prefix of a longer
+    one as long as ``quadratures`` computes each sample independently of
+    how many it is given.
+
+    The batch is one (4, n) array, allocated once, whose C-contiguous rows
+    are phi1, x1, phi2 and x2.  Besides it a worker holds one block of
+    draws and the temporaries of one piece, whatever n is.
     """
     if n < 1:
         raise ValueError("sample count must be positive")
@@ -484,23 +526,29 @@ def _sample_blocks(n: int, seed: int, workers: int, draw,
         raise ValueError("workers must be positive")
     n_blocks = (n + BLOCK_SIZE - 1) // BLOCK_SIZE
     children = np.random.SeedSequence(seed).spawn(n_blocks)
-    counts = [min(BLOCK_SIZE, n - b * BLOCK_SIZE) for b in range(n_blocks)]
+    out = np.empty((4, n))
 
     def block(b):
         rng = np.random.default_rng(children[b])
         phi1 = math.pi * rng.random(BLOCK_SIZE)
         phi2 = math.pi * rng.random(BLOCK_SIZE)
-        phi1, phi2, *rest = (a[:counts[b]] for a in (phi1, phi2, *draw(rng)))
-        return (phi1, phi2, *quadratures(phi1, phi2, *rest))
+        draws = draw(rng)
+        rows = out[:, b * BLOCK_SIZE:(b + 1) * BLOCK_SIZE]
+        count = rows.shape[1]
+        rows[0] = phi1[:count]
+        rows[2] = phi2[:count]
+        for start in range(0, count, _CHUNK):
+            piece = slice(start, min(start + _CHUNK, count))
+            rows[1, piece], rows[3, piece] = quadratures(
+                phi1[piece], phi2[piece], *(a[piece] for a in draws))
 
     if workers == 1 or n_blocks == 1:
-        parts = [block(b) for b in range(n_blocks)]
+        for b in range(n_blocks):
+            block(b)
     else:
         with ThreadPoolExecutor(max_workers=min(workers, n_blocks)) as pool:
-            parts = list(pool.map(block, range(n_blocks)))
-    phi1, phi2, x1, x2 = (np.concatenate([p[i] for p in parts])
-                          for i in range(4))
-    return HomodyneBatch(phi1=phi1, x1=x1, phi2=phi2, x2=x2)
+            list(pool.map(block, range(n_blocks)))
+    return HomodyneBatch(phi1=out[0], x1=out[1], phi2=out[2], x2=out[3])
 
 
 def sample_homodyne(rho: BipartiteDensity, n: int, seed: int,
@@ -529,6 +577,9 @@ def sample_homodyne(rho: BipartiteDensity, n: int, seed: int,
     Samples are organized in fixed blocks of 65536 with one spawned RNG
     substream per block, so the result is bitwise reproducible and
     independent of the worker count; workers > 1 parallelizes over blocks.
+    Each block is drawn in chunks of _CHUNK = 1024 samples, written in
+    place into the batch, so the working memory is the 32 n bytes of the
+    batch, plus one block of draws and one chunk's temporaries per worker.
     Every value of a sample is computed row by row (the BLAS block products
     at one fixed row count, with x1 of a short chunk padded once to that
     count), so a shorter run is a bitwise prefix of a longer one.
@@ -542,14 +593,8 @@ def sample_homodyne(rho: BipartiteDensity, n: int, seed: int,
         return rng.random(BLOCK_SIZE), rng.random(BLOCK_SIZE)
 
     def quadratures(phi1, phi2, u1, u2):
-        x1 = np.empty(phi1.size)
-        x2 = np.empty(phi1.size)
-        for start in range(0, phi1.size, _CHUNK):
-            sl = slice(start, start + _CHUNK)
-            x1[sl] = tables.draw_marginal(phi1[sl], u1[sl])
-            x2[sl] = tables.draw_conditional(x1[sl], phi1[sl], phi2[sl],
-                                             u2[sl])
-        return x1, x2
+        x1 = tables.draw_marginal(phi1, u1)
+        return x1, tables.draw_conditional(x1, phi1, phi2, u2)
 
     return _sample_blocks(n, seed, workers, draw, quadratures)
 
@@ -570,8 +615,9 @@ def sample_twin_beam(x: float, n: int, seed: int, gamma_t: float = 0.0,
     x1 = sqrt(V) z1, x2 = (Cov/V) x1 + sqrt(V - Cov^2/V) z2 for standard
     normal z1, z2; V - |Cov| >= (1 - x)/(4(1 + x)) > 0 keeps the root real.
 
-    No Fock truncation enters.  Blocks, seeding and worker independence are
-    those of :func:`sample_homodyne`, but the draws differ from it.
+    No Fock truncation enters.  Blocks, chunks, seeding, worker
+    independence and the memory bound are those of
+    :func:`sample_homodyne`, but the draws differ from it.
     """
     if not 0.0 <= x < 1.0:
         raise ValueError(f"twin-beam parameter x={x} outside [0, 1)")

@@ -32,7 +32,11 @@ from witnessforge.formats import (
 )
 from witnessforge.linalg import ConvergenceError
 from witnessforge.states import BipartiteDensity, maximally_entangled_operator
-from witnessforge.tomography import HomodyneBatch, sample_twin_beam
+from witnessforge.tomography import (
+    HomodyneBatch,
+    sample_twin_beam,
+    witness_kernel,
+)
 
 
 def run(capsys, *argv):
@@ -817,6 +821,21 @@ def test_infinite_gamma_t_report_is_strict_json(capsys, argv):
     assert code == 0
     report = json.loads(out, parse_constant=_reject_constant)
     assert report["config"]["gamma_t"] == "inf"
+
+
+def test_one_sample_report_has_no_error_and_no_z_score(capsys, tmp_path):
+    # one sample has no spread: the report must not claim an exact match
+    csv_path = tmp_path / "one.csv"
+    code, out, _ = run(capsys, "tomo-estimate", "--x", "0.5", "--samples",
+                       "1", "--seed", "3", "--batch-csv", str(csv_path))
+    assert code == 0
+    report = json.loads(out, parse_constant=_reject_constant)
+    assert report["std_error"] is None and report["z_score"] is None
+    assert '"std_error": null' in out and '"z_score": null' in out
+    batch = sample_twin_beam(0.5, 1, 3)
+    assert report["mean"] == float(witness_kernel(batch.x1, batch.phi1,
+                                                  batch.x2, batch.phi2)[0])
+    assert np.array_equal(batch_rows_from_csv(csv_path)["x2"], batch.x2)
 
 
 def test_report_rejects_non_finite_values():

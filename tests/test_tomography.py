@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,11 +17,14 @@ from witnessforge.cv import (
     twb_state,
 )
 from witnessforge.formats import batch_rows_from_csv, batch_to_csv
+from witnessforge.specfn import pattern_functions
 from witnessforge.states import BipartiteDensity, random_state_operator
 from witnessforge.tomography import (
     BLOCK_SIZE,
     HomodyneBatch,
+    _sample_columns,
     _SamplerTables,
+    _weighted_columns,
     mc_estimate_witness,
     sample_homodyne,
     sample_twin_beam,
@@ -126,7 +130,6 @@ def test_kernel_depends_on_phase_sum_only():
 
 
 def test_kernel_cosine_term_vanishes_at_right_angle():
-    from witnessforge.specfn import pattern_functions
     x1, x2 = 0.7, -0.4
     val = witness_kernel(x1, np.pi / 4, x2, np.pi / 4)
     a00, _, a11 = pattern_functions(x1)
@@ -561,3 +564,117 @@ def test_twin_beam_sampler_rejects_bad_inputs(kwargs, match):
     args = {"x": TWIN_X, "n": 10, "seed": 1, **kwargs}
     with pytest.raises(ValueError, match=match):
         sample_twin_beam(**args)
+
+
+# -- bounded working memory ---------------------------------------------------
+
+def one_shot_kernel(x1, phi1, x2, phi2):
+    """The witness kernel as one whole-array expression."""
+    phase = np.cos(phi1 + phi2)
+    a00, a01, a11 = pattern_functions(x1)
+    b00, b01, b11 = pattern_functions(x2)
+    return 0.5 * (a00 * b11 + a11 * b00 - 2.0 * phase * a01 * b01)
+
+
+@pytest.mark.parametrize("n", [1, 8191, 8192, 8193, 16385])
+def test_chunked_kernel_is_the_one_shot_expression(n):
+    # the chunks are 8192 points; far tails take the series branch
+    rng = np.random.default_rng(n)
+    x1, x2 = 2.0 * rng.standard_normal((2, n))
+    x1[::97] *= 20.0
+    phi1, phi2 = math.pi * rng.random((2, n))
+    values = witness_kernel(x1, phi1, x2, phi2)
+    assert values.shape == (n,)
+    assert np.array_equal(values, one_shot_kernel(x1, phi1, x2, phi2))
+
+
+def test_estimate_keeps_the_bits_of_mean_and_std():
+    batch = sample_twin_beam(TWIN_X, 20_000, seed=3, gamma_t=0.5)
+    values = one_shot_kernel(batch.x1, batch.phi1, batch.x2, batch.phi2)
+    est = mc_estimate_witness(batch)
+    assert est.mean == float(np.mean(values))
+    assert est.std_error == float(np.std(values, ddof=1)
+                                  / math.sqrt(values.size))
+
+
+def test_one_sample_estimate_has_no_standard_error():
+    est = mc_estimate_witness(sample_twin_beam(TWIN_X, 1, seed=3))
+    assert est.std_error is None and est.n_samples == 1
+    assert math.isfinite(est.mean)
+
+
+def traced_peak(run):
+    """Peak traced allocation, in bytes, of one call of run()."""
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("sampler", [
+    lambda n: sample_twin_beam(TWIN_X, n, seed=5, gamma_t=1.0),
+    lambda n: sample_homodyne(twb_state(0.3, FockTruncation(3)), n, seed=5)],
+    ids=["twin-beam", "homodyne"])
+def test_sampler_memory_is_the_batch_plus_a_constant(sampler):
+    # beyond its 32 n-byte batch a sampler holds one block of draws and one
+    # chunk's temporaries, whatever n is; the first call is left untraced
+    sampler(1000)
+    extra = [traced_peak(lambda: sampler(n)) - 32 * n
+             for n in (2 ** 17, 2 ** 18)]
+    assert abs(extra[1] - extra[0]) < 0.5e6, extra
+
+
+def test_estimate_memory_is_the_values_plus_a_constant():
+    extra = []
+    for n in (2 ** 17, 2 ** 18):
+        batch = sample_twin_beam(TWIN_X, n, seed=6)
+        extra.append(traced_peak(lambda: mc_estimate_witness(batch)) - 8 * n)
+    assert max(extra) < 4e6 and abs(extra[1] - extra[0]) < 0.5e6, extra
+
+
+@pytest.mark.parametrize("sampler", [
+    lambda n, w: sample_twin_beam(TWIN_X, n, seed=9, kappa=0.2, workers=w),
+    lambda n, w: sample_homodyne(rotated_twb(0.5, 1.1), n, seed=9,
+                                 workers=w)],
+    ids=["twin-beam", "homodyne"])
+def test_batch_rows_are_contiguous_and_three_blocks_worker_independent(
+        sampler):
+    n = 2 * BLOCK_SIZE + 1017
+    serial = sampler(n, 1)
+    threaded = sampler(n, 2)
+    for name in ("phi1", "x1", "phi2", "x2"):
+        row = getattr(threaded, name)
+        assert row.dtype == np.float64 and row.flags.c_contiguous
+        assert np.array_equal(getattr(serial, name), row)
+
+
+@pytest.mark.parametrize("rho", [rotated_twb(0.5, 1.1), general_d3_state()],
+                         ids=["rotated-twb", "general-d3"])
+def test_shared_column_reads_are_the_gathered_reads(rho):
+    # the total and the first probe are one column for every draw; reading
+    # it once gives the bits of the per-row gather, and so do the draws
+    tables = _SamplerTables.build(rho)
+    rng = np.random.default_rng(17)
+    n = 1000
+    phi1, phi2 = math.pi * rng.random((2, n))
+    u1, u2 = rng.random((2, n))
+    x1 = tables.draw_marginal(phi1, u1)
+    g = tables.nodes.size
+    shared_columns = (g + g // 2, g + g // 4 - 1)
+    reads = [(tables.pair_weights(x1, phi1, phi2), tables.pairs, u2)]
+    if tables.marginal.ndim == 2:
+        reads.append((tables.marginal_weights(phi1), tables.marginal, u1))
+    assert len(reads) == 1 + (DifferenceBlocks.of(rho) is None)
+    for weights, table, u in reads:
+        column = _weighted_columns(weights, table)
+
+        def gathered(k):
+            return column(np.broadcast_to(k, (n,)))
+
+        for k in shared_columns:
+            assert np.array_equal(column(k), gathered(k))
+        draws = [_sample_columns(c, u, tables.nodes, tables.delta)
+                 for c in (column, gathered)]
+        assert np.array_equal(draws[0], draws[1])

@@ -4,10 +4,15 @@ and 4 (p = 0.8) and the twin beam at x = 0.5 after a local phase rotation.
 
 Table build and positivity check are timed per call; the marginal draw, the
 pair weights, the conditional draw (cell search and inversion) and the
-inversion alone per chunk of 2048 samples.  Wall and CPU time drift by
-tens of percent between runs on a shared VM, so the stages are interleaved
-and repeated and the median of each is printed.  Run from the repository
-root:
+inversion alone per chunk of ``tomography._CHUNK`` (1024) samples.  Wall
+and CPU time drift by tens of percent between runs on a shared VM, so the
+stages are interleaved and repeated and the median of each is printed.
+
+Then the traced peak allocation of one call of ``sample_homodyne`` on each
+state, ``sample_twin_beam`` with phase noise and ``mc_estimate_witness``
+at the benchmark's sample counts, with the part beyond the batch (32 bytes
+a sample) or the kernel values (8 bytes a sample).  Run from the
+repository root:
 
     PYTHONPATH=src python tools/sampler_stages.py [repeats]
 """
@@ -17,6 +22,7 @@ from __future__ import annotations
 import math
 import sys
 import time
+import tracemalloc
 
 import numpy as np
 
@@ -64,6 +70,41 @@ def stages(rho, rng):
     }
 
 
+# sample counts of the benchmark's tomography workloads
+STATE_SAMPLES = {"depolarized d=3": 2 ** 14, "depolarized d=4": 2 ** 14,
+                 "rotated twb": 2 ** 15}
+TWIN_SAMPLES = 2 ** 17
+
+
+def traced_peak(run) -> float:
+    """Peak traced allocation of one call of run(), in MB."""
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1] / 1e6
+    finally:
+        tracemalloc.stop()
+
+
+def memory(rng) -> None:
+    print("traced peak per call, MB (beyond the batch or the values):")
+    for name, rho in states(rng):
+        n = STATE_SAMPLES[name]
+        peak = traced_peak(lambda: tm.sample_homodyne(rho, n, seed=1))
+        print(f"  sample_homodyne {name:18s} n = {n:6d} "
+              f"{peak:7.2f} ({peak - 32e-6 * n:.2f})")
+    n = TWIN_SAMPLES
+    batch = tm.sample_twin_beam(0.5, n, seed=1, gamma_t=1.0)
+    for name, run, per_sample in [
+            ("sample_twin_beam", lambda: tm.sample_twin_beam(
+                0.5, n, seed=1, gamma_t=1.0), 32e-6),
+            ("mc_estimate_witness", lambda: tm.mc_estimate_witness(batch),
+             8e-6)]:
+        peak = traced_peak(run)
+        print(f"  {name:34s} n = {n:6d} "
+              f"{peak:7.2f} ({peak - per_sample * n:.2f})")
+
+
 def main(repeats: int = 30) -> None:
     rng = np.random.default_rng(7)
     for name, rho in states(rng):
@@ -77,6 +118,7 @@ def main(repeats: int = 30) -> None:
         print(f"{name} (d = {rho.dim_a}), median CPU ms over {repeats}:")
         for stage, values in times.items():
             print(f"  {stage:32s} {1e3 * np.median(values):8.3f}")
+    memory(np.random.default_rng(7))
 
 
 if __name__ == "__main__":
