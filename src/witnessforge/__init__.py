@@ -11,7 +11,6 @@ from .linalg import (
 from .states import (
     BipartiteDensity,
     maximally_entangled_operator,
-    random_product_state,
     random_state_operator,
     schmidt_operator,
 )
@@ -38,7 +37,6 @@ from .cv import (
     gauss_witness_expectation,
     phase_noisy_twb,
     phase_witness_expectation,
-    pt_spectrum_analytic,
     sum_mode_variance,
     twb_state,
     twin_beam_blocks,

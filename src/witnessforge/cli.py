@@ -202,12 +202,13 @@ def cmd_cv_gauss(args) -> None:
     if args.output is None:
         raise ValueError("--scan-kappa requires --output for the CSV")
     grid = _parse_grid(args.scan_kappa)
+    # first, so that an x it rejects exits before any CSV is written
+    threshold = cv.gauss_separability_threshold(args.x)
     rows = []
     for kappa in grid:
         val = cv.gauss_witness_expectation(args.x, float(kappa))
         rows.append((float(kappa), val, bool(val < -BOUNDARY_TOL)))
     write_csv(args.output, ["kappa", "expectation", "entangled"], rows)
-    threshold = cv.gauss_separability_threshold(args.x)
     summary = {
         "config": {"command": "cv-gauss", "x": args.x,
                    "scan_kappa": args.scan_kappa},

@@ -190,21 +190,6 @@ def phase_noisy_twb(x: float, gamma_t: float,
     return twin_beam_blocks(x, trunc, gamma_t).density()
 
 
-# -- analytic partial-transpose spectrum of the phase-noisy twin beam -------
-
-def pt_spectrum_analytic(x: float, gamma_t: float, n_max: int) -> np.ndarray:
-    """All (n_max+1)^2 PT eigenvalues of the truncated phase-noisy twin beam,
-    sorted ascending: (1-x^2) x^(2n) of the eigenvector |nn>, and
-    +/- (1-x^2) x^(n+m) exp(-gamma_t (n-m)^2) of (|nm> +/- |mn>)/sqrt(2)
-    for n < m."""
-    diagonal = (1.0 - x * x) * x ** (2 * np.arange(n_max + 1))
-    # the exponential only off the diagonal: gamma_t = inf gives exact zeros
-    # there instead of exp(-inf * 0) = NaN on it
-    n, m = np.triu_indices(n_max + 1, 1)
-    pair = (1.0 - x * x) * x ** (n + m) * np.exp(-gamma_t * (n - m) ** 2)
-    return np.sort(np.concatenate([diagonal, pair, -pair]))
-
-
 # -- the continuous-variable witness ----------------------------------------
 
 def cv_witness(trunc: FockTruncation) -> np.ndarray:

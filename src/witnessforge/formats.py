@@ -204,9 +204,3 @@ def batch_to_csv(path: str, batch) -> None:
             cells.reshape(-1, 4, 5)[:, :, 4] |= _SEPARATORS
             text = cells.view(np.uint8).reshape(-1)
             fh.write(np.compress(text != 0, text).tobytes())
-
-
-def batch_rows_from_csv(path: str) -> np.ndarray:
-    """The rows of a batch file as a 1-d array with fields phi1, x1, phi2
-    and x2; ``genfromtxt`` alone would squeeze a one-row file to 0-d."""
-    return np.atleast_1d(np.genfromtxt(path, delimiter=",", names=True))

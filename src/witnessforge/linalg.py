@@ -11,9 +11,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-HERMITIAN_TOL = 1e-10
-
-
 class ConvergenceError(RuntimeError):
     """A numerical routine failed to reach its target tolerance."""
 
@@ -32,11 +29,6 @@ def require_square(m: np.ndarray) -> int:
     if m.shape[0] != m.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
     return m.shape[0]
-
-
-def hermiticity_defect(m: np.ndarray) -> float:
-    """Max elementwise deviation from m = m^dagger."""
-    return float(np.abs(m - m.conj().T).max())
 
 
 def vectorize(a: np.ndarray) -> np.ndarray:

@@ -6,14 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import (
-    HERMITIAN_TOL,
-    as_complex_matrix,
-    hermiticity_defect,
-    partial_transpose,
-)
-
-PSD_TOL = 1e-10
+from .linalg import as_complex_matrix, partial_transpose
 
 
 @dataclass
@@ -58,25 +51,6 @@ class BipartiteDensity:
             return np.einsum("ijil->jl", t)
         raise ValueError(f"mode must be 0 or 1, got {mode}")
 
-    def validate(self, herm_tol: float = HERMITIAN_TOL,
-                 psd_tol: float = PSD_TOL) -> "BipartiteDensity":
-        """Check Hermiticity, trace window and positivity; raise on failure."""
-        defect = hermiticity_defect(self.matrix)
-        if defect > herm_tol:
-            raise ValueError(f"density not Hermitian: defect {defect:.3e}")
-        tr = np.trace(self.matrix)
-        if abs(tr.imag) > herm_tol:
-            raise ValueError(f"density trace not real: {tr}")
-        lo = 1.0 - self.trace_deficit - 1e-12
-        if not (lo <= tr.real <= 1.0 + 1e-12):
-            raise ValueError(
-                f"trace {tr.real} outside [{lo}, 1] for recorded "
-                f"deficit {self.trace_deficit:.3e}")
-        w = np.linalg.eigvalsh((self.matrix + self.matrix.conj().T) / 2)
-        if w[0] < -psd_tol:
-            raise ValueError(f"density has negative eigenvalue {w[0]:.3e}")
-        return self
-
 
 def maximally_entangled_operator(d: int) -> np.ndarray:
     """Operator I/sqrt(d), whose vectorization is the maximally entangled state."""
@@ -112,13 +86,3 @@ def random_state_operator(d: int, rng: np.random.Generator) -> np.ndarray:
     """Random pure-state operator: complex Gaussian entries, unit HS norm."""
     m = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
     return m / np.linalg.norm(m)
-
-
-def random_product_state(dim_a: int, dim_b: int,
-                         rng: np.random.Generator) -> np.ndarray:
-    """Haar-random product vector |a>|b> via normalized complex Gaussians."""
-    a = rng.standard_normal(dim_a) + 1j * rng.standard_normal(dim_a)
-    b = rng.standard_normal(dim_b) + 1j * rng.standard_normal(dim_b)
-    a /= np.linalg.norm(a)
-    b /= np.linalg.norm(b)
-    return np.kron(a, b)

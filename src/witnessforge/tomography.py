@@ -233,16 +233,6 @@ def _invert_cells(p0, p1, p2, residual) -> np.ndarray:
     return t
 
 
-def _row_columns(rows: np.ndarray):
-    """Column accessor of ``[density | cdf | total]`` rows (see
-    :func:`_with_cdf`): one shared row of shape (width,), or one row per
-    draw of shape (n, width).  An int k reads column k of every row."""
-    if rows.ndim == 1:
-        return rows.__getitem__
-    take = np.arange(rows.shape[0])
-    return lambda k: rows[take, k]
-
-
 def _weighted_columns(weights: np.ndarray, table: np.ndarray):
     """Column accessor of the rows ``weights @ table`` that never forms
     them: column k[i] of row i is the dot product of weights[i] with
@@ -306,23 +296,23 @@ def _sample_columns(column, u: np.ndarray, nodes: np.ndarray,
 class _SamplerTables:
     """Everything precomputed once per (state, grid) for the sampling loop.
 
-    Each density row the sampler draws from is linear in a few real weights,
-    so it is one product W @ table with a ``[density | cdf | total]`` table
-    from :func:`_with_cdf`.  Stage 1 weighs the phase-coefficient rows of the
-    mode-1 marginal; stage 2 weighs the pair products psi_m psi_M (m >= M,
-    ordered by j = m - M, then M) with the pair weights W(s) of the mode-2
-    conditional operator at the sampled x1.  The tables are stored column
-    by column, so the entries a draw reads are contiguous.
+    Both densities the sampler draws from are linear in real weights W of
+    the pair products psi_m psi_M (m >= M, ordered by j = m - M, then M), so
+    each row is one product W @ table with the one ``[density | cdf |
+    total]`` table of those products from :func:`_with_cdf`.  Stage 1 weighs
+    them for the mode-1 marginal at phi1, whose row is formed once from the
+    j = 0 products when rho_A is diagonal; stage 2 with the pair weights
+    W(s) of the mode-2 conditional operator at the sampled x1.  The table
+    is stored column by column, so the entries a draw reads are contiguous.
     """
 
     d: int
     nodes: np.ndarray
     delta: float
-    marginal: np.ndarray        # shared row if the reduced state is diagonal,
-                                # else (2d-1, G + cells + 1) phase-coefficient
-                                # rows
     pairs: np.ndarray           # (d(d+1)/2, G + cells + 1) pair-product rows
     pair_j: np.ndarray          # index difference m - M of each pair
+    reduced_pairs: np.ndarray   # c_j rho_A[m, M] of each pair
+    shared: np.ndarray | None   # the marginal row if rho_A is diagonal
     diff: DifferenceBlocks | None
     block_parts: tuple          # contiguous (B_j.real, B_j.imag or None) per j
     cond: np.ndarray | None     # (d^2, d(d+1)/2) map c_j C(s)[m, M] =
@@ -336,24 +326,17 @@ class _SamplerTables:
         nodes = np.linspace(-span, span, 2 * CELLS + 1)
         delta = nodes[1] - nodes[0]
         psi_nodes = oscillator_psi_table(d - 1, nodes)
-        reduced = rho.reduced(0)
-        off = reduced - np.diag(np.diag(reduced))
-        if np.abs(off).max() <= 1e-14:
-            diag = np.real(np.diag(reduced))
-            if diag.min() < -PDF_NEGATIVITY_TOL:
-                raise ValueError("reduced state has negative populations")
-            marginal = np.clip(diag, 0.0, None) @ (psi_nodes * psi_nodes)
-        else:
-            rows = [np.real(np.diag(reduced)) @ (psi_nodes * psi_nodes)]
-            for j in range(1, d):
-                cj = np.einsum("n,ng,ng->g", np.diag(reduced, -j),
-                               psi_nodes[j:], psi_nodes[:d - j])
-                rows.append(2.0 * cj.real)
-                rows.append(-2.0 * cj.imag)
-            marginal = np.vstack(rows)
         pair_j = np.concatenate([np.full(d - j, j) for j in range(d)])
-        pairs = np.vstack([psi_nodes[j:] * psi_nodes[: d - j]
-                           for j in range(d)])
+        pair_m = np.concatenate([np.arange(j, d) for j in range(d)])
+        # c_0 = 1 and c_j = 2 count the pair (m, M) and its transpose; a
+        # power of two, so folding it in changes no bits
+        scale = np.where(pair_j == 0, 1.0, 2.0)
+        pairs = np.asfortranarray(_with_cdf(
+            np.vstack([psi_nodes[j:] * psi_nodes[: d - j]
+                       for j in range(d)]), delta))
+        reduced = rho.reduced(0)
+        diagonal = np.abs(reduced - np.diag(np.diag(reduced))).max() <= 1e-14
+        shared = np.real(np.diag(reduced)) @ pairs[:d] if diagonal else None
         diff = DifferenceBlocks.of(rho)
         block_parts = ()
         cond = None
@@ -364,42 +347,29 @@ class _SamplerTables:
                  if j > 0 and np.iscomplexobj(block) else None)
                 for j, block in enumerate(diff.blocks))
         else:
-            # C(s)[m, M] = sum_kl u1_k conj(u1_l) rho_{km, lM}; the factor
-            # c_j is a power of two, so folding it in changes no bits
-            pair_m = np.concatenate([np.arange(j, d) for j in range(d)])
+            # C(s)[m, M] = sum_kl u1_k conj(u1_l) rho_{km, lM}
             t_cond = (rho.matrix.reshape(d, d, d, d).transpose(0, 2, 1, 3)
                       .reshape(d * d, d * d))
-            cond = (t_cond[:, pair_m * d + pair_m - pair_j]
-                    * np.where(pair_j == 0, 1.0, 2.0))
-        return cls(d=d, nodes=nodes, delta=delta,
-                   marginal=np.asfortranarray(_with_cdf(marginal, delta)),
-                   pairs=np.asfortranarray(_with_cdf(pairs, delta)),
-                   pair_j=pair_j, diff=diff, block_parts=block_parts,
+            cond = t_cond[:, pair_m * d + pair_m - pair_j] * scale
+        return cls(d=d, nodes=nodes, delta=delta, pairs=pairs, pair_j=pair_j,
+                   reduced_pairs=reduced[pair_m, pair_m - pair_j] * scale,
+                   shared=shared, diff=diff, block_parts=block_parts,
                    cond=cond)
 
-    # ---- stage 1: x1 from the phi1 marginal ----
-    def marginal_weights(self, phi1: np.ndarray) -> np.ndarray:
-        """Weights (1, cos j phi1, sin j phi1, ...) of the marginal rows."""
-        j = np.arange(1, self.d)
-        angles = phi1[:, None] * j[None, :]
-        weights = np.empty((phi1.size, 2 * self.d - 1))
-        weights[:, 0] = 1.0
-        weights[:, 1::2] = np.cos(angles)
-        weights[:, 2::2] = np.sin(angles)
-        return weights
+    def phase_weights(self, coef: np.ndarray,
+                      angle: np.ndarray) -> np.ndarray:
+        """Re[coef e^{ij angle}] per pair (j = m - M) and angle: the pair
+        weights of a density sum C[m, M] psi_m psi_M e^{i(m-M) angle} with
+        Hermitian C, from coef = c_j C[m, M] over the pairs m >= M alone."""
+        return (coef * _phase_powers(angle, self.d)[self.pair_j].T).real
 
-    def marginal_rows(self, phi1: np.ndarray) -> np.ndarray:
-        """The formed rows that :meth:`draw_marginal` reads from."""
-        if self.marginal.ndim == 1:
-            return self.marginal
-        return self.marginal_weights(phi1) @ self.marginal
-
+    # ---- stage 1: x1 from the phi1 marginal, the density of rho_A ----
     def draw_marginal(self, phi1: np.ndarray, u: np.ndarray) -> np.ndarray:
-        if self.marginal.ndim == 1:
-            column = _row_columns(self.marginal)
+        if self.shared is not None:
+            column = self.shared.__getitem__
         else:
-            column = _weighted_columns(self.marginal_weights(phi1),
-                                       self.marginal)
+            column = _weighted_columns(
+                self.phase_weights(self.reduced_pairs, phi1), self.pairs)
         return _sample_columns(column, u, self.nodes, self.delta)
 
     # ---- stage 2: x2 from the conditional at the sampled x1 ----
@@ -428,8 +398,8 @@ class _SamplerTables:
             psi1 = oscillator_psi_table(d - 1, x1)
             u1 = (psi1 * _phase_powers(phi1, d)).T
             outer = (u1[:, :, None] * u1.conj()[:, None, :]).reshape(n, -1)
-            c = np.einsum("nk,kl->nl", outer, self.cond)
-            return (c * _phase_powers(phi2, d)[self.pair_j].T).real
+            return self.phase_weights(
+                np.einsum("nk,kl->nl", outer, self.cond), phi2)
         # BLAS may round a row differently depending on how many rows the
         # call holds, so x1 is padded with zeros to _CHUNK once: every block
         # product then has that row count, and each row the same bits
@@ -456,20 +426,11 @@ class _SamplerTables:
                 np.subtract(product, rest, out=out)
         return weights
 
-    def conditional_rows(self, x1: np.ndarray, phi1: np.ndarray,
-                         phi2: np.ndarray) -> np.ndarray:
-        """The formed rows that :meth:`draw_conditional` reads from."""
-        return self.pair_weights(x1, phi1, phi2) @ self.pairs
-
     def draw_conditional(self, x1: np.ndarray, phi1: np.ndarray,
                          phi2: np.ndarray, u: np.ndarray) -> np.ndarray:
         column = _weighted_columns(self.pair_weights(x1, phi1, phi2),
                                    self.pairs)
         return _sample_columns(column, u, self.nodes, self.delta)
-
-    def draw(self, rows: np.ndarray, u: np.ndarray) -> np.ndarray:
-        """Sample from formed ``[density | cdf | total]`` rows."""
-        return _sample_columns(_row_columns(rows), u, self.nodes, self.delta)
 
 
 def _check_positive(rho: BipartiteDensity, nodes: np.ndarray,
@@ -560,19 +521,22 @@ def sample_homodyne(rho: BipartiteDensity, n: int, seed: int,
     grid of 2*CELLS+1 nodes over [-L, L] and integrated cell-wise with
     Simpson weights (grid CDF error well below 1e-6 at the default size).
 
-    Every state takes one path.  A density row is linear in a few real pair
-    weights W(s), one per product psi_m psi_M with m >= M, so the sampler
+    Every state takes one path.  Both densities are linear in a few real
+    pair weights W, one per product psi_m psi_M with m >= M, so the sampler
     tabulates those products and their cumulative Simpson cell masses (each
-    tail accumulated from its own end) once per state.  A draw never forms
-    its row W @ [products | cell CDFs]: a binary search over the cells reads
-    one CDF entry per step as the dot product of W with one table column,
-    then the three node densities of the cell it lands in, and safeguarded
-    Newton steps invert that cell's Simpson cubic to 2^-50 of the cell's
-    mass.  W comes from the index-difference blocks when rho has that
-    support, and from the Hermitian mode-2 conditional operator C(s)
-    otherwise, of which only the entries m >= M are formed.  rho is checked
-    once: a ValueError is raised if its smallest eigenvalue lets a
-    quadrature density on the grid fall below -1e-10.
+    tail accumulated from its own end) once per state, in one table for
+    both stages.  A draw never forms its row W @ [products | cell CDFs]: a
+    binary search over the cells reads one CDF entry per step as the dot
+    product of W with one table column, then the three node densities of
+    the cell it lands in, and safeguarded Newton steps invert that cell's
+    Simpson cubic to 2^-50 of the cell's mass.  The marginal's W is
+    c_j Re[rho_A[m, M] e^{ij phi1}], formed once into a row that every draw
+    shares when rho_A is diagonal; the conditional's comes from the
+    index-difference blocks when rho has that support, and from the
+    Hermitian mode-2 conditional operator C(s) otherwise, of which only the
+    entries m >= M are formed.  rho is checked once: a ValueError is raised
+    if its smallest eigenvalue lets a quadrature density on the grid fall
+    below -1e-10.
 
     Samples are organized in fixed blocks of 65536 with one spawned RNG
     substream per block, so the result is bitwise reproducible and

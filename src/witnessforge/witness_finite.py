@@ -193,13 +193,6 @@ class QuorumDecomposition:
     def terms(self) -> tuple:
         return (self.identity_term,) + self.pauli_terms
 
-    def reconstruct(self) -> np.ndarray:
-        total = None
-        for t in self.terms:
-            contrib = t.coefficient * np.kron(t.local_a, t.local_b)
-            total = contrib if total is None else total + contrib
-        return total
-
 
 def _embed_two_level(op2: np.ndarray, d: int) -> np.ndarray:
     out = np.zeros((d, d), dtype=complex)

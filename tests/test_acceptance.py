@@ -19,7 +19,12 @@ from pathlib import Path
 import numpy as np
 
 from beam_splitter_oracle import beam_splitter, embed, squeezing_witness
-from gaussian_oracle import twb_mean_photons
+from gaussian_oracle import (
+    _min_pt_symplectic_eigenvalue,
+    _ppt_boundary,
+    twb_mean_photons,
+)
+from helpers import pt_spectrum_analytic, random_product_state, reconstruct
 from noise_channel_oracle import (
     apply_gaussian_noise,
     block_gaussian_noise,
@@ -32,14 +37,12 @@ from witnessforge.cv import (
     gauss_separability_threshold,
     gauss_witness_expectation,
     phase_noisy_twb,
-    pt_spectrum_analytic,
     twb_state,
     twin_beam_blocks,
 )
 from witnessforge.linalg import complex_svd
 from witnessforge.states import (
     maximally_entangled_operator,
-    random_product_state,
     random_state_operator,
     schmidt_operator,
 )
@@ -163,7 +166,7 @@ def test_criterion_05_quorum_reconstruction():
         svd = complex_svd(psi)
         witness = build_witness(min_eigvec_operator(svd))
         decomp = quorum_decompose(svd)
-        dev = float(np.abs(decomp.reconstruct() - witness).max())
+        dev = float(np.abs(reconstruct(decomp) - witness).max())
         worst = max(worst, dev)
         ok &= dev <= 1e-10
         ok &= len(decomp.pauli_terms) == 3
@@ -222,32 +225,6 @@ def test_criterion_08_cv_pt_spectrum():
 # 1 - (1-x)/(2(1+x)) = x/(1+x) + 1/2.  Subtracting it gives this package's
 # kappa, in which the channel adds kappa/2 to Var X (vacuum variance 1/4).
 HALF_QUANTUM = 0.5
-
-
-def _min_pt_symplectic_eigenvalue(x, kappa):
-    """Smallest symplectic eigenvalue of the partially transposed covariance
-    matrix of a twin beam under displacement noise kappa, built directly in
-    the (X_a, P_a, X_b, P_b) ordering with vacuum variance 1/4."""
-    c, s = (1 + x * x) / (1 - x * x), 2 * x / (1 - x * x)
-    cov = 0.25 * np.array([[c, 0, s, 0], [0, c, 0, -s],
-                           [s, 0, c, 0], [0, -s, 0, c]])
-    cov += 0.5 * kappa * np.eye(4)
-    flip = np.diag([1.0, 1.0, 1.0, -1.0])        # P_b -> -P_b
-    omega = np.kron(np.eye(2), np.array([[0.0, 1.0], [-1.0, 0.0]]))
-    return float(np.abs(np.linalg.eigvals(1j * omega @ flip @ cov @ flip)).min())
-
-
-def _ppt_boundary(x):
-    """kappa at which the smallest PT symplectic eigenvalue reaches the
-    vacuum value 1/4 (Simon, PRL 84, 2726 (2000)), by bisection."""
-    lo, hi = 0.0, 1.0
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        if _min_pt_symplectic_eigenvalue(x, mid) < 0.25:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
 
 
 def test_criterion_09_gauss_threshold_reference_values():

@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import witnessforge
+from helpers import batch_rows_from_csv
 from witnessforge import cli, witness_finite
 from witnessforge.cli import main
 from witnessforge.cv import (
@@ -24,7 +25,6 @@ from witnessforge.cv import (
     sum_mode_variance,
 )
 from witnessforge.formats import (
-    batch_rows_from_csv,
     batch_to_csv,
     dump_report,
     matrix_to_json,
@@ -184,6 +184,18 @@ def test_cv_gauss_needs_one_noise_flag(capsys, tmp_path):
                        "--output", str(tmp_path / "k.csv"))
     assert code == 2
     assert "give one of --kappa / --scan-kappa" in err
+
+
+def test_cv_gauss_scan_at_x_zero_exits_2_and_writes_no_csv(capsys,
+                                                           tmp_path):
+    # the vacuum has no separability threshold, and the command fails
+    # before it writes the CSV
+    csv_path = tmp_path / "kappa.csv"
+    code, out, err = run(capsys, "cv-gauss", "--x", "0",
+                         "--scan-kappa", "0:1:0.5", "--output", str(csv_path))
+    assert code == 2
+    assert "outside (0, 1)" in err and out == ""
+    assert not csv_path.exists()
 
 
 def test_cv_gauss_scan_brackets_crossing(capsys, tmp_path):

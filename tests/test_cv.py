@@ -15,6 +15,7 @@ from beam_splitter_oracle import (
     squeezing_witness,
 )
 from gaussian_oracle import twb_mean_photons
+from helpers import pt_spectrum_analytic, validate
 from noise_channel_oracle import (
     apply_gaussian_noise,
     block_gaussian_noise,
@@ -32,7 +33,6 @@ from witnessforge.cv import (
     gauss_witness_expectation,
     phase_noisy_twb,
     phase_witness_expectation,
-    pt_spectrum_analytic,
     sum_mode_variance,
     twb_state,
     twin_beam_blocks,
@@ -93,7 +93,7 @@ def test_twb_elements_and_mean_photons():
     numeric_nbar = 2 * float(np.real(np.diag(rho.reduced(0))) @ n)
     assert numeric_nbar == pytest.approx(twb_mean_photons(x), abs=1e-8)
     assert rho.trace() == pytest.approx(1.0 - tr.tail_bound, abs=1e-14)
-    rho.validate()
+    validate(rho)
 
 
 def test_phase_noisy_reduces_to_twb():

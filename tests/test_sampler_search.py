@@ -2,14 +2,16 @@
 its cell inversion, and its per-state positivity check.
 
 ``sample_homodyne`` never forms a sample's density row W @ table: it reads
-the few table columns its binary search visits.  These tests compare that
-search with the draw from the formed rows (``conditional_rows``,
-``marginal_rows``), the Newton inversion of a cell with the bisection
-oracle, and check the eigenvalue bound that replaced the scan of each
-row's node densities.
+the few columns of its one pair table that its binary search visits.  These
+tests compare that search with the draw from the formed rows of both stages
+(``sampler_oracle``), the marginal rows of the pair table with those of the
+phase-coefficient rows of rho_A, the Newton inversion of a cell with the
+bisection oracle, and check the eigenvalue bound that replaced the scan of
+each row's node densities.
 """
 
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -20,12 +22,19 @@ from hypothesis.extra.numpy import arrays
 
 from cell_inversion_oracle import cell_integral, invert_cells_by_bisection
 from noise_channel_oracle import apply_gaussian_noise, noise_truncation
+from sampler_oracle import (
+    conditional_rows,
+    draw,
+    marginal_rows,
+    phase_coefficient_rows,
+)
 from test_tomography import (
     _hermitian_pair_state,
     asymmetric_block_state,
     complex_block_state,
     general_d3_state,
     rotated_twb,
+    vacuum_state,
 )
 from witnessforge import tomography
 from witnessforge.cv import (
@@ -35,12 +44,13 @@ from witnessforge.cv import (
     twb_state,
 )
 from witnessforge.specfn import oscillator_psi_table
-from witnessforge.states import BipartiteDensity
+from witnessforge.states import BipartiteDensity, random_state_operator
 from witnessforge.tomography import (
     _invert_cells,
     _SamplerTables,
     sample_homodyne,
 )
+from witnessforge.witness_finite import depolarized_state
 
 EDGE_U = np.array([2.0 ** -30, 1.0 - 2.0 ** -30])
 
@@ -67,10 +77,10 @@ def assert_same_draw(tables, rows, searched, u):
     the rounding moves the draw by more than 1e-12, but never by more than
     a change of BACKWARD (a fraction of the total mass) in u.
     """
-    formed = tables.draw(rows, u)
+    formed = draw(tables, rows, u)
     close = np.abs(searched - formed) <= 1e-12
-    low = tables.draw(rows, u - BACKWARD) - 1e-12
-    high = tables.draw(rows, u + BACKWARD) + 1e-12
+    low = draw(tables, rows, u - BACKWARD) - 1e-12
+    high = draw(tables, rows, u + BACKWARD) + 1e-12
     assert np.all(close | ((low <= searched) & (searched <= high)))
 
 
@@ -96,9 +106,9 @@ def cdf_at(tables, rows, x):
 
 def assert_search_matches_rows(tables, x1, phi1, phi2, u):
     for rows, searched in [
-            (tables.conditional_rows(x1, phi1, phi2),
+            (conditional_rows(tables, x1, phi1, phi2),
              tables.draw_conditional(x1, phi1, phi2, u)),
-            (tables.marginal_rows(phi1), tables.draw_marginal(phi1, u))]:
+            (marginal_rows(tables, phi1), tables.draw_marginal(phi1, u))]:
         assert_same_draw(tables, rows, searched, u)
         # and it inverts the CDF of the node densities
         cdf, total = cdf_at(tables, rows, searched)
@@ -115,15 +125,51 @@ def test_search_matches_formed_rows(make_state):
     assert_search_matches_rows(tables, *draw_inputs(tables, 300, 3))
 
 
+def assert_marginal_matches_phase_coefficient_rows(rho, tables, phi1):
+    # the marginal as pair weights on the pair table against the marginal
+    # as one row per phase coefficient of rho_A: the same density, summed
+    # in another order
+    oracle = phase_coefficient_rows(rho, tables, phi1)
+    rows = np.broadcast_to(marginal_rows(tables, phi1), oracle.shape)
+    assert np.all(np.abs(rows - oracle) <= 1e-15 * oracle[:, -1:])
+
+
 def test_general_d3_marginal_is_per_sample():
     # the marginal half of the comparison above is only a per-sample search
     # when the reduced state has coherences
-    assert _SamplerTables.build(general_d3_state()) \
-        .marginal.ndim == 2
+    rho = general_d3_state()
+    tables = _SamplerTables.build(rho)
+    assert tables.shared is None
+    assert_marginal_matches_phase_coefficient_rows(
+        rho, tables, np.linspace(0.0, 3.1, 64))
 
 
-def _raise(*args, **kwargs):
-    raise AssertionError("the sampler formed a density row")
+@pytest.mark.parametrize("make_state, shared", [
+    (vacuum_state, True),
+    (lambda: twb_state(0.5, FockTruncation.for_twb(0.5)), True),
+    (lambda: rotated_twb(0.5, 1.1), True),
+    (lambda: phase_noisy_twb(0.5, math.inf, FockTruncation.for_twb(0.5)),
+     True),
+    (general_d3_state, False),
+    (lambda: depolarized_state(
+        random_state_operator(3, np.random.default_rng(23)), 0.8), False)],
+    ids=["vacuum", "twb", "rotated-twb", "dephased", "general-d3",
+         "depolarized-d3"])
+def test_marginal_row_is_shared_exactly_when_rho_a_is_diagonal(make_state,
+                                                                shared):
+    rho = make_state()
+    reduced = rho.reduced(0)
+    assert bool(np.all(reduced == np.diag(np.diag(reduced)))) is shared
+    tables = _SamplerTables.build(rho)
+    assert (tables.shared is not None) is shared
+    if shared:
+        # the phase weights of a diagonal rho_A are those of the j = 0
+        # pairs at every phi1, so the per-sample rows are the shared row
+        phi1 = np.linspace(0.0, 3.0, 7)
+        per_sample = tables.phase_weights(tables.reduced_pairs,
+                                          phi1) @ tables.pairs
+        assert np.abs(per_sample - tables.shared).max() \
+            <= 1e-15 * tables.shared[-1]
 
 
 @pytest.mark.parametrize("make_state", [
@@ -144,14 +190,22 @@ def test_sampler_forms_no_rows_and_no_complex_products(make_state,
         calls.append(b.shape)
         return block_product(a, b)
 
-    monkeypatch.setattr(_SamplerTables, "conditional_rows", _raise)
-    monkeypatch.setattr(_SamplerTables, "marginal_rows", _raise)
     monkeypatch.setattr(tomography, "_fixed_rows", real_block_product)
-    batch = sample_homodyne(rho, 3000, seed=21)
+    tracemalloc.start()
+    try:
+        batch = sample_homodyne(rho, 3000, seed=21)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
     assert np.array_equal(batch.x1, expected.x1)
     assert np.array_equal(batch.x2, expected.x2)
     # the block products went through the guard, so it checked them
     assert (len(calls) > 0) == (DifferenceBlocks.of(rho) is not None)
+    # no chunk of density rows as wide as the table was formed: with the
+    # table build, the block of uniforms and the batch, the whole call
+    # allocates less than one
+    width = _SamplerTables.build(rho).pairs.shape[1]
+    assert peak < tomography._CHUNK * width * 8
 
 
 @pytest.mark.parametrize("make_state", [
@@ -199,7 +253,7 @@ def conditional_cells(seed, states=20, rows=8):
         tables = _SamplerTables.build(BipartiteDensity(d, d, g @ g.conj().T))
         phi1, phi2 = rng.uniform(0, math.pi, (2, rows))
         x1 = rng.uniform(-2.5, 2.5, rows)
-        pdf = tables.conditional_rows(x1, phi1, phi2)[:, :tables.nodes.size]
+        pdf = conditional_rows(tables, x1, phi1, phi2)[:, :tables.nodes.size]
         cells.append(np.stack([pdf[:, 0:-2:2], pdf[:, 1:-1:2],
                                pdf[:, 2::2]]).reshape(3, -1))
     return np.hstack(cells)
@@ -280,12 +334,13 @@ def assert_random_state_draws(rho, seed):
     tables = _SamplerTables.build(rho)
     x1, phi1, phi2, u = draw_inputs(tables, 40, seed)
     assert_search_matches_rows(tables, x1, phi1, phi2, u)
+    assert_marginal_matches_phase_coefficient_rows(rho, tables, phi1)
     # the CDF read from the left is non-decreasing and ends at the total;
     # at a node x1 the conditional's total is the marginal density there
     g = tables.nodes.size
     index = np.arange(100, 1000, 100)
-    rows = tables.conditional_rows(tables.nodes[index], phi1[:9], phi2[:9])
-    marginal = np.broadcast_to(tables.marginal_rows(phi1[:9]),
+    rows = conditional_rows(tables, tables.nodes[index], phi1[:9], phi2[:9])
+    marginal = np.broadcast_to(marginal_rows(tables, phi1[:9]),
                                (9, rows.shape[1]))
     for table in (rows, marginal):
         cdf, total = table[:, g:-1], table[:, -1:]
@@ -350,27 +405,32 @@ def test_positivity_bound_is_lambda_min_times_m_squared(i, k):
 def test_positivity_check_covers_the_marginal():
     # rho has lambda_min = -eps, inside the bound of rho, and its reduced
     # state has -3 eps on |1>, which the bound lambda_min(rho_A) M rejects
-    # just past -1e-10 and accepts just inside it; the coherence between
-    # |0> and |2> keeps the reduced state off the diagonal path that checks
-    # populations
+    # just past -1e-10 and accepts just inside it.  With the coherence
+    # between |0> and |2> the marginal is drawn per sample; without it
+    # rho_A is diagonal and its row is shared.  The table build checks no
+    # population, so on both paths the bound alone decides
     d = 3
     m = squared_norm_bound(d)
-    for eps, rejected in ((1.1e-10 / (3 * m), True),
-                          (0.9e-10 / (3 * m), False)):
-        assert eps * m * m < 1e-10
-        vec = np.zeros(d * d)
-        vec[0] = vec[2 * d] = math.sqrt(0.5)
-        matrix = np.outer(vec, vec).astype(complex)
-        for level in range(d):
-            matrix[d + level, d + level] = -eps
-        rho = BipartiteDensity(d, d, matrix)
-        assert _SamplerTables.build(rho).marginal.ndim == 2
-        if rejected:
-            with pytest.raises(ValueError,
-                               match="conditional quadrature density"):
-                sample_homodyne(rho, 100, seed=3)
-        else:
-            assert np.isfinite(sample_homodyne(rho, 100, seed=3).x1).all()
+    for coherent in (True, False):
+        for eps, rejected in ((1.1e-10 / (3 * m), True),
+                              (0.9e-10 / (3 * m), False)):
+            assert eps * m * m < 1e-10
+            vec = np.zeros(d * d)
+            vec[0] = vec[2 * d] = math.sqrt(0.5)
+            matrix = np.outer(vec, vec).astype(complex)
+            if not coherent:
+                matrix = np.diag(np.diag(matrix))
+            for level in range(d):
+                matrix[d + level, d + level] = -eps
+            rho = BipartiteDensity(d, d, matrix)
+            assert (_SamplerTables.build(rho).shared is None) is coherent
+            if rejected:
+                with pytest.raises(ValueError,
+                                   match="conditional quadrature density"):
+                    sample_homodyne(rho, 100, seed=3)
+            else:
+                assert np.isfinite(
+                    sample_homodyne(rho, 100, seed=3).x1).all()
 
 
 @pytest.mark.parametrize("make_state", [

@@ -5,8 +5,10 @@ import numpy as np
 import pytest
 from scipy.stats import chi2
 
+from helpers import batch_rows_from_csv, validate
 from noise_channel_oracle import apply_gaussian_noise, noise_truncation
 from quadrature_pdf_oracle import joint_quadrature_pdf
+from sampler_oracle import conditional_rows, draw, marginal_rows
 from witnessforge.cv import (
     DifferenceBlocks,
     FockTruncation,
@@ -16,7 +18,7 @@ from witnessforge.cv import (
     phase_witness_expectation,
     twb_state,
 )
-from witnessforge.formats import batch_rows_from_csv, batch_to_csv
+from witnessforge.formats import batch_to_csv
 from witnessforge.specfn import pattern_functions
 from witnessforge.states import BipartiteDensity, random_state_operator
 from witnessforge.tomography import (
@@ -219,7 +221,7 @@ def test_complex_block_path():
         vec[n * d + n] = amp
     vec /= np.linalg.norm(vec)
     rho = BipartiteDensity(d, d, np.outer(vec, vec.conj()))
-    rho.validate()
+    validate(rho)
     est = mc_estimate_witness(sample_homodyne(rho, 40_000, seed=61))
     direct = evaluate_witness(cv_witness(FockTruncation(d - 1)), rho)
     assert abs(est.mean - direct) <= 4 * est.std_error
@@ -235,7 +237,7 @@ def test_general_fallback_path_complex_state():
     vec[1] = 0.5
     vec /= np.linalg.norm(vec)
     rho = BipartiteDensity(d, d, np.outer(vec, vec.conj()))
-    rho.validate()
+    validate(rho)
     est = mc_estimate_witness(sample_homodyne(rho, 40_000, seed=47))
     direct = evaluate_witness(cv_witness(FockTruncation(d - 1)), rho)
     assert abs(est.mean - direct) <= 4 * est.std_error
@@ -403,7 +405,7 @@ def test_table_node_density_matches_joint_pdf(rho):
     index = rng.integers(0, nodes.size, size=6)
     phi1 = rng.uniform(0, np.pi, size=6)
     phi2 = rng.uniform(0, np.pi, size=6)
-    rows = tables.conditional_rows(nodes[index], phi1, phi2)
+    rows = conditional_rows(tables, nodes[index], phi1, phi2)
     density = rows[:, :nodes.size]
     cdf, total = rows[:, nodes.size:-1], rows[:, -1:]
     for s in range(6):
@@ -427,14 +429,14 @@ def test_inverse_cdf_resolves_both_tails():
     # tail mass is 1e-9 of the total
     u = np.array([2.0 ** -30, 2.0 ** -23, 2.0 ** -13, 0.375])
     vacuum = _SamplerTables.build(vacuum_state())
-    shared = vacuum.marginal_rows(np.zeros(4))
+    shared = marginal_rows(vacuum, np.zeros(4))
     twb = _SamplerTables.build(twb_state(0.5, FockTruncation.for_twb(0.5)))
     # at x1 = 0 only even Fock levels contribute to the conditional
-    per_sample = twb.conditional_rows(np.zeros(4), np.full(4, 0.3),
-                                      np.full(4, 1.2))
+    per_sample = conditional_rows(twb, np.zeros(4), np.full(4, 0.3),
+                                  np.full(4, 1.2))
     for tables, rows in [(vacuum, shared), (twb, per_sample)]:
-        low = tables.draw(rows, u)
-        high = tables.draw(rows, 1.0 - u)
+        low = draw(tables, rows, u)
+        high = draw(tables, rows, 1.0 - u)
         assert low.min() < -2.0
         assert np.abs(low + high).max() < 1e-12
 
@@ -663,12 +665,12 @@ def test_shared_column_reads_are_the_gathered_reads(rho):
     x1 = tables.draw_marginal(phi1, u1)
     g = tables.nodes.size
     shared_columns = (g + g // 2, g + g // 4 - 1)
-    reads = [(tables.pair_weights(x1, phi1, phi2), tables.pairs, u2)]
-    if tables.marginal.ndim == 2:
-        reads.append((tables.marginal_weights(phi1), tables.marginal, u1))
+    reads = [(tables.pair_weights(x1, phi1, phi2), u2)]
+    if tables.shared is None:
+        reads.append((tables.phase_weights(tables.reduced_pairs, phi1), u1))
     assert len(reads) == 1 + (DifferenceBlocks.of(rho) is None)
-    for weights, table, u in reads:
-        column = _weighted_columns(weights, table)
+    for weights, u in reads:
+        column = _weighted_columns(weights, tables.pairs)
 
         def gathered(k):
             return column(np.broadcast_to(k, (n,)))

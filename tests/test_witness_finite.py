@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from depolarized_family import DepolarizedFamily
+from helpers import random_product_state, reconstruct, validate
 from witnessforge.linalg import complex_svd, vectorize
 from witnessforge.states import (
     maximally_entangled_operator,
-    random_product_state,
     random_state_operator,
     schmidt_operator,
 )
@@ -43,7 +43,7 @@ def test_depolarized_qubit_spectrum():
 
 def test_depolarized_validates():
     rho = depolarized_state(maximally_entangled_operator(4), 0.7)
-    rho.validate()
+    validate(rho)
     assert rho.trace() == pytest.approx(1.0, abs=1e-12)
 
 
@@ -316,7 +316,7 @@ def test_quorum_qubit_matches_singlet_pt():
     psi = maximally_entangled_operator(2)
     decomp = quorum_decompose(complex_svd(psi))
     w = witness_for(psi)
-    assert np.abs(decomp.reconstruct() - w).max() < 1e-12
+    assert np.abs(reconstruct(decomp) - w).max() < 1e-12
     # the three non-trivial local factors are the Pauli matrices themselves
     paulis = [np.array([[0, 1], [1, 0]]), np.array([[0, -1j], [1j, 0]]),
               np.array([[1, 0], [0, -1]])]
@@ -328,7 +328,7 @@ def test_quorum_reconstruction_random_d5():
     psi = random_state_operator(5, np.random.default_rng(28))
     decomp = quorum_decompose(complex_svd(psi))
     w = witness_for(psi)
-    assert np.abs(decomp.reconstruct() - w).max() < 1e-10
+    assert np.abs(reconstruct(decomp) - w).max() < 1e-10
 
 
 def test_quorum_shape_and_hermiticity():

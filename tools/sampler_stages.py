@@ -4,15 +4,17 @@ and 4 (p = 0.8) and the twin beam at x = 0.5 after a local phase rotation.
 
 Table build and positivity check are timed per call; the marginal draw, the
 pair weights, the conditional draw (cell search and inversion) and the
-inversion alone per chunk of ``tomography._CHUNK`` (1024) samples.  Wall
-and CPU time drift by tens of percent between runs on a shared VM, so the
-stages are interleaved and repeated and the median of each is printed.
+inversion alone per chunk of ``tomography._CHUNK`` (1024) samples.  The
+marginal draw includes its pair weights from the phase powers of phi1 when
+rho_A has coherences; otherwise it reads the shared row.  Wall and CPU
+time drift by tens of percent between runs on a shared VM, so the stages
+are interleaved and repeated and the median of each is printed.
 
-Then the traced peak allocation of one call of ``sample_homodyne`` on each
-state, ``sample_twin_beam`` with phase noise and ``mc_estimate_witness``
-at the benchmark's sample counts, with the part beyond the batch (32 bytes
-a sample) or the kernel values (8 bytes a sample).  Run from the
-repository root:
+Then the traced peak allocation of one table build on each state, and of
+one call of ``sample_homodyne`` on each state, ``sample_twin_beam`` with
+phase noise and ``mc_estimate_witness`` at the benchmark's sample counts,
+with the part beyond the batch (32 bytes a sample) or the kernel values
+(8 bytes a sample).  Run from the repository root:
 
     PYTHONPATH=src python tools/sampler_stages.py [repeats]
 """
@@ -89,6 +91,8 @@ def traced_peak(run) -> float:
 def memory(rng) -> None:
     print("traced peak per call, MB (beyond the batch or the values):")
     for name, rho in states(rng):
+        peak = traced_peak(lambda: tm._SamplerTables.build(rho))
+        print(f"  _SamplerTables.build {name:18s}          {peak:7.2f}")
         n = STATE_SAMPLES[name]
         peak = traced_peak(lambda: tm.sample_homodyne(rho, n, seed=1))
         print(f"  sample_homodyne {name:18s} n = {n:6d} "
