@@ -7,6 +7,7 @@ Exit codes: 0 success, 2 precondition violation (bad flags or inputs),
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
 import sys
@@ -27,8 +28,9 @@ from .states import maximally_entangled_operator, schmidt_operator
 
 BOUNDARY_TOL = 1e-12
 MAX_GRID_POINTS = 100_000
-# finite-witness at d = 256: 1.8 s of CPU and a 192 MB peak on a 2-core
-# Xeon, mostly the quorum's 16 d^2 report numbers; d = 512 takes 665 MB
+# finite-witness at d = 256, one process: 1.0 s of CPU and a 130 MB peak on
+# a 2-core Xeon, mostly the quorum's 16 d^2 report numbers; d = 512 takes
+# 3.8 s and 421 MB
 MAX_DIM = 256
 
 
@@ -77,6 +79,12 @@ def _load_psi(args) -> np.ndarray:
 def _gamma_t_field(gamma_t):
     """gamma_t as a report value: strict JSON has no infinity."""
     return "inf" if gamma_t == math.inf else gamma_t
+
+
+def _require_output(args, what: str) -> None:
+    """Check, before any work, that a command writing a CSV has its path."""
+    if args.output is None:
+        raise ValueError(f"{what} requires --output for the CSV")
 
 
 def _emit(args, payload: dict) -> None:
@@ -131,6 +139,7 @@ def _psi_config(args) -> dict:
 
 
 def cmd_finite_scan(args) -> None:
+    _require_output(args, "finite-scan")
     psi = _load_psi(args)
     svd = complex_svd(psi)
     abar = witness_finite.min_eigvec_operator(svd)
@@ -199,8 +208,7 @@ def cmd_cv_gauss(args) -> None:
         }
         _emit(args, report)
         return
-    if args.output is None:
-        raise ValueError("--scan-kappa requires --output for the CSV")
+    _require_output(args, "--scan-kappa")
     grid = _parse_grid(args.scan_kappa)
     # first, so that an x it rejects exits before any CSV is written
     threshold = cv.gauss_separability_threshold(args.x)
@@ -220,6 +228,7 @@ def cmd_cv_gauss(args) -> None:
 
 
 def cmd_gauss_scan(args) -> None:
+    _require_output(args, "gauss-scan")
     grid = _parse_grid(args.scan_x)
     rows = []
     for x in grid:
@@ -367,9 +376,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# one parser per process, built on the first call of main (not at import);
+# each command looks up what it calls when it runs, so rebinding a name of
+# this module after that still takes effect
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         args.func(args)
     except ConvergenceError as exc:

@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import functools
 import json
+import math
 import time
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -21,8 +23,8 @@ def matrix_to_json(m: np.ndarray) -> dict:
     return {
         "rows": int(m.shape[0]),
         "cols": int(m.shape[1]),
-        "re": [float(v) for v in m.real.reshape(-1)],
-        "im": [float(v) for v in m.imag.reshape(-1)],
+        "re": m.real.reshape(-1).tolist(),
+        "im": m.imag.reshape(-1).tolist(),
     }
 
 
@@ -41,16 +43,90 @@ def dump_report(payload: dict, path: str | None = None) -> str:
     """Serialize a report deterministically (sorted keys); the timestamp is
     isolated under the single top-level key ``timestamp``.
 
-    The output is strict JSON: a NaN or infinite float raises ValueError
+    The text is the bytes of ``json.dumps(body, indent=2, sort_keys=True,
+    allow_nan=False)`` plus a newline, laid out by :func:`_layout`.  The
+    output is strict JSON: a NaN or infinite float raises ValueError
     instead of being written as a non-standard token.
     """
     body = dict(payload)
     body["timestamp"] = time.strftime("%Y-%m-%dT%H:%M:%S%z")
-    text = json.dumps(body, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    out = []
+    _layout(body, "\n", out)
+    out.append("\n")
+    text = "".join(out)
     if path is not None:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
     return text
+
+
+def _float_text(value: float) -> str:
+    if not math.isfinite(value):
+        raise ValueError("Out of range float values are not JSON compliant: "
+                         + float.__repr__(value))
+    return float.__repr__(value)
+
+
+def _layout(value, newline: str, out: list) -> None:
+    """Append the JSON text of value to out, as ``json.dumps`` lays it out
+    with ``indent=2`` and sorted keys; newline is the line break plus the
+    indent of value's own level.
+
+    Dicts need str keys.  A list of Python floats alone is written from
+    its ``repr`` in one pass: the ``, `` between items becomes the indented
+    separator, and an ``n`` in the text is a NaN or an infinity.  Any other
+    type raises TypeError, as in ``json``.
+    """
+    if isinstance(value, str):
+        out.append(encode_basestring_ascii(value))
+    elif value is None:
+        out.append("null")
+    elif value is True:
+        out.append("true")
+    elif value is False:
+        out.append("false")
+    elif isinstance(value, int):
+        out.append(int.__repr__(value))
+    elif isinstance(value, float):
+        out.append(_float_text(value))
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            out.append("[]")
+            return
+        inner = newline + "  "
+        if isinstance(value, list) and set(map(type, value)) == {float}:
+            text = list.__repr__(value)
+            if "n" in text:
+                for item in value:
+                    _float_text(item)
+            out.append("[" + inner + text[1:-1].replace(", ", "," + inner)
+                       + newline + "]")
+            return
+        separator = "[" + inner
+        for item in value:
+            out.append(separator)
+            _layout(item, inner, out)
+            separator = "," + inner
+        out.append(newline + "]")
+    elif isinstance(value, dict):
+        if not value:
+            out.append("{}")
+            return
+        inner = newline + "  "
+        separator = "{" + inner
+        for key in sorted(value):
+            if not isinstance(key, str):
+                raise TypeError(f"keys must be str, not "
+                                f"{key.__class__.__name__}")
+            out.append(separator)
+            out.append(encode_basestring_ascii(key))
+            out.append(": ")
+            _layout(value[key], inner, out)
+            separator = "," + inner
+        out.append(newline + "}")
+    else:
+        raise TypeError(f"Object of type {value.__class__.__name__} "
+                        "is not JSON serializable")
 
 
 def load_report(path: str) -> dict:

@@ -70,9 +70,6 @@ class SvdResult:
     sigma: np.ndarray
     y: np.ndarray
 
-    def reconstruct(self) -> np.ndarray:
-        return (self.x * self.sigma) @ self.y.conj().T
-
 
 def complex_svd(m: np.ndarray) -> SvdResult:
     """Singular value decomposition of a square complex matrix.

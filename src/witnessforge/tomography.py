@@ -130,9 +130,10 @@ def quadrature_span(rho: BipartiteDensity) -> float:
 
 # -- exact per-sample inverse-CDF sampling ------------------------------------
 
-def _with_cdf(rows: np.ndarray, delta: float) -> np.ndarray:
-    """Append CDF columns to density rows along the last axis:
-    ``[rows | cdf | total]``.
+def _with_cdf(table: np.ndarray, delta: float) -> np.ndarray:
+    """Fill the CDF columns of a table whose first 2 CELLS + 1 columns hold
+    density rows, in place, so that each row reads ``[rows | cdf | total]``;
+    return the table.
 
     With m_c the Simpson mass of node pair [2c, 2c+2], cdf[c] is the mass up
     to the end of cell c over the lower half of the cells, and minus the mass
@@ -143,15 +144,23 @@ def _with_cdf(rows: np.ndarray, delta: float) -> np.ndarray:
     is the table of the weighted density: the sampler builds it once per
     state.
     """
-    cells = delta / 3.0 * (rows[..., 0:-2:2] + 4.0 * rows[..., 1:-1:2]
-                           + rows[..., 2::2])
-    half = cells.shape[-1] // 2
-    lower = np.cumsum(cells[..., :half], axis=-1)
-    after = np.cumsum(cells[..., :half - 1:-1], axis=-1)[..., ::-1]
-    upper = np.zeros_like(after)
-    upper[..., :-1] = -after[..., 1:]
-    total = lower[..., -1:] + after[..., :1]
-    return np.concatenate([rows, lower, upper, total], axis=-1)
+    g = 2 * CELLS + 1
+    rows = table[:, :g]
+    cells = np.multiply(rows[:, 1:-1:2], 4.0)
+    cells += rows[:, 0:-2:2]
+    cells += rows[:, 2::2]
+    cells *= delta / 3.0
+    half = CELLS // 2
+    lower = np.cumsum(cells[:, :half], axis=1, out=table[:, g:g + half])
+    # minus the mass after each upper cell, accumulated from the last cell
+    # over the negated masses: (-a) + (-b) is -(a + b) to the bit
+    upper = table[:, g + half:-1]
+    cells = np.negative(cells[:, half:], out=cells[:, half:])
+    np.cumsum(cells[:, :0:-1], axis=1, out=upper[:, -2::-1])
+    upper[:, -1] = 0.0
+    # minus the upper half's mass is upper[0] plus the first negated cell
+    np.subtract(lower[:, -1], upper[:, 0] + cells[:, 0], out=table[:, -1])
+    return table
 
 
 def _fixed_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -331,9 +340,13 @@ class _SamplerTables:
         # c_0 = 1 and c_j = 2 count the pair (m, M) and its transpose; a
         # power of two, so folding it in changes no bits
         scale = np.where(pair_j == 0, 1.0, 2.0)
-        pairs = np.asfortranarray(_with_cdf(
-            np.vstack([psi_nodes[j:] * psi_nodes[: d - j]
-                       for j in range(d)]), delta))
+        pairs = np.empty((pair_j.size, 3 * CELLS + 2), order="F")
+        start = 0
+        for j in range(d):
+            np.multiply(psi_nodes[j:], psi_nodes[: d - j],
+                        out=pairs[start:start + d - j, :2 * CELLS + 1])
+            start += d - j
+        _with_cdf(pairs, delta)
         reduced = rho.reduced(0)
         diagonal = np.abs(reduced - np.diag(np.diag(reduced))).max() <= 1e-14
         shared = np.real(np.diag(reduced)) @ pairs[:d] if diagonal else None

@@ -2,11 +2,14 @@
 
 The library's commands and samplers never need them, so they live here:
 the density-operator check ``validate``, Haar-random product vectors, the
-quorum's weighted sum of products, the batch CSV reader and the analytic
+quorum's weighted sum of products, the product of an SVD's factors, the
+report writer's oracle, the batch CSV reader and the analytic
 partial-transpose spectrum of the phase-noisy twin beam.
 """
 
 from __future__ import annotations
+
+import json
 
 import numpy as np
 
@@ -52,6 +55,21 @@ def reconstruct(decomposition) -> np.ndarray:
         contrib = t.coefficient * np.kron(t.local_a, t.local_b)
         total = contrib if total is None else total + contrib
     return total
+
+
+def svd_product(svd) -> np.ndarray:
+    """x @ diag(sigma) @ y^dagger of a ``linalg.SvdResult``: the matrix
+    it decomposes."""
+    return (svd.x * svd.sigma) @ svd.y.conj().T
+
+
+def report_oracle(payload: dict, text: str) -> str:
+    """The bytes ``json.dumps`` gives for the report ``formats.dump_report``
+    wrote as text: the payload plus the timestamp read back from the
+    text."""
+    body = dict(payload)
+    body["timestamp"] = json.loads(text)["timestamp"]
+    return json.dumps(body, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
 def batch_rows_from_csv(path: str) -> np.ndarray:

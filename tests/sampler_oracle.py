@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from witnessforge.specfn import oscillator_psi_table
-from witnessforge.tomography import _sample_columns, _with_cdf
+from witnessforge.tomography import CELLS, _sample_columns, _with_cdf
 
 
 def marginal_rows(tables, phi1: np.ndarray) -> np.ndarray:
@@ -62,4 +62,6 @@ def phase_coefficient_rows(rho, tables, phi1: np.ndarray) -> np.ndarray:
     weights[:, 0] = 1.0
     weights[:, 1::2] = np.cos(angles)
     weights[:, 2::2] = np.sin(angles)
-    return weights @ _with_cdf(np.vstack(rows), tables.delta)
+    table = np.empty((len(rows), 3 * CELLS + 2))
+    table[:, :2 * CELLS + 1] = rows
+    return weights @ _with_cdf(table, tables.delta)

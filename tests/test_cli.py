@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import witnessforge
-from helpers import batch_rows_from_csv
+from helpers import batch_rows_from_csv, report_oracle
 from witnessforge import cli, witness_finite
 from witnessforge.cli import main
 from witnessforge.cv import (
@@ -853,3 +853,126 @@ def test_one_sample_report_has_no_error_and_no_z_score(capsys, tmp_path):
 def test_report_rejects_non_finite_values():
     with pytest.raises(ValueError):
         dump_report({"value": math.nan})
+
+
+@pytest.mark.parametrize("argv", [
+    ("finite-scan", "--dim", "3", "--max-entangled"),
+    ("gauss-scan", "--scan-x", "0.1:0.9:0.1"),
+    ("cv-gauss", "--x", "0.5", "--scan-kappa", "0:1:0.1"),
+], ids=["finite-scan", "gauss-scan", "cv-gauss"])
+def test_scans_without_output_exit_2_before_any_work(capsys, monkeypatch,
+                                                       tmp_path, argv):
+    def refuse(*args, **kwargs):
+        raise AssertionError("work started before --output was checked")
+
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(cli, "complex_svd", refuse)
+    monkeypatch.setattr(cli, "_parse_grid", refuse)
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert "requires --output" in err
+    assert out == ""
+    assert list(tmp_path.iterdir()) == []
+
+
+REPORT_COMMANDS = [
+    ("finite-witness", "--dim", "5", "--schmidt", "0.8,0.5,0.3,0.1",
+     "--p", "0.3"),
+    ("finite-scan", "--dim", "4", "--max-entangled", "--output", "{csv}"),
+    ("cv-phase", "--x", "0.5", "--gammat", "inf"),
+    ("cv-gauss", "--x", "0.5", "--kappa", "0.1"),
+    ("cv-gauss", "--x", "0.5", "--scan-kappa", "0:1:0.25", "--output",
+     "{csv}"),
+    ("gauss-scan", "--scan-x", "0.1:0.9:0.2", "--output", "{csv}"),
+    ("tomo-estimate", "--x", "0.5", "--samples", "200", "--seed", "4",
+     "--gammat", "1"),
+    ("tomo-estimate", "--x", "0.5", "--samples", "1", "--seed", "4"),
+    ("bs-squeeze", "--x", "0.5", "--kappa", "0.2", "--output", "{report}"),
+]
+
+
+@pytest.mark.parametrize("argv", REPORT_COMMANDS, ids=[
+    "finite-witness", "finite-scan", "cv-phase", "cv-gauss", "cv-gauss-scan",
+    "gauss-scan", "tomo-estimate", "tomo-estimate-one-sample", "bs-squeeze"])
+def test_every_report_is_the_json_dumps_bytes(capsys, monkeypatch, tmp_path,
+                                              argv):
+    dumped = []
+    real_dump = cli.dump_report
+
+    def recorded(payload, path=None):
+        text = real_dump(payload, path)
+        dumped.append((payload, text, path))
+        return text
+
+    monkeypatch.setattr(cli, "dump_report", recorded)
+    argv = [a.format(csv=tmp_path / "scan.csv", report=tmp_path / "r.json")
+            for a in argv]
+    code, out, err = run(capsys, *argv)
+    assert code == 0, err
+    [(payload, text, path)] = dumped
+    assert text == report_oracle(payload, text)
+    written = out if path is None else Path(path).read_text(encoding="utf-8")
+    assert written == text
+
+
+def test_finite_witness_at_the_dim_cap_is_the_json_dumps_bytes(capsys):
+    code, out, err = run(capsys, "finite-witness", "--dim", str(cli.MAX_DIM),
+                         "--max-entangled", "--p", "0.3")
+    assert code == 0, err
+    report = json.loads(out)
+    quorum_a = report["quorum"]["terms"][0]["local_a"]
+    assert len(quorum_a["re"]) == cli.MAX_DIM ** 2
+    expected = json.dumps(report, indent=2, sort_keys=True,
+                          allow_nan=False) + "\n"
+    if out != expected:  # where the texts part, not a diff of 18 MB
+        # NUL and SOH are escaped in JSON, so neither end matches them
+        pairs = zip(out + "\0", expected + "\1")
+        start = next(i for i, (a, b) in enumerate(pairs) if a != b)
+        pytest.fail(f"reports part at byte {start}: "
+                    f"{out[start:start + 60]!r} != "
+                    f"{expected[start:start + 60]!r}")
+
+
+def test_main_builds_one_parser_per_process_and_none_at_import():
+    src = str(Path(witnessforge.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    script = """
+import argparse, contextlib, io
+built = []
+init = argparse.ArgumentParser.__init__
+def counted(self, *args, **kwargs):
+    built.append(1)
+    init(self, *args, **kwargs)
+argparse.ArgumentParser.__init__ = counted
+from witnessforge import cli
+at_import = len(built)
+cli.build_parser()
+one_build = len(built) - at_import
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [cli.main(["cv-phase", "--x", "0.5", "--gammat", str(g)])
+             for g in (0, 1, 2)]
+print(at_import, one_build, len(built) - at_import - one_build, codes)
+"""
+    result = subprocess.run([sys.executable, "-c", script],
+                            capture_output=True, text=True, env=env,
+                            check=True)
+    at_import, one_build, by_main, codes = result.stdout.split(" ", 3)
+    assert at_import == "0"
+    assert int(one_build) > 0
+    assert by_main == one_build
+    assert codes.strip() == "[0, 0, 0]"
+
+
+def test_rebinding_after_the_first_call_takes_effect(capsys, monkeypatch):
+    argv = ("finite-witness", "--dim", "3", "--max-entangled", "--p", "0.3")
+    assert run(capsys, *argv)[0] == 0
+
+    def no_convergence(psi):
+        raise ConvergenceError("SVD did not converge")
+
+    monkeypatch.setattr(cli, "complex_svd", no_convergence)
+    code, _, err = run(capsys, *argv)
+    assert code == 3
+    assert "numerical failure" in err
