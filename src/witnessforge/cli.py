@@ -389,7 +389,8 @@ def main(argv=None) -> int:
     except ConvergenceError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
-    except (ValueError, TypeError, OSError, KeyError) as exc:
+    except (ValueError, TypeError, OSError, KeyError, MemoryError) as exc:
+        # numpy's MemoryError names the size and shape it could not allocate
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return 0

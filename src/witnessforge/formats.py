@@ -150,8 +150,9 @@ def _cell(v) -> str:
     return str(v)
 
 
-# rows formatted and written at a time: bounds the export's working memory
-CHUNK_ROWS = 4096
+# rows formatted and written at a time: a chunk's temporaries take about
+# 0.75 KiB a row, so this bounds the export's working memory (1.5 MiB)
+CHUNK_ROWS = 2048
 
 # the exact doubles 10^0 .. 10^22 and their Veltkamp halves (hi + lo = 10^k,
 # each with at most 26 significant bits) for the Dekker two-product
@@ -196,15 +197,29 @@ def _scaled_digits(a: np.ndarray, k: np.ndarray) -> np.ndarray:
 
     Dekker's two-product gives the rounded product p and its exact error;
     p is an even integer there, so p + rint(err) is the exact product
-    rounded half to even.  Below 2^53 the result is within 1 of it.
+    rounded half to even.  Below 2^53 the result is within 1 of it.  The
+    error terms are summed in the order
+    ((a_hi b_hi - p) + a_hi b_lo + a_lo b_hi) + a_lo b_lo, each product
+    formed in a buffer whose operand is no longer needed.
     """
-    b, b_hi, b_lo = _POW10.take(k), _POW10_HI.take(k), _POW10_LO.take(k)
-    p = a * b
-    c = _SPLITTER * a
-    a_hi = c - (c - a)
-    a_lo = a - a_hi
-    err = ((a_hi * b_hi - p) + a_hi * b_lo + a_lo * b_hi) + a_lo * b_lo
-    return p.astype(np.int64) + np.rint(err).astype(np.int64)
+    p = _POW10.take(k)
+    p *= a
+    a_hi = _SPLITTER * a
+    a_lo = a_hi - a
+    np.subtract(a_hi, a_lo, out=a_hi)
+    np.subtract(a, a_hi, out=a_lo)
+    b_hi = _POW10_HI.take(k)
+    err = a_hi * b_hi
+    err -= p
+    b_lo = _POW10_LO.take(k)
+    err += np.multiply(a_hi, b_lo, out=a_hi)
+    err += np.multiply(a_lo, b_hi, out=b_hi)
+    err += np.multiply(a_lo, b_lo, out=b_lo)
+    del a_hi, a_lo, b_hi, b_lo
+    digits = p.astype(np.int64)
+    del p
+    digits += np.rint(err, out=err).astype(np.int64)
+    return digits
 
 
 def _format_cells(values: np.ndarray) -> np.ndarray:
@@ -215,7 +230,8 @@ def _format_cells(values: np.ndarray) -> np.ndarray:
     significant digits are D = round(|v| 10^(16-E)) for the decimal
     exponent E of the rounded value, which lies in [-4, 16] and makes
     10^(16-E) an exact double.  Any other value (zero, subnormal, tiny,
-    huge, not finite) is formatted by Python.
+    huge, not finite) is formatted by Python.  The arithmetic runs in
+    place where it can, and the (4, n) temporaries are dropped once used.
     """
     n = values.size
     a = np.abs(values)
@@ -231,27 +247,36 @@ def _format_cells(values: np.ndarray) -> np.ndarray:
         fast[off] &= (e[off] >= -4) & (e[off] <= 16)
         redo = off[fast[off]]
         significand[redo] = _scaled_digits(a[redo], 16 - e[redo])
+    del a
     # placeholders for the values Python formats at the end
     slow = np.flatnonzero(~fast)
     e[slow] = 0
     significand[slow] = 10 ** 16
-    # the leading digit, then four groups of four digits
+    # four groups of four digits; the leading digit is what is left
     lead = significand
     groups = np.empty((4, n), dtype=np.int64)
     for i in range(3, -1, -1):
-        rest = lead // 10 ** 4
-        groups[i] = lead - rest * 10 ** 4
-        lead = rest
+        groups[i] = lead
+        lead //= 10 ** 4
+        groups[i] -= lead * 10 ** 4
     # the last digit that %g keeps: the last non-zero one, or the units
     # digit (place E) if that comes later
     group_text, group_last = _group_tables()
-    last = np.maximum.reduce(group_last.take(groups) + _GROUP_START[:, None])
+    places = group_last.take(groups)
+    places += _GROUP_START[:, None]
+    last = places.max(axis=0)
     np.maximum(last, e, out=last)
-    kept = np.clip(last - _GROUP_START[:, None], 0, 4)
+    # the digits kept of each group
+    kept = np.subtract(last, _GROUP_START[:, None], out=places)
+    np.clip(kept, 0, 4, out=kept)
     cells = np.empty((n, 5), dtype=_WORD)
+    for i in range(4):
+        word = group_text.take(groups[i])
+        word &= _KEEP.take(kept[i])
+        cells[:, i + 1] = word
+    del groups, kept, places
     cells[:, 0] = (_PREFIX.take(e + 4) | (values < 0).astype(_WORD) * ord("-")
                    | (lead + ord("0")).astype(_WORD) << 48)
-    cells[:, 1:] = (group_text.take(groups) & _KEEP.take(kept)).T
     text = cells.view(np.uint8)
     point = np.flatnonzero((e >= 0) & (last > e))
     text[point, 7 + 2 * e[point]] = ord(".")
@@ -268,7 +293,9 @@ def batch_to_csv(path: str, batch) -> None:
     The bytes are those of :func:`write_csv` on the same rows: every cell is
     the ``%.17g`` text of its value.  The cells are formatted with numpy,
     :data:`CHUNK_ROWS` rows at a time, and each chunk's bytes are written
-    as soon as it is formed.
+    as soon as it is formed.  ``bytes.translate`` drops the empty slots of
+    a chunk's copy in one pass; ``np.compress`` would build an index of 8
+    bytes per byte kept.
     """
     columns = (batch.phi1, batch.x1, batch.phi2, batch.x2)
     with open(path, "wb") as fh:
@@ -277,6 +304,8 @@ def batch_to_csv(path: str, batch) -> None:
             block = np.column_stack(
                 [col[start:start + CHUNK_ROWS] for col in columns])
             cells = _format_cells(block.astype(float, copy=False).ravel())
+            del block
             cells.reshape(-1, 4, 5)[:, :, 4] |= _SEPARATORS
-            text = cells.view(np.uint8).reshape(-1)
-            fh.write(np.compress(text != 0, text).tobytes())
+            text = cells.tobytes()
+            del cells
+            fh.write(text.translate(None, b"\0"))

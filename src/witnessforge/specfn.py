@@ -15,7 +15,7 @@ from ._dawson_poly import G_POLY, Q_POLY, SWITCH
 
 MAX_OSCILLATOR_INDEX = 4096
 
-_CHUNK = 8192  # points per pass, so that the coefficient gather stays in cache
+_CHUNK = 8192  # points per pass: every temporary is one 64 KiB array
 _POLY = np.concatenate([G_POLY, Q_POLY])
 _INTERVALS = G_POLY.shape[1]
 _SCALE = 2 * _INTERVALS / SWITCH  # z -> 2k + 1 + t on interval k
@@ -43,6 +43,20 @@ def _horner(coeffs, t):
     return p
 
 
+def _horner_rows(rows, k, t):
+    """_horner of the coefficient columns rows[:, k] at t, reading one
+    coefficient row per step rather than gathering the whole block.
+
+    _horner starts from 0 t + c, which is c exactly for the nonzero
+    coefficients of _POLY, so starting from the top row keeps its bits.
+    """
+    p = rows[-1].take(k)
+    for row in rows[-2::-1]:
+        p *= t
+        p += row.take(k)
+    return p
+
+
 def _near(x, z):
     """f00, f01, f11 for z = sqrt(2)|x| < SWITCH, from the interpolating
     polynomials of z's interval, evaluated in t in [-1, 1], of g = D(z)/z
@@ -51,9 +65,8 @@ def _near(x, z):
     u = z * _SCALE
     k = np.minimum(u.astype(np.intp) >> 1, _INTERVALS - 1)
     t = u - (2 * k + 1)
-    coeffs = np.take(_POLY, k, axis=1)
-    g = _horner(coeffs[:len(G_POLY)], t)
-    q = _horner(coeffs[len(G_POLY):], t)
+    g = _horner_rows(_POLY[:len(G_POLY)], k, t)
+    q = _horner_rows(_POLY[len(G_POLY):], k, t)
     m1 = q - g
     return 2.0 * m1, 4.0 * x * q, 2.0 + 4.0 * (z * z - 1.0) * m1
 

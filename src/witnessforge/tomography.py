@@ -480,19 +480,23 @@ def _sample_blocks(n: int, seed: int, workers: int, draw,
     """Run a sampler over fixed blocks of BLOCK_SIZE samples.
 
     Block b gets its own generator from the b-th child of
-    ``SeedSequence(seed)``.  It draws phi1 and phi2 uniform on [0, pi), then
-    the arrays ``draw(rng)``, every one at full block length, and writes
-    its phases into its own slice of the batch.  Then
-    ``quadratures(phi1, phi2, *draws)`` turns pieces of at most _CHUNK
-    samples into (x1, x2), which are written into that slice as well.  So
-    the output is bitwise the same for any worker count (workers > 1 runs
-    blocks in a thread pool), and a shorter run is a prefix of a longer
-    one as long as ``quadratures`` computes each sample independently of
-    how many it is given.
+    ``SeedSequence(seed)``.  It draws phi1 and phi2 uniform on [0, pi),
+    then calls ``draw(rng, first, second)``, which fills the two per-sample
+    draws and returns any further ones, every one at full block length.
+    Then ``quadratures(phi1, phi2, first, second, *further)`` turns pieces
+    of at most _CHUNK samples into (x1, x2).  So the output is bitwise the
+    same for any worker count (workers > 1 runs blocks in a thread pool),
+    and a shorter run is a prefix of a longer one as long as
+    ``quadratures`` computes each sample independently of how many it is
+    given.
 
     The batch is one (4, n) array, allocated once, whose C-contiguous rows
-    are phi1, x1, phi2 and x2.  Besides it a worker holds one block of
-    draws and the temporaries of one piece, whatever n is.
+    are phi1, x1, phi2 and x2.  A full block draws straight into its own
+    slice of it, the two per-sample draws into the x1 and x2 rows, which
+    the quadratures of each piece then overwrite; a short last block draws
+    into one (4, BLOCK_SIZE) scratch array and copies its phases over.
+    Besides the batch a worker holds the further draws of one block and
+    the temporaries of one piece, whatever n is.
     """
     if n < 1:
         raise ValueError("sample count must be positive")
@@ -504,17 +508,24 @@ def _sample_blocks(n: int, seed: int, workers: int, draw,
 
     def block(b):
         rng = np.random.default_rng(children[b])
-        phi1 = math.pi * rng.random(BLOCK_SIZE)
-        phi2 = math.pi * rng.random(BLOCK_SIZE)
-        draws = draw(rng)
         rows = out[:, b * BLOCK_SIZE:(b + 1) * BLOCK_SIZE]
         count = rows.shape[1]
-        rows[0] = phi1[:count]
-        rows[2] = phi2[:count]
+        full = count == BLOCK_SIZE
+        phi1, first, phi2, second = (rows if full
+                                     else np.empty((4, BLOCK_SIZE)))
+        rng.random(out=phi1)
+        phi1 *= math.pi
+        rng.random(out=phi2)
+        phi2 *= math.pi
+        further = draw(rng, first, second)
+        if not full:
+            rows[0] = phi1[:count]
+            rows[2] = phi2[:count]
         for start in range(0, count, _CHUNK):
             piece = slice(start, min(start + _CHUNK, count))
             rows[1, piece], rows[3, piece] = quadratures(
-                phi1[piece], phi2[piece], *(a[piece] for a in draws))
+                phi1[piece], phi2[piece], first[piece], second[piece],
+                *(a[piece] for a in further))
 
     if workers == 1 or n_blocks == 1:
         for b in range(n_blocks):
@@ -554,9 +565,11 @@ def sample_homodyne(rho: BipartiteDensity, n: int, seed: int,
     Samples are organized in fixed blocks of 65536 with one spawned RNG
     substream per block, so the result is bitwise reproducible and
     independent of the worker count; workers > 1 parallelizes over blocks.
-    Each block is drawn in chunks of _CHUNK = 1024 samples, written in
-    place into the batch, so the working memory is the 32 n bytes of the
-    batch, plus one block of draws and one chunk's temporaries per worker.
+    A full block draws its phases and uniforms straight into its slice of
+    the batch, and each chunk of _CHUNK = 1024 samples overwrites its
+    uniforms with its outcomes, so the working memory is the 32 n bytes of
+    the batch plus one chunk's temporaries per worker (and one block of
+    scratch draws for a short last block).
     Every value of a sample is computed row by row (the BLAS block products
     at one fixed row count, with x1 of a short chunk padded once to that
     count), so a shorter run is a bitwise prefix of a longer one.
@@ -566,8 +579,10 @@ def sample_homodyne(rho: BipartiteDensity, n: int, seed: int,
     tables = _SamplerTables.build(rho)
     _check_positive(rho, tables.nodes, tables.diff is not None)
 
-    def draw(rng):
-        return rng.random(BLOCK_SIZE), rng.random(BLOCK_SIZE)
+    def draw(rng, u1, u2):
+        rng.random(out=u1)
+        rng.random(out=u2)
+        return ()
 
     def quadratures(phi1, phi2, u1, u2):
         x1 = tables.draw_marginal(phi1, u1)
@@ -605,13 +620,18 @@ def sample_twin_beam(x: float, n: int, seed: int, gamma_t: float = 0.0,
     # sqrt(2) sqrt(gamma_t) stays finite for every finite gamma_t
     spread = math.sqrt(2.0) * math.sqrt(gamma_t)
 
-    def draw(rng):
-        z = (rng.standard_normal(BLOCK_SIZE), rng.standard_normal(BLOCK_SIZE))
+    def draw(rng, z1, z2):
+        rng.standard_normal(out=z1)
+        rng.standard_normal(out=z2)
         if gamma_t == 0.0:
-            return z
+            return ()
         if gamma_t == math.inf:
-            return (*z, 2.0 * math.pi * rng.random(BLOCK_SIZE))
-        return (*z, spread * rng.standard_normal(BLOCK_SIZE))
+            theta = rng.random(BLOCK_SIZE)
+            theta *= 2.0 * math.pi
+        else:
+            theta = rng.standard_normal(BLOCK_SIZE)
+            theta *= spread
+        return (theta,)
 
     def quadratures(phi1, phi2, z1, z2, theta=0.0):
         cov = amplitude * np.cos(phi1 + phi2 + theta)

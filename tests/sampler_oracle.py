@@ -1,4 +1,9 @@
-"""Formed-row oracle for the Fock-space sampler's table search.
+"""Oracles for the samplers' block loop and table search.
+
+``witnessforge.tomography._sample_blocks`` draws a full block straight into
+its slice of the batch.  This module keeps the loop it replaced, which drew
+every array of a block at full length on its own and then copied, with the
+draws of both samplers in that form.
 
 ``witnessforge.tomography.sample_homodyne`` never forms a sample's density
 row W @ table: it reads the few table columns its binary search visits.
@@ -10,10 +15,80 @@ phase coefficient (1, cos j phi1, sin j phi1) of rho_A.
 
 from __future__ import annotations
 
+import math
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 
 from witnessforge.specfn import oscillator_psi_table
-from witnessforge.tomography import CELLS, _sample_columns, _with_cdf
+from witnessforge.tomography import (
+    BLOCK_SIZE,
+    CELLS,
+    HomodyneBatch,
+    _CHUNK,
+    _sample_columns,
+    _with_cdf,
+)
+
+
+def full_draw_blocks(n: int, seed: int, workers: int, draw,
+                     quadratures) -> HomodyneBatch:
+    """The block loop with full-length draws: block b draws phi1, phi2 and
+    then ``draw(rng)``, each a new array of BLOCK_SIZE, copies its phases
+    into the batch and writes the quadratures of each piece of _CHUNK."""
+    n_blocks = (n + BLOCK_SIZE - 1) // BLOCK_SIZE
+    children = np.random.SeedSequence(seed).spawn(n_blocks)
+    out = np.empty((4, n))
+
+    def block(b):
+        rng = np.random.default_rng(children[b])
+        phi1 = math.pi * rng.random(BLOCK_SIZE)
+        phi2 = math.pi * rng.random(BLOCK_SIZE)
+        draws = draw(rng)
+        rows = out[:, b * BLOCK_SIZE:(b + 1) * BLOCK_SIZE]
+        count = rows.shape[1]
+        rows[0] = phi1[:count]
+        rows[2] = phi2[:count]
+        for start in range(0, count, _CHUNK):
+            piece = slice(start, min(start + _CHUNK, count))
+            rows[1, piece], rows[3, piece] = quadratures(
+                phi1[piece], phi2[piece], *(a[piece] for a in draws))
+
+    if workers == 1 or n_blocks == 1:
+        for b in range(n_blocks):
+            block(b)
+    else:
+        with ThreadPoolExecutor(max_workers=min(workers, n_blocks)) as pool:
+            list(pool.map(block, range(n_blocks)))
+    return HomodyneBatch(phi1=out[0], x1=out[1], phi2=out[2], x2=out[3])
+
+
+def homodyne_draw(rng):
+    """The uniforms of ``sample_homodyne``, one array each."""
+    return rng.random(BLOCK_SIZE), rng.random(BLOCK_SIZE)
+
+
+def twin_beam_draw(gamma_t: float):
+    """The draws of ``sample_twin_beam`` at phase diffusion gamma_t: two
+    standard normals, then the mixture phase theta unless gamma_t = 0."""
+    spread = math.sqrt(2.0) * math.sqrt(gamma_t)
+
+    def draw(rng):
+        z = (rng.standard_normal(BLOCK_SIZE), rng.standard_normal(BLOCK_SIZE))
+        if gamma_t == 0.0:
+            return z
+        if gamma_t == math.inf:
+            return (*z, 2.0 * math.pi * rng.random(BLOCK_SIZE))
+        return (*z, spread * rng.standard_normal(BLOCK_SIZE))
+    return draw
+
+
+def with_full_draws(draw):
+    """A stand-in for ``tomography._sample_blocks`` that runs the sampler's
+    own quadratures through :func:`full_draw_blocks` with draw(rng)."""
+    def blocks(n, seed, workers, _draw, quadratures):
+        return full_draw_blocks(n, seed, workers, draw, quadratures)
+    return blocks
 
 
 def marginal_rows(tables, phi1: np.ndarray) -> np.ndarray:

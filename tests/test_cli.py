@@ -388,7 +388,7 @@ def test_batch_csv_writes_the_generic_writer_bytes(tmp_path):
 
 def test_batch_csv_memory_does_not_grow_with_the_batch(tmp_path):
     """The export works chunk by chunk: its peak allocation at 2^17 rows is
-    that at 2^14 rows, up to a fixed margin."""
+    below 2 MiB, and that at 2^14 rows up to a fixed margin."""
     rng = np.random.default_rng(5)
 
     def peak(n):
@@ -404,6 +404,7 @@ def test_batch_csv_memory_does_not_grow_with_the_batch(tmp_path):
             tracemalloc.stop()
 
     small, large = peak(2 ** 14), peak(2 ** 17)
+    assert large < 2 * 2 ** 20, (small, large)
     assert large - small < 2 ** 20, (small, large)
 
 
@@ -729,6 +730,21 @@ def test_exit_code_numerical_failure(capsys, monkeypatch):
                        "--max-entangled", "--p", "0.3")
     assert code == 3
     assert "numerical failure" in err
+
+
+def test_sample_count_too_large_for_memory_exits_2(capsys, monkeypatch):
+    # numpy's MemoryError names the allocation; nothing is allocated here
+    message = ("Unable to allocate 2.91 TiB for an array with shape "
+               "(4, 100000000000) and data type float64")
+
+    def out_of_memory(*args, **kwargs):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(cli.tomography, "sample_twin_beam", out_of_memory)
+    code, out, err = run(capsys, "tomo-estimate", "--x", "0.5",
+                         "--samples", "100000000000")
+    assert code == 2 and out == ""
+    assert err == f"error: {message}\n"
 
 
 @pytest.mark.parametrize("argv", [

@@ -253,6 +253,35 @@ def test_f_on_interval_edges():
         assert np.max(np.abs(v - ref)) <= tol
 
 
+def gathered_near(x, z):
+    """specfn._near as it gathered the whole (22, n) coefficient block of
+    the points' intervals before the Horner steps."""
+    u = z * specfn._SCALE
+    k = np.minimum(u.astype(np.intp) >> 1, specfn._INTERVALS - 1)
+    t = u - (2 * k + 1)
+    coeffs = np.take(specfn._POLY, k, axis=1)
+    g = specfn._horner(coeffs[:len(specfn.G_POLY)], t)
+    q = specfn._horner(coeffs[len(specfn.G_POLY):], t)
+    m1 = q - g
+    return 2.0 * m1, 4.0 * x * q, 2.0 + 4.0 * (z * z - 1.0) * m1
+
+
+@pytest.mark.parametrize("points", ["dense-z-grid", "random"])
+def test_per_row_coefficient_reads_keep_the_gathered_bits(monkeypatch,
+                                                          points):
+    if points == "dense-z-grid":
+        # every interval of z in [0, 10), both signs of x
+        z = np.arange(0.0, SWITCH, 1e-4)
+        xs = np.concatenate([z, -z]) / math.sqrt(2.0)
+    else:
+        rng = np.random.default_rng(19)
+        xs = rng.normal(0.0, 3.0, size=50_000)
+    values = specfn.pattern_functions(xs)
+    monkeypatch.setattr(specfn, "_near", gathered_near)
+    for v, ref in zip(values, specfn.pattern_functions(xs)):
+        assert np.array_equal(v, ref)
+
+
 def test_f_limits_at_infinity_and_nan():
     xs = np.array([np.inf, -np.inf, np.nan, 0.5, 1e300, -1e300])
     for v in specfn.pattern_functions(xs):

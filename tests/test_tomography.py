@@ -8,7 +8,15 @@ from scipy.stats import chi2
 from helpers import batch_rows_from_csv, validate
 from noise_channel_oracle import apply_gaussian_noise, noise_truncation
 from quadrature_pdf_oracle import joint_quadrature_pdf
-from sampler_oracle import conditional_rows, draw, marginal_rows
+from sampler_oracle import (
+    conditional_rows,
+    draw,
+    homodyne_draw,
+    marginal_rows,
+    twin_beam_draw,
+    with_full_draws,
+)
+from witnessforge import tomography
 from witnessforge.cv import (
     DifferenceBlocks,
     FockTruncation,
@@ -620,11 +628,13 @@ def traced_peak(run):
     lambda n: sample_homodyne(twb_state(0.3, FockTruncation(3)), n, seed=5)],
     ids=["twin-beam", "homodyne"])
 def test_sampler_memory_is_the_batch_plus_a_constant(sampler):
-    # beyond its 32 n-byte batch a sampler holds one block of draws and one
-    # chunk's temporaries, whatever n is; the first call is left untraced
+    # full blocks draw into the 32 n-byte batch itself: beyond it a sampler
+    # holds the phase-noise draws of one block (0.5 MiB) and one chunk's
+    # temporaries, whatever n is; the first call is left untraced
     sampler(1000)
     extra = [traced_peak(lambda: sampler(n)) - 32 * n
              for n in (2 ** 17, 2 ** 18)]
+    assert max(extra) < 0.75 * 2 ** 20, extra
     assert abs(extra[1] - extra[0]) < 0.5e6, extra
 
 
@@ -633,7 +643,44 @@ def test_estimate_memory_is_the_values_plus_a_constant():
     for n in (2 ** 17, 2 ** 18):
         batch = sample_twin_beam(TWIN_X, n, seed=6)
         extra.append(traced_peak(lambda: mc_estimate_witness(batch)) - 8 * n)
-    assert max(extra) < 4e6 and abs(extra[1] - extra[0]) < 0.5e6, extra
+    assert max(extra) < 1.6e6 and abs(extra[1] - extra[0]) < 0.5e6, extra
+
+
+def assert_same_batch(batch, expected):
+    for name in ("phi1", "x1", "phi2", "x2"):
+        assert np.array_equal(getattr(batch, name), getattr(expected, name))
+
+
+ORACLE_SIZES = [1, 1000, BLOCK_SIZE, 2 * BLOCK_SIZE + 1017]
+
+
+@pytest.mark.parametrize("gamma_t, kappa", [
+    (0.0, 0.0), (0.7, 0.0), (math.inf, 0.0), (0.3, 0.2)],
+    ids=["twb", "phase", "dephased", "phase-gauss"])
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("n", ORACLE_SIZES)
+def test_twin_beam_draws_into_the_batch_with_the_full_draw_bits(
+        monkeypatch, n, workers, gamma_t, kappa):
+    def sample():
+        return sample_twin_beam(TWIN_X, n, seed=13, gamma_t=gamma_t,
+                                kappa=kappa, workers=workers)
+
+    batch = sample()
+    monkeypatch.setattr(tomography, "_sample_blocks",
+                        with_full_draws(twin_beam_draw(gamma_t)))
+    assert_same_batch(batch, sample())
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("n", ORACLE_SIZES)
+def test_homodyne_draws_into_the_batch_with_the_full_draw_bits(
+        monkeypatch, n, workers):
+    rho = twb_state(0.3, FockTruncation(3))
+    batch = sample_homodyne(rho, n, seed=14, workers=workers)
+    monkeypatch.setattr(tomography, "_sample_blocks",
+                        with_full_draws(homodyne_draw))
+    assert_same_batch(batch, sample_homodyne(rho, n, seed=14,
+                                             workers=workers))
 
 
 @pytest.mark.parametrize("sampler", [

@@ -10,11 +10,13 @@ rho_A has coherences; otherwise it reads the shared row.  Wall and CPU
 time drift by tens of percent between runs on a shared VM, so the stages
 are interleaved and repeated and the median of each is printed.
 
-Then the traced peak allocation of one table build on each state, and of
-one call of ``sample_homodyne`` on each state, ``sample_twin_beam`` with
-phase noise and ``mc_estimate_witness`` at the benchmark's sample counts,
-with the part beyond the batch (32 bytes a sample) or the kernel values
-(8 bytes a sample).  Run from the repository root:
+Then the traced peak allocation of one table build on each state, of one
+call of ``sample_homodyne`` on each state at the benchmark's sample counts
+and on the d = 4 twin beam, of ``sample_twin_beam`` without and with phase
+noise and of ``mc_estimate_witness`` at 2^17 samples, each with the part
+beyond the batch (32 bytes a sample) or the kernel values (8 bytes a
+sample), and of ``formats.batch_to_csv`` on 2^17 rows.  Peaks are in MiB.
+Run from the repository root:
 
     PYTHONPATH=src python tools/sampler_stages.py [repeats]
 """
@@ -22,7 +24,9 @@ with the part beyond the batch (32 bytes a sample) or the kernel values
 from __future__ import annotations
 
 import math
+import os
 import sys
+import tempfile
 import time
 import tracemalloc
 
@@ -30,6 +34,7 @@ import numpy as np
 
 from witnessforge import tomography as tm
 from witnessforge.cv import FockTruncation, twb_state
+from witnessforge.formats import batch_to_csv
 from witnessforge.states import BipartiteDensity, random_state_operator
 from witnessforge.witness_finite import depolarized_state
 
@@ -76,37 +81,56 @@ def stages(rho, rng):
 STATE_SAMPLES = {"depolarized d=3": 2 ** 14, "depolarized d=4": 2 ** 14,
                  "rotated twb": 2 ** 15}
 TWIN_SAMPLES = 2 ** 17
+MIB = 2 ** 20
 
 
 def traced_peak(run) -> float:
-    """Peak traced allocation of one call of run(), in MB."""
+    """Peak traced allocation of one call of run(), in MiB."""
     tracemalloc.start()
     try:
         run()
-        return tracemalloc.get_traced_memory()[1] / 1e6
+        return tracemalloc.get_traced_memory()[1] / MIB
     finally:
         tracemalloc.stop()
 
 
+def report(name: str, run, beyond: str = "", per_sample: int = 0,
+           n: int = 0) -> None:
+    """Print the traced peak of run(), and the part beyond its batch or
+    values of per_sample bytes a sample."""
+    peak = traced_peak(run)
+    line = f"  {name:42s} {peak:7.2f}"
+    if beyond:
+        line += f"  beyond the {beyond}: {peak - per_sample * n / MIB:.2f}"
+    print(line)
+
+
 def memory(rng) -> None:
-    print("traced peak per call, MB (beyond the batch or the values):")
+    print("traced peak per call, MiB:")
     for name, rho in states(rng):
-        peak = traced_peak(lambda: tm._SamplerTables.build(rho))
-        print(f"  _SamplerTables.build {name:18s}          {peak:7.2f}")
+        report(f"_SamplerTables.build {name}",
+               lambda: tm._SamplerTables.build(rho))
         n = STATE_SAMPLES[name]
-        peak = traced_peak(lambda: tm.sample_homodyne(rho, n, seed=1))
-        print(f"  sample_homodyne {name:18s} n = {n:6d} "
-              f"{peak:7.2f} ({peak - 32e-6 * n:.2f})")
+        report(f"sample_homodyne {name} n = {n}",
+               lambda: tm.sample_homodyne(rho, n, seed=1), "batch", 32, n)
     n = TWIN_SAMPLES
+    small = twb_state(0.3, FockTruncation(3))
+    tm.sample_homodyne(small, 1000, seed=1)
+    report(f"sample_homodyne twb d=4 n = {n}",
+           lambda: tm.sample_homodyne(small, n, seed=1), "batch", 32, n)
+    for gamma_t in (0.0, 1.0):
+        report(f"sample_twin_beam gamma_t = {gamma_t:g} n = {n}",
+               lambda: tm.sample_twin_beam(0.5, n, seed=1, gamma_t=gamma_t),
+               "batch", 32, n)
     batch = tm.sample_twin_beam(0.5, n, seed=1, gamma_t=1.0)
-    for name, run, per_sample in [
-            ("sample_twin_beam", lambda: tm.sample_twin_beam(
-                0.5, n, seed=1, gamma_t=1.0), 32e-6),
-            ("mc_estimate_witness", lambda: tm.mc_estimate_witness(batch),
-             8e-6)]:
-        peak = traced_peak(run)
-        print(f"  {name:34s} n = {n:6d} "
-              f"{peak:7.2f} ({peak - per_sample * n:.2f})")
+    report(f"mc_estimate_witness n = {n}",
+           lambda: tm.mc_estimate_witness(batch), "values", 8, n)
+    with tempfile.TemporaryDirectory() as folder:
+        path = os.path.join(folder, "batch.csv")
+        # the first export builds the digit tables; the peak is a later one
+        batch_to_csv(path, tm.HomodyneBatch(*(row[:1] for row in (
+            batch.phi1, batch.x1, batch.phi2, batch.x2))))
+        report(f"batch_to_csv {n} rows", lambda: batch_to_csv(path, batch))
 
 
 def main(repeats: int = 30) -> None:
