@@ -274,6 +274,7 @@ def cmd_tomo_estimate(args) -> None:
         "seed": seed,
         "mean": estimate.mean,
         "std_error": estimate.std_error,
+        "kurtosis": estimate.kurtosis,
         "direct_value": direct,
         "z_score": z,
     }
@@ -361,7 +362,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_x_flag(p)
     p.add_argument("--gammat", type=float, default=None)
     p.add_argument("--kappa", type=float, default=None)
-    p.add_argument("--samples", type=int, required=True)
+    p.add_argument("--samples", type=int, required=True,
+                   help="sample count n; the report's z_score is meaningful "
+                        "only when n is much larger than its kurtosis")
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--workers", type=int, default=1)
     p.add_argument("--batch-csv", type=str, default=None,

@@ -36,6 +36,8 @@ PDF_NEGATIVITY_TOL = 1e-10
 _NEWTON_STEPS = 5           # safeguarded Newton steps every cell inversion
                             # takes; those still short of rounding go on
 _NEWTON_STEP_LIMIT = 64     # alone, up to this many steps in all
+_READ_BYTES = 1 << 18       # bytes of gathered table rows per einsum of
+                            # a column read
 
 
 @dataclass
@@ -66,12 +68,16 @@ class HomodyneBatch:
 
 @dataclass(frozen=True)
 class McEstimate:
-    """Monte Carlo mean with its standard error; one sample has no spread,
-    so its standard error is None."""
+    """Monte Carlo mean with its standard error and the kurtosis m4 / m2^2
+    of the values (central moments).  One sample has no spread, so its
+    standard error is None; the kurtosis is None then and when every
+    value is equal.  The standard error is trustworthy only when n is
+    much larger than the kurtosis."""
 
     mean: float
     std_error: float | None
     n_samples: int
+    kurtosis: float | None = None
 
 
 def witness_kernel(x1, phi1, x2, phi2):
@@ -96,20 +102,32 @@ def witness_kernel(x1, phi1, x2, phi2):
 
 
 def mc_estimate_witness(batch: HomodyneBatch) -> McEstimate:
-    """Sample mean and standard error of the witness kernel over a batch.
+    """Sample mean, standard error and kurtosis of the witness kernel over
+    a batch.
 
     The deviations are squared in place in the values array, which gives
-    the bits of ``np.std(values, ddof=1)`` without its second array.
+    the bits of ``np.std(values, ddof=1)`` without its second array; the
+    sum of their squares, one dot product, gives the fourth moment.
     """
     values = witness_kernel(batch.x1, batch.phi1, batch.x2, batch.phi2)
     n = len(values)
     mean = float(np.mean(values))
     if n == 1:
         return McEstimate(mean=mean, std_error=None, n_samples=n)
+    # a mean that rounds off equal values leaves equal nonzero deviations
+    constant = values.min() == values.max()
     values -= mean
     values *= values
-    std_error = float(np.sqrt(np.sum(values) / (n - 1)) / math.sqrt(n))
-    return McEstimate(mean=mean, std_error=std_error, n_samples=n)
+    squares = float(np.sum(values))
+    std_error = float(np.sqrt(squares / (n - 1)) / math.sqrt(n))
+    kurtosis = None
+    if squares > 0.0 and not constant:
+        # einsum's own loop: a BLAS dot of this length wakes its threads,
+        # which cost milliseconds of CPU per call
+        fourth = float(np.einsum("i,i->", values, values))
+        kurtosis = fourth / squares * (n / squares)
+    return McEstimate(mean=mean, std_error=std_error, n_samples=n,
+                      kurtosis=kurtosis)
 
 
 # -- sampling window ----------------------------------------------------------
@@ -248,13 +266,21 @@ def _weighted_columns(weights: np.ndarray, table: np.ndarray):
     column k[i] of the table.  Each is a row-wise einsum, which rounds a
     row the same way whatever the number of rows.  An int k, a column
     that every row reads, is read once rather than gathered per row, with
-    the same bits."""
+    the same bits.  An index array k gathers its table rows in slices of
+    at most _READ_BYTES (214 rows at d = 17, a whole chunk at d <= 4), so
+    each read stays in cache instead of allocating a chunk-sized gather."""
     columns = table.T
+    rows = max(1, _READ_BYTES // (8 * columns.shape[1]))
 
     def column(k):
         if np.ndim(k) == 0:
             return np.einsum("np,p->n", weights, columns[k])
-        return np.einsum("np,np->n", weights, columns[k])
+        out = np.empty(k.size)
+        for start in range(0, k.size, rows):
+            part = slice(start, start + rows)
+            np.einsum("np,np->n", weights[part], columns[k[part]],
+                      out=out[part])
+        return out
     return column
 
 
@@ -475,6 +501,15 @@ def _check_positive(rho: BipartiteDensity, nodes: np.ndarray,
             f"{floor:.3e}; the state is invalid or the truncation failed")
 
 
+def _uniform_prefix(rng: np.random.Generator, out: np.ndarray) -> None:
+    """Fill out with the first out.size of BLOCK_SIZE uniforms on [0, 1)
+    and leave rng where the full draw would.  ``Generator.random`` takes
+    exactly one 64-bit word per double, so the unused draws are skipped by
+    advancing the bit generator past their words."""
+    rng.random(out=out)
+    rng.bit_generator.advance(BLOCK_SIZE - out.size)
+
+
 def _sample_blocks(n: int, seed: int, workers: int, draw,
                    quadratures) -> HomodyneBatch:
     """Run a sampler over fixed blocks of BLOCK_SIZE samples.
@@ -482,7 +517,9 @@ def _sample_blocks(n: int, seed: int, workers: int, draw,
     Block b gets its own generator from the b-th child of
     ``SeedSequence(seed)``.  It draws phi1 and phi2 uniform on [0, pi),
     then calls ``draw(rng, first, second)``, which fills the two per-sample
-    draws and returns any further ones, every one at full block length.
+    draws, of the block's sample count, and returns any further ones at
+    full block length.  Each draw leaves the generator where a draw of
+    BLOCK_SIZE values would, so every block takes the same words.
     Then ``quadratures(phi1, phi2, first, second, *further)`` turns pieces
     of at most _CHUNK samples into (x1, x2).  So the output is bitwise the
     same for any worker count (workers > 1 runs blocks in a thread pool),
@@ -491,12 +528,14 @@ def _sample_blocks(n: int, seed: int, workers: int, draw,
     given.
 
     The batch is one (4, n) array, allocated once, whose C-contiguous rows
-    are phi1, x1, phi2 and x2.  A full block draws straight into its own
+    are phi1, x1, phi2 and x2.  Every block draws straight into its own
     slice of it, the two per-sample draws into the x1 and x2 rows, which
-    the quadratures of each piece then overwrite; a short last block draws
-    into one (4, BLOCK_SIZE) scratch array and copies its phases over.
-    Besides the batch a worker holds the further draws of one block and
-    the temporaries of one piece, whatever n is.
+    the quadratures of each piece then overwrite.  A short last block
+    draws only the uniforms it keeps and skips the rest of each
+    full-length draw (see :func:`_uniform_prefix`), so its draws are
+    prefixes of the full block's.  Besides the batch a worker holds the
+    further draws of one block and the temporaries of one piece, whatever
+    n is.
     """
     if n < 1:
         raise ValueError("sample count must be positive")
@@ -510,17 +549,12 @@ def _sample_blocks(n: int, seed: int, workers: int, draw,
         rng = np.random.default_rng(children[b])
         rows = out[:, b * BLOCK_SIZE:(b + 1) * BLOCK_SIZE]
         count = rows.shape[1]
-        full = count == BLOCK_SIZE
-        phi1, first, phi2, second = (rows if full
-                                     else np.empty((4, BLOCK_SIZE)))
-        rng.random(out=phi1)
+        phi1, first, phi2, second = rows
+        _uniform_prefix(rng, phi1)
         phi1 *= math.pi
-        rng.random(out=phi2)
+        _uniform_prefix(rng, phi2)
         phi2 *= math.pi
         further = draw(rng, first, second)
-        if not full:
-            rows[0] = phi1[:count]
-            rows[2] = phi2[:count]
         for start in range(0, count, _CHUNK):
             piece = slice(start, min(start + _CHUNK, count))
             rows[1, piece], rows[3, piece] = quadratures(
@@ -565,11 +599,12 @@ def sample_homodyne(rho: BipartiteDensity, n: int, seed: int,
     Samples are organized in fixed blocks of 65536 with one spawned RNG
     substream per block, so the result is bitwise reproducible and
     independent of the worker count; workers > 1 parallelizes over blocks.
-    A full block draws its phases and uniforms straight into its slice of
-    the batch, and each chunk of _CHUNK = 1024 samples overwrites its
-    uniforms with its outcomes, so the working memory is the 32 n bytes of
-    the batch plus one chunk's temporaries per worker (and one block of
-    scratch draws for a short last block).
+    Every block draws its phases and uniforms straight into its slice of
+    the batch (a short last block skips the words of the uniforms it does
+    not use), and each chunk of _CHUNK = 1024 samples overwrites its
+    uniforms with its outcomes.  Table columns are read in slices of
+    cache size, so the working memory is the 32 n bytes of the batch plus
+    the table and one chunk's temporaries per worker.
     Every value of a sample is computed row by row (the BLAS block products
     at one fixed row count, with x1 of a short chunk padded once to that
     count), so a shorter run is a bitwise prefix of a longer one.
@@ -580,8 +615,8 @@ def sample_homodyne(rho: BipartiteDensity, n: int, seed: int,
     _check_positive(rho, tables.nodes, tables.diff is not None)
 
     def draw(rng, u1, u2):
-        rng.random(out=u1)
-        rng.random(out=u2)
+        _uniform_prefix(rng, u1)
+        _uniform_prefix(rng, u2)
         return ()
 
     def quadratures(phi1, phi2, u1, u2):
@@ -609,7 +644,8 @@ def sample_twin_beam(x: float, n: int, seed: int, gamma_t: float = 0.0,
 
     No Fock truncation enters.  Blocks, chunks, seeding, worker
     independence and the memory bound are those of
-    :func:`sample_homodyne`, but the draws differ from it.
+    :func:`sample_homodyne`, but the draws differ from it; a short block
+    also holds one block-length row of normals.
     """
     if not 0.0 <= x < 1.0:
         raise ValueError(f"twin-beam parameter x={x} outside [0, 1)")
@@ -621,8 +657,17 @@ def sample_twin_beam(x: float, n: int, seed: int, gamma_t: float = 0.0,
     spread = math.sqrt(2.0) * math.sqrt(gamma_t)
 
     def draw(rng, z1, z2):
-        rng.standard_normal(out=z1)
-        rng.standard_normal(out=z2)
+        if z1.size == BLOCK_SIZE:
+            rng.standard_normal(out=z1)
+            rng.standard_normal(out=z2)
+        else:
+            # a normal takes a variable number of words, so a short block
+            # cannot skip the unused ones: it draws both at full length
+            # through one reused row
+            row = np.empty(BLOCK_SIZE)
+            for z in (z1, z2):
+                rng.standard_normal(out=row)
+                z[:] = row[:z.size]
         if gamma_t == 0.0:
             return ()
         if gamma_t == math.inf:

@@ -6,11 +6,13 @@ every array of a block at full length on its own and then copied, with the
 draws of both samplers in that form.
 
 ``witnessforge.tomography.sample_homodyne`` never forms a sample's density
-row W @ table: it reads the few table columns its binary search visits.
-This module keeps the routes the tests compare against: the formed rows of
-both stages, a draw from formed rows through the same search, and the
-mode-1 marginal rows built as the sampler once built them, from one row per
-phase coefficient (1, cos j phi1, sin j phi1) of rho_A.
+row W @ table: it reads the few table columns its binary search visits,
+gathering the table rows of a read in cache-sized slices.  This module
+keeps the routes the tests compare against: the read that gathers every
+row at once, the formed rows of both stages, a draw from formed rows
+through the same search, and the mode-1 marginal rows built as the
+sampler once built them, from one row per phase coefficient (1, cos j
+phi1, sin j phi1) of rho_A.
 """
 
 from __future__ import annotations
@@ -89,6 +91,18 @@ def with_full_draws(draw):
     def blocks(n, seed, workers, _draw, quadratures):
         return full_draw_blocks(n, seed, workers, draw, quadratures)
     return blocks
+
+
+def one_shot_columns(weights: np.ndarray, table: np.ndarray):
+    """The column accessor of ``weights @ table`` that gathers the table
+    rows of an index-array read in one piece."""
+    columns = table.T
+
+    def column(k):
+        if np.ndim(k) == 0:
+            return np.einsum("np,p->n", weights, columns[k])
+        return np.einsum("np,np->n", weights, columns[k])
+    return column
 
 
 def marginal_rows(tables, phi1: np.ndarray) -> np.ndarray:

@@ -34,6 +34,7 @@ from witnessforge.linalg import ConvergenceError
 from witnessforge.states import BipartiteDensity, maximally_entangled_operator
 from witnessforge.tomography import (
     HomodyneBatch,
+    mc_estimate_witness,
     sample_twin_beam,
     witness_kernel,
 )
@@ -864,6 +865,30 @@ def test_one_sample_report_has_no_error_and_no_z_score(capsys, tmp_path):
     assert report["mean"] == float(witness_kernel(batch.x1, batch.phi1,
                                                   batch.x2, batch.phi2)[0])
     assert np.array_equal(batch_rows_from_csv(csv_path)["x2"], batch.x2)
+
+
+def test_one_sample_report_has_null_kurtosis(capsys):
+    code, out, _ = run(capsys, "tomo-estimate", "--x", "0.5", "--samples",
+                       "1", "--seed", "3")
+    assert code == 0
+    report = json.loads(out, parse_constant=_reject_constant)
+    assert report["kurtosis"] is None and '"kurtosis": null' in out
+
+
+def test_tomo_estimate_reports_the_kurtosis_of_its_kernel_values(capsys):
+    code, out, _ = run(capsys, "tomo-estimate", "--x", "0.5", "--gammat",
+                       "1", "--samples", "5000", "--seed", "7")
+    assert code == 0
+    batch = sample_twin_beam(0.5, 5000, 7, gamma_t=1.0)
+    assert parse(out)["kurtosis"] == mc_estimate_witness(batch).kurtosis
+
+
+def test_tomo_estimate_help_ties_z_score_to_the_kurtosis(capsys):
+    with pytest.raises(SystemExit):
+        main(["tomo-estimate", "--help"])
+    text = " ".join(capsys.readouterr().out.split())
+    assert "z_score is meaningful only when n is much larger than its " \
+           "kurtosis" in text
 
 
 def test_report_rejects_non_finite_values():

@@ -13,6 +13,7 @@ from sampler_oracle import (
     draw,
     homodyne_draw,
     marginal_rows,
+    one_shot_columns,
     twin_beam_draw,
     with_full_draws,
 )
@@ -613,6 +614,33 @@ def test_one_sample_estimate_has_no_standard_error():
     assert math.isfinite(est.mean)
 
 
+def test_estimate_kurtosis_is_the_fourth_over_the_squared_second_moment():
+    batch = sample_twin_beam(TWIN_X, 2 ** 17, seed=3)
+    deviations = one_shot_kernel(batch.x1, batch.phi1, batch.x2, batch.phi2)
+    deviations -= np.mean(deviations)
+    expected = np.mean(deviations ** 4) / np.mean(deviations ** 2) ** 2
+    kurtosis = mc_estimate_witness(batch).kurtosis
+    assert kurtosis == pytest.approx(expected, rel=1e-12)
+    assert 2.0 < kurtosis < 4.0
+
+
+def test_estimate_kurtosis_near_x_one_is_of_the_order_of_n():
+    # heavy tails: a few samples carry the spread, so z_score means little
+    n = 100_000
+    est = mc_estimate_witness(sample_twin_beam(1.0 - 1e-8, n, seed=3))
+    assert est.kurtosis > n / 10
+
+
+def test_estimate_kurtosis_is_none_without_spread(monkeypatch):
+    assert mc_estimate_witness(sample_twin_beam(TWIN_X, 1, seed=3)).kurtosis \
+        is None
+    # the mean of three 0.1 rounds up, so the deviations are equal, not zero
+    monkeypatch.setattr(tomography, "witness_kernel",
+                        lambda *args: np.full(3, 0.1))
+    est = mc_estimate_witness(sample_twin_beam(TWIN_X, 3, seed=3))
+    assert est.mean != 0.1 and est.kurtosis is None
+
+
 def traced_peak(run):
     """Peak traced allocation, in bytes, of one call of run()."""
     tracemalloc.start()
@@ -636,6 +664,30 @@ def test_sampler_memory_is_the_batch_plus_a_constant(sampler):
              for n in (2 ** 17, 2 ** 18)]
     assert max(extra) < 0.75 * 2 ** 20, extra
     assert abs(extra[1] - extra[0]) < 0.5e6, extra
+
+
+@pytest.mark.parametrize("state, n, bound_mib", [
+    ("rotated-twb", 2 ** 15, 4.25), ("depolarized-d4", 2 ** 14, 1.5),
+    ("twin-beam", 40_000, 1.0)])
+def test_short_block_memory_is_the_batch_plus_a_constant(state, n,
+                                                         bound_mib):
+    # a short block draws into its slice of the batch, skipping the words of
+    # the uniforms it does not use, and reads gathered table rows in
+    # cache-sized slices; the twin beam holds one block-length row of
+    # normals; the rotated twin beam's peak is its table build
+    if state == "twin-beam":
+        def sampler(m):
+            return sample_twin_beam(TWIN_X, m, seed=5)
+    else:
+        rho = (rotated_twb(0.5, 1.1) if state == "rotated-twb"
+               else depolarized_state(
+                   random_state_operator(4, np.random.default_rng(7)), 0.8))
+
+        def sampler(m):
+            return sample_homodyne(rho, m, seed=5)
+    sampler(1000)
+    extra = traced_peak(lambda: sampler(n)) - 32 * n
+    assert extra < bound_mib * 2 ** 20, extra
 
 
 def test_estimate_memory_is_the_values_plus_a_constant():
@@ -727,3 +779,40 @@ def test_shared_column_reads_are_the_gathered_reads(rho):
         draws = [_sample_columns(c, u, tables.nodes, tables.delta)
                  for c in (column, gathered)]
         assert np.array_equal(draws[0], draws[1])
+
+
+@pytest.mark.parametrize("count", [1, 1000, BLOCK_SIZE - 1])
+def test_skipped_uniforms_leave_the_prefix_of_the_full_draws(count):
+    # Generator.random takes one 64-bit word per double, so advancing the
+    # bit generator past the unused words leaves it where the full-length
+    # draw would; short blocks rely on this
+    full = np.random.default_rng(23)
+    expected = [full.random(BLOCK_SIZE) for _ in range(2)]
+    rng = np.random.default_rng(23)
+    for want in expected:
+        out = np.empty(count)
+        rng.random(out=out)
+        rng.bit_generator.advance(BLOCK_SIZE - count)
+        assert np.array_equal(out, want[:count])
+    assert np.array_equal(rng.standard_normal(8), full.standard_normal(8))
+
+
+@pytest.mark.parametrize("rows", [1, 213, 214, 215, 1000, 1024])
+def test_sliced_column_reads_are_the_one_shot_reads(rows):
+    # at d = 17 (153 pairs) a slice of gathered table rows holds 214 rows
+    tables = _SamplerTables.build(rotated_twb(0.5, 1.1))
+    assert tables.pairs.shape[0] == 153
+    width = tables.pairs.shape[1]
+    rng = np.random.default_rng(rows)
+    x1 = 2.0 * rng.standard_normal(rows)
+    phi1, phi2 = math.pi * rng.random((2, rows))
+    weights = tables.pair_weights(x1, phi1, phi2)
+    sliced = _weighted_columns(weights, tables.pairs)
+    one_shot = one_shot_columns(weights, tables.pairs)
+    for k in (rng.integers(0, width, rows), np.full(rows, width - 1),
+              width // 2):
+        assert np.array_equal(sliced(k), one_shot(k))
+    u = rng.random(rows)
+    draws = [_sample_columns(c, u, tables.nodes, tables.delta)
+             for c in (sliced, one_shot)]
+    assert np.array_equal(draws[0], draws[1])

@@ -10,6 +10,14 @@ rho_A has coherences; otherwise it reads the shared row.  Wall and CPU
 time drift by tens of percent between runs on a shared VM, so the stages
 are interleaved and repeated and the median of each is printed.
 
+Then the minor page faults of one untraced ``sample_homodyne`` call on
+each state, the mean over repeated calls of this process's
+``getrusage`` count.  Each call's batch is kept until the next one is
+drawn, as by a caller that uses it.  A temporary that glibc serves by
+mmap, or from heap pages it trimmed after the last call, is faulted in
+again, so this count shows whether the sampler's cost depends on what
+the process allocated and freed before.
+
 Then the traced peak allocation of one table build on each state, of one
 call of ``sample_homodyne`` on each state at the benchmark's sample counts
 and on the d = 4 twin beam, of ``sample_twin_beam`` without and with phase
@@ -25,6 +33,7 @@ from __future__ import annotations
 
 import math
 import os
+import resource
 import sys
 import tempfile
 import time
@@ -133,6 +142,19 @@ def memory(rng) -> None:
         report(f"batch_to_csv {n} rows", lambda: batch_to_csv(path, batch))
 
 
+def faults(rng, repeats: int) -> None:
+    print(f"minor page faults per sample_homodyne call, mean of {repeats}:")
+    for name, rho in states(rng):
+        n = STATE_SAMPLES[name]
+        batch = tm.sample_homodyne(rho, n, seed=1)
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        for _ in range(repeats):
+            batch = tm.sample_homodyne(rho, n, seed=1)
+        after = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        label = f"{name} n = {n}"
+        print(f"  {label:42s} {(after - before) / repeats:7.0f}")
+
+
 def main(repeats: int = 30) -> None:
     rng = np.random.default_rng(7)
     for name, rho in states(rng):
@@ -146,6 +168,7 @@ def main(repeats: int = 30) -> None:
         print(f"{name} (d = {rho.dim_a}), median CPU ms over {repeats}:")
         for stage, values in times.items():
             print(f"  {stage:32s} {1e3 * np.median(values):8.3f}")
+    faults(np.random.default_rng(7), repeats)
     memory(np.random.default_rng(7))
 
 
