@@ -28,9 +28,9 @@ from .states import maximally_entangled_operator, schmidt_operator
 
 BOUNDARY_TOL = 1e-12
 MAX_GRID_POINTS = 100_000
-# finite-witness at d = 256, one process: 1.0 s of CPU and a 130 MB peak on
-# a 2-core Xeon, mostly the quorum's 16 d^2 report numbers; d = 512 takes
-# 3.8 s and 421 MB
+# finite-witness at d = 256, one process: 0.8-0.9 s of CPU and a 130 MB
+# peak on a 2-core Xeon, mostly the quorum's 16 d^2 report numbers; d = 512
+# takes 1.7-2.4 s and 418 MB
 MAX_DIM = 256
 
 

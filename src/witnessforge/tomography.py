@@ -107,7 +107,9 @@ def mc_estimate_witness(batch: HomodyneBatch) -> McEstimate:
 
     The deviations are squared in place in the values array, which gives
     the bits of ``np.std(values, ddof=1)`` without its second array; the
-    sum of their squares, one dot product, gives the fourth moment.
+    sum of their squares, one dot product, gives the fourth moment.  They
+    are first scaled exactly, by a power of two, to a largest of [1/2, 1),
+    so that deviations near 1e-300 keep their squares.
     """
     values = witness_kernel(batch.x1, batch.phi1, batch.x2, batch.phi2)
     n = len(values)
@@ -117,9 +119,11 @@ def mc_estimate_witness(batch: HomodyneBatch) -> McEstimate:
     # a mean that rounds off equal values leaves equal nonzero deviations
     constant = values.min() == values.max()
     values -= mean
+    e = int(np.frexp(max(values.max(), -values.min()))[1])  # no abs array
+    np.ldexp(values, -e, out=values)
     values *= values
     squares = float(np.sum(values))
-    std_error = float(np.sqrt(squares / (n - 1)) / math.sqrt(n))
+    std_error = math.ldexp(np.sqrt(squares / (n - 1)) / math.sqrt(n), e)
     kurtosis = None
     if squares > 0.0 and not constant:
         # einsum's own loop: a BLAS dot of this length wakes its threads,
@@ -472,8 +476,7 @@ class _SamplerTables:
         return _sample_columns(column, u, self.nodes, self.delta)
 
 
-def _check_positive(rho: BipartiteDensity, nodes: np.ndarray,
-                    sectors: bool) -> None:
+def _check_positive(rho: BipartiteDensity, tables: _SamplerTables) -> None:
     """Reject a state whose quadrature densities can fall below -1e-10
     on the grid.
 
@@ -481,19 +484,19 @@ def _check_positive(rho: BipartiteDensity, nodes: np.ndarray,
     |psi(x)|^2 = sum_n psi_n(x)^2 <= M on the grid, so p >= lambda_min(rho)
     M^2; likewise the phi1 marginal is >= lambda_min(rho_A) M.  One
     eigenvalue check per state bounds every density row the sampler could
-    draw.  A state on the index-difference support conserves n - m, so
-    with ``sectors`` its spectrum is that of its blocks of fixed n - m.
+    draw.  M is read from the sampler's tables, whose first d pair rows
+    are psi_n^2 on the grid.  A state on the index-difference support
+    conserves n - m, so its spectrum is that of its blocks of fixed n - m.
     """
     d = rho.dim_a
-    if sectors:
+    if tables.diff is not None:
         diff = np.subtract.outer(np.arange(d), np.arange(d)).ravel()
         lowest = min(np.linalg.eigvalsh(rho.matrix[np.ix_(k, k)])[0]
                      for k in (np.flatnonzero(diff == j)
                                for j in range(1 - d, d)))
     else:
         lowest = np.linalg.eigvalsh(rho.matrix)[0]
-    psi = oscillator_psi_table(d - 1, nodes)
-    m = float(np.max(np.sum(psi * psi, axis=0)))
+    m = float(np.max(np.sum(tables.pairs[:d, :2 * CELLS + 1], axis=0)))
     floor = min(lowest * m * m, np.linalg.eigvalsh(rho.reduced(0))[0] * m)
     if floor < -PDF_NEGATIVITY_TOL:
         raise ValueError(
@@ -541,6 +544,8 @@ def _sample_blocks(n: int, seed: int, workers: int, draw,
         raise ValueError("sample count must be positive")
     if workers < 1:
         raise ValueError("workers must be positive")
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
     n_blocks = (n + BLOCK_SIZE - 1) // BLOCK_SIZE
     children = np.random.SeedSequence(seed).spawn(n_blocks)
     out = np.empty((4, n))
@@ -612,7 +617,7 @@ def sample_homodyne(rho: BipartiteDensity, n: int, seed: int,
     if not isinstance(rho, BipartiteDensity):
         raise TypeError("rho must be a BipartiteDensity")
     tables = _SamplerTables.build(rho)
-    _check_positive(rho, tables.nodes, tables.diff is not None)
+    _check_positive(rho, tables)
 
     def draw(rng, u1, u2):
         _uniform_prefix(rng, u1)
@@ -641,6 +646,8 @@ def sample_twin_beam(x: float, n: int, seed: int, gamma_t: float = 0.0,
     phase noise, uniform on [0, 2 pi) at gamma_t = inf).  Each sample is
     x1 = sqrt(V) z1, x2 = (Cov/V) x1 + sqrt(V - Cov^2/V) z2 for standard
     normal z1, z2; V - |Cov| >= (1 - x)/(4(1 + x)) > 0 keeps the root real.
+    V^2 must be finite in float64, so a kappa above about 2.68e154 raises
+    ValueError before anything is drawn.
 
     No Fock truncation enters.  Blocks, chunks, seeding, worker
     independence and the memory bound are those of
@@ -652,6 +659,9 @@ def sample_twin_beam(x: float, n: int, seed: int, gamma_t: float = 0.0,
     _check_gamma_t(gamma_t)
     _check_kappa(kappa)
     var = (1.0 + x * x) / (4.0 * (1.0 - x * x)) + 0.5 * kappa
+    if not math.isfinite(var * var):
+        raise ValueError(f"kappa={kappa}: the quadrature variance has no "
+                         "finite square; kappa must lie below 2.68e154")
     amplitude = x / (2.0 * (1.0 - x * x))
     # sqrt(2) sqrt(gamma_t) stays finite for every finite gamma_t
     spread = math.sqrt(2.0) * math.sqrt(gamma_t)

@@ -29,10 +29,13 @@ NORMALIZATION_TOL = 1e-10
 BOUNDARY_TOL = 1e-12
 
 _SIGMA = {
+    "t": np.eye(2, dtype=complex),
     "x": np.array([[0, 1], [1, 0]], dtype=complex),
     "y": np.array([[0, -1j], [1j, 0]], dtype=complex),
     "z": np.array([[1, 0], [0, -1]], dtype=complex),
 }
+# the unit-norm antisymmetric (singlet) matrix on the two leading modes
+_SINGLET = np.array([[0, 1], [-1, 0]], dtype=complex) / np.sqrt(2.0)
 
 
 def _check_unit_norm(d: int, norm: float) -> None:
@@ -79,29 +82,30 @@ def min_pt_eigenvalue(svd: SvdResult, p: float) -> float:
     return float(-p * s[0] * s[1] + (1.0 - p) / s.size**2)
 
 
-def _antisymmetric_core(d: int) -> np.ndarray:
-    """Unit-norm antisymmetric seed supported on the top two Schmidt modes."""
-    core = np.zeros((d, d), dtype=complex)
-    core[0, 1] = 1.0 / np.sqrt(2.0)
-    core[1, 0] = -1.0 / np.sqrt(2.0)
-    return core
+def _leading_pairs(svd: SvdResult,
+                   message: str) -> tuple[np.ndarray, np.ndarray]:
+    """The two leading Schmidt vectors X2 = X[:, :2] and Y2 = Y[:, :2] of a
+    unit-norm Psi = X Sigma Y^dagger; ValueError(message) if Psi has
+    Schmidt rank < 2, which leaves no entanglement to witness."""
+    s = _schmidt_coefficients(svd)
+    if s[1] <= SCHMIDT_RANK_TOL:
+        raise ValueError(message)
+    return svd.x[:, :2], svd.y[:, :2]
 
 
 def min_eigvec_operator(svd: SvdResult) -> np.ndarray:
     """Operator A whose vectorization is the minimal-PT-eigenvalue eigenvector,
     from the SVD Psi = X Sigma Y^dagger of Psi (``complex_svd(psi)``).
 
-    A = X B Y^T with B the unit-norm antisymmetric matrix on the two largest
-    Schmidt modes; vectorize(A) is an eigenvector of PT(R(p)) with eigenvalue
-    min_pt_eigenvalue(svd, p) for every p.  The global phase is fixed so the
-    first nonzero component of vectorize(A) is real positive.
+    A = X2 S Y2^T with S = [[0, 1], [-1, 0]]/sqrt(2) the unit-norm
+    antisymmetric matrix on the two largest Schmidt modes; vectorize(A) is
+    an eigenvector of PT(R(p)) with eigenvalue min_pt_eigenvalue(svd, p)
+    for every p.  The global phase is fixed so the first nonzero component
+    of vectorize(A) is real positive.
     """
-    s = _schmidt_coefficients(svd)
-    if s[1] <= SCHMIDT_RANK_TOL:
-        raise ValueError(
-            "Schmidt rank < 2: a product state carries no entanglement to witness")
-    abar = svd.x @ _antisymmetric_core(s.size) @ svd.y.T
-    return fix_global_phase(abar)
+    x2, y2 = _leading_pairs(svd, "Schmidt rank < 2: a product state carries "
+                                 "no entanglement to witness")
+    return fix_global_phase(x2 @ _SINGLET @ y2.T)
 
 
 def build_witness(eigvec_op: np.ndarray) -> np.ndarray:
@@ -164,9 +168,8 @@ def detection_threshold(svd: SvdResult) -> float:
     p* = 1 / (1 + d^2 s1 s2); at p = p* the expectation is exactly zero and
     the witness is inconclusive.
     """
-    s = _schmidt_coefficients(svd)
-    if s[1] <= SCHMIDT_RANK_TOL:
-        raise ValueError("Schmidt rank < 2: no detection threshold exists")
+    _leading_pairs(svd, "Schmidt rank < 2: no detection threshold exists")
+    s = svd.sigma
     return float(1.0 / (1.0 + s.size**2 * s[0] * s[1]))
 
 
@@ -194,42 +197,27 @@ class QuorumDecomposition:
         return (self.identity_term,) + self.pauli_terms
 
 
-def _embed_two_level(op2: np.ndarray, d: int) -> np.ndarray:
-    out = np.zeros((d, d), dtype=complex)
-    out[:2, :2] = op2
-    return out
-
-
 def quorum_decompose(svd: SvdResult) -> QuorumDecomposition:
     """Decompose the witness for Psi into three local observables plus a
     projector-like term, from the SVD Psi = X Sigma Y^dagger
     (``complex_svd(psi)``).
 
-    With X' = X Y^T and the embedded two-level operators
-    s_alpha = Y* (sigma_alpha (+) 0) Y^T, the witness takes the form
-    W = 1/2 sum_alpha (Q s_alpha Q^dagger) (x) s_alpha over alpha in
-    {t, x, y, z}, where Q = X' s_y / sqrt(2) and s_t is the rank-2 projector
-    onto the two-level subspace.  Only the x, y, z terms require measuring
-    a non-trivial observable on the second subsystem.
+    The witness is the two-qubit one embedded by the two leading Schmidt
+    pairs X2 = X[:, :2] and Y2 = Y[:, :2]: W = 1/2 sum_alpha
+    X2 (s_y s_alpha s_y / 2) X2^dagger (x) Y2* s_alpha Y2^T over alpha in
+    {t, x, y, z}, where s_t is the 2 x 2 identity (so the t term's second
+    factor is the rank-2 projector onto the two-level subspace) and
+    s_y s_alpha s_y = +s_alpha for t and y, -s_alpha for x and z.  Only the
+    x, y, z terms require measuring a non-trivial observable on the second
+    subsystem.
     """
-    s = _schmidt_coefficients(svd)
-    if s[1] <= SCHMIDT_RANK_TOL:
-        raise ValueError("Schmidt rank < 2: nothing to decompose")
-    d = s.size
-    y_conj = svd.y.conj()
-    xprime = svd.x @ svd.y.T
+    x2, y2 = _leading_pairs(svd, "Schmidt rank < 2: nothing to decompose")
 
-    def embedded(op2):
-        return y_conj @ _embed_two_level(op2, d) @ svd.y.T
+    def local_pair(axis):
+        flipped = _SIGMA["y"] @ _SIGMA[axis] @ _SIGMA["y"] / 2
+        local_a = x2 @ flipped @ x2.conj().T
+        local_b = y2.conj() @ _SIGMA[axis] @ y2.T
+        return QuorumTerm(0.5, (local_a + local_a.conj().T) / 2, local_b)
 
-    s_t = embedded(np.eye(2, dtype=complex))
-    q = xprime @ embedded(_SIGMA["y"]) / np.sqrt(2.0)
-
-    def local_pair(s_alpha):
-        local_a = q @ s_alpha @ q.conj().T
-        return QuorumTerm(0.5, (local_a + local_a.conj().T) / 2, s_alpha)
-
-    identity_term = local_pair(s_t)
-    pauli_terms = tuple(local_pair(embedded(_SIGMA[axis])) for axis in "xyz")
-    return QuorumDecomposition(identity_term=identity_term,
-                               pauli_terms=pauli_terms)
+    return QuorumDecomposition(identity_term=local_pair("t"),
+                               pauli_terms=tuple(map(local_pair, "xyz")))

@@ -2,7 +2,8 @@
 
 The library's commands and samplers never need them, so they live here:
 the density-operator check ``validate``, Haar-random product vectors, the
-quorum's weighted sum of products, the product of an SVD's factors, the
+quorum's weighted sum of products, the dense d x d route to the witness's
+eigenvector operator and quorum, the product of an SVD's factors, the
 report writer's oracle, the batch CSV reader and the analytic
 partial-transpose spectrum of the phase-noisy twin beam.
 """
@@ -13,7 +14,15 @@ import json
 
 import numpy as np
 
+from witnessforge.linalg import fix_global_phase
+
 TOL = 1e-10
+PAULI = {
+    "t": np.eye(2, dtype=complex),
+    "x": np.array([[0, 1], [1, 0]], dtype=complex),
+    "y": np.array([[0, -1j], [1j, 0]], dtype=complex),
+    "z": np.array([[1, 0], [0, -1]], dtype=complex),
+}
 
 
 def validate(rho):
@@ -50,11 +59,51 @@ def random_product_state(dim_a: int, dim_b: int,
 def reconstruct(decomposition) -> np.ndarray:
     """The weighted sum of the products of a ``QuorumDecomposition``, which
     is the witness matrix."""
-    total = None
-    for t in decomposition.terms:
-        contrib = t.coefficient * np.kron(t.local_a, t.local_b)
-        total = contrib if total is None else total + contrib
-    return total
+    terms = decomposition.terms
+    d_a, d_b = terms[0].local_a.shape[0], terms[0].local_b.shape[0]
+    # kron(a, b)[(i, j), (k, l)] = a[i, k] b[j, l], summed in one array
+    total = np.zeros((d_a, d_b, d_a, d_b), dtype=complex)
+    for t in terms:
+        total += np.multiply.outer(t.coefficient * t.local_a,
+                                   t.local_b).transpose(0, 2, 1, 3)
+    return total.reshape(d_a * d_b, d_a * d_b)
+
+
+def _embed_two_level(op2: np.ndarray, d: int) -> np.ndarray:
+    """The d x d matrix op2 (+) 0."""
+    out = np.zeros((d, d), dtype=complex)
+    out[:2, :2] = op2
+    return out
+
+
+def dense_eigvec_operator(svd) -> np.ndarray:
+    """A = X B Y^T of a ``linalg.SvdResult`` Psi = X Sigma Y^dagger, with B
+    the d x d unit-norm antisymmetric matrix on the two leading Schmidt
+    modes, by d x d products and with the global phase fixed: the dense
+    oracle of ``witness_finite.min_eigvec_operator``."""
+    d = svd.sigma.size
+    core = _embed_two_level(
+        np.array([[0, 1], [-1, 0]], dtype=complex) / np.sqrt(2.0), d)
+    return fix_global_phase(svd.x @ core @ svd.y.T)
+
+
+def dense_quorum_locals(svd) -> list:
+    """(local_a, local_b) of the t, x, y, z quorum terms by d x d products:
+    with s_alpha = Y* (sigma_alpha (+) 0) Y^T and Q = X Y^T s_y / sqrt(2),
+    local_a = Q s_alpha Q^dagger, made Hermitian, and local_b = s_alpha.
+    The dense oracle of ``witness_finite.quorum_decompose``."""
+    d = svd.sigma.size
+
+    def embedded(axis):
+        return svd.y.conj() @ _embed_two_level(PAULI[axis], d) @ svd.y.T
+
+    q = svd.x @ svd.y.T @ embedded("y") / np.sqrt(2.0)
+    pairs = []
+    for axis in "txyz":
+        s_alpha = embedded(axis)
+        local_a = q @ s_alpha @ q.conj().T
+        pairs.append(((local_a + local_a.conj().T) / 2, s_alpha))
+    return pairs
 
 
 def svd_product(svd) -> np.ndarray:

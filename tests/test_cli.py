@@ -6,6 +6,7 @@ import re
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from fractions import Fraction
 from pathlib import Path
 
@@ -1017,3 +1018,89 @@ def test_rebinding_after_the_first_call_takes_effect(capsys, monkeypatch):
     code, _, err = run(capsys, *argv)
     assert code == 3
     assert "numerical failure" in err
+
+
+# every numeric option of every command at the edges of float64 (gauss-scan
+# takes only a grid spec, which test_bad_grid_spec covers): 1e150 is the
+# kappa whose kernel values (about 1e-297) have squared deviations that
+# underflow; a value that cannot be an int stops in argparse
+EDGE_VALUES = ["0", "1", "-1", "0.5", "1e-300", "5e-324", "1e300", "nan",
+               "inf", "-inf", repr(1.0 - 2.0 ** -53), "1e-17", "-0.0",
+               "1e150"]
+EDGE_BASE = {
+    "finite-witness": ("--dim", "3", "--max-entangled", "--p", "0.3"),
+    "finite-scan": ("--dim", "3", "--max-entangled"),
+    "cv-phase": ("--x", "0.5", "--gammat", "1"),
+    "cv-gauss": ("--x", "0.5", "--kappa", "0.2"),
+    "tomo-estimate": ("--x", "0.5", "--samples", "50", "--seed", "1"),
+    "bs-squeeze": ("--x", "0.5"),
+}
+# (command, option, the names a rejection may give the option by)
+NUMERIC_SLOTS = [
+    ("finite-witness", "--dim", ("--dim", "dimension")),
+    ("finite-witness", "--p", ("--p", "p=")),
+    ("finite-scan", "--dim", ("--dim", "dimension")),
+    ("cv-phase", "--x", ("--x", "x=")),
+    ("cv-phase", "--gammat", ("--gammat", "gamma_t")),
+    ("cv-gauss", "--x", ("--x", "x=")),
+    ("cv-gauss", "--kappa", ("--kappa", "kappa")),
+    ("tomo-estimate", "--x", ("--x", "x=")),
+    ("tomo-estimate", "--gammat", ("--gammat", "gamma_t")),
+    ("tomo-estimate", "--kappa", ("--kappa", "kappa")),
+    ("tomo-estimate", "--samples", ("--samples", "sample count")),
+    ("tomo-estimate", "--seed", ("--seed", "seed")),
+    ("tomo-estimate", "--workers", ("--workers", "workers")),
+    ("bs-squeeze", "--x", ("--x", "x=")),
+    ("bs-squeeze", "--kappa", ("--kappa", "kappa")),
+    ("bs-squeeze", "--transmissivity", ("--transmissivity",
+                                        "transmissivity")),
+]
+
+
+def _finite_float(text):
+    value = float(text)  # a literal such as 1e999 reads as inf
+    assert math.isfinite(value), text
+    return value
+
+
+def _kernel_values(config):
+    """The witness kernel values of the batch a tomo-estimate report
+    sampled."""
+    gamma_t = {None: 0.0, "inf": math.inf}.get(config["gamma_t"],
+                                                config["gamma_t"])
+    batch = sample_twin_beam(config["x"], config["samples"], config["seed"],
+                             gamma_t=gamma_t, kappa=config["kappa"] or 0.0)
+    return witness_kernel(batch.x1, batch.phi1, batch.x2, batch.phi2)
+
+
+@pytest.mark.parametrize("value", EDGE_VALUES)
+@pytest.mark.parametrize("command, option, names", NUMERIC_SLOTS,
+                         ids=[f"{c}{o}" for c, o, _ in NUMERIC_SLOTS])
+def test_numeric_options_at_the_edges_of_float64(capsys, tmp_path, command,
+                                                 option, names, value):
+    # the sample and worker counts are ints, so the sweep sets neither
+    # above 1: no large batch is drawn and no pool is started
+    base = list(EDGE_BASE[command])
+    if option in base:
+        at = base.index(option)
+        del base[at:at + 2]
+    if command == "finite-scan":
+        base += ["--output", str(tmp_path / "scan.csv")]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            code = main([command, *base, f"{option}={value}"])
+        except SystemExit as exc:  # argparse rejects the value
+            code = exc.code
+    out, err = capsys.readouterr()
+    if code != 0:
+        assert code in (2, 3)
+        assert any(name in err for name in names), err
+        return
+    assert err == ""
+    report = json.loads(out, parse_constant=_reject_constant,
+                        parse_float=_finite_float)
+    if command == "tomo-estimate":
+        values = _kernel_values(report["config"])
+        if values.min() < values.max():
+            assert report["std_error"] > 0.0

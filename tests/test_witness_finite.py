@@ -4,7 +4,13 @@ import numpy as np
 import pytest
 
 from depolarized_family import DepolarizedFamily
-from helpers import random_product_state, reconstruct, validate
+from helpers import (
+    dense_eigvec_operator,
+    dense_quorum_locals,
+    random_product_state,
+    reconstruct,
+    validate,
+)
 from witnessforge.linalg import complex_svd, vectorize
 from witnessforge.states import (
     maximally_entangled_operator,
@@ -359,3 +365,35 @@ def test_quorum_rejects_product_state():
     psi[0, 0] = 1.0
     with pytest.raises(ValueError):
         quorum_decompose(complex_svd(psi))
+
+
+def oracle_states(d):
+    rng = np.random.default_rng(d)
+    return [maximally_entangled_operator(d), random_state_operator(d, rng),
+            schmidt_operator([0.8, 0.5, 0.3, 0.1][:d], d)]
+
+
+@pytest.mark.parametrize("d", [2, 3, 5, 16, 64, 256])
+def test_two_pair_forms_match_the_dense_oracle(d):
+    # the library works from the two leading Schmidt pairs alone; the
+    # d x d route through X Y^T and Y* (sigma (+) 0) Y^T is the oracle
+    for psi in oracle_states(d):
+        svd = complex_svd(psi)
+        assert np.abs(min_eigvec_operator(svd)
+                      - dense_eigvec_operator(svd)).max() < 1e-15
+        decomp = quorum_decompose(svd)
+        for term, (local_a, local_b) in zip(decomp.terms,
+                                            dense_quorum_locals(svd)):
+            assert term.coefficient == 0.5
+            assert np.abs(term.local_a - local_a).max() < 1e-15
+            assert np.abs(term.local_b - local_b).max() < 1e-15
+
+
+@pytest.mark.parametrize("d, which", [(16, 0), (16, 1), (16, 2), (64, 1)])
+def test_quorum_reconstruction_at_larger_dimensions(d, which):
+    # which indexes oracle_states; at d = 64 each dense (d^2 x d^2) matrix
+    # takes 256 MiB, so only the random state is rebuilt there
+    svd = complex_svd(oracle_states(d)[which])
+    error = reconstruct(quorum_decompose(svd))
+    error -= build_witness(min_eigvec_operator(svd))
+    assert np.abs(error).max() < 1e-14

@@ -76,8 +76,7 @@ def stages(rho, rng):
     conditional = tm._weighted_columns(weights, tables.pairs)
     return {
         "table build (per call)": lambda: tm._SamplerTables.build(rho),
-        "positivity check (per call)": lambda: tm._check_positive(
-            rho, tables.nodes, tables.diff is not None),
+        "positivity check (per call)": lambda: tm._check_positive(rho, tables),
         "marginal draw": lambda: tables.draw_marginal(phi1, u1),
         "pair weights": lambda: tables.pair_weights(x1, phi1, phi2),
         "conditional search + inversion": lambda: tm._sample_columns(
