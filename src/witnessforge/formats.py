@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import functools
+import itertools
 import json
 import math
 import time
@@ -168,28 +169,37 @@ _POW10_LO = _POW10 - _POW10_HI
 # and the leading digit; words 1-4 each hold four digits.
 _WORD = np.dtype("<u8")
 _SEPARATORS = np.array([ord(c) << 56 for c in ",,,\n"], dtype=_WORD)
-# the prefix for the exponents E = -4 .. 16 (index E + 4)
-_PREFIX = np.array([int.from_bytes(b"\0" + text.encode("ascii"), "little")
-                    for text in ("0.000", "0.00", "0.0", "0.")]
-                   + [0] * 17, dtype=_WORD)
 # the first c digits of a group, c = 0 .. 4
 _KEEP = np.array([(1 << 16 * c) - 1 for c in range(5)], dtype=_WORD)
 _GROUP_START = np.arange(0, 16, 4)
 
 
 @functools.cache
-def _group_tables() -> tuple[np.ndarray, np.ndarray]:
-    """For each four-digit group g = 100 h + l: its text, the digits in the
-    low byte of each 16 bits, and the 1-based place of its last non-zero
-    digit, -12 for 0000 (which keeps an all-zero group below the leading
-    digit's place 0 in the maximum taken over a value's groups).  Built on
-    the first export, not at import."""
+def _tables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The lookup tables of the cells, built on the first export, not at
+    import:
+
+    - for each four-digit group g = 100 h + l, its text, the digits in the
+      low byte of each 16 bits;
+    - for each g, the 1-based place of its last non-zero digit, -12 for
+      0000 (which keeps an all-zero group below the leading digit's place
+      0 in the maximum taken over a value's groups);
+    - word 0 of a cell for each sign s, exponent E = -4 .. 16 and leading
+      digit l, at index 210 s + 10 E + l modulo its 420 entries: the sign
+      slot, "0." and -1 - E zeros for a negative exponent, the digit.
+    """
     pair = np.arange(100)
     pair_text = (pair // 10 + ord("0")) | (pair % 10 + ord("0")) << 16
     pair_last = np.where(pair % 10 != 0, 2, np.where(pair != 0, 1, -12))
     text = (pair_text[:, None] | pair_text << 32).astype(_WORD).ravel()
     last = np.where(pair != 0, 2 + pair_last, pair_last[:, None]).ravel()
-    return text, last
+    leading = np.zeros(420, dtype=_WORD)
+    for sign, e, lead in itertools.product((0, 1), range(-4, 17), range(10)):
+        prefix = "0." + "0" * (-1 - e) if e < 0 else ""
+        word = ("-" if sign else "\0") + prefix.ljust(5, "\0") + str(lead)
+        leading[(210 * sign + 10 * e + lead) % 420] = int.from_bytes(
+            word.encode("ascii"), "little")
+    return text, last, leading
 
 
 def _scaled_digits(a: np.ndarray, k: np.ndarray) -> np.ndarray:
@@ -222,16 +232,19 @@ def _scaled_digits(a: np.ndarray, k: np.ndarray) -> np.ndarray:
     return digits
 
 
-def _format_cells(values: np.ndarray) -> np.ndarray:
-    """The ``%.17g`` text of each value, as the rows of an (n, 5) array of
-    cells laid out as described above, separator slot empty.
+def _format_cells(values: np.ndarray, cells: np.ndarray) -> None:
+    """Write the ``%.17g`` text of each value into the rows of cells, an
+    (n, 5) array of cells laid out as described above, separator slot
+    empty.
 
     A value with 1e-4 <= |v| < 1e17 has the fixed-notation form: its 17
     significant digits are D = round(|v| 10^(16-E)) for the decimal
     exponent E of the rounded value, which lies in [-4, 16] and makes
     10^(16-E) an exact double.  Any other value (zero, subnormal, tiny,
-    huge, not finite) is formatted by Python.  The arithmetic runs in
-    place where it can, and the (4, n) temporaries are dropped once used.
+    huge, not finite) is formatted by Python.  %g drops trailing zeros
+    down to the units digit, so the last kept digit lies in the lowest
+    group unless that group is 0000, and only that group is masked; the
+    rare values whose lowest group is 0000 are masked group by group.
     """
     n = values.size
     a = np.abs(values)
@@ -256,35 +269,43 @@ def _format_cells(values: np.ndarray) -> np.ndarray:
     lead = significand
     groups = np.empty((4, n), dtype=np.int64)
     for i in range(3, -1, -1):
-        groups[i] = lead
-        lead //= 10 ** 4
-        groups[i] -= lead * 10 ** 4
+        rest = lead
+        lead = rest // 10 ** 4
+        np.subtract(rest, lead * 10 ** 4, out=groups[i])
+    group_text, group_last, leading = _tables()
+    for i in range(3):
+        cells[:, i + 1] = group_text.take(groups[i])
     # the last digit that %g keeps: the last non-zero one, or the units
     # digit (place E) if that comes later
-    group_text, group_last = _group_tables()
-    places = group_last.take(groups)
-    places += _GROUP_START[:, None]
-    last = places.max(axis=0)
+    last = group_last.take(groups[3])
+    last += 12
     np.maximum(last, e, out=last)
-    # the digits kept of each group
-    kept = np.subtract(last, _GROUP_START[:, None], out=places)
-    np.clip(kept, 0, 4, out=kept)
-    cells = np.empty((n, 5), dtype=_WORD)
-    for i in range(4):
-        word = group_text.take(groups[i])
-        word &= _KEEP.take(kept[i])
-        cells[:, i + 1] = word
-    del groups, kept, places
-    cells[:, 0] = (_PREFIX.take(e + 4) | (values < 0).astype(_WORD) * ord("-")
-                   | (lead + ord("0")).astype(_WORD) << 48)
+    # the lowest group keeps last - 12 digits, none (the clip) when it is
+    # 0000 below the units digit
+    word = group_text.take(groups[3])
+    word &= _KEEP.take(last - 12, mode="clip")
+    cells[:, 4] = word
+    zero = np.flatnonzero(groups[3] == 0)
+    if zero.size:
+        # the last kept digit of these lies in a higher group
+        places = group_last.take(groups[:, zero]) + _GROUP_START[:, None]
+        last[zero] = np.maximum(places.max(axis=0), e[zero])
+        kept = np.clip(last[zero] - _GROUP_START[:, None], 0, 4)
+        cells[zero, 1:] &= _KEEP.take(kept).T
+    del groups
+    # the sign, the prefix and the leading digit from one table, whose
+    # index wraps for a negative exponent
+    key = np.multiply(e, 10)
+    key += lead
+    key += (values < 0) * 210
+    cells[:, 0] = leading.take(key, mode="wrap")
     text = cells.view(np.uint8)
     point = np.flatnonzero((e >= 0) & (last > e))
-    text[point, 7 + 2 * e[point]] = ord(".")
+    text.reshape(-1)[40 * point + 2 * e[point] + 7] = ord(".")
     for i in slow:
         cell = ("%.17g" % values[i]).encode("ascii")
         text[i] = 0
         text[i, :len(cell)] = np.frombuffer(cell, dtype=np.uint8)
-    return cells
 
 
 def batch_to_csv(path: str, batch) -> None:
@@ -292,20 +313,21 @@ def batch_to_csv(path: str, batch) -> None:
 
     The bytes are those of :func:`write_csv` on the same rows: every cell is
     the ``%.17g`` text of its value.  The cells are formatted with numpy,
-    :data:`CHUNK_ROWS` rows at a time, and each chunk's bytes are written
-    as soon as it is formed.  ``bytes.translate`` drops the empty slots of
-    a chunk's copy in one pass; ``np.compress`` would build an index of 8
-    bytes per byte kept.
+    :data:`CHUNK_ROWS` rows at a time, into buffers that every chunk
+    reuses, and each chunk's bytes are written as soon as it is formed.
+    ``bytes.translate`` drops the empty slots of a chunk's copy in one
+    pass; ``np.compress`` would build an index of 8 bytes per byte kept.
     """
     columns = (batch.phi1, batch.x1, batch.phi2, batch.x2)
+    block = np.empty((CHUNK_ROWS, 4))
+    cells = np.empty((4 * CHUNK_ROWS, 5), dtype=_WORD)
     with open(path, "wb") as fh:
         fh.write(b"phi1,x1,phi2,x2\n")
         for start in range(0, len(columns[0]), CHUNK_ROWS):
-            block = np.column_stack(
-                [col[start:start + CHUNK_ROWS] for col in columns])
-            cells = _format_cells(block.astype(float, copy=False).ravel())
-            del block
-            cells.reshape(-1, 4, 5)[:, :, 4] |= _SEPARATORS
-            text = cells.tobytes()
-            del cells
-            fh.write(text.translate(None, b"\0"))
+            rows = min(CHUNK_ROWS, len(columns[0]) - start)
+            np.stack([col[start:start + rows] for col in columns], axis=1,
+                     out=block[:rows])
+            chunk = cells[:4 * rows]
+            _format_cells(block[:rows].ravel(), chunk)
+            chunk.reshape(-1, 4, 5)[:, :, 4] |= _SEPARATORS
+            fh.write(chunk.tobytes().translate(None, b"\0"))

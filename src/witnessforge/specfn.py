@@ -16,7 +16,8 @@ from ._dawson_poly import G_POLY, Q_POLY, SWITCH
 MAX_OSCILLATOR_INDEX = 4096
 
 _CHUNK = 8192  # points per pass: every temporary is one 64 KiB array
-_POLY = np.concatenate([G_POLY, Q_POLY])
+# g + i q: one Horner recurrence evaluates both fits
+_POLY = G_POLY + 1j * Q_POLY
 _INTERVALS = G_POLY.shape[1]
 _SCALE = 2 * _INTERVALS / SWITCH  # z -> 2k + 1 + t on interval k
 
@@ -43,32 +44,38 @@ def _horner(coeffs, t):
     return p
 
 
-def _horner_rows(rows, k, t):
-    """_horner of the coefficient columns rows[:, k] at t, reading one
-    coefficient row per step rather than gathering the whole block.
+def _near(x, z, out):
+    """f00, f01, f11 into the rows of out for z = sqrt(2)|x| < SWITCH,
+    from the interpolating polynomials of z's interval, evaluated in t in
+    [-1, 1], of g = D(z)/z and q = g + M1 = f01/(4x), where
+    M1 = M(1, 1/2; -z^2) = 1 - 2 z D.  q has its own fit because g + M1
+    cancels as z grows.
 
-    _horner starts from 0 t + c, which is c exactly for the nonzero
-    coefficients of _POLY, so starting from the top row keeps its bits.
-    """
-    p = rows[-1].take(k)
-    for row in rows[-2::-1]:
-        p *= t
-        p += row.take(k)
-    return p
-
-
-def _near(x, z):
-    """f00, f01, f11 for z = sqrt(2)|x| < SWITCH, from the interpolating
-    polynomials of z's interval, evaluated in t in [-1, 1], of g = D(z)/z
-    and q = g + M1 = f01/(4x), where M1 = M(1, 1/2; -z^2) = 1 - 2 z D.
-    q has its own fit because g + M1 cancels as z grows."""
+    Both run as one Horner recurrence on g + i q, reading one complex
+    coefficient row per step.  t is real, so each complex product rounds
+    its real and imaginary parts as the real products would, and the
+    recurrence starts from the top row, which is _horner's 0 t + c exactly
+    since no coefficient is zero: g and q keep the bits of two real
+    _horner evaluations."""
     u = z * _SCALE
     k = np.minimum(u.astype(np.intp) >> 1, _INTERVALS - 1)
-    t = u - (2 * k + 1)
-    g = _horner_rows(_POLY[:len(G_POLY)], k, t)
-    q = _horner_rows(_POLY[len(G_POLY):], k, t)
+    t = (u - (2 * k + 1)).astype(complex)
+    p = _POLY[-1].take(k)
+    for row in _POLY[-2::-1]:
+        p *= t
+        p += row.take(k)
+    g, q = p.real, p.imag
     m1 = q - g
-    return 2.0 * m1, 4.0 * x * q, 2.0 + 4.0 * (z * z - 1.0) * m1
+    f00, f01, f11 = out
+    np.multiply(2.0, m1, out=f00)
+    np.multiply(4.0, x, out=f01)
+    f01 *= q
+    # 2 + 4 (z^2 - 1) M1, each operation in the order written
+    np.multiply(z, z, out=f11)
+    f11 -= 1.0
+    f11 *= 4.0
+    f11 *= m1
+    f11 += 2.0
 
 
 def _far(x):
@@ -106,10 +113,12 @@ def pattern_functions(x):
         z = math.sqrt(2.0) * np.abs(xs)
         near = z < SWITCH  # False for NaN, whose series stays NaN
         if near.all():
-            block[:] = _near(xs, z)
+            _near(xs, z, block)
         else:
             far = ~near
-            block[:, near] = _near(xs[near], z[near])
+            part = np.empty((3, np.count_nonzero(near)))
+            _near(xs[near], z[near], part)
+            block[:, near] = part
             block[:, far] = _far(xs[far])
     return tuple(f.reshape(x.shape)[()] for f in out)
 

@@ -18,6 +18,7 @@ of the twin beam and its phase- and displacement-noisy relatives.
 from __future__ import annotations
 
 import math
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -94,10 +95,20 @@ def witness_kernel(x1, phi1, x2, phi2):
     values = np.empty(x1.size)
     for start in range(0, values.size, _KERNEL_CHUNK):
         sl = slice(start, start + _KERNEL_CHUNK)
-        phase = np.cos(phi1[sl] + phi2[sl])
+        phase = np.add(phi1[sl], phi2[sl])
+        np.cos(phase, out=phase)
         a00, a01, a11 = pattern_functions(x1[sl])
         b00, b01, b11 = pattern_functions(x2[sl])
-        values[sl] = 0.5 * (a00 * b11 + a11 * b00 - 2.0 * phase * a01 * b01)
+        # 0.5 (a00 b11 + a11 b00 - 2 cos a01 b01) in place, each operation
+        # in the order written
+        a00 *= b11
+        a11 *= b00
+        a00 += a11
+        phase *= 2.0
+        phase *= a01
+        phase *= b01
+        a00 -= phase
+        np.multiply(0.5, a00, out=values[sl])
     return values.reshape(args[0].shape)[()]
 
 
@@ -117,9 +128,11 @@ def mc_estimate_witness(batch: HomodyneBatch) -> McEstimate:
     if n == 1:
         return McEstimate(mean=mean, std_error=None, n_samples=n)
     # a mean that rounds off equal values leaves equal nonzero deviations
-    constant = values.min() == values.max()
+    low, high = values.min(), values.max()
+    constant = low == high
     values -= mean
-    e = int(np.frexp(max(values.max(), -values.min()))[1])  # no abs array
+    # rounding is monotonic, so these are the extreme deviations
+    e = int(np.frexp(max(high - mean, mean - low))[1])  # no abs array
     np.ldexp(values, -e, out=values)
     values *= values
     squares = float(np.sum(values))
@@ -417,7 +430,8 @@ class _SamplerTables:
 
     # ---- stage 2: x2 from the conditional at the sampled x1 ----
     def pair_weights(self, x1: np.ndarray, phi1: np.ndarray,
-                     phi2: np.ndarray) -> np.ndarray:
+                     phi2: np.ndarray, out: np.ndarray | None = None
+                     ) -> np.ndarray:
         """Real weights W(s) of the pair rows in the conditional density.
 
         On the index-difference support (see :class:`cv.DifferenceBlocks`)
@@ -433,7 +447,8 @@ class _SamplerTables:
         Any other state takes W from the mode-2 conditional operator C(s),
         which is Hermitian: W_(j,l)(s) = c_j Re[C(s)[m, M] e^{ij phi2}]
         over the pairs m = M + j alone, one row-wise einsum (d <= 4 in
-        practice).
+        practice).  On the blocks, out, a (_CHUNK, pairs) buffer, receives
+        W in its first rows instead of a new array.
         """
         d = self.d
         n = x1.size
@@ -453,7 +468,8 @@ class _SamplerTables:
         psi1 = oscillator_psi_table(d - 1, padded)
         # 1 and 2 e^{ij(phi1+phi2)}
         turn = _phase_powers(phi1 + phi2, d, 2.0)[:, :, None]
-        weights = np.empty((n, self.pair_j.size))
+        weights = (np.empty((n, self.pair_j.size)) if out is None
+                   else out[:n])
         col = 0
         for j, (re, im) in enumerate(self.block_parts):
             a_j = (psi1[j:] * psi1[: d - j]).T
@@ -470,9 +486,10 @@ class _SamplerTables:
         return weights
 
     def draw_conditional(self, x1: np.ndarray, phi1: np.ndarray,
-                         phi2: np.ndarray, u: np.ndarray) -> np.ndarray:
-        column = _weighted_columns(self.pair_weights(x1, phi1, phi2),
-                                   self.pairs)
+                         phi2: np.ndarray, u: np.ndarray,
+                         weights: np.ndarray | None = None) -> np.ndarray:
+        column = _weighted_columns(
+            self.pair_weights(x1, phi1, phi2, weights), self.pairs)
         return _sample_columns(column, u, self.nodes, self.delta)
 
 
@@ -513,8 +530,8 @@ def _uniform_prefix(rng: np.random.Generator, out: np.ndarray) -> None:
     rng.bit_generator.advance(BLOCK_SIZE - out.size)
 
 
-def _sample_blocks(n: int, seed: int, workers: int, draw,
-                   quadratures) -> HomodyneBatch:
+def _sample_blocks(n: int, seed: int, workers: int, draw, quadratures,
+                   piece: int) -> HomodyneBatch:
     """Run a sampler over fixed blocks of BLOCK_SIZE samples.
 
     Block b gets its own generator from the b-th child of
@@ -523,8 +540,9 @@ def _sample_blocks(n: int, seed: int, workers: int, draw,
     draws, of the block's sample count, and returns any further ones at
     full block length.  Each draw leaves the generator where a draw of
     BLOCK_SIZE values would, so every block takes the same words.
-    Then ``quadratures(phi1, phi2, first, second, *further)`` turns pieces
-    of at most _CHUNK samples into (x1, x2).  So the output is bitwise the
+    Then ``quadratures(phi1, phi2, first, second, *further)`` overwrites
+    first and second with (x1, x2), in pieces of at most ``piece``
+    samples, a size each sampler chooses.  So the output is bitwise the
     same for any worker count (workers > 1 runs blocks in a thread pool),
     and a shorter run is a prefix of a longer one as long as
     ``quadratures`` computes each sample independently of how many it is
@@ -560,11 +578,10 @@ def _sample_blocks(n: int, seed: int, workers: int, draw,
         _uniform_prefix(rng, phi2)
         phi2 *= math.pi
         further = draw(rng, first, second)
-        for start in range(0, count, _CHUNK):
-            piece = slice(start, min(start + _CHUNK, count))
-            rows[1, piece], rows[3, piece] = quadratures(
-                phi1[piece], phi2[piece], first[piece], second[piece],
-                *(a[piece] for a in further))
+        for start in range(0, count, piece):
+            part = slice(start, min(start + piece, count))
+            quadratures(phi1[part], phi2[part], first[part], second[part],
+                        *(a[part] for a in further))
 
     if workers == 1 or n_blocks == 1:
         for b in range(n_blocks):
@@ -607,9 +624,11 @@ def sample_homodyne(rho: BipartiteDensity, n: int, seed: int,
     Every block draws its phases and uniforms straight into its slice of
     the batch (a short last block skips the words of the uniforms it does
     not use), and each chunk of _CHUNK = 1024 samples overwrites its
-    uniforms with its outcomes.  Table columns are read in slices of
-    cache size, so the working memory is the 32 n bytes of the batch plus
-    the table and one chunk's temporaries per worker.
+    uniforms with its outcomes.  Each worker writes the pair weights of
+    every chunk into one buffer that it allocates once per call, and table
+    columns are read in slices of cache size, so the working memory is the
+    32 n bytes of the batch plus the table and one chunk's temporaries per
+    worker.
     Every value of a sample is computed row by row (the BLAS block products
     at one fixed row count, with x1 of a short chunk padded once to that
     count), so a shorter run is a bitwise prefix of a longer one.
@@ -619,16 +638,24 @@ def sample_homodyne(rho: BipartiteDensity, n: int, seed: int,
     tables = _SamplerTables.build(rho)
     _check_positive(rho, tables)
 
+    # one pair-weights buffer per worker thread for the whole call, on the
+    # index-difference blocks, which write their weights into it
+    local = threading.local()
+
     def draw(rng, u1, u2):
         _uniform_prefix(rng, u1)
         _uniform_prefix(rng, u2)
         return ()
 
     def quadratures(phi1, phi2, u1, u2):
+        if not hasattr(local, "weights"):
+            local.weights = (np.empty((_CHUNK, tables.pair_j.size))
+                             if tables.block_parts else None)
         x1 = tables.draw_marginal(phi1, u1)
-        return x1, tables.draw_conditional(x1, phi1, phi2, u2)
+        u2[:] = tables.draw_conditional(x1, phi1, phi2, u2, local.weights)
+        u1[:] = x1
 
-    return _sample_blocks(n, seed, workers, draw, quadratures)
+    return _sample_blocks(n, seed, workers, draw, quadratures, _CHUNK)
 
 
 def sample_twin_beam(x: float, n: int, seed: int, gamma_t: float = 0.0,
@@ -649,10 +676,13 @@ def sample_twin_beam(x: float, n: int, seed: int, gamma_t: float = 0.0,
     V^2 must be finite in float64, so a kappa above about 2.68e154 raises
     ValueError before anything is drawn.
 
-    No Fock truncation enters.  Blocks, chunks, seeding, worker
-    independence and the memory bound are those of
-    :func:`sample_homodyne`, but the draws differ from it; a short block
-    also holds one block-length row of normals.
+    No Fock truncation enters.  Blocks, seeding, worker independence and
+    the memory bound are those of :func:`sample_homodyne`, but the draws
+    differ from it; a short block also holds one block-length row of
+    normals.  The outcomes are formed in pieces of specfn._CHUNK = 8192
+    samples, in place over the normals in the batch rows, with the
+    operations of the expressions above in their order, so each piece's
+    temporaries are three arrays of its length.
     """
     if not 0.0 <= x < 1.0:
         raise ValueError(f"twin-beam parameter x={x} outside [0, 1)")
@@ -688,10 +718,23 @@ def sample_twin_beam(x: float, n: int, seed: int, gamma_t: float = 0.0,
             theta *= spread
         return (theta,)
 
-    def quadratures(phi1, phi2, z1, z2, theta=0.0):
-        cov = amplitude * np.cos(phi1 + phi2 + theta)
-        x1 = math.sqrt(var) * z1
-        x2 = cov / var * x1 + np.sqrt((var - cov) * (var + cov) / var) * z2
-        return x1, x2
+    def quadratures(phi1, phi2, z1, z2, theta=None):
+        # x1 = sqrt(V) z1 and x2 = Cov/V x1 + sqrt((V - Cov)(V + Cov)/V) z2
+        # over z1 and z2 in place; each product and sum has the operands of
+        # the expression, so the bits are the same (phi1 + phi2 >= 0, so
+        # adding a zero theta would change nothing)
+        cov = np.add(phi1, phi2)
+        if theta is not None:
+            cov += theta
+        np.cos(cov, out=cov)
+        cov *= amplitude
+        z1 *= math.sqrt(var)
+        root = np.subtract(var, cov)
+        root *= var + cov
+        root /= var
+        z2 *= np.sqrt(root, out=root)
+        cov /= var
+        cov *= z1
+        z2 += cov
 
-    return _sample_blocks(n, seed, workers, draw, quadratures)
+    return _sample_blocks(n, seed, workers, draw, quadratures, _KERNEL_CHUNK)

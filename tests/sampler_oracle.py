@@ -3,7 +3,8 @@
 ``witnessforge.tomography._sample_blocks`` draws a full block straight into
 its slice of the batch.  This module keeps the loop it replaced, which drew
 every array of a block at full length on its own and then copied, with the
-draws of both samplers in that form.
+draws of both samplers in that form, and the twin beam's outcomes as the
+out-of-place expression that its in-place quadratures replaced.
 
 ``witnessforge.tomography.sample_homodyne`` never forms a sample's density
 row W @ table: it reads the few table columns its binary search visits,
@@ -27,17 +28,17 @@ from witnessforge.tomography import (
     BLOCK_SIZE,
     CELLS,
     HomodyneBatch,
-    _CHUNK,
     _sample_columns,
     _with_cdf,
 )
 
 
-def full_draw_blocks(n: int, seed: int, workers: int, draw,
-                     quadratures) -> HomodyneBatch:
+def full_draw_blocks(n: int, seed: int, workers: int, draw, quadratures,
+                     piece: int) -> HomodyneBatch:
     """The block loop with full-length draws: block b draws phi1, phi2 and
     then ``draw(rng)``, each a new array of BLOCK_SIZE, copies its phases
-    into the batch and writes the quadratures of each piece of _CHUNK."""
+    into the batch and writes the (x1, x2) that ``quadratures`` returns
+    for each piece of at most ``piece`` samples."""
     n_blocks = (n + BLOCK_SIZE - 1) // BLOCK_SIZE
     children = np.random.SeedSequence(seed).spawn(n_blocks)
     out = np.empty((4, n))
@@ -51,10 +52,10 @@ def full_draw_blocks(n: int, seed: int, workers: int, draw,
         count = rows.shape[1]
         rows[0] = phi1[:count]
         rows[2] = phi2[:count]
-        for start in range(0, count, _CHUNK):
-            piece = slice(start, min(start + _CHUNK, count))
-            rows[1, piece], rows[3, piece] = quadratures(
-                phi1[piece], phi2[piece], *(a[piece] for a in draws))
+        for start in range(0, count, piece):
+            part = slice(start, min(start + piece, count))
+            rows[1, part], rows[3, part] = quadratures(
+                phi1[part], phi2[part], *(a[part] for a in draws))
 
     if workers == 1 or n_blocks == 1:
         for b in range(n_blocks):
@@ -85,11 +86,33 @@ def twin_beam_draw(gamma_t: float):
     return draw
 
 
-def with_full_draws(draw):
-    """A stand-in for ``tomography._sample_blocks`` that runs the sampler's
-    own quadratures through :func:`full_draw_blocks` with draw(rng)."""
-    def blocks(n, seed, workers, _draw, quadratures):
-        return full_draw_blocks(n, seed, workers, draw, quadratures)
+def twin_beam_quadratures(x: float, kappa: float):
+    """The outcomes of ``sample_twin_beam`` as one out-of-place expression
+    per piece: x1 = sqrt(V) z1 and
+    x2 = Cov/V x1 + sqrt((V - Cov)(V + Cov)/V) z2."""
+    var = (1.0 + x * x) / (4.0 * (1.0 - x * x)) + 0.5 * kappa
+    amplitude = x / (2.0 * (1.0 - x * x))
+
+    def quadratures(phi1, phi2, z1, z2, theta=0.0):
+        cov = amplitude * np.cos(phi1 + phi2 + theta)
+        x1 = math.sqrt(var) * z1
+        x2 = cov / var * x1 + np.sqrt((var - cov) * (var + cov) / var) * z2
+        return x1, x2
+    return quadratures
+
+
+def with_full_draws(draw, quadratures=None):
+    """A stand-in for ``tomography._sample_blocks`` that runs
+    :func:`full_draw_blocks` with draw(rng), at the sampler's piece size.
+    Its quadratures are the given out-of-place ones, or else the
+    sampler's own, which overwrite copies of the piece's draws."""
+    def blocks(n, seed, workers, _draw, in_place, piece):
+        def own(phi1, phi2, first, second, *further):
+            first, second = first.copy(), second.copy()
+            in_place(phi1, phi2, first, second, *further)
+            return first, second
+        return full_draw_blocks(n, seed, workers, draw, quadratures or own,
+                                piece)
     return blocks
 
 

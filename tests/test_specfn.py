@@ -6,6 +6,7 @@ import pytest
 from kummer_oracle import chf, pattern_functions
 from quadrature_pdf_oracle import oscillator_psi
 from witnessforge import specfn
+from witnessforge._dawson_poly import G_POLY, Q_POLY
 from witnessforge.specfn import SWITCH, oscillator_psi_table
 
 # reference values computed with mpmath.hyp1f1 at 40 digits
@@ -253,17 +254,29 @@ def test_f_on_interval_edges():
         assert np.max(np.abs(v - ref)) <= tol
 
 
-def gathered_near(x, z):
-    """specfn._near as it gathered the whole (22, n) coefficient block of
-    the points' intervals before the Horner steps."""
+def gathered_near(x, z, out):
+    """specfn._near as two real Horner evaluations, of G_POLY and of
+    Q_POLY, each on the whole (11, n) coefficient block of the points'
+    intervals gathered before the steps, and out-of-place expressions."""
     u = z * specfn._SCALE
     k = np.minimum(u.astype(np.intp) >> 1, specfn._INTERVALS - 1)
     t = u - (2 * k + 1)
-    coeffs = np.take(specfn._POLY, k, axis=1)
-    g = specfn._horner(coeffs[:len(specfn.G_POLY)], t)
-    q = specfn._horner(coeffs[len(specfn.G_POLY):], t)
+    g = specfn._horner(np.take(G_POLY, k, axis=1), t)
+    q = specfn._horner(np.take(Q_POLY, k, axis=1), t)
     m1 = q - g
-    return 2.0 * m1, 4.0 * x * q, 2.0 + 4.0 * (z * z - 1.0) * m1
+    out[:] = 2.0 * m1, 4.0 * x * q, 2.0 + 4.0 * (z * z - 1.0) * m1
+
+
+def x_at_z(z):
+    """The x >= 0 nearest z / sqrt(2) whose z = sqrt(2) x, as
+    pattern_functions rounds it, is exactly z."""
+    x = z / math.sqrt(2.0)
+    while math.sqrt(2.0) * x < z:
+        x = math.nextafter(x, math.inf)
+    while math.sqrt(2.0) * x > z:
+        x = math.nextafter(x, 0.0)
+    assert math.sqrt(2.0) * x == z
+    return x
 
 
 @pytest.mark.parametrize("points", ["dense-z-grid", "random"])
@@ -276,10 +289,14 @@ def test_per_row_coefficient_reads_keep_the_gathered_bits(monkeypatch,
     else:
         rng = np.random.default_rng(19)
         xs = rng.normal(0.0, 3.0, size=50_000)
+    # z one ulp either side of SWITCH, signed zeros, a tiny x, the limits
+    edge = [x_at_z(math.nextafter(SWITCH, side)) for side in (0.0, math.inf)]
+    xs = np.concatenate([xs, edge, np.negative(edge),
+                         [0.0, -0.0, 1e-300, np.inf, -np.inf, np.nan]])
     values = specfn.pattern_functions(xs)
     monkeypatch.setattr(specfn, "_near", gathered_near)
     for v, ref in zip(values, specfn.pattern_functions(xs)):
-        assert np.array_equal(v, ref)
+        assert np.array_equal(v, ref, equal_nan=True)
 
 
 def test_f_limits_at_infinity_and_nan():

@@ -15,6 +15,7 @@ from sampler_oracle import (
     marginal_rows,
     one_shot_columns,
     twin_beam_draw,
+    twin_beam_quadratures,
     with_full_draws,
 )
 from witnessforge import tomography
@@ -707,19 +708,23 @@ ORACLE_SIZES = [1, 1000, BLOCK_SIZE, 2 * BLOCK_SIZE + 1017]
 
 
 @pytest.mark.parametrize("gamma_t, kappa", [
-    (0.0, 0.0), (0.7, 0.0), (math.inf, 0.0), (0.3, 0.2)],
-    ids=["twb", "phase", "dephased", "phase-gauss"])
+    (0.0, 0.0), (0.7, 0.0), (math.inf, 0.0), (0.3, 0.2), (0.0, 0.2),
+    (0.7, 0.2), (math.inf, 0.2)],
+    ids=["twb", "phase", "dephased", "phase-gauss", "gauss",
+         "phase-0.7-gauss", "dephased-gauss"])
 @pytest.mark.parametrize("workers", [1, 2])
 @pytest.mark.parametrize("n", ORACLE_SIZES)
 def test_twin_beam_draws_into_the_batch_with_the_full_draw_bits(
         monkeypatch, n, workers, gamma_t, kappa):
+    # the oracle draws at full length and forms the outcomes out of place,
+    # so this pins both the in-batch draws and the in-place formula
     def sample():
         return sample_twin_beam(TWIN_X, n, seed=13, gamma_t=gamma_t,
                                 kappa=kappa, workers=workers)
 
     batch = sample()
-    monkeypatch.setattr(tomography, "_sample_blocks",
-                        with_full_draws(twin_beam_draw(gamma_t)))
+    monkeypatch.setattr(tomography, "_sample_blocks", with_full_draws(
+        twin_beam_draw(gamma_t), twin_beam_quadratures(TWIN_X, kappa)))
     assert_same_batch(batch, sample())
 
 

@@ -1,14 +1,22 @@
 """Print the CPU time of each stage of ``sample_homodyne`` on the states of
 the benchmark's tomo-general workload: depolarized random states at d = 3
-and 4 (p = 0.8) and the twin beam at x = 0.5 after a local phase rotation.
+and 4 (p = 0.8) and the twin beam at x = 0.5 after a local phase rotation,
+then of each stage of a ``tomo-estimate`` run at 2^17 samples.
 
 Table build and positivity check are timed per call; the marginal draw, the
 pair weights, the conditional draw (cell search and inversion) and the
 inversion alone per chunk of ``tomography._CHUNK`` (1024) samples.  The
 marginal draw includes its pair weights from the phase powers of phi1 when
-rho_A has coherences; otherwise it reads the shared row.  Wall and CPU
-time drift by tens of percent between runs on a shared VM, so the stages
-are interleaved and repeated and the median of each is printed.
+rho_A has coherences; otherwise it reads the shared row.  The
+``tomo-estimate`` stages are those of the benchmark's tomo-twin workload
+at x = 0.5: ``sample_twin_beam`` without noise, with phase noise
+gamma_t = 1 and with Gauss noise kappa = 0.2, then on the phase-noisy
+batch ``pattern_functions`` of x1, ``witness_kernel`` (which holds two
+``pattern_functions`` calls), ``mc_estimate_witness`` (which holds the
+kernel) and ``formats.batch_to_csv``, split into the formatting of the
+cells and the rest, the compaction of each chunk and its write.  Wall and
+CPU time drift by tens of percent between runs on a shared VM, so the
+stages are interleaved and repeated and the median of each is printed.
 
 Then the minor page faults of one untraced ``sample_homodyne`` call on
 each state, the mean over repeated calls of this process's
@@ -41,9 +49,11 @@ import tracemalloc
 
 import numpy as np
 
+from witnessforge import formats
 from witnessforge import tomography as tm
 from witnessforge.cv import FockTruncation, twb_state
 from witnessforge.formats import batch_to_csv
+from witnessforge.specfn import pattern_functions
 from witnessforge.states import BipartiteDensity, random_state_operator
 from witnessforge.witness_finite import depolarized_state
 
@@ -65,7 +75,9 @@ def stages(rho, rng):
     phi1, phi2 = math.pi * rng.random((2, n))
     u1, u2 = rng.random((2, n))
     x1 = tables.draw_marginal(phi1, u1)
-    weights = tables.pair_weights(x1, phi1, phi2)
+    # the sampler's buffer, which every chunk of a call reuses
+    buffer = np.empty((n, tables.pair_j.size))
+    weights = tables.pair_weights(x1, phi1, phi2, buffer)
     cells = []
     invert = tm._invert_cells
     tm._invert_cells = lambda *args: cells.append(args) or invert(*args)
@@ -78,17 +90,63 @@ def stages(rho, rng):
         "table build (per call)": lambda: tm._SamplerTables.build(rho),
         "positivity check (per call)": lambda: tm._check_positive(rho, tables),
         "marginal draw": lambda: tables.draw_marginal(phi1, u1),
-        "pair weights": lambda: tables.pair_weights(x1, phi1, phi2),
+        "pair weights": lambda: tables.pair_weights(x1, phi1, phi2,
+                                                    buffer),
         "conditional search + inversion": lambda: tm._sample_columns(
             conditional, u2, tables.nodes, tables.delta),
         "inversion alone": lambda: invert(*cells[0]),
     }
 
 
+def estimate_stages(path: str) -> dict:
+    """The stages of ``tomo-estimate`` at TWIN_SAMPLES samples; the export
+    writes to path."""
+    n = TWIN_SAMPLES
+    timed = {f"sample_twin_beam {label}": (
+        lambda noise=noise: tm.sample_twin_beam(0.5, n, seed=1, **noise))
+        for label, noise in TWIN_NOISE.items()}
+    batch = tm.sample_twin_beam(0.5, n, seed=1, gamma_t=1.0)
+    columns = (batch.phi1, batch.x1, batch.phi2, batch.x2)
+    block = np.empty((formats.CHUNK_ROWS, 4))
+    cells = np.empty((4 * formats.CHUNK_ROWS, 5), dtype=formats._WORD)
+
+    def formatting():
+        # the loop of batch_to_csv without the separators, the compaction
+        # and the write
+        for start in range(0, n, formats.CHUNK_ROWS):
+            rows = min(formats.CHUNK_ROWS, n - start)
+            np.stack([col[start:start + rows] for col in columns], axis=1,
+                     out=block[:rows])
+            formats._format_cells(block[:rows].ravel(), cells[:4 * rows])
+
+    timed.update({
+        "pattern_functions (x1)": lambda: pattern_functions(batch.x1),
+        "witness_kernel": lambda: tm.witness_kernel(
+            batch.x1, batch.phi1, batch.x2, batch.phi2),
+        "mc_estimate_witness": lambda: tm.mc_estimate_witness(batch),
+        "batch_to_csv": lambda: batch_to_csv(path, batch),
+        "batch_to_csv formatting": formatting,
+    })
+    return timed
+
+
+def median_cpu_ms(timed: dict, repeats: int) -> dict:
+    """The median CPU time of each stage in ms, the stages interleaved."""
+    times = {stage: [] for stage in timed}
+    for _ in range(repeats):
+        for stage, run in timed.items():
+            start = time.process_time()
+            run()
+            times[stage].append(time.process_time() - start)
+    return {stage: 1e3 * np.median(values) for stage, values in times.items()}
+
+
 # sample counts of the benchmark's tomography workloads
 STATE_SAMPLES = {"depolarized d=3": 2 ** 14, "depolarized d=4": 2 ** 14,
                  "rotated twb": 2 ** 15}
 TWIN_SAMPLES = 2 ** 17
+TWIN_NOISE = {"none": {}, "gamma_t = 1": {"gamma_t": 1.0},
+              "kappa = 0.2": {"kappa": 0.2}}
 MIB = 2 ** 20
 
 
@@ -157,16 +215,18 @@ def faults(rng, repeats: int) -> None:
 def main(repeats: int = 30) -> None:
     rng = np.random.default_rng(7)
     for name, rho in states(rng):
-        timed = stages(rho, rng)
-        times = {stage: [] for stage in timed}
-        for _ in range(repeats):
-            for stage, run in timed.items():
-                start = time.process_time()
-                run()
-                times[stage].append(time.process_time() - start)
         print(f"{name} (d = {rho.dim_a}), median CPU ms over {repeats}:")
-        for stage, values in times.items():
-            print(f"  {stage:32s} {1e3 * np.median(values):8.3f}")
+        for stage, ms in median_cpu_ms(stages(rho, rng), repeats).items():
+            print(f"  {stage:32s} {ms:8.3f}")
+    with tempfile.TemporaryDirectory() as folder:
+        medians = median_cpu_ms(
+            estimate_stages(os.path.join(folder, "batch.csv")), repeats)
+    medians["batch_to_csv compaction + write"] = (
+        medians["batch_to_csv"] - medians["batch_to_csv formatting"])
+    print(f"tomo-estimate at n = {TWIN_SAMPLES}, median CPU ms over "
+          f"{repeats}:")
+    for stage, ms in medians.items():
+        print(f"  {stage:32s} {ms:8.3f}")
     faults(np.random.default_rng(7), repeats)
     memory(np.random.default_rng(7))
 
