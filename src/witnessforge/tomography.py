@@ -17,6 +17,7 @@ of the twin beam and its phase- and displacement-noisy relatives.
 
 from __future__ import annotations
 
+import functools
 import math
 import threading
 from concurrent.futures import ThreadPoolExecutor
@@ -39,6 +40,8 @@ _NEWTON_STEPS = 5           # safeguarded Newton steps every cell inversion
 _NEWTON_STEP_LIMIT = 64     # alone, up to this many steps in all
 _READ_BYTES = 1 << 18       # bytes of gathered table rows per einsum of
                             # a column read
+_ONE_THREAD = 1 << 18       # m n k of the largest product OpenBLAS runs on
+                            # one thread (65536 times its gemm threshold 4)
 
 
 @dataclass
@@ -200,21 +203,82 @@ def _with_cdf(table: np.ndarray, delta: float) -> np.ndarray:
 
 def _fixed_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """a @ b for an operand a of exactly _CHUNK rows (see
-    :meth:`_SamplerTables.pair_weights`)."""
+    :meth:`_SamplerTables.pair_weights`), in row blocks of one fixed
+    power-of-two size, each small enough that OpenBLAS runs it on one
+    thread: a woken second thread spins for milliseconds of CPU after the
+    product ends."""
     assert a.shape[0] == _CHUNK
-    return a @ b
+    rows = _CHUNK
+    while rows > 1 and rows * b.size > _ONE_THREAD:
+        rows //= 2
+    out = np.empty((_CHUNK, b.shape[1]))
+    for start in range(0, _CHUNK, rows):
+        np.matmul(a[start:start + rows], b, out=out[start:start + rows])
+    return out
+
+
+def _padded(values: np.ndarray) -> np.ndarray:
+    """values, at most _CHUNK of them, followed by zeros up to _CHUNK."""
+    if values.size == _CHUNK:
+        return values
+    out = np.zeros(_CHUNK)
+    out[:values.size] = values
+    return out
+
+
+@functools.lru_cache(maxsize=None)
+def _pair_recurrence(d: int) -> np.ndarray:
+    """The (d(d+1)/2 - (2d-1), 2d-1) matrix C with psi_m psi_M =
+    sum_k C[(m, M), k] b_k for every pair m = M + j, j >= 2, in the pair
+    order (by j, then M), where the basis b is psi_k^2 (k < d) and then
+    psi_{k+1} psi_k (k < d - 1), the pairs of j = 0 and 1.
+
+    Each psi_m psi_M is a polynomial of degree m + M times e^{-2x^2}, and
+    the 2d - 1 basis products span those of degree <= 2d - 2.  The
+    coefficients follow from 2x psi_n = sqrt(n+1) psi_{n+1} + sqrt(n)
+    psi_{n-1}, applied to 2x psi_{m-1} psi_M both ways:
+
+        sqrt(m) psi_m psi_M = sqrt(M+1) psi_{m-1} psi_{M+1}
+            + sqrt(M) psi_{m-1} psi_{M-1} - sqrt(m-1) psi_{m-2} psi_M,
+
+    pairs of difference j - 2, j and j - 2 with smaller M, so the rows
+    are filled in pair order.  Built once per d and kept read-only.
+    """
+    basis = 2 * d - 1
+    starts = np.concatenate([[0], np.cumsum(np.arange(d, 0, -1))])
+    coef = np.zeros((starts[-1], basis))
+    coef[np.arange(basis), np.arange(basis)] = 1.0
+
+    def row(m, low):
+        return coef[starts[m - low] + low]
+
+    for j in range(2, d):
+        for low in range(d - j):
+            m = low + j
+            c = math.sqrt(low + 1) * row(m - 1, low + 1)
+            if low:
+                c += math.sqrt(low) * row(m - 1, low - 1)
+            c -= math.sqrt(m - 1) * row(m - 2, low)
+            row(m, low)[:] = c / math.sqrt(m)
+    recurrence = coef[basis:]
+    recurrence.flags.writeable = False
+    return recurrence
 
 
 def _phase_powers(angle: np.ndarray, d: int,
                   factor: float = 1.0) -> np.ndarray:
     """The (d, n) array of 1 and factor e^{ij angle}, j = 1 .. d-1, by one
-    complex exponential and a cumulative product: d cosines and sines per
-    sample cost more than the products that use them."""
+    complex exponential and a product per row: d cosines and sines per
+    sample cost more than the products that use them, and a cumulative
+    product along the short axis costs five times these (at d = 17)."""
     turn = np.empty((d, angle.size), dtype=complex)
     turn[0] = 1.0
-    turn[1:] = np.exp(1j * angle)
-    turn[1] *= factor
-    return np.cumprod(turn, axis=0)
+    if d > 1:
+        step = np.exp(1j * angle)
+        np.multiply(step, factor, out=turn[1])
+        for j in range(2, d):
+            np.multiply(turn[j - 1], step, out=turn[j])
+    return turn
 
 
 def _newton_step(t, lo, hi, a, b, c, residual):
@@ -283,9 +347,12 @@ def _weighted_columns(weights: np.ndarray, table: np.ndarray):
     column k[i] of the table.  Each is a row-wise einsum, which rounds a
     row the same way whatever the number of rows.  An int k, a column
     that every row reads, is read once rather than gathered per row, with
-    the same bits.  An index array k gathers its table rows in slices of
-    at most _READ_BYTES (214 rows at d = 17, a whole chunk at d <= 4), so
-    each read stays in cache instead of allocating a chunk-sized gather."""
+    the same bits.  The table holds the 2d - 1 rows of the reduced
+    weights (33 at d = 17), so each read is a dot product of that length.
+    An index array k gathers its table rows in slices of at most
+    _READ_BYTES (992 rows at d = 17, a whole chunk at d <= 4, 149 rows at
+    d = 110), so each read stays in cache instead of allocating a
+    chunk-sized gather."""
     columns = table.T
     rows = max(1, _READ_BYTES // (8 * columns.shape[1]))
 
@@ -349,24 +416,30 @@ class _SamplerTables:
     """Everything precomputed once per (state, grid) for the sampling loop.
 
     Both densities the sampler draws from are linear in real weights W of
-    the pair products psi_m psi_M (m >= M, ordered by j = m - M, then M), so
-    each row is one product W @ table with the one ``[density | cdf |
-    total]`` table of those products from :func:`_with_cdf`.  Stage 1 weighs
-    them for the mode-1 marginal at phi1, whose row is formed once from the
-    j = 0 products when rho_A is diagonal; stage 2 with the pair weights
-    W(s) of the mode-2 conditional operator at the sampled x1.  The table
-    is stored column by column, so the entries a draw reads are contiguous.
+    the pair products psi_m psi_M (m >= M, ordered by j = m - M, then M).
+    Every pair product is a fixed real combination of the 2d - 1 of j = 0
+    and 1 (see :func:`_pair_recurrence`), so the table holds only those
+    rows, as one ``[density | cdf | total]`` table from :func:`_with_cdf`,
+    and each density row is V @ table with the reduced weights
+    V = W [I; C] (see :meth:`reduce`).  Stage 1 weighs them for the mode-1
+    marginal at phi1, whose row is formed once from the j = 0 products
+    when rho_A is diagonal; stage 2 with the weights of the mode-2
+    conditional operator at the sampled x1.  The table is stored column by
+    column, so the entries a draw reads are contiguous.
     """
 
     d: int
     nodes: np.ndarray
     delta: float
-    pairs: np.ndarray           # (d(d+1)/2, G + cells + 1) pair-product rows
+    pairs: np.ndarray           # (2d - 1, G + cells + 1) rows of the pair
+                                # products of j = 0 and 1
+    recurrence: np.ndarray      # C: every other pair product from those
     pair_j: np.ndarray          # index difference m - M of each pair
     reduced_pairs: np.ndarray   # c_j rho_A[m, M] of each pair
     shared: np.ndarray | None   # the marginal row if rho_A is diagonal
     diff: DifferenceBlocks | None
-    block_parts: tuple          # contiguous (B_j.real, B_j.imag or None) per j
+    block_map: np.ndarray | None  # (rows, 2d - 1): B_j [I; C]_j per j
+    block_imag: tuple           # whether block_map holds B_j.imag, per j
     cond: np.ndarray | None     # (d^2, d(d+1)/2) map c_j C(s)[m, M] =
                                 # (u1 x conj(u1)) @ cond, for states without
                                 # blocks
@@ -383,41 +456,63 @@ class _SamplerTables:
         # c_0 = 1 and c_j = 2 count the pair (m, M) and its transpose; a
         # power of two, so folding it in changes no bits
         scale = np.where(pair_j == 0, 1.0, 2.0)
-        pairs = np.empty((pair_j.size, 3 * CELLS + 2), order="F")
-        start = 0
-        for j in range(d):
-            np.multiply(psi_nodes[j:], psi_nodes[: d - j],
-                        out=pairs[start:start + d - j, :2 * CELLS + 1])
-            start += d - j
+        pairs = np.empty((2 * d - 1, 3 * CELLS + 2), order="F")
+        np.multiply(psi_nodes, psi_nodes, out=pairs[:d, :2 * CELLS + 1])
+        np.multiply(psi_nodes[1:], psi_nodes[:-1],
+                    out=pairs[d:, :2 * CELLS + 1])
         _with_cdf(pairs, delta)
         reduced = rho.reduced(0)
-        diagonal = np.abs(reduced - np.diag(np.diag(reduced))).max() <= 1e-14
+        diagonal = np.array_equal(reduced, np.diag(np.diag(reduced)))
         shared = np.real(np.diag(reduced)) @ pairs[:d] if diagonal else None
+        recurrence = _pair_recurrence(d)
         diff = DifferenceBlocks.of(rho)
-        block_parts = ()
+        block_map = None
+        block_imag = ()
         cond = None
         if diff is not None:
-            block_parts = tuple(
-                (np.ascontiguousarray(block.real),
-                 np.ascontiguousarray(block.imag)
-                 if j > 0 and np.iscomplexobj(block) else None)
-                for j, block in enumerate(diff.blocks))
+            # the rows of [I; C] of the pairs of each difference j, which
+            # map that block's pair weights to the reduced weights
+            expand = np.vstack([np.eye(2 * d - 1), recurrence])
+            parts = []
+            block_imag = tuple(j > 0 and bool(np.any(block.imag))
+                               for j, block in enumerate(diff.blocks))
+            for j, block in enumerate(diff.blocks):
+                rows = expand[pair_j == j]
+                parts.append(block.real @ rows)
+                if block_imag[j]:
+                    parts.append(-block.imag @ rows)
+            block_map = np.vstack(parts)
         else:
             # C(s)[m, M] = sum_kl u1_k conj(u1_l) rho_{km, lM}
             t_cond = (rho.matrix.reshape(d, d, d, d).transpose(0, 2, 1, 3)
                       .reshape(d * d, d * d))
             cond = t_cond[:, pair_m * d + pair_m - pair_j] * scale
-        return cls(d=d, nodes=nodes, delta=delta, pairs=pairs, pair_j=pair_j,
+        return cls(d=d, nodes=nodes, delta=delta, pairs=pairs,
+                   recurrence=recurrence, pair_j=pair_j,
                    reduced_pairs=reduced[pair_m, pair_m - pair_j] * scale,
-                   shared=shared, diff=diff, block_parts=block_parts,
-                   cond=cond)
+                   shared=shared, diff=diff, block_map=block_map,
+                   block_imag=block_imag, cond=cond)
+
+    def reduce(self, weights: np.ndarray) -> np.ndarray:
+        """The weights V = W [I; C] of the table rows from the pair weights
+        W of exactly _CHUNK rows: the first 2d - 1 columns of W plus
+        W's other columns times C, at that fixed row count."""
+        basis = self.pairs.shape[0]
+        reduced = _fixed_rows(weights[:, basis:], self.recurrence)
+        reduced += weights[:, :basis]
+        return reduced
 
     def phase_weights(self, coef: np.ndarray,
                       angle: np.ndarray) -> np.ndarray:
-        """Re[coef e^{ij angle}] per pair (j = m - M) and angle: the pair
-        weights of a density sum C[m, M] psi_m psi_M e^{i(m-M) angle} with
-        Hermitian C, from coef = c_j C[m, M] over the pairs m >= M alone."""
-        return (coef * _phase_powers(angle, self.d)[self.pair_j].T).real
+        """The reduced weights of a density sum C[m, M] psi_m psi_M
+        e^{i(m-M) angle} with Hermitian C, from coef = c_j C[m, M] over the
+        pairs m >= M alone, at most _CHUNK angles: its pair weights
+        Re[coef e^{ij angle}] (j = m - M) at the angles padded with zeros
+        to that row count, reduced.  coef is one row, or one per padded
+        angle."""
+        n = angle.size
+        turn = _phase_powers(_padded(angle), self.d)[self.pair_j].T
+        return self.reduce((coef * turn).real)[:n]
 
     # ---- stage 1: x1 from the phi1 marginal, the density of rho_A ----
     def draw_marginal(self, phi1: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -432,58 +527,59 @@ class _SamplerTables:
     def pair_weights(self, x1: np.ndarray, phi1: np.ndarray,
                      phi2: np.ndarray, out: np.ndarray | None = None
                      ) -> np.ndarray:
-        """Real weights W(s) of the pair rows in the conditional density.
+        """Reduced weights V(s) of the table rows in the conditional density
+        of at most _CHUNK samples.
 
         On the index-difference support (see :class:`cv.DifferenceBlocks`)
-        they factor into one small matrix product per difference j: with
-        B_j[i, l] = rho_{(i+j)(l+j), il} and a_j(s)_i = psi_{i+j}(x1) psi_i(x1),
+        the pair weights factor into one small matrix product per
+        difference j: with B_j[i, l] = rho_{(i+j)(l+j), il} and
+        a_j(s)_i = psi_{i+j}(x1) psi_i(x1),
 
             W_(j,l)(s) = c_j Re[e^{ij(phi1+phi2)} (a_j(s) B_j)_l],
 
-        c_0 = 1 and c_j = 2, where the cosine and sine of j(phi1+phi2) fold
-        into W, so real and complex blocks share one pair table.  a_j(s) is
-        real, so the products with the real and imaginary parts of B_j run
-        as real products, each written straight into its columns of W.
-        Any other state takes W from the mode-2 conditional operator C(s),
-        which is Hermitian: W_(j,l)(s) = c_j Re[C(s)[m, M] e^{ij phi2}]
-        over the pairs m = M + j alone, one row-wise einsum (d <= 4 in
-        practice).  On the blocks, out, a (_CHUNK, pairs) buffer, receives
-        W in its first rows instead of a new array.
+        c_0 = 1 and c_j = 2.  a_j(s) is real, so with t_j(s) =
+        c_j e^{ij(phi1+phi2)} the reduced weights are one real product,
+
+            V(s) = sum_j (Re t_j a_j(s)) B_j.real G_j
+                         - (Im t_j a_j(s)) B_j.imag G_j,
+
+        G_j the rows of [I; C] of the pairs of difference j: the scaled
+        products, stacked in a (rows, _CHUNK) array (out, if given, else a
+        new one), times block_map.  Any other state takes the pair weights
+        from the mode-2 conditional operator C(s), which is Hermitian:
+        W_(j,l)(s) = c_j Re[C(s)[m, M] e^{ij phi2}] over the pairs
+        m = M + j alone, one row-wise einsum (d <= 4 in practice), reduced
+        by :meth:`reduce`.
         """
         d = self.d
         n = x1.size
-        if self.diff is None:
-            psi1 = oscillator_psi_table(d - 1, x1)
-            u1 = (psi1 * _phase_powers(phi1, d)).T
-            outer = (u1[:, :, None] * u1.conj()[:, None, :]).reshape(n, -1)
-            return self.phase_weights(
-                np.einsum("nk,kl->nl", outer, self.cond), phi2)
         # BLAS may round a row differently depending on how many rows the
-        # call holds, so x1 is padded with zeros to _CHUNK once: every block
-        # product then has that row count, and each row the same bits
+        # call holds, so the samples are padded with zeros to _CHUNK once:
+        # every product then has that row count, and each row the same bits
         # whatever the sample count, which keeps a shorter run a bitwise
         # prefix of a longer one
-        padded = np.zeros(_CHUNK)
-        padded[:n] = x1
-        psi1 = oscillator_psi_table(d - 1, padded)
-        # 1 and 2 e^{ij(phi1+phi2)}
-        turn = _phase_powers(phi1 + phi2, d, 2.0)[:, :, None]
-        weights = (np.empty((n, self.pair_j.size)) if out is None
-                   else out[:n])
-        col = 0
-        for j, (re, im) in enumerate(self.block_parts):
-            a_j = (psi1[j:] * psi1[: d - j]).T
-            out = weights[:, col:col + d - j]
-            col += d - j
-            product = _fixed_rows(a_j, re)[:n]
-            if im is None:
-                np.multiply(turn[j].real, product, out=out)
-            else:
-                product *= turn[j].real
-                rest = _fixed_rows(a_j, im)[:n]
-                rest *= turn[j].imag
-                np.subtract(product, rest, out=out)
-        return weights
+        x1, phi1, phi2 = (_padded(a) for a in (x1, phi1, phi2))
+        psi1 = oscillator_psi_table(d - 1, x1)
+        if self.diff is None:
+            u1 = (psi1 * _phase_powers(phi1, d)).T
+            outer = (u1[:, :, None] * u1.conj()[:, None, :]).reshape(
+                _CHUNK, -1)
+            return self.phase_weights(
+                np.einsum("nk,kl->nl", outer, self.cond), phi2)[:n]
+        turn = _phase_powers(phi1 + phi2, d, 2.0)
+        scaled = (np.empty((self.block_map.shape[0], _CHUNK)) if out is None
+                  else out)
+        row = 0
+        for j, imag in enumerate(self.block_imag):
+            a_j = scaled[row:row + d - j]
+            np.multiply(psi1[j:], psi1[:d - j], out=a_j)
+            row += d - j
+            if imag:
+                np.multiply(a_j, turn[j].imag, out=scaled[row:row + d - j])
+                row += d - j
+            if j:
+                a_j *= turn[j].real
+        return _fixed_rows(scaled.T, self.block_map)[:n]
 
     def draw_conditional(self, x1: np.ndarray, phi1: np.ndarray,
                          phi2: np.ndarray, u: np.ndarray,
@@ -501,8 +597,8 @@ def _check_positive(rho: BipartiteDensity, tables: _SamplerTables) -> None:
     |psi(x)|^2 = sum_n psi_n(x)^2 <= M on the grid, so p >= lambda_min(rho)
     M^2; likewise the phi1 marginal is >= lambda_min(rho_A) M.  One
     eigenvalue check per state bounds every density row the sampler could
-    draw.  M is read from the sampler's tables, whose first d pair rows
-    are psi_n^2 on the grid.  A state on the index-difference support
+    draw.  M is read from the sampler's tables, whose first d rows are
+    psi_n^2 on the grid.  A state on the index-difference support
     conserves n - m, so its spectrum is that of its blocks of fixed n - m.
     """
     d = rho.dim_a
@@ -602,14 +698,17 @@ def sample_homodyne(rho: BipartiteDensity, n: int, seed: int,
     Simpson weights (grid CDF error well below 1e-6 at the default size).
 
     Every state takes one path.  Both densities are linear in a few real
-    pair weights W, one per product psi_m psi_M with m >= M, so the sampler
-    tabulates those products and their cumulative Simpson cell masses (each
+    pair weights W, one per product psi_m psi_M with m >= M.  Each such
+    product is a fixed real combination of the 2d - 1 products of
+    m - M = 0 and 1 (Hermite three-term recurrence), so the sampler
+    tabulates only those and their cumulative Simpson cell masses (each
     tail accumulated from its own end) once per state, in one table for
-    both stages.  A draw never forms its row W @ [products | cell CDFs]: a
-    binary search over the cells reads one CDF entry per step as the dot
-    product of W with one table column, then the three node densities of
-    the cell it lands in, and safeguarded Newton steps invert that cell's
-    Simpson cubic to 2^-50 of the cell's mass.  The marginal's W is
+    both stages, and maps W to the weights V = W [I; C] of its rows.  A
+    draw never forms its row V @ [products | cell CDFs]: a binary search
+    over the cells reads one CDF entry per step as the dot product of V
+    with one table column, then the three node densities of the cell it
+    lands in, and safeguarded Newton steps invert that cell's Simpson
+    cubic to 2^-50 of the cell's mass.  The marginal's W is
     c_j Re[rho_A[m, M] e^{ij phi1}], formed once into a row that every draw
     shares when rho_A is diagonal; the conditional's comes from the
     index-difference blocks when rho has that support, and from the
@@ -624,22 +723,23 @@ def sample_homodyne(rho: BipartiteDensity, n: int, seed: int,
     Every block draws its phases and uniforms straight into its slice of
     the batch (a short last block skips the words of the uniforms it does
     not use), and each chunk of _CHUNK = 1024 samples overwrites its
-    uniforms with its outcomes.  Each worker writes the pair weights of
-    every chunk into one buffer that it allocates once per call, and table
-    columns are read in slices of cache size, so the working memory is the
-    32 n bytes of the batch plus the table and one chunk's temporaries per
-    worker.
-    Every value of a sample is computed row by row (the BLAS block products
-    at one fixed row count, with x1 of a short chunk padded once to that
-    count), so a shorter run is a bitwise prefix of a longer one.
+    uniforms with its outcomes.  On the index-difference blocks each worker
+    writes the scaled pair products of every chunk into one buffer that it
+    allocates once per call, and table columns are read in slices of cache
+    size, so the working memory is the 32 n bytes of the batch plus the
+    table and one chunk's temporaries per worker.
+    Every value of a sample is computed row by row (the BLAS products at
+    one fixed row count, with the samples of a short chunk padded once to
+    that count, and in row blocks small enough for one BLAS thread), so a
+    shorter run is a bitwise prefix of a longer one.
     """
     if not isinstance(rho, BipartiteDensity):
         raise TypeError("rho must be a BipartiteDensity")
     tables = _SamplerTables.build(rho)
     _check_positive(rho, tables)
 
-    # one pair-weights buffer per worker thread for the whole call, on the
-    # index-difference blocks, which write their weights into it
+    # one buffer of scaled products per worker thread for the whole call,
+    # on the index-difference blocks, which write them into it
     local = threading.local()
 
     def draw(rng, u1, u2):
@@ -649,8 +749,8 @@ def sample_homodyne(rho: BipartiteDensity, n: int, seed: int,
 
     def quadratures(phi1, phi2, u1, u2):
         if not hasattr(local, "weights"):
-            local.weights = (np.empty((_CHUNK, tables.pair_j.size))
-                             if tables.block_parts else None)
+            local.weights = (None if tables.block_map is None else
+                             np.empty((tables.block_map.shape[0], _CHUNK)))
         x1 = tables.draw_marginal(phi1, u1)
         u2[:] = tables.draw_conditional(x1, phi1, phi2, u2, local.weights)
         u1[:] = x1

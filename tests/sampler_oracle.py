@@ -7,13 +7,16 @@ draws of both samplers in that form, and the twin beam's outcomes as the
 out-of-place expression that its in-place quadratures replaced.
 
 ``witnessforge.tomography.sample_homodyne`` never forms a sample's density
-row W @ table: it reads the few table columns its binary search visits,
-gathering the table rows of a read in cache-sized slices.  This module
-keeps the routes the tests compare against: the read that gathers every
-row at once, the formed rows of both stages, a draw from formed rows
-through the same search, and the mode-1 marginal rows built as the
-sampler once built them, from one row per phase coefficient (1, cos j
-phi1, sin j phi1) of rho_A.
+row V @ table: it reads the few table columns its binary search visits,
+gathering the table rows of a read in cache-sized slices.  Its table holds
+only the 2d - 1 pair products psi_m psi_M of m - M = 0 and 1, and V are
+the pair weights W reduced onto them by the Hermite recurrence.  This
+module keeps the routes the tests compare against: the table of all
+d(d+1)/2 pair products that the sampler read before, the formed rows
+W @ table of both stages on it, the read that gathers every row at once,
+a draw from formed rows through the same search, and the mode-1 marginal
+rows built as the sampler once built them, from one row per phase
+coefficient (1, cos j phi1, sin j phi1) of rho_A.
 """
 
 from __future__ import annotations
@@ -128,18 +131,59 @@ def one_shot_columns(weights: np.ndarray, table: np.ndarray):
     return column
 
 
+def pair_table(tables) -> np.ndarray:
+    """The ``[density | cdf | total]`` table of every pair product
+    psi_m psi_M (m >= M), d(d+1)/2 rows ordered by j = m - M and then M,
+    on the sampler's grid."""
+    d = tables.d
+    psi = oscillator_psi_table(d - 1, tables.nodes)
+    table = np.empty((d * (d + 1) // 2, 3 * CELLS + 2))
+    start = 0
+    for j in range(d):
+        np.multiply(psi[j:], psi[:d - j],
+                    out=table[start:start + d - j, :2 * CELLS + 1])
+        start += d - j
+    return _with_cdf(table, tables.delta)
+
+
 def marginal_rows(tables, phi1: np.ndarray) -> np.ndarray:
-    """The formed ``[density | cdf | total]`` rows of the phi1 marginal:
-    the shared row if the table has one, else one row per phase."""
+    """The formed ``[density | cdf | total]`` rows of the phi1 marginal on
+    the pair table: one shared row if rho_A is diagonal, else one row per
+    phase, with the pair weights c_j Re[rho_A[m, M] e^{ij phi1}]."""
+    table = pair_table(tables)
     if tables.shared is not None:
-        return tables.shared
-    return tables.phase_weights(tables.reduced_pairs, phi1) @ tables.pairs
+        return tables.reduced_pairs.real @ table
+    turn = np.exp(1j * np.multiply.outer(phi1, tables.pair_j))
+    return (tables.reduced_pairs * turn).real @ table
+
+
+def conditional_weights(tables, x1: np.ndarray, phi1: np.ndarray,
+                        phi2: np.ndarray) -> np.ndarray:
+    """The pair weights W(s) of the conditional at the sampled x1, in
+    complex arithmetic: c_j Re[e^{ij(phi1+phi2)} (a_j(s) B_j)_l] on the
+    index-difference blocks, with a_j(s)_i = psi_{i+j}(x1) psi_i(x1), and
+    c_j Re[C(s)[m, M] e^{ij phi2}] from the mode-2 conditional operator
+    C(s) = sum_kl u1_k conj(u1_l) rho_{km, lM} otherwise."""
+    d = tables.d
+    psi1 = oscillator_psi_table(d - 1, x1)
+    if tables.diff is not None:
+        parts = []
+        for j, block in enumerate(tables.diff.blocks):
+            turn = (2.0 if j else 1.0) * np.exp(1j * j * (phi1 + phi2))
+            a_j = (psi1[j:] * psi1[:d - j]).T
+            parts.append((turn[:, None] * (a_j @ block)).real)
+        return np.hstack(parts)
+    u1 = psi1.T * np.exp(1j * np.multiply.outer(phi1, np.arange(d)))
+    outer = np.einsum("nk,nl->nkl", u1, u1.conj()).reshape(x1.size, -1)
+    turn = np.exp(1j * np.multiply.outer(phi2, tables.pair_j))
+    return (outer @ tables.cond * turn).real
 
 
 def conditional_rows(tables, x1: np.ndarray, phi1: np.ndarray,
                      phi2: np.ndarray) -> np.ndarray:
-    """The formed rows of the conditional at the sampled x1."""
-    return tables.pair_weights(x1, phi1, phi2) @ tables.pairs
+    """The formed rows of the conditional at the sampled x1: its pair
+    weights times the pair table."""
+    return conditional_weights(tables, x1, phi1, phi2) @ pair_table(tables)
 
 
 def draw(tables, rows: np.ndarray, u: np.ndarray) -> np.ndarray:

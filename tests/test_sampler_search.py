@@ -1,13 +1,15 @@
 """The Fock-space sampler's table search against its formed density rows,
 its cell inversion, and its per-state positivity check.
 
-``sample_homodyne`` never forms a sample's density row W @ table: it reads
-the few columns of its one pair table that its binary search visits.  These
-tests compare that search with the draw from the formed rows of both stages
-(``sampler_oracle``), the marginal rows of the pair table with those of the
-phase-coefficient rows of rho_A, the Newton inversion of a cell with the
-bisection oracle, and check the eigenvalue bound that replaced the scan of
-each row's node densities.
+``sample_homodyne`` never forms a sample's density row V @ table: it reads
+the few columns of its table of the 2d - 1 pair products of m - M = 0 and 1
+that its binary search visits, V the pair weights reduced onto those rows by
+the Hermite recurrence.  These tests check that recurrence, compare the
+reduced rows and the search with the formed rows W @ table of both stages
+on the table of all pair products (``sampler_oracle``), the marginal rows of
+that table with those of the phase-coefficient rows of rho_A, the Newton
+inversion of a cell with the bisection oracle, and check the eigenvalue
+bound that replaced the scan of each row's node densities.
 """
 
 import math
@@ -42,6 +44,7 @@ from witnessforge.cv import (
     FockTruncation,
     phase_noisy_twb,
     twb_state,
+    twin_beam_blocks,
 )
 from witnessforge.specfn import oscillator_psi_table
 from witnessforge.states import BipartiteDensity, random_state_operator
@@ -183,10 +186,10 @@ def test_sampler_forms_no_rows_and_no_complex_products(make_state,
     calls = []
 
     def real_block_product(a, b):
-        # every remaining matrix product is a real block product, at most
-        # d columns wide
+        # every remaining matrix product is a real block product or the
+        # reduction of the pair weights, at most 2d - 1 columns wide
         assert not np.iscomplexobj(a) and not np.iscomplexobj(b)
-        assert b.shape[1] <= rho.dim_a
+        assert b.shape[1] <= 2 * rho.dim_a - 1
         calls.append(b.shape)
         return block_product(a, b)
 
@@ -199,12 +202,16 @@ def test_sampler_forms_no_rows_and_no_complex_products(make_state,
         tracemalloc.stop()
     assert np.array_equal(batch.x1, expected.x1)
     assert np.array_equal(batch.x2, expected.x2)
-    # the block products went through the guard, so it checked them
-    assert (len(calls) > 0) == (DifferenceBlocks.of(rho) is not None)
+    # the products went through the guard, so it checked them: per chunk,
+    # the one product of the reduced weights of each stage that weighs
+    # the table
+    tables = _SamplerTables.build(rho)
+    chunks = -(-3000 // tomography._CHUNK)
+    assert len(calls) == chunks * (1 + (tables.shared is None))
     # no chunk of density rows as wide as the table was formed: with the
     # table build, the block of uniforms and the batch, the whole call
     # allocates less than one
-    width = _SamplerTables.build(rho).pairs.shape[1]
+    width = tables.pairs.shape[1]
     assert peak < tomography._CHUNK * width * 8
 
 
@@ -219,6 +226,77 @@ def test_one_sample_is_the_first_of_a_longer_run(make_state):
     longer = sample_homodyne(rho, 3000, seed=29)
     for name in ("phi1", "x1", "phi2", "x2"):
         assert np.array_equal(getattr(one, name), getattr(longer, name)[:1])
+
+
+# -- the reduced table --------------------------------------------------------
+
+@pytest.mark.parametrize("d", [2, 3, 4, 17, 40])
+def test_recurrence_rebuilds_every_pair_product(d):
+    # every psi_m psi_M with m - M >= 2 is C times the products of
+    # m - M = 0 and 1, on a grid well past every sampling window
+    recurrence = tomography._pair_recurrence(d)
+    assert recurrence.shape == (d * (d + 1) // 2 - (2 * d - 1), 2 * d - 1)
+    assert np.all(np.abs(recurrence) <= 1.0)
+    psi = oscillator_psi_table(d - 1, np.linspace(-9.0, 9.0, 3601))
+    basis = np.vstack([psi * psi, psi[1:] * psi[:-1]])
+    products = np.vstack([psi[j:] * psi[:d - j] for j in range(d)])
+    miss = np.abs(recurrence @ basis - products[2 * d - 1:])
+    assert miss.max(initial=0.0) <= 1e-15
+
+
+def assert_reduced_rows_match_pair_rows(tables, x1, phi1, phi2):
+    """The rows the sampler reads, its reduced weights times its table of
+    2d - 1 rows, equal the formed rows of the pair table to 1e-14 of each
+    row's total, in both stages."""
+    stages = [(tables.pair_weights(x1, phi1, phi2),
+               conditional_rows(tables, x1, phi1, phi2))]
+    if tables.shared is None:
+        stages.append((tables.phase_weights(tables.reduced_pairs, phi1),
+                       marginal_rows(tables, phi1)))
+    for weights, rows in stages:
+        assert weights.shape == (x1.size, 2 * tables.d - 1)
+        assert np.all(np.abs(weights @ tables.pairs - rows)
+                      <= 1e-14 * rows[:, -1:])
+
+
+@pytest.mark.parametrize("make_state", [
+    lambda: depolarized_state(
+        random_state_operator(3, np.random.default_rng(7)), 0.8),
+    lambda: depolarized_state(
+        random_state_operator(4, np.random.default_rng(7)), 0.8),
+    lambda: rotated_twb(0.5, 1.1),
+    lambda: apply_gaussian_noise(twb_state(0.5, FockTruncation.for_twb(0.5)),
+                                 0.4, noise_truncation(0.5, 0.4))],
+    ids=["depolarized-d3", "depolarized-d4", "rotated-twb", "gauss-0.4"])
+def test_reduced_rows_match_pair_rows(make_state):
+    tables = _SamplerTables.build(make_state())
+    x1, phi1, phi2, _ = draw_inputs(tables, 200, 5)
+    assert_reduced_rows_match_pair_rows(tables, x1, phi1, phi2)
+
+
+class TwinBeamBlocks:
+    """What the table build reads of the twin beam at x besides its
+    index-difference blocks: the mode dimensions and the reduced states,
+    diagonal with the row sums of the populations B_0.  At x = 0.9
+    (d = 110) the dense state would take 2.3 GB."""
+
+    def __init__(self, x):
+        self.blocks = twin_beam_blocks(x, FockTruncation.for_twb(x))
+        self.dim_a = self.dim_b = self.blocks.dim
+
+    def reduced(self, mode):
+        return np.diag(self.blocks.blocks[0].sum(axis=1 - mode)
+                       ).astype(complex)
+
+
+def test_reduced_rows_match_pair_rows_at_d_110(monkeypatch):
+    # 219 table rows stand for 6105 pair products
+    monkeypatch.setattr(DifferenceBlocks, "of",
+                        classmethod(lambda cls, rho: rho.blocks))
+    tables = _SamplerTables.build(TwinBeamBlocks(0.9))
+    assert tables.pairs.shape[0] == 219 and tables.shared is not None
+    x1, phi1, phi2, _ = draw_inputs(tables, 200, 5)
+    assert_reduced_rows_match_pair_rows(tables, x1, phi1, phi2)
 
 
 # -- the cell inversion -------------------------------------------------------
@@ -375,6 +453,14 @@ def test_search_matches_formed_rows_on_phase_covariant_states(rho, seed):
     # the index-difference block path of the pair weights
     assert DifferenceBlocks.of(rho) is not None
     assert_random_state_draws(rho, seed)
+
+
+@settings(derandomize=True, deadline=None, max_examples=50, database=None)
+@given(phase_covariant_states(), st.integers(0, 2 ** 32 - 1))
+def test_reduced_rows_match_pair_rows_on_phase_covariant_states(rho, seed):
+    tables = _SamplerTables.build(rho)
+    x1, phi1, phi2, _ = draw_inputs(tables, 40, seed)
+    assert_reduced_rows_match_pair_rows(tables, x1, phi1, phi2)
 
 
 # -- the per-state positivity check -------------------------------------------

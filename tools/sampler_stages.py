@@ -4,10 +4,15 @@ and 4 (p = 0.8) and the twin beam at x = 0.5 after a local phase rotation,
 then of each stage of a ``tomo-estimate`` run at 2^17 samples.
 
 Table build and positivity check are timed per call; the marginal draw, the
-pair weights, the conditional draw (cell search and inversion) and the
-inversion alone per chunk of ``tomography._CHUNK`` (1024) samples.  The
-marginal draw includes its pair weights from the phase powers of phi1 when
-rho_A has coherences; otherwise it reads the shared row.  The
+conditional's reduced weights (the weights of the 2d - 1 table rows), the
+conditional draw (cell search and inversion) and the inversion alone per
+chunk of ``tomography._CHUNK`` (1024) samples.  The marginal draw includes
+its reduced weights from the phase powers of phi1 when rho_A has
+coherences; otherwise it reads the shared row.  Each stage prints its
+median CPU and wall time and their ratio: a ratio well above 1 is a BLAS
+product that woke OpenBLAS's second thread, which then spins.  Each state
+prints the read width, the number of table entries a column read sums, and
+the bytes of the table and of the block map of its reduced weights.  The
 ``tomo-estimate`` stages are those of the benchmark's tomo-twin workload
 at x = 0.5: ``sample_twin_beam`` without noise, with phase noise
 gamma_t = 1 and with Gauss noise kappa = 0.2, then on the phase-noisy
@@ -16,7 +21,7 @@ batch ``pattern_functions`` of x1, ``witness_kernel`` (which holds two
 kernel) and ``formats.batch_to_csv``, split into the formatting of the
 cells and the rest, the compaction of each chunk and its write.  Wall and
 CPU time drift by tens of percent between runs on a shared VM, so the
-stages are interleaved and repeated and the median of each is printed.
+stages are interleaved and repeated and the medians of each are printed.
 
 Then the minor page faults of one untraced ``sample_homodyne`` call on
 each state, the mean over repeated calls of this process's
@@ -75,8 +80,10 @@ def stages(rho, rng):
     phi1, phi2 = math.pi * rng.random((2, n))
     u1, u2 = rng.random((2, n))
     x1 = tables.draw_marginal(phi1, u1)
-    # the sampler's buffer, which every chunk of a call reuses
-    buffer = np.empty((n, tables.pair_j.size))
+    # the sampler's buffer of scaled block products, which every chunk of a
+    # call reuses
+    buffer = (None if tables.block_map is None
+              else np.empty((tables.block_map.shape[0], n)))
     weights = tables.pair_weights(x1, phi1, phi2, buffer)
     cells = []
     invert = tm._invert_cells
@@ -90,8 +97,8 @@ def stages(rho, rng):
         "table build (per call)": lambda: tm._SamplerTables.build(rho),
         "positivity check (per call)": lambda: tm._check_positive(rho, tables),
         "marginal draw": lambda: tables.draw_marginal(phi1, u1),
-        "pair weights": lambda: tables.pair_weights(x1, phi1, phi2,
-                                                    buffer),
+        "reduced weights": lambda: tables.pair_weights(x1, phi1, phi2,
+                                                       buffer),
         "conditional search + inversion": lambda: tm._sample_columns(
             conditional, u2, tables.nodes, tables.delta),
         "inversion alone": lambda: invert(*cells[0]),
@@ -130,15 +137,24 @@ def estimate_stages(path: str) -> dict:
     return timed
 
 
-def median_cpu_ms(timed: dict, repeats: int) -> dict:
-    """The median CPU time of each stage in ms, the stages interleaved."""
-    times = {stage: [] for stage in timed}
+def median_ms(timed: dict, repeats: int) -> dict:
+    """The median CPU and wall time of each stage in ms, the stages
+    interleaved."""
+    times = {stage: ([], []) for stage in timed}
     for _ in range(repeats):
         for stage, run in timed.items():
-            start = time.process_time()
+            wall, cpu = time.perf_counter(), time.process_time()
             run()
-            times[stage].append(time.process_time() - start)
-    return {stage: 1e3 * np.median(values) for stage, values in times.items()}
+            times[stage][0].append(time.process_time() - cpu)
+            times[stage][1].append(time.perf_counter() - wall)
+    return {stage: (1e3 * np.median(cpu), 1e3 * np.median(wall))
+            for stage, (cpu, wall) in times.items()}
+
+
+def print_medians(medians: dict) -> None:
+    print(f"  {'stage':32s} {'CPU ms':>8s} {'wall ms':>8s} {'CPU/wall':>8s}")
+    for stage, (cpu, wall) in medians.items():
+        print(f"  {stage:32s} {cpu:8.3f} {wall:8.3f} {cpu / wall:8.2f}")
 
 
 # sample counts of the benchmark's tomography workloads
@@ -215,18 +231,20 @@ def faults(rng, repeats: int) -> None:
 def main(repeats: int = 30) -> None:
     rng = np.random.default_rng(7)
     for name, rho in states(rng):
-        print(f"{name} (d = {rho.dim_a}), median CPU ms over {repeats}:")
-        for stage, ms in median_cpu_ms(stages(rho, rng), repeats).items():
-            print(f"  {stage:32s} {ms:8.3f}")
+        tables = tm._SamplerTables.build(rho)
+        blocks = 0 if tables.block_map is None else tables.block_map.nbytes
+        print(f"{name} (d = {rho.dim_a}): read width "
+              f"{tables.pairs.shape[0]}, table {tables.pairs.nbytes} B, "
+              f"block map {blocks} B; medians over {repeats}:")
+        print_medians(median_ms(stages(rho, rng), repeats))
     with tempfile.TemporaryDirectory() as folder:
-        medians = median_cpu_ms(
+        medians = median_ms(
             estimate_stages(os.path.join(folder, "batch.csv")), repeats)
-    medians["batch_to_csv compaction + write"] = (
-        medians["batch_to_csv"] - medians["batch_to_csv formatting"])
-    print(f"tomo-estimate at n = {TWIN_SAMPLES}, median CPU ms over "
-          f"{repeats}:")
-    for stage, ms in medians.items():
-        print(f"  {stage:32s} {ms:8.3f}")
+    medians["batch_to_csv compaction + write"] = tuple(
+        whole - part for whole, part in zip(
+            medians["batch_to_csv"], medians["batch_to_csv formatting"]))
+    print(f"tomo-estimate at n = {TWIN_SAMPLES}, medians over {repeats}:")
+    print_medians(medians)
     faults(np.random.default_rng(7), repeats)
     memory(np.random.default_rng(7))
 
