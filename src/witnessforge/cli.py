@@ -37,10 +37,10 @@ MAX_DIM = 256
 def _resolve_seed(args) -> int:
     if getattr(args, "seed", None) is not None:
         return args.seed
-    env = os.environ.get("WITNESSFORGE_SEED")
-    if env is not None:
+    env = os.environ.get("WITNESSFORGE_SEED", "0")
+    if env.isdecimal():
         return int(env)
-    return 0
+    raise ValueError(f"WITNESSFORGE_SEED={env!r}: not a non-negative integer")
 
 
 def _load_psi(args) -> np.ndarray:

@@ -4,12 +4,12 @@ relatives, and the continuous-variable witness.
 The paper's three twin-beam families (plain, phase-diffused and
 Gauss-noisy) are Gaussian, and the witness expectation, the separability
 threshold and the sum-mode variance of each are given here in closed form.
-The Fock-space states serve the homodyne sampler for arbitrary states and
-the tests: they live on levels 0..n_max per mode and are kept as their
-index-difference blocks (:class:`DifferenceBlocks`).  Truncated states are
-not renormalized; the neglected weight is carried as ``trace_deficit``
-metadata.  Quadrature convention: X = (a^dag + a)/2 with vacuum variance
-1/4.
+The Fock-space states live on levels 0..n_max per mode and are kept as
+their index-difference blocks (:class:`DifferenceBlocks`); their dense
+views feed the homodyne sampler, which takes any two-mode state, and the
+tests.  Truncated states are not renormalized; the neglected weight is
+carried as ``trace_deficit`` metadata.  Quadrature convention:
+X = (a^dag + a)/2 with vacuum variance 1/4.
 """
 
 from __future__ import annotations
@@ -122,24 +122,6 @@ class DifferenceBlocks:
 
     def trace(self) -> float:
         return float(self.blocks[0].sum().real)
-
-    @classmethod
-    def of(cls, rho: BipartiteDensity) -> "DifferenceBlocks | None":
-        """The blocks of rho, or None if rho has an element off
-        n - n' = m - m'.  The blocks are real when rho is."""
-        d = rho.dim_a
-        if rho.dim_b != d:
-            return None
-        m = rho.matrix
-        index = [_block_index(d, j) for j in range(d)]
-        off = np.ones(m.shape, dtype=bool)
-        for rows, cols in index:
-            off[rows, cols] = off[cols, rows] = False
-        if np.any(m[off]):
-            return None
-        real = not np.any(m.imag)
-        return cls(tuple(m[rows, cols].real if real else m[rows, cols]
-                         for rows, cols in index), rho.trace_deficit)
 
     def density(self) -> BipartiteDensity:
         """The dense (d^2, d^2) matrix, after checking its size."""

@@ -1,7 +1,9 @@
 """Closed forms of the Gaussian twin beam that only the tests read: its mean
-photon number, and criterion 9's PPT oracle from its covariance matrix."""
+photon number, criterion 9's PPT oracle from its covariance matrix, and
+the Gaussian law of its quadratures at fixed phases."""
 
 import numpy as np
+from scipy.special import ndtr
 
 
 def twb_mean_photons(x: float) -> float:
@@ -33,3 +35,26 @@ def _ppt_boundary(x):
         else:
             hi = mid
     return 0.5 * (lo + hi)
+
+
+def twb_covariance(x: float, phase_sum):
+    """Var and Cov of the twin beam's quadratures (x1, x2) at local
+    oscillator phases of sum phase_sum: Var = (1 + x^2)/(4(1 - x^2)) and
+    Cov = x cos(phase_sum)/(2(1 - x^2)), vacuum variance 1/4.  This is the
+    law that ``sample_twin_beam`` draws without noise."""
+    var = (1.0 + x * x) / (4.0 * (1.0 - x * x))
+    return var, x * np.cos(phase_sum) / (2.0 * (1.0 - x * x))
+
+
+def twb_marginal_cdf(x: float, t):
+    """CDF at t of either quadrature of the twin beam, N(0, Var)."""
+    var, _ = twb_covariance(x, 0.0)
+    return ndtr(np.asarray(t) / np.sqrt(var))
+
+
+def twb_conditional_cdf(x: float, phase_sum, x1, t):
+    """CDF at t of x2 given x1 for the twin beam at phases of sum
+    phase_sum: N(Cov/Var x1, Var - Cov^2/Var)."""
+    var, cov = twb_covariance(x, phase_sum)
+    mean = cov / var * x1
+    return ndtr((np.asarray(t) - mean) / np.sqrt(var - cov * cov / var))

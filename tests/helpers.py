@@ -4,8 +4,9 @@ The library's commands and samplers never need them, so they live here:
 the density-operator check ``validate``, Haar-random product vectors, the
 quorum's weighted sum of products, the dense d x d route to the witness's
 eigenvector operator and quorum, the product of an SVD's factors, the
-report writer's oracle, the batch CSV reader and the analytic
-partial-transpose spectrum of the phase-noisy twin beam.
+report writer's oracle, the batch CSV reader, the analytic
+partial-transpose spectrum of the phase-noisy twin beam and the
+index-difference blocks of a dense state.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import json
 
 import numpy as np
 
+from witnessforge.cv import DifferenceBlocks, _block_index
 from witnessforge.linalg import fix_global_phase
 
 TOL = 1e-10
@@ -138,3 +140,22 @@ def pt_spectrum_analytic(x: float, gamma_t: float, n_max: int) -> np.ndarray:
     n, m = np.triu_indices(n_max + 1, 1)
     pair = (1.0 - x * x) * x ** (n + m) * np.exp(-gamma_t * (n - m) ** 2)
     return np.sort(np.concatenate([diagonal, pair, -pair]))
+
+
+def difference_blocks(rho) -> DifferenceBlocks | None:
+    """The index-difference blocks of a dense state, or None if rho has
+    an element off n - n' = m - m'.  The blocks are real when rho is."""
+    d = rho.dim_a
+    if rho.dim_b != d:
+        return None
+    m = rho.matrix
+    index = [_block_index(d, j) for j in range(d)]
+    off = np.ones(m.shape, dtype=bool)
+    for rows, cols in index:
+        off[rows, cols] = off[cols, rows] = False
+    if np.any(m[off]):
+        return None
+    real = not np.any(m.imag)
+    return DifferenceBlocks(tuple(m[rows, cols].real if real
+                                  else m[rows, cols]
+                                  for rows, cols in index), rho.trace_deficit)

@@ -12,11 +12,12 @@ gathering the table rows of a read in cache-sized slices.  Its table holds
 only the 2d - 1 pair products psi_m psi_M of m - M = 0 and 1, and V are
 the pair weights W reduced onto them by the Hermite recurrence.  This
 module keeps the routes the tests compare against: the table of all
-d(d+1)/2 pair products that the sampler read before, the formed rows
-W @ table of both stages on it, the read that gathers every row at once,
-a draw from formed rows through the same search, and the mode-1 marginal
-rows built as the sampler once built them, from one row per phase
-coefficient (1, cos j phi1, sin j phi1) of rho_A.
+d(d+1)/2 pair products, the formed rows W @ table of both stages on it
+with W computed from rho alone (rho_A for the marginal, the mode-2
+conditional operator for the conditional), the read that gathers every
+row at once, a draw from formed rows through the same search, and the
+mode-1 marginal rows built from one row per phase coefficient
+(1, cos j phi1, sin j phi1) of rho_A.
 """
 
 from __future__ import annotations
@@ -146,44 +147,63 @@ def pair_table(tables) -> np.ndarray:
     return _with_cdf(table, tables.delta)
 
 
-def marginal_rows(tables, phi1: np.ndarray) -> np.ndarray:
+def _pairs(d: int):
+    """j = m - M and M of every pair (m, M), m >= M, by j and then M."""
+    j = np.concatenate([np.full(d - k, k) for k in range(d)])
+    low = np.concatenate([np.arange(d - k) for k in range(d)])
+    return j, low
+
+
+def marginal_rows(rho, tables, phi1: np.ndarray) -> np.ndarray:
     """The formed ``[density | cdf | total]`` rows of the phi1 marginal on
-    the pair table: one shared row if rho_A is diagonal, else one row per
-    phase, with the pair weights c_j Re[rho_A[m, M] e^{ij phi1}]."""
-    table = pair_table(tables)
-    if tables.shared is not None:
-        return tables.reduced_pairs.real @ table
-    turn = np.exp(1j * np.multiply.outer(phi1, tables.pair_j))
-    return (tables.reduced_pairs * turn).real @ table
+    the pair table, one per phase, from rho_A alone: the pair weights
+    c_j Re[rho_A[m, M] e^{ij phi1}]."""
+    j, low = _pairs(tables.d)
+    coef = np.where(j, 2.0, 1.0) * rho.reduced(0)[low + j, low]
+    turn = np.exp(1j * np.multiply.outer(phi1, j))
+    return (coef * turn).real @ pair_table(tables)
 
 
-def conditional_weights(tables, x1: np.ndarray, phi1: np.ndarray,
-                        phi2: np.ndarray) -> np.ndarray:
+def dense_elements(rho):
+    """The reader j -> R_j of a dense state, R_j[k, l, M] =
+    rho_{k(M+j), lM}, by plain indexing of the matrix."""
+    d = rho.dim_a
+    matrix = rho.matrix.reshape(d, d, d, d)
+
+    def elements(j):
+        low = np.arange(d - j)
+        return matrix[:, low + j, :, low].transpose(1, 2, 0)
+    return elements
+
+
+def conditional_weights(rho, tables, x1: np.ndarray, phi1: np.ndarray,
+                        phi2: np.ndarray, elements=None) -> np.ndarray:
     """The pair weights W(s) of the conditional at the sampled x1, in
-    complex arithmetic: c_j Re[e^{ij(phi1+phi2)} (a_j(s) B_j)_l] on the
-    index-difference blocks, with a_j(s)_i = psi_{i+j}(x1) psi_i(x1), and
-    c_j Re[C(s)[m, M] e^{ij phi2}] from the mode-2 conditional operator
-    C(s) = sum_kl u1_k conj(u1_l) rho_{km, lM} otherwise."""
+    complex arithmetic from rho alone: c_j Re[C(s)[m, M] e^{ij phi2}] with
+    the mode-2 conditional operator C(s)[m, M] = sum_kl u1_k conj(u1_l)
+    rho_{km, lM}, u1_k = psi_k(x1) e^{ik phi1}.  rho is read through
+    ``elements`` (default :func:`dense_elements`), and only the (k, l)
+    with a nonzero element enter each sum."""
     d = tables.d
-    psi1 = oscillator_psi_table(d - 1, x1)
-    if tables.diff is not None:
-        parts = []
-        for j, block in enumerate(tables.diff.blocks):
-            turn = (2.0 if j else 1.0) * np.exp(1j * j * (phi1 + phi2))
-            a_j = (psi1[j:] * psi1[:d - j]).T
-            parts.append((turn[:, None] * (a_j @ block)).real)
-        return np.hstack(parts)
-    u1 = psi1.T * np.exp(1j * np.multiply.outer(phi1, np.arange(d)))
-    outer = np.einsum("nk,nl->nkl", u1, u1.conj()).reshape(x1.size, -1)
-    turn = np.exp(1j * np.multiply.outer(phi2, tables.pair_j))
-    return (outer @ tables.cond * turn).real
+    elements = elements or dense_elements(rho)
+    u1 = oscillator_psi_table(d - 1, x1).T * np.exp(
+        1j * np.multiply.outer(phi1, np.arange(d)))
+    parts = []
+    for j in range(d):
+        r = elements(j)
+        k, l = np.nonzero(np.any(r, axis=2))
+        c = (u1[:, k] * u1[:, l].conj()) @ r[k, l]
+        turn = (2.0 if j else 1.0) * np.exp(1j * j * phi2)
+        parts.append((turn[:, None] * c).real)
+    return np.hstack(parts)
 
 
-def conditional_rows(tables, x1: np.ndarray, phi1: np.ndarray,
-                     phi2: np.ndarray) -> np.ndarray:
+def conditional_rows(rho, tables, x1: np.ndarray, phi1: np.ndarray,
+                     phi2: np.ndarray, elements=None) -> np.ndarray:
     """The formed rows of the conditional at the sampled x1: its pair
     weights times the pair table."""
-    return conditional_weights(tables, x1, phi1, phi2) @ pair_table(tables)
+    return conditional_weights(rho, tables, x1, phi1, phi2,
+                               elements) @ pair_table(tables)
 
 
 def draw(tables, rows: np.ndarray, u: np.ndarray) -> np.ndarray:

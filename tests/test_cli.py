@@ -267,6 +267,17 @@ def test_tomo_estimate_env_seed(capsys, monkeypatch):
     assert parse(out)["seed"] == 314
 
 
+@pytest.mark.parametrize("value", ["abc", "-3", "1.5", ""])
+def test_tomo_estimate_bad_env_seed_exits_2(capsys, monkeypatch, value):
+    # the message names the variable and the rule
+    monkeypatch.setenv("WITNESSFORGE_SEED", value)
+    code, out, err = run(capsys, "tomo-estimate", "--x", "0.5",
+                         "--samples", "10")
+    assert code == 2 and out == ""
+    assert f"WITNESSFORGE_SEED={value!r}: not a non-negative integer" \
+        in err
+
+
 def test_tomo_estimate_batch_csv(capsys, tmp_path):
     csv_path = str(tmp_path / "batch.csv")
     code, out, _ = run(capsys, "tomo-estimate", "--x", "0.3",

@@ -6,10 +6,12 @@ the few columns of its table of the 2d - 1 pair products of m - M = 0 and 1
 that its binary search visits, V the pair weights reduced onto those rows by
 the Hermite recurrence.  These tests check that recurrence, compare the
 reduced rows and the search with the formed rows W @ table of both stages
-on the table of all pair products (``sampler_oracle``), the marginal rows of
-that table with those of the phase-coefficient rows of rho_A, the Newton
-inversion of a cell with the bisection oracle, and check the eigenvalue
-bound that replaced the scan of each row's node densities.
+on the table of all pair products (``sampler_oracle``, whose pair weights
+come from rho alone), the marginal rows of that table with those of the
+phase-coefficient rows of rho_A, the table CDFs of the twin beam with its
+Gaussian law, the Newton inversion of a cell with the bisection oracle,
+and check the eigenvalue bound that replaced the scan of each row's node
+densities.
 """
 
 import math
@@ -23,6 +25,12 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from cell_inversion_oracle import cell_integral, invert_cells_by_bisection
+from gaussian_oracle import (
+    twb_conditional_cdf,
+    twb_covariance,
+    twb_marginal_cdf,
+)
+from helpers import difference_blocks
 from noise_channel_oracle import apply_gaussian_noise, noise_truncation
 from sampler_oracle import (
     conditional_rows,
@@ -40,7 +48,6 @@ from test_tomography import (
 )
 from witnessforge import tomography
 from witnessforge.cv import (
-    DifferenceBlocks,
     FockTruncation,
     phase_noisy_twb,
     twb_state,
@@ -107,25 +114,49 @@ def cdf_at(tables, rows, x):
     return before[take, cell] + delta * inside, before[:, -1]
 
 
-def assert_search_matches_rows(tables, x1, phi1, phi2, u):
+def assert_search_matches_rows(rho, tables, x1, phi1, phi2, u):
     for rows, searched in [
-            (conditional_rows(tables, x1, phi1, phi2),
+            (conditional_rows(rho, tables, x1, phi1, phi2),
              tables.draw_conditional(x1, phi1, phi2, u)),
-            (marginal_rows(tables, phi1), tables.draw_marginal(phi1, u))]:
+            (marginal_rows(rho, tables, phi1),
+             tables.draw_marginal(phi1, u))]:
         assert_same_draw(tables, rows, searched, u)
         # and it inverts the CDF of the node densities
         cdf, total = cdf_at(tables, rows, searched)
         assert np.all(np.abs(cdf - u * total) <= 1e-12 * total)
 
 
+def mixed_state():
+    """0.7 of the d = 4 twin beam at x = 0.3 after the local phase
+    e^{1.1 i a^dag a} plus 0.3 of a random pure state: its conditional has
+    modes with b = 0 and modes with b != 0."""
+    base = twb_state(0.3, FockTruncation(3))
+    d = base.dim_a
+    phases = np.kron(np.exp(1.1j * np.arange(d)), np.ones(d))
+    rotated = base.matrix * np.outer(phases, phases.conj())
+    rng = np.random.default_rng(19)
+    vec = rng.normal(size=d * d) + 1j * rng.normal(size=d * d)
+    vec /= np.linalg.norm(vec)
+    return BipartiteDensity(d, d, 0.7 * rotated
+                            + 0.3 * np.outer(vec, vec.conj()))
+
+
+def test_mixed_state_has_both_kinds_of_mode():
+    tables = _SamplerTables.build(mixed_state())
+    b = {b for _, blocks in tables.groups for _, b, _ in blocks}
+    assert 0 in b and len(b) > 1 and not tables.conserving
+
+
 @pytest.mark.parametrize("make_state", [
     general_d3_state, lambda: twb_state(0.5, FockTruncation.for_twb(0.5)),
     lambda: rotated_twb(0.5, 1.1), complex_block_state,
-    lambda: asymmetric_block_state().density()],
-    ids=["general-d3", "twb", "rotated-twb", "complex-block", "asymmetric"])
+    lambda: asymmetric_block_state().density(), mixed_state],
+    ids=["general-d3", "twb", "rotated-twb", "complex-block", "asymmetric",
+         "mixed"])
 def test_search_matches_formed_rows(make_state):
-    tables = _SamplerTables.build(make_state())
-    assert_search_matches_rows(tables, *draw_inputs(tables, 300, 3))
+    rho = make_state()
+    tables = _SamplerTables.build(rho)
+    assert_search_matches_rows(rho, tables, *draw_inputs(tables, 300, 3))
 
 
 def assert_marginal_matches_phase_coefficient_rows(rho, tables, phi1):
@@ -133,7 +164,7 @@ def assert_marginal_matches_phase_coefficient_rows(rho, tables, phi1):
     # as one row per phase coefficient of rho_A: the same density, summed
     # in another order
     oracle = phase_coefficient_rows(rho, tables, phi1)
-    rows = np.broadcast_to(marginal_rows(tables, phi1), oracle.shape)
+    rows = marginal_rows(rho, tables, phi1)
     assert np.all(np.abs(rows - oracle) <= 1e-15 * oracle[:, -1:])
 
 
@@ -169,8 +200,7 @@ def test_marginal_row_is_shared_exactly_when_rho_a_is_diagonal(make_state,
         # the phase weights of a diagonal rho_A are those of the j = 0
         # pairs at every phi1, so the per-sample rows are the shared row
         phi1 = np.linspace(0.0, 3.0, 7)
-        per_sample = tables.phase_weights(tables.reduced_pairs,
-                                          phi1) @ tables.pairs
+        per_sample = marginal_rows(rho, tables, phi1)
         assert np.abs(per_sample - tables.shared).max() \
             <= 1e-15 * tables.shared[-1]
 
@@ -186,8 +216,8 @@ def test_sampler_forms_no_rows_and_no_complex_products(make_state,
     calls = []
 
     def real_block_product(a, b):
-        # every remaining matrix product is a real block product or the
-        # reduction of the pair weights, at most 2d - 1 columns wide
+        # every matrix product is a real product of phase features with a
+        # map, at most 2d - 1 columns wide
         assert not np.iscomplexobj(a) and not np.iscomplexobj(b)
         assert b.shape[1] <= 2 * rho.dim_a - 1
         calls.append(b.shape)
@@ -244,15 +274,16 @@ def test_recurrence_rebuilds_every_pair_product(d):
     assert miss.max(initial=0.0) <= 1e-15
 
 
-def assert_reduced_rows_match_pair_rows(tables, x1, phi1, phi2):
+def assert_reduced_rows_match_pair_rows(rho, tables, x1, phi1, phi2,
+                                        elements=None):
     """The rows the sampler reads, its reduced weights times its table of
     2d - 1 rows, equal the formed rows of the pair table to 1e-14 of each
     row's total, in both stages."""
     stages = [(tables.pair_weights(x1, phi1, phi2),
-               conditional_rows(tables, x1, phi1, phi2))]
+               conditional_rows(rho, tables, x1, phi1, phi2, elements))]
     if tables.shared is None:
-        stages.append((tables.phase_weights(tables.reduced_pairs, phi1),
-                       marginal_rows(tables, phi1)))
+        stages.append((tables.marginal_weights(phi1),
+                       marginal_rows(rho, tables, phi1)))
     for weights, rows in stages:
         assert weights.shape == (x1.size, 2 * tables.d - 1)
         assert np.all(np.abs(weights @ tables.pairs - rows)
@@ -266,19 +297,24 @@ def assert_reduced_rows_match_pair_rows(tables, x1, phi1, phi2):
         random_state_operator(4, np.random.default_rng(7)), 0.8),
     lambda: rotated_twb(0.5, 1.1),
     lambda: apply_gaussian_noise(twb_state(0.5, FockTruncation.for_twb(0.5)),
-                                 0.4, noise_truncation(0.5, 0.4))],
-    ids=["depolarized-d3", "depolarized-d4", "rotated-twb", "gauss-0.4"])
+                                 0.4, noise_truncation(0.5, 0.4)),
+    mixed_state],
+    ids=["depolarized-d3", "depolarized-d4", "rotated-twb", "gauss-0.4",
+         "mixed"])
 def test_reduced_rows_match_pair_rows(make_state):
-    tables = _SamplerTables.build(make_state())
+    rho = make_state()
+    tables = _SamplerTables.build(rho)
     x1, phi1, phi2, _ = draw_inputs(tables, 200, 5)
-    assert_reduced_rows_match_pair_rows(tables, x1, phi1, phi2)
+    assert_reduced_rows_match_pair_rows(rho, tables, x1, phi1, phi2)
 
 
 class TwinBeamBlocks:
-    """What the table build reads of the twin beam at x besides its
-    index-difference blocks: the mode dimensions and the reduced states,
-    diagonal with the row sums of the populations B_0.  At x = 0.9
-    (d = 110) the dense state would take 2.3 GB."""
+    """What the table build reads of the twin beam at x, from its
+    index-difference blocks: the mode dimensions, the reduced states,
+    diagonal with the row sums of the populations B_0, and the elements
+    R_j[k, l, M] = rho_{k(M+j), lM}, which are B_j[l, M] at k = l + j and
+    0 elsewhere.  At x = 0.9 (d = 110) the dense state would take
+    2.3 GB."""
 
     def __init__(self, x):
         self.blocks = twin_beam_blocks(x, FockTruncation.for_twb(x))
@@ -288,15 +324,66 @@ class TwinBeamBlocks:
         return np.diag(self.blocks.blocks[0].sum(axis=1 - mode)
                        ).astype(complex)
 
+    def elements(self, j):
+        d = self.dim_a
+        r = np.zeros((d, d, d - j), dtype=complex)
+        low = np.arange(d - j)
+        r[low + j, low] = self.blocks.blocks[j]
+        return r
+
 
 def test_reduced_rows_match_pair_rows_at_d_110(monkeypatch):
     # 219 table rows stand for 6105 pair products
-    monkeypatch.setattr(DifferenceBlocks, "of",
-                        classmethod(lambda cls, rho: rho.blocks))
-    tables = _SamplerTables.build(TwinBeamBlocks(0.9))
+    rho = TwinBeamBlocks(0.9)
+    monkeypatch.setattr(tomography, "_conditional_elements",
+                        lambda state, j: state.elements(j))
+    tables = _SamplerTables.build(rho)
     assert tables.pairs.shape[0] == 219 and tables.shared is not None
     x1, phi1, phi2, _ = draw_inputs(tables, 200, 5)
-    assert_reduced_rows_match_pair_rows(tables, x1, phi1, phi2)
+    assert_reduced_rows_match_pair_rows(rho, tables, x1, phi1, phi2,
+                                        rho.elements)
+
+
+# -- the exact law ------------------------------------------------------------
+
+def table_cdf(column):
+    """The CDF at the cell ends over the total, read from the
+    ``[density | cdf | total]`` rows through ``column`` as a draw reads
+    them, one row per sample."""
+    g = 2 * tomography.CELLS + 1
+    half = tomography.CELLS // 2
+    total = np.atleast_1d(column(g + tomography.CELLS))
+    cdf = np.array([column(g + c) for c in range(tomography.CELLS)]).T
+    cdf = np.atleast_2d(cdf)
+    cdf[:, half:] += total[:, None]
+    return cdf / total[:, None]
+
+
+@pytest.mark.parametrize("x, bound", [(0.5, 2e-6), (0.7, 1.5e-5)])
+def test_twin_beam_tables_follow_the_gaussian_law(x, bound):
+    # The Kolmogorov distance between the table CDF and Phi, largest over
+    # the cell ends, for the shared marginal row and for the conditionals
+    # at x1 in {0, +-1, +-2.5} sigma and six phase sums.  Measured:
+    # marginal 3.0e-10 and 4.4e-7, conditionals 1.37e-6 and 1.16e-5 (at
+    # x1 = +-2.5 sigma) for x = 0.5 and 0.7, against the asserted 2e-6 and
+    # 1.5e-5; the Simpson part is below 4e-8, and the rest comes from the
+    # truncated state.  x = 0.9 is left out: quadrature_span gives the
+    # window L = 6.88, outside which its conditional at x1 = 2.5 sigma has
+    # 1.1e-4 of its mass, and the sampler draws the law conditioned on the
+    # window.
+    tables = _SamplerTables.build(twb_state(x, FockTruncation.for_twb(x)))
+    ends = tables.nodes[2::2]
+    marginal = table_cdf(tables.shared.__getitem__)
+    assert np.abs(marginal - twb_marginal_cdf(x, ends)).max() <= bound
+    sigma = math.sqrt(twb_covariance(x, 0.0)[0])
+    sums, x1 = (a.ravel() for a in np.meshgrid(
+        [0.0, 1.0, 2.0, 3.0, 4.5, 6.0], np.array([0.0, 1.0, -1.0, 2.5, -2.5])
+        * sigma))
+    phi1 = 0.3 * sums
+    column = tomography._weighted_columns(
+        tables.pair_weights(x1, phi1, sums - phi1), tables.pairs)
+    exact = twb_conditional_cdf(x, sums[:, None], x1[:, None], ends)
+    assert np.abs(table_cdf(column) - exact).max() <= bound
 
 
 # -- the cell inversion -------------------------------------------------------
@@ -328,10 +415,12 @@ def conditional_cells(seed, states=20, rows=8):
         if k % 2:
             g += 1j * rng.normal(size=g.shape)
         g /= np.linalg.norm(g)
-        tables = _SamplerTables.build(BipartiteDensity(d, d, g @ g.conj().T))
+        rho = BipartiteDensity(d, d, g @ g.conj().T)
+        tables = _SamplerTables.build(rho)
         phi1, phi2 = rng.uniform(0, math.pi, (2, rows))
         x1 = rng.uniform(-2.5, 2.5, rows)
-        pdf = conditional_rows(tables, x1, phi1, phi2)[:, :tables.nodes.size]
+        pdf = conditional_rows(rho, tables, x1, phi1,
+                               phi2)[:, :tables.nodes.size]
         cells.append(np.stack([pdf[:, 0:-2:2], pdf[:, 1:-1:2],
                                pdf[:, 2::2]]).reshape(3, -1))
     return np.hstack(cells)
@@ -411,15 +500,15 @@ def small_states(draw):
 def assert_random_state_draws(rho, seed):
     tables = _SamplerTables.build(rho)
     x1, phi1, phi2, u = draw_inputs(tables, 40, seed)
-    assert_search_matches_rows(tables, x1, phi1, phi2, u)
+    assert_search_matches_rows(rho, tables, x1, phi1, phi2, u)
     assert_marginal_matches_phase_coefficient_rows(rho, tables, phi1)
     # the CDF read from the left is non-decreasing and ends at the total;
     # at a node x1 the conditional's total is the marginal density there
     g = tables.nodes.size
     index = np.arange(100, 1000, 100)
-    rows = conditional_rows(tables, tables.nodes[index], phi1[:9], phi2[:9])
-    marginal = np.broadcast_to(marginal_rows(tables, phi1[:9]),
-                               (9, rows.shape[1]))
+    rows = conditional_rows(rho, tables, tables.nodes[index], phi1[:9],
+                            phi2[:9])
+    marginal = marginal_rows(rho, tables, phi1[:9])
     for table in (rows, marginal):
         cdf, total = table[:, g:-1], table[:, -1:]
         half = cdf.shape[1] // 2
@@ -450,8 +539,9 @@ def phase_covariant_states(draw):
 @settings(derandomize=True, deadline=None, max_examples=50, database=None)
 @given(phase_covariant_states(), st.integers(0, 2 ** 32 - 1))
 def test_search_matches_formed_rows_on_phase_covariant_states(rho, seed):
-    # the index-difference block path of the pair weights
-    assert DifferenceBlocks.of(rho) is not None
+    # states whose conditional has only the modes b = 0
+    assert difference_blocks(rho) is not None
+    assert _SamplerTables.build(rho).conserving
     assert_random_state_draws(rho, seed)
 
 
@@ -460,7 +550,7 @@ def test_search_matches_formed_rows_on_phase_covariant_states(rho, seed):
 def test_reduced_rows_match_pair_rows_on_phase_covariant_states(rho, seed):
     tables = _SamplerTables.build(rho)
     x1, phi1, phi2, _ = draw_inputs(tables, 40, seed)
-    assert_reduced_rows_match_pair_rows(tables, x1, phi1, phi2)
+    assert_reduced_rows_match_pair_rows(rho, tables, x1, phi1, phi2)
 
 
 # -- the per-state positivity check -------------------------------------------

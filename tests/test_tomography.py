@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy.stats import chi2
 
-from helpers import batch_rows_from_csv, validate
+from helpers import batch_rows_from_csv, difference_blocks, validate
 from noise_channel_oracle import apply_gaussian_noise, noise_truncation
 from quadrature_pdf_oracle import joint_quadrature_pdf
 from sampler_oracle import (
@@ -317,9 +317,17 @@ def test_sampler_rejects_negative_conditional_density(i, k, block):
     # states have a valid reduced state, so only the conditional stage's
     # negativity check can catch them
     bad = _hermitian_pair_state(3, i, k, 0.5, 2.0)
-    assert (_SamplerTables.build(bad).diff is not None) is block
+    assert (difference_blocks(bad) is not None) is block
+    assert _SamplerTables.build(bad).conserving is block
     with pytest.raises(ValueError, match="conditional quadrature density"):
         sample_homodyne(bad, 1000, seed=3)
+
+
+def test_sampler_rejects_unequal_mode_dimensions():
+    # both modes are sampled on one grid with one table of d levels
+    rho = BipartiteDensity(2, 3, np.eye(6) / 6)
+    with pytest.raises(ValueError, match="dim_a=2 and dim_b=3"):
+        sample_homodyne(rho, 10, 1)
 
 
 def complex_block_state():
@@ -352,7 +360,7 @@ def test_difference_blocks_round_trip_bitwise(make_state):
     # only by rho's own Hermiticity defect (nonzero for the rotated twin
     # beam, whose complex products round asymmetrically)
     rho = make_state()
-    state = DifferenceBlocks.of(rho)
+    state = difference_blocks(rho)
     dense = state.density().matrix
     assert np.array_equal(np.tril(dense), np.tril(rho.matrix))
     defect = np.abs(rho.matrix - rho.matrix.conj().T).max()
@@ -369,17 +377,17 @@ def test_difference_blocks_layout():
         for i in range(d - j):
             for l in range(d - j):
                 assert m[(i + j) * d + l + j, i * d + l] == block[i, l]
-    for got, want in zip(DifferenceBlocks.of(state.density()).blocks,
+    for got, want in zip(difference_blocks(state.density()).blocks,
                          state.blocks):
         assert np.array_equal(got, want)
-    assert DifferenceBlocks.of(twb_state(0.5, FockTruncation(6))).blocks[1] \
+    assert difference_blocks(twb_state(0.5, FockTruncation(6))).blocks[1] \
         .dtype == np.float64
 
 
 def test_difference_blocks_need_the_support():
     psi = random_state_operator(3, np.random.default_rng(5))
     for rho in (general_d3_state(), depolarized_state(psi, 0.8)):
-        assert DifferenceBlocks.of(rho) is None
+        assert difference_blocks(rho) is None
 
 
 @pytest.mark.parametrize("make_state", [
@@ -415,7 +423,7 @@ def test_table_node_density_matches_joint_pdf(rho):
     index = rng.integers(0, nodes.size, size=6)
     phi1 = rng.uniform(0, np.pi, size=6)
     phi2 = rng.uniform(0, np.pi, size=6)
-    rows = conditional_rows(tables, nodes[index], phi1, phi2)
+    rows = conditional_rows(rho, tables, nodes[index], phi1, phi2)
     density = rows[:, :nodes.size]
     cdf, total = rows[:, nodes.size:-1], rows[:, -1:]
     for s in range(6):
@@ -439,10 +447,11 @@ def test_inverse_cdf_resolves_both_tails():
     # tail mass is 1e-9 of the total
     u = np.array([2.0 ** -30, 2.0 ** -23, 2.0 ** -13, 0.375])
     vacuum = _SamplerTables.build(vacuum_state())
-    shared = marginal_rows(vacuum, np.zeros(4))
-    twb = _SamplerTables.build(twb_state(0.5, FockTruncation.for_twb(0.5)))
+    shared = marginal_rows(vacuum_state(), vacuum, np.zeros(4))
+    twin = twb_state(0.5, FockTruncation.for_twb(0.5))
+    twb = _SamplerTables.build(twin)
     # at x1 = 0 only even Fock levels contribute to the conditional
-    per_sample = conditional_rows(twb, np.zeros(4), np.full(4, 0.3),
+    per_sample = conditional_rows(twin, twb, np.zeros(4), np.full(4, 0.3),
                                   np.full(4, 1.2))
     for tables, rows in [(vacuum, shared), (twb, per_sample)]:
         low = draw(tables, rows, u)
@@ -675,8 +684,8 @@ def test_short_block_memory_is_the_batch_plus_a_constant(state, n,
     # a short block draws into its slice of the batch, skipping the words of
     # the uniforms it does not use, and reads gathered table rows in
     # cache-sized slices; the twin beam holds one block-length row of
-    # normals; the rotated twin beam's peak is its buffer of scaled block
-    # products
+    # normals; the peak of sample_homodyne is its buffer of conditional
+    # features
     if state == "twin-beam":
         def sampler(m):
             return sample_twin_beam(TWIN_X, m, seed=5)
@@ -772,8 +781,8 @@ def test_shared_column_reads_are_the_gathered_reads(rho):
     shared_columns = (g + g // 2, g + g // 4 - 1)
     reads = [(tables.pair_weights(x1, phi1, phi2), u2)]
     if tables.shared is None:
-        reads.append((tables.phase_weights(tables.reduced_pairs, phi1), u1))
-    assert len(reads) == 1 + (DifferenceBlocks.of(rho) is None)
+        reads.append((tables.marginal_weights(phi1), u1))
+    assert len(reads) == 1 + (difference_blocks(rho) is None)
     for weights, u in reads:
         column = _weighted_columns(weights, tables.pairs)
 

@@ -1,18 +1,22 @@
 """Print the CPU time of each stage of ``sample_homodyne`` on the states of
 the benchmark's tomo-general workload: depolarized random states at d = 3
 and 4 (p = 0.8) and the twin beam at x = 0.5 after a local phase rotation,
-then of each stage of a ``tomo-estimate`` run at 2^17 samples.
+and on the plain twin beam at x = 0.5 (d = 17, real blocks), then of each
+stage of a ``tomo-estimate`` run at 2^17 samples.
 
-Table build and positivity check are timed per call; the marginal draw, the
-conditional's reduced weights (the weights of the 2d - 1 table rows), the
-conditional draw (cell search and inversion) and the inversion alone per
-chunk of ``tomography._CHUNK`` (1024) samples.  The marginal draw includes
-its reduced weights from the phase powers of phi1 when rho_A has
-coherences; otherwise it reads the shared row.  Each stage prints its
-median CPU and wall time and their ratio: a ratio well above 1 is a BLAS
-product that woke OpenBLAS's second thread, which then spins.  Each state
-prints the read width, the number of table entries a column read sums, and
-the bytes of the table and of the block map of its reduced weights.  The
+The table build (the table plus both stages' maps) and the positivity
+check are timed per call; the marginal draw, the conditional's reduced
+weights (the weights of the 2d - 1 table rows: its phase features times
+its map), the conditional draw (cell search and inversion) and the
+inversion alone per chunk of ``tomography._CHUNK`` (1024) samples.  The
+marginal draw includes its weights from the phase features of phi1 when
+rho_A has coherences; otherwise it reads the shared row.  Each stage
+prints its median CPU and wall time and their ratio: a ratio well above 1
+is a BLAS product that woke OpenBLAS's second thread, which then spins.
+Each state prints the read width, the number of table entries a column
+read sums, the bytes of the table, the number of phase modes (a, b) of
+its conditional and the shapes of the conditional's and the marginal's
+maps.  The
 ``tomo-estimate`` stages are those of the benchmark's tomo-twin workload
 at x = 0.5: ``sample_twin_beam`` without noise, with phase noise
 gamma_t = 1 and with Gauss noise kappa = 0.2, then on the phase-noisy
@@ -72,6 +76,7 @@ def states(rng):
     phases = np.kron(np.exp(1.1j * np.arange(d)), np.ones(d))
     yield "rotated twb", BipartiteDensity(
         d, d, base.matrix * np.outer(phases, phases.conj()))
+    yield "twb", base
 
 
 def stages(rho, rng):
@@ -80,10 +85,9 @@ def stages(rho, rng):
     phi1, phi2 = math.pi * rng.random((2, n))
     u1, u2 = rng.random((2, n))
     x1 = tables.draw_marginal(phi1, u1)
-    # the sampler's buffer of scaled block products, which every chunk of a
+    # the sampler's buffer of conditional features, which every chunk of a
     # call reuses
-    buffer = (None if tables.block_map is None
-              else np.empty((tables.block_map.shape[0], n)))
+    buffer = np.empty((tables.conditional.shape[0], n))
     weights = tables.pair_weights(x1, phi1, phi2, buffer)
     cells = []
     invert = tm._invert_cells
@@ -94,7 +98,7 @@ def stages(rho, rng):
         tm._invert_cells = invert
     conditional = tm._weighted_columns(weights, tables.pairs)
     return {
-        "table build (per call)": lambda: tm._SamplerTables.build(rho),
+        "table + map build (per call)": lambda: tm._SamplerTables.build(rho),
         "positivity check (per call)": lambda: tm._check_positive(rho, tables),
         "marginal draw": lambda: tables.draw_marginal(phi1, u1),
         "reduced weights": lambda: tables.pair_weights(x1, phi1, phi2,
@@ -157,9 +161,10 @@ def print_medians(medians: dict) -> None:
         print(f"  {stage:32s} {cpu:8.3f} {wall:8.3f} {cpu / wall:8.2f}")
 
 
-# sample counts of the benchmark's tomography workloads
+# sample counts of the benchmark's tomography workloads, and the rotated
+# twin beam's for the plain one
 STATE_SAMPLES = {"depolarized d=3": 2 ** 14, "depolarized d=4": 2 ** 14,
-                 "rotated twb": 2 ** 15}
+                 "rotated twb": 2 ** 15, "twb": 2 ** 15}
 TWIN_SAMPLES = 2 ** 17
 TWIN_NOISE = {"none": {}, "gamma_t = 1": {"gamma_t": 1.0},
               "kappa = 0.2": {"kappa": 0.2}}
@@ -232,10 +237,12 @@ def main(repeats: int = 30) -> None:
     rng = np.random.default_rng(7)
     for name, rho in states(rng):
         tables = tm._SamplerTables.build(rho)
-        blocks = 0 if tables.block_map is None else tables.block_map.nbytes
+        modes = {block[:2] for _, blocks in tables.groups for block in blocks}
         print(f"{name} (d = {rho.dim_a}): read width "
               f"{tables.pairs.shape[0]}, table {tables.pairs.nbytes} B, "
-              f"block map {blocks} B; medians over {repeats}:")
+              f"{len(modes)} conditional modes, conditional map "
+              f"{tables.conditional.shape}, marginal map "
+              f"{tables.marginal.shape}; medians over {repeats}:")
         print_medians(median_ms(stages(rho, rng), repeats))
     with tempfile.TemporaryDirectory() as folder:
         medians = median_ms(
