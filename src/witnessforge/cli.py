@@ -258,10 +258,30 @@ def cmd_tomo_estimate(args) -> None:
     direct = (cv.gauss_witness_expectation(args.x, kappa)
               if args.kappa is not None
               else cv.phase_witness_expectation(args.x, gamma_t))
-    batch = tomography.sample_twin_beam(args.x, args.samples, seed,
-                                        gamma_t=gamma_t, kappa=kappa,
-                                        workers=args.workers)
-    estimate = tomography.mc_estimate_witness(batch)
+    # checks every argument and draws nothing yet, so a refused run
+    # allocates nothing large
+    blocks = tomography.sample_twin_beam(args.x, args.samples, seed,
+                                         gamma_t=gamma_t, kappa=kappa,
+                                         workers=args.workers, stream=True)
+    values = np.empty(args.samples)
+
+    def scored():
+        # each block's kernel values go to its slice of values
+        start = 0
+        for block in blocks:
+            stop = start + len(block)
+            tomography.witness_kernel(block.x1, block.phi1, block.x2,
+                                      block.phi2, out=values[start:stop])
+            start = stop
+            yield block
+
+    if args.batch_csv is None:
+        for _ in scored():
+            pass
+    else:
+        # opens the file before the first block is drawn
+        batch_to_csv(args.batch_csv, scored())
+    estimate = tomography.mc_estimate_witness(values)
     # one sample, or samples without spread, cannot be compared with direct
     z = (estimate.mean - direct) / estimate.std_error \
         if estimate.std_error else None
@@ -279,7 +299,6 @@ def cmd_tomo_estimate(args) -> None:
         "z_score": z,
     }
     if args.batch_csv is not None:
-        batch_to_csv(args.batch_csv, batch)
         report["batch_csv"] = args.batch_csv
     _emit(args, report)
 

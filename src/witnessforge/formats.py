@@ -6,6 +6,7 @@ import functools
 import itertools
 import json
 import math
+import os
 import time
 from json.encoder import encode_basestring_ascii
 
@@ -309,25 +310,40 @@ def _format_cells(values: np.ndarray, cells: np.ndarray) -> None:
 
 
 def batch_to_csv(path: str, batch) -> None:
-    """Export a homodyne batch as phi1,x1,phi2,x2 rows.
+    """Export a homodyne batch, or an iterable of batches in order, as
+    phi1,x1,phi2,x2 rows.
 
     The bytes are those of :func:`write_csv` on the same rows: every cell is
     the ``%.17g`` text of its value.  The cells are formatted with numpy,
-    :data:`CHUNK_ROWS` rows at a time, into buffers that every chunk
-    reuses, and each chunk's bytes are written as soon as it is formed.
-    ``bytes.translate`` drops the empty slots of a chunk's copy in one
-    pass; ``np.compress`` would build an index of 8 bytes per byte kept.
+    :data:`CHUNK_ROWS` rows at a time, into buffers allocated once per file
+    and reused by every chunk, and each chunk's bytes are written as soon
+    as it is formed.  ``bytes.translate`` drops the empty slots of a
+    chunk's copy in one pass; ``np.compress`` would build an index of 8
+    bytes per byte kept.  So an iterable whose batches are drawn as it is
+    read, such as ``sample_twin_beam(stream=True)``, is exported without
+    its samples being held at once.
+
+    The file is opened before the first batch is read.  If a batch cannot
+    be read or written, the file is removed and the error raised: the
+    export writes the whole file or none.
     """
-    columns = (batch.phi1, batch.x1, batch.phi2, batch.x2)
     block = np.empty((CHUNK_ROWS, 4))
     cells = np.empty((4 * CHUNK_ROWS, 5), dtype=_WORD)
+    batches = (batch,) if hasattr(batch, "phi1") else batch
     with open(path, "wb") as fh:
-        fh.write(b"phi1,x1,phi2,x2\n")
-        for start in range(0, len(columns[0]), CHUNK_ROWS):
-            rows = min(CHUNK_ROWS, len(columns[0]) - start)
-            np.stack([col[start:start + rows] for col in columns], axis=1,
-                     out=block[:rows])
-            chunk = cells[:4 * rows]
-            _format_cells(block[:rows].ravel(), chunk)
-            chunk.reshape(-1, 4, 5)[:, :, 4] |= _SEPARATORS
-            fh.write(chunk.tobytes().translate(None, b"\0"))
+        try:
+            fh.write(b"phi1,x1,phi2,x2\n")
+            for part in batches:
+                columns = (part.phi1, part.x1, part.phi2, part.x2)
+                for start in range(0, len(part.phi1), CHUNK_ROWS):
+                    rows = min(CHUNK_ROWS, len(part.phi1) - start)
+                    np.stack([col[start:start + rows] for col in columns],
+                             axis=1, out=block[:rows])
+                    chunk = cells[:4 * rows]
+                    _format_cells(block[:rows].ravel(), chunk)
+                    chunk.reshape(-1, 4, 5)[:, :, 4] |= _SEPARATORS
+                    fh.write(chunk.tobytes().translate(None, b"\0"))
+        except BaseException:
+            fh.close()
+            os.remove(path)
+            raise

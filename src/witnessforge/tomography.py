@@ -85,18 +85,27 @@ class McEstimate:
     kurtosis: float | None = None
 
 
-def witness_kernel(x1, phi1, x2, phi2):
+def witness_kernel(x1, phi1, x2, phi2, out: np.ndarray | None = None):
     """Homodyne estimator kernel whose sample average converges to Tr[rho W]
     for the two-mode witness W = (|01><01| + |10><10| - |00><11| - |11><00|)/2.
 
     Depends on the phases only through phi1 + phi2.  The kernel is
     elementwise, so it is evaluated specfn._CHUNK points at a time into
-    one values array: its temporaries do not grow with the input.
+    one values array: its temporaries do not grow with the input.  That
+    array is out, a C-contiguous float array of the broadcast shape, when
+    it is given, and then out is returned.
     """
     args = np.broadcast_arrays(*(np.asarray(a, dtype=float)
                                  for a in (x1, phi1, x2, phi2)))
     x1, phi1, x2, phi2 = (a.reshape(-1) for a in args)
-    values = np.empty(x1.size)
+    if out is None:
+        values = np.empty(x1.size)
+    elif (out.shape != args[0].shape or out.dtype != np.float64
+          or not out.flags.c_contiguous):
+        raise ValueError("out must be a C-contiguous float array of the "
+                         "samples' shape")
+    else:
+        values = out.reshape(-1)
     for start in range(0, values.size, _KERNEL_CHUNK):
         sl = slice(start, start + _KERNEL_CHUNK)
         phase = np.add(phi1[sl], phi2[sl])
@@ -113,12 +122,15 @@ def witness_kernel(x1, phi1, x2, phi2):
         phase *= b01
         a00 -= phase
         np.multiply(0.5, a00, out=values[sl])
-    return values.reshape(args[0].shape)[()]
+    return values.reshape(args[0].shape)[()] if out is None else out
 
 
-def mc_estimate_witness(batch: HomodyneBatch) -> McEstimate:
+def mc_estimate_witness(batch: HomodyneBatch | np.ndarray) -> McEstimate:
     """Sample mean, standard error and kurtosis of the witness kernel over
-    a batch.
+    a batch, or over the kernel values of one, a 1-D float array that this
+    overwrites.  A caller that scores its samples block by block (see
+    ``sample_twin_beam(stream=True)``) passes the values and so never
+    holds the batch.
 
     The deviations are squared in place in the values array, which gives
     the bits of ``np.std(values, ddof=1)`` without its second array; the
@@ -126,7 +138,8 @@ def mc_estimate_witness(batch: HomodyneBatch) -> McEstimate:
     are first scaled exactly, by a power of two, to a largest of [1/2, 1),
     so that deviations near 1e-300 keep their squares.
     """
-    values = witness_kernel(batch.x1, batch.phi1, batch.x2, batch.phi2)
+    values = (batch if isinstance(batch, np.ndarray) else
+              witness_kernel(batch.x1, batch.phi1, batch.x2, batch.phi2))
     n = len(values)
     mean = float(np.mean(values))
     if n == 1:
@@ -383,8 +396,9 @@ def _sample_columns(column, u: np.ndarray, nodes: np.ndarray,
     when that CDF entry is below its target.  The last cell always
     qualifies, as its cdf is 0 and u < 1, so the search stays in range.
     Each draw reads about a dozen entries of its row, not all of it; the
-    total and the first probe are the same column for every draw, so lo
-    stays an int until the first move and those two are shared reads.
+    total and the first probe are the same column for every draw, so those
+    two are shared reads.  The first probe decides the half, so the probe
+    target is fixed after it.
     """
     g = nodes.size
     cells = g // 2
@@ -394,16 +408,21 @@ def _sample_columns(column, u: np.ndarray, nodes: np.ndarray,
         raise ValueError("quadrature density has vanishing total mass")
     below_target = u * total
     above_target = (u - 1.0) * total
-    lo = 0
-    below = 0.0                    # cdf[lo - 1], or 0 while lo = 0
-    step = half
+    # the first probe picks the half, whose target every later probe reads
+    cdf = column(g + half - 1)
+    right = cdf < below_target
+    lo = np.where(right, half, 0)
+    below = np.where(right, cdf, 0.0)     # cdf[lo - 1], or 0 while lo = 0
+    probe_target = np.where(right, above_target, below_target)
+    step = half // 2
     while step:
-        probe = lo + (step - 1)
-        cdf = column(g + probe)
-        right = cdf < np.where(probe < half, below_target, above_target)
+        cdf = column(g + lo + (step - 1))
+        right = cdf < probe_target
+        # numpy's masked loops (where=) take twice these at a chunk's size
         lo += right * step
         below = np.where(right, cdf, below)
         step //= 2
+    # cdf[half - 1] is a lower-half entry, so lo = half takes the lower target
     target = np.where(lo > half, above_target, below_target)
     t = _invert_cells(column(2 * lo), column(2 * lo + 1), column(2 * lo + 2),
                       (target - below) / delta)
@@ -662,7 +681,7 @@ def _uniform_prefix(rng: np.random.Generator, out: np.ndarray) -> None:
 
 
 def _sample_blocks(n: int, seed: int, workers: int, draw, quadratures,
-                   piece: int) -> HomodyneBatch:
+                   piece: int, stream: bool = False):
     """Run a sampler over fixed blocks of BLOCK_SIZE samples.
 
     Block b gets its own generator from the b-th child of
@@ -679,15 +698,24 @@ def _sample_blocks(n: int, seed: int, workers: int, draw, quadratures,
     ``quadratures`` computes each sample independently of how many it is
     given.
 
-    The batch is one (4, n) array, allocated once, whose C-contiguous rows
-    are phi1, x1, phi2 and x2.  Every block draws straight into its own
-    slice of it, the two per-sample draws into the x1 and x2 rows, which
-    the quadratures of each piece then overwrite.  A short last block
-    draws only the uniforms it keeps and skips the rest of each
-    full-length draw (see :func:`_uniform_prefix`), so its draws are
-    prefixes of the full block's.  Besides the batch a worker holds the
-    further draws of one block and the temporaries of one piece, whatever
-    n is.
+    Every block draws into four C-contiguous rows phi1, x1, phi2 and x2,
+    the two per-sample draws into the x1 and x2 rows, which the
+    quadratures of each piece then overwrite.  A short last block draws
+    only the uniforms it keeps and skips the rest of each full-length draw
+    (see :func:`_uniform_prefix`), so its draws are prefixes of the full
+    block's.  The rows are either of two things:
+
+    - the slice of the batch, one (4, n) array allocated once, which is
+      returned as a :class:`HomodyneBatch`;
+    - with ``stream``, one reused (4, BLOCK_SIZE) buffer per worker.  The
+      blocks are then returned as an iterator of :class:`HomodyneBatch`
+      views in block order, each validated as it is drawn and valid until
+      the next one is requested: ``workers`` blocks are drawn at a time,
+      so at most that many buffers are alive.  The arguments are checked
+      before this returns, and nothing is drawn until the first request.
+
+    Besides the batch or its buffer, a worker holds the further draws of
+    one block and the temporaries of one piece, whatever n is.
     """
     if n < 1:
         raise ValueError("sample count must be positive")
@@ -697,11 +725,10 @@ def _sample_blocks(n: int, seed: int, workers: int, draw, quadratures,
         raise ValueError(f"seed must be non-negative, got {seed}")
     n_blocks = (n + BLOCK_SIZE - 1) // BLOCK_SIZE
     children = np.random.SeedSequence(seed).spawn(n_blocks)
-    out = np.empty((4, n))
+    workers = min(workers, n_blocks)
 
-    def block(b):
+    def fill(b, rows):
         rng = np.random.default_rng(children[b])
-        rows = out[:, b * BLOCK_SIZE:(b + 1) * BLOCK_SIZE]
         count = rows.shape[1]
         phi1, first, phi2, second = rows
         _uniform_prefix(rng, phi1)
@@ -714,13 +741,29 @@ def _sample_blocks(n: int, seed: int, workers: int, draw, quadratures,
             quadratures(phi1[part], phi2[part], first[part], second[part],
                         *(a[part] for a in further))
 
-    if workers == 1 or n_blocks == 1:
-        for b in range(n_blocks):
-            block(b)
-    else:
-        with ThreadPoolExecutor(max_workers=min(workers, n_blocks)) as pool:
-            list(pool.map(block, range(n_blocks)))
-    return HomodyneBatch(phi1=out[0], x1=out[1], phi2=out[2], x2=out[3])
+    def run(jobs):
+        if workers == 1:
+            for b, rows in jobs:
+                fill(b, rows)
+        else:
+            with ThreadPoolExecutor(max_workers=workers) as pool:
+                list(pool.map(lambda job: fill(*job), jobs))
+
+    if not stream:
+        out = np.empty((4, n))
+        run([(b, out[:, b * BLOCK_SIZE:(b + 1) * BLOCK_SIZE])
+             for b in range(n_blocks)])
+        return HomodyneBatch(*out)
+
+    def blocks():
+        buffers = np.empty((workers, 4, min(n, BLOCK_SIZE)))
+        for first in range(0, n_blocks, workers):
+            jobs = [(b, buffer[:, :n - b * BLOCK_SIZE])
+                    for b, buffer in zip(range(first, n_blocks), buffers)]
+            run(jobs)
+            for _, rows in jobs:
+                yield HomodyneBatch(*rows)
+    return blocks()
 
 
 def sample_homodyne(rho: BipartiteDensity, n: int, seed: int,
@@ -802,7 +845,8 @@ def sample_homodyne(rho: BipartiteDensity, n: int, seed: int,
 
 
 def sample_twin_beam(x: float, n: int, seed: int, gamma_t: float = 0.0,
-                     kappa: float = 0.0, workers: int = 1) -> HomodyneBatch:
+                     kappa: float = 0.0, workers: int = 1,
+                     stream: bool = False):
     """Draw n joint homodyne samples from the twin beam with amplitudes
     sqrt(1-x^2) x^n on |nn>, after phase diffusion gamma_t and Gaussian
     displacement noise kappa on both modes, from their exact law.
@@ -826,6 +870,14 @@ def sample_twin_beam(x: float, n: int, seed: int, gamma_t: float = 0.0,
     samples, in place over the normals in the batch rows, with the
     operations of the expressions above in their order, so each piece's
     temporaries are three arrays of its length.
+
+    With ``stream``, nothing is drawn before this returns: the result is an
+    iterator of the batch's blocks in order, each a :class:`HomodyneBatch`
+    of at most BLOCK_SIZE samples with the bits of its slice of the batch,
+    drawn into one of ``workers`` reused buffers and valid until the next
+    block is requested (see :func:`_sample_blocks`).  A consumer that
+    reads each sample once then holds 32 bytes a sample of one block per
+    worker instead of the 32 n-byte batch.
     """
     if not 0.0 <= x < 1.0:
         raise ValueError(f"twin-beam parameter x={x} outside [0, 1)")
@@ -880,4 +932,5 @@ def sample_twin_beam(x: float, n: int, seed: int, gamma_t: float = 0.0,
         cov *= z1
         z2 += cov
 
-    return _sample_blocks(n, seed, workers, draw, quadratures, _KERNEL_CHUNK)
+    return _sample_blocks(n, seed, workers, draw, quadratures, _KERNEL_CHUNK,
+                          stream)

@@ -1,4 +1,5 @@
 import ast
+import itertools
 import json
 import math
 import os
@@ -33,7 +34,9 @@ from witnessforge.formats import (
 )
 from witnessforge.linalg import ConvergenceError
 from witnessforge.states import BipartiteDensity, maximally_entangled_operator
+from witnessforge import tomography
 from witnessforge.tomography import (
+    BLOCK_SIZE,
     HomodyneBatch,
     mc_estimate_witness,
     sample_twin_beam,
@@ -290,16 +293,31 @@ def test_tomo_estimate_batch_csv(capsys, tmp_path):
 
 
 def test_tomo_estimate_batch_csv_is_the_sampled_batch(capsys, tmp_path):
-    for samples in (3000, 1):
-        csv_path = tmp_path / f"batch{samples}.csv"
-        code, _, _ = run(capsys, "tomo-estimate", "--x", "0.3", "--gammat",
-                         "0.5", "--samples", str(samples), "--seed", "3",
-                         "--batch-csv", str(csv_path))
-        assert code == 0
-        batch = sample_twin_beam(0.3, samples, 3, gamma_t=0.5)
-        data = batch_rows_from_csv(csv_path)
-        for name in ("phi1", "x1", "phi2", "x2"):
-            assert np.array_equal(data[name], getattr(batch, name))
+    # the command draws, scores and exports one block at a time; its report
+    # and batch CSV are the bytes of the library route that holds the batch
+    noises = {"twb": ((), {}), "phase": (("--gammat", "1"), {"gamma_t": 1.0}),
+              "gauss": (("--kappa", "0.2"), {"kappa": 0.2})}
+    sizes = (1, 1000, BLOCK_SIZE, 2 * BLOCK_SIZE + 1017)
+    for n, (flags, noise), workers in itertools.product(
+            sizes, noises.values(), (1, 2)):
+        csv_path, expected_csv = tmp_path / "cli.csv", tmp_path / "lib.csv"
+        code, out, err = run(capsys, "tomo-estimate", "--x", "0.3",
+                             "--samples", str(n), "--seed", "3",
+                             "--workers", str(workers), *flags,
+                             "--batch-csv", str(csv_path))
+        assert code == 0, err
+        batch = sample_twin_beam(0.3, n, 3, workers=workers, **noise)
+        estimate = mc_estimate_witness(batch)
+        batch_to_csv(expected_csv, batch)
+        assert csv_path.read_bytes() == expected_csv.read_bytes()
+        payload = parse(out)
+        del payload["timestamp"]
+        payload.update(
+            n_samples=estimate.n_samples, mean=estimate.mean,
+            std_error=estimate.std_error, kurtosis=estimate.kurtosis,
+            z_score=((estimate.mean - payload["direct_value"])
+                     / estimate.std_error if estimate.std_error else None))
+        assert out == report_oracle(payload, out), (n, flags, workers)
 
 
 def _tie_values():
@@ -419,6 +437,82 @@ def test_batch_csv_memory_does_not_grow_with_the_batch(tmp_path):
     small, large = peak(2 ** 14), peak(2 ** 17)
     assert large < 2 * 2 ** 20, (small, large)
     assert large - small < 2 ** 20, (small, large)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_tomo_estimate_holds_its_kernel_values_and_one_block_per_worker(
+        capsys, tmp_path, workers):
+    """The command never holds the batch: beyond its 8 n bytes of kernel
+    values it holds one block of 32-byte samples per worker, and at most
+    ``stated`` more: per worker one block-length row of phase-noise draws and
+    one of a short block's normals (0.5 MiB each), then one kernel chunk
+    and the export's chunk buffers.  Its peak grows by 8 bytes a sample."""
+    stated = 2.5 * 2 ** 20
+
+    def peak(n):
+        argv = ["tomo-estimate", "--x", "0.5", "--gammat", "1", "--samples",
+                str(n), "--seed", "3", "--workers", str(workers),
+                "--batch-csv", str(tmp_path / "batch.csv")]
+        tracemalloc.start()
+        try:
+            code = main(argv)
+            traced = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0, capsys.readouterr().err
+        return traced
+
+    peak(1000)  # builds the parser and the export's digit tables
+    n = 3 * BLOCK_SIZE + 1017
+    small = peak(n)
+    assert small < 8 * n + workers * 32 * BLOCK_SIZE + stated, small
+    if workers == 1:
+        # threads overlap their temporaries differently from run to run
+        growth = (peak(n + 2 * BLOCK_SIZE) - small) / (2 * BLOCK_SIZE)
+        assert abs(growth - 8.0) < 0.5, growth
+
+
+def test_tomo_estimate_that_fails_after_a_block_leaves_no_batch_csv(
+        capsys, monkeypatch, tmp_path):
+    csv_path = tmp_path / "batch.csv"
+    kernel = tomography.witness_kernel
+    calls = []
+
+    def fails_on_the_second_block(*args, **kwargs):
+        calls.append(len(args[0]))
+        if len(calls) == 2:
+            assert csv_path.stat().st_size > 0  # the first block is out
+            raise ValueError("kernel failed")
+        return kernel(*args, **kwargs)
+
+    monkeypatch.setattr(tomography, "witness_kernel",
+                        fails_on_the_second_block)
+    code, out, err = run(capsys, "tomo-estimate", "--x", "0.5", "--samples",
+                         str(2 * BLOCK_SIZE + 5), "--seed", "1",
+                         "--batch-csv", str(csv_path))
+    assert (code, out, err) == (2, "", "error: kernel failed\n")
+    assert calls == [BLOCK_SIZE, BLOCK_SIZE]
+    assert not csv_path.exists()
+
+
+def test_unwritable_batch_csv_exits_2_before_sampling(capsys, monkeypatch,
+                                                      tmp_path):
+    csv_path = tmp_path / "missing" / "batch.csv"
+    drawn = []
+    blocks = tomography.sample_twin_beam
+
+    def counted(*args, **kwargs):
+        for block in blocks(*args, **kwargs):
+            drawn.append(len(block))
+            yield block
+
+    monkeypatch.setattr(tomography, "sample_twin_beam", counted)
+    code, out, err = run(capsys, "tomo-estimate", "--x", "0.5", "--samples",
+                         "1000", "--seed", "1", "--batch-csv", str(csv_path))
+    assert code == 2 and out == ""
+    assert err == f"error: [Errno 2] No such file or directory: " \
+                  f"{str(csv_path)!r}\n"
+    assert drawn == []
 
 
 @pytest.mark.parametrize("noise, closed_form", [

@@ -738,6 +738,27 @@ def test_twin_beam_draws_into_the_batch_with_the_full_draw_bits(
     assert_same_batch(batch, sample())
 
 
+@pytest.mark.parametrize("workers", [1, 2, 3])
+@pytest.mark.parametrize("n", ORACLE_SIZES)
+def test_streamed_twin_beam_blocks_are_the_batch(n, workers):
+    # drawn into one reused buffer per worker, the blocks keep the bits of
+    # the batch's slices
+    batch = sample_twin_beam(TWIN_X, n, seed=8, gamma_t=0.7)
+    blocks = sample_twin_beam(TWIN_X, n, seed=8, gamma_t=0.7,
+                              workers=workers, stream=True)
+    start, buffers = 0, set()
+    for block in blocks:
+        assert 0 < len(block) <= BLOCK_SIZE
+        buffers.add(block.phi1.ctypes.data)
+        for name in ("phi1", "x1", "phi2", "x2"):
+            assert np.array_equal(getattr(block, name),
+                                  getattr(batch, name)[start:start
+                                                       + len(block)])
+        start += len(block)
+    assert start == n
+    assert len(buffers) <= workers
+
+
 @pytest.mark.parametrize("workers", [1, 2])
 @pytest.mark.parametrize("n", ORACLE_SIZES)
 def test_homodyne_draws_into_the_batch_with_the_full_draw_bits(

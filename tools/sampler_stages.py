@@ -40,7 +40,10 @@ call of ``sample_homodyne`` on each state at the benchmark's sample counts
 and on the d = 4 twin beam, of ``sample_twin_beam`` without and with phase
 noise and of ``mc_estimate_witness`` at 2^17 samples, each with the part
 beyond the batch (32 bytes a sample) or the kernel values (8 bytes a
-sample), and of ``formats.batch_to_csv`` on 2^17 rows.  Peaks are in MiB.
+sample), of ``formats.batch_to_csv`` on 2^17 rows, and of the in-process
+``tomo-estimate`` command at 2^17 samples with phase noise, without and
+with ``--batch-csv``, with the part beyond its kernel values: it streams
+its samples block by block and never holds the batch.  Peaks are in MiB.
 Run from the repository root:
 
     PYTHONPATH=src python tools/sampler_stages.py [repeats]
@@ -48,6 +51,8 @@ Run from the repository root:
 
 from __future__ import annotations
 
+import contextlib
+import io
 import math
 import os
 import resource
@@ -58,7 +63,7 @@ import tracemalloc
 
 import numpy as np
 
-from witnessforge import formats
+from witnessforge import cli, formats
 from witnessforge import tomography as tm
 from witnessforge.cv import FockTruncation, twb_state
 from witnessforge.formats import batch_to_csv
@@ -218,6 +223,20 @@ def memory(rng) -> None:
         batch_to_csv(path, tm.HomodyneBatch(*(row[:1] for row in (
             batch.phi1, batch.x1, batch.phi2, batch.x2))))
         report(f"batch_to_csv {n} rows", lambda: batch_to_csv(path, batch))
+        # the command draws, scores and exports one block at a time, so
+        # beyond its kernel values it holds one block's buffer (2 MiB)
+        argv = ["tomo-estimate", "--x", "0.5", "--gammat", "1", "--samples",
+                str(n), "--seed", "1"]
+        for label, extra in (("", []), (" --batch-csv", ["--batch-csv",
+                                                         path])):
+            report(f"tomo-estimate{label} n = {n}",
+                   lambda: quiet(cli.main, argv + extra), "values", 8, n)
+
+
+def quiet(run, *args):
+    """run(*args) with its stdout dropped."""
+    with contextlib.redirect_stdout(io.StringIO()):
+        return run(*args)
 
 
 def faults(rng, repeats: int) -> None:
