@@ -44,6 +44,7 @@ from .cv import (
 from .tomography import (
     HomodyneBatch,
     McEstimate,
+    mc_estimate_values,
     mc_estimate_witness,
     sample_homodyne,
     sample_twin_beam,

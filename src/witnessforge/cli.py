@@ -281,7 +281,7 @@ def cmd_tomo_estimate(args) -> None:
     else:
         # opens the file before the first block is drawn
         batch_to_csv(args.batch_csv, scored())
-    estimate = tomography.mc_estimate_witness(values)
+    estimate = tomography.mc_estimate_values(values)
     # one sample, or samples without spread, cannot be compared with direct
     z = (estimate.mean - direct) / estimate.std_error \
         if estimate.std_error else None

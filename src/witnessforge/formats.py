@@ -7,6 +7,7 @@ import itertools
 import json
 import math
 import os
+import stat
 import time
 from json.encoder import encode_basestring_ascii
 
@@ -320,18 +321,24 @@ def batch_to_csv(path: str, batch) -> None:
     as it is formed.  ``bytes.translate`` drops the empty slots of a
     chunk's copy in one pass; ``np.compress`` would build an index of 8
     bytes per byte kept.  So an iterable whose batches are drawn as it is
-    read, such as ``sample_twin_beam(stream=True)``, is exported without
-    its samples being held at once.
+    read, such as ``sample_twin_beam(stream=True)``, which is how
+    ``tomo-estimate`` exports, is written without its samples being held
+    at once.
 
-    The file is opened before the first batch is read.  If a batch cannot
-    be read or written, the file is removed and the error raised: the
-    export writes the whole file or none.
+    The file is opened before the first batch is read.  A missing path or
+    a regular file is written whole or not at all: the rows go to a new
+    file beside it, which replaces it once every batch is written and is
+    removed if a batch cannot be read or written, so a failed export
+    leaves the path as it was.  Any other path (a device, a FIFO, a
+    symbolic link), or one whose directory takes no new file, is written
+    in place as ``open(path, "wb")`` writes it, and never removed.
     """
     block = np.empty((CHUNK_ROWS, 4))
     cells = np.empty((4 * CHUNK_ROWS, 5), dtype=_WORD)
     batches = (batch,) if hasattr(batch, "phi1") else batch
-    with open(path, "wb") as fh:
-        try:
+    fh, staged = _open_export(path)
+    try:
+        with fh:
             fh.write(b"phi1,x1,phi2,x2\n")
             for part in batches:
                 columns = (part.phi1, part.x1, part.phi2, part.x2)
@@ -343,7 +350,32 @@ def batch_to_csv(path: str, batch) -> None:
                     _format_cells(block[:rows].ravel(), chunk)
                     chunk.reshape(-1, 4, 5)[:, :, 4] |= _SEPARATORS
                     fh.write(chunk.tobytes().translate(None, b"\0"))
-        except BaseException:
-            fh.close()
-            os.remove(path)
-            raise
+        if staged is not None:
+            os.replace(staged, path)
+    except BaseException:
+        if staged is not None:
+            os.remove(staged)
+        raise
+
+
+def _open_export(path):
+    """The open file an export writes, and the new file beside ``path``
+    that it is, to be moved onto ``path``, or None when it is ``path``
+    itself (see :func:`batch_to_csv`).  The new file takes the mode of the
+    regular file it replaces."""
+    try:
+        mode = os.lstat(path).st_mode
+    except OSError:
+        mode = None
+    if mode is None or stat.S_ISREG(mode):
+        head, tail = os.path.split(os.fspath(path))
+        staged = os.path.join(head, f".{tail}.{os.urandom(6).hex()}.part")
+        try:
+            fh = open(staged, "xb")
+        except OSError:
+            pass        # no new file here: path is written in place
+        else:
+            if mode is not None:
+                os.chmod(staged, stat.S_IMODE(mode))
+            return fh, staged
+    return open(path, "wb"), None

@@ -125,12 +125,19 @@ def witness_kernel(x1, phi1, x2, phi2, out: np.ndarray | None = None):
     return values.reshape(args[0].shape)[()] if out is None else out
 
 
-def mc_estimate_witness(batch: HomodyneBatch | np.ndarray) -> McEstimate:
+def mc_estimate_witness(batch: HomodyneBatch) -> McEstimate:
     """Sample mean, standard error and kurtosis of the witness kernel over
-    a batch, or over the kernel values of one, a 1-D float array that this
-    overwrites.  A caller that scores its samples block by block (see
-    ``sample_twin_beam(stream=True)``) passes the values and so never
-    holds the batch.
+    a batch (see :func:`mc_estimate_values`)."""
+    return mc_estimate_values(
+        witness_kernel(batch.x1, batch.phi1, batch.x2, batch.phi2))
+
+
+def mc_estimate_values(values: np.ndarray) -> McEstimate:
+    """Sample mean, standard error and kurtosis of witness-kernel values,
+    a 1-D float array that this overwrites.  A caller that scores its
+    samples block by block into one values array (as ``tomo-estimate``
+    does) gets the estimate of :func:`mc_estimate_witness` on the whole
+    batch without holding the batch.
 
     The deviations are squared in place in the values array, which gives
     the bits of ``np.std(values, ddof=1)`` without its second array; the
@@ -138,8 +145,6 @@ def mc_estimate_witness(batch: HomodyneBatch | np.ndarray) -> McEstimate:
     are first scaled exactly, by a power of two, to a largest of [1/2, 1),
     so that deviations near 1e-300 keep their squares.
     """
-    values = (batch if isinstance(batch, np.ndarray) else
-              witness_kernel(batch.x1, batch.phi1, batch.x2, batch.phi2))
     n = len(values)
     mean = float(np.mean(values))
     if n == 1:
@@ -396,9 +401,8 @@ def _sample_columns(column, u: np.ndarray, nodes: np.ndarray,
     when that CDF entry is below its target.  The last cell always
     qualifies, as its cdf is 0 and u < 1, so the search stays in range.
     Each draw reads about a dozen entries of its row, not all of it; the
-    total and the first probe are the same column for every draw, so those
-    two are shared reads.  The first probe decides the half, so the probe
-    target is fixed after it.
+    total and the first probe are the same column for every draw, so lo
+    stays an int until the first move and those two are shared reads.
     """
     g = nodes.size
     cells = g // 2
@@ -408,21 +412,16 @@ def _sample_columns(column, u: np.ndarray, nodes: np.ndarray,
         raise ValueError("quadrature density has vanishing total mass")
     below_target = u * total
     above_target = (u - 1.0) * total
-    # the first probe picks the half, whose target every later probe reads
-    cdf = column(g + half - 1)
-    right = cdf < below_target
-    lo = np.where(right, half, 0)
-    below = np.where(right, cdf, 0.0)     # cdf[lo - 1], or 0 while lo = 0
-    probe_target = np.where(right, above_target, below_target)
-    step = half // 2
+    lo = 0
+    below = 0.0                    # cdf[lo - 1], or 0 while lo = 0
+    step = half
     while step:
-        cdf = column(g + lo + (step - 1))
-        right = cdf < probe_target
-        # numpy's masked loops (where=) take twice these at a chunk's size
+        probe = lo + (step - 1)
+        cdf = column(g + probe)
+        right = cdf < np.where(probe < half, below_target, above_target)
         lo += right * step
         below = np.where(right, cdf, below)
         step //= 2
-    # cdf[half - 1] is a lower-half entry, so lo = half takes the lower target
     target = np.where(lo > half, above_target, below_target)
     t = _invert_cells(column(2 * lo), column(2 * lo + 1), column(2 * lo + 2),
                       (target - below) / delta)
@@ -680,43 +679,11 @@ def _uniform_prefix(rng: np.random.Generator, out: np.ndarray) -> None:
     rng.bit_generator.advance(BLOCK_SIZE - out.size)
 
 
-def _sample_blocks(n: int, seed: int, workers: int, draw, quadratures,
-                   piece: int, stream: bool = False):
-    """Run a sampler over fixed blocks of BLOCK_SIZE samples.
-
-    Block b gets its own generator from the b-th child of
-    ``SeedSequence(seed)``.  It draws phi1 and phi2 uniform on [0, pi),
-    then calls ``draw(rng, first, second)``, which fills the two per-sample
-    draws, of the block's sample count, and returns any further ones at
-    full block length.  Each draw leaves the generator where a draw of
-    BLOCK_SIZE values would, so every block takes the same words.
-    Then ``quadratures(phi1, phi2, first, second, *further)`` overwrites
-    first and second with (x1, x2), in pieces of at most ``piece``
-    samples, a size each sampler chooses.  So the output is bitwise the
-    same for any worker count (workers > 1 runs blocks in a thread pool),
-    and a shorter run is a prefix of a longer one as long as
-    ``quadratures`` computes each sample independently of how many it is
-    given.
-
-    Every block draws into four C-contiguous rows phi1, x1, phi2 and x2,
-    the two per-sample draws into the x1 and x2 rows, which the
-    quadratures of each piece then overwrite.  A short last block draws
-    only the uniforms it keeps and skips the rest of each full-length draw
-    (see :func:`_uniform_prefix`), so its draws are prefixes of the full
-    block's.  The rows are either of two things:
-
-    - the slice of the batch, one (4, n) array allocated once, which is
-      returned as a :class:`HomodyneBatch`;
-    - with ``stream``, one reused (4, BLOCK_SIZE) buffer per worker.  The
-      blocks are then returned as an iterator of :class:`HomodyneBatch`
-      views in block order, each validated as it is drawn and valid until
-      the next one is requested: ``workers`` blocks are drawn at a time,
-      so at most that many buffers are alive.  The arguments are checked
-      before this returns, and nothing is drawn until the first request.
-
-    Besides the batch or its buffer, a worker holds the further draws of
-    one block and the temporaries of one piece, whatever n is.
-    """
+def _block_runner(n: int, seed: int, workers: int, draw, quadratures,
+                  piece: int):
+    """Check the arguments of a blocked sampler and return the block
+    count, the worker count it uses and run(jobs), which draws each block
+    b of the (b, rows) jobs into its rows (see :func:`_sample_blocks`)."""
     if n < 1:
         raise ValueError("sample count must be positive")
     if workers < 1:
@@ -749,11 +716,59 @@ def _sample_blocks(n: int, seed: int, workers: int, draw, quadratures,
             with ThreadPoolExecutor(max_workers=workers) as pool:
                 list(pool.map(lambda job: fill(*job), jobs))
 
-    if not stream:
-        out = np.empty((4, n))
-        run([(b, out[:, b * BLOCK_SIZE:(b + 1) * BLOCK_SIZE])
-             for b in range(n_blocks)])
-        return HomodyneBatch(*out)
+    return n_blocks, workers, run
+
+
+def _sample_blocks(n: int, seed: int, workers: int, draw, quadratures,
+                   piece: int) -> HomodyneBatch:
+    """Run a sampler over fixed blocks of BLOCK_SIZE samples.
+
+    Block b gets its own generator from the b-th child of
+    ``SeedSequence(seed)``.  It draws phi1 and phi2 uniform on [0, pi),
+    then calls ``draw(rng, first, second)``, which fills the two per-sample
+    draws, of the block's sample count, and returns any further ones at
+    full block length.  Each draw leaves the generator where a draw of
+    BLOCK_SIZE values would, so every block takes the same words.
+    Then ``quadratures(phi1, phi2, first, second, *further)`` overwrites
+    first and second with (x1, x2), in pieces of at most ``piece``
+    samples, a size each sampler chooses.  So the output is bitwise the
+    same for any worker count (workers > 1 runs blocks in a thread pool),
+    and a shorter run is a prefix of a longer one as long as
+    ``quadratures`` computes each sample independently of how many it is
+    given.
+
+    The batch is one (4, n) array, allocated once, whose C-contiguous rows
+    are phi1, x1, phi2 and x2.  Every block draws straight into its own
+    slice of it, the two per-sample draws into the x1 and x2 rows, which
+    the quadratures of each piece then overwrite.  A short last block
+    draws only the uniforms it keeps and skips the rest of each
+    full-length draw (see :func:`_uniform_prefix`), so its draws are
+    prefixes of the full block's.  Besides the batch a worker holds the
+    further draws of one block and the temporaries of one piece, whatever
+    n is.
+    """
+    n_blocks, _, run = _block_runner(n, seed, workers, draw, quadratures,
+                                     piece)
+    out = np.empty((4, n))
+    run([(b, out[:, b * BLOCK_SIZE:(b + 1) * BLOCK_SIZE])
+         for b in range(n_blocks)])
+    return HomodyneBatch(*out)
+
+
+def _stream_blocks(n: int, seed: int, workers: int, draw, quadratures,
+                   piece: int):
+    """The blocks of the batch of :func:`_sample_blocks` with the same
+    arguments, in order, as :class:`HomodyneBatch` views of at most
+    BLOCK_SIZE samples with the bits of their slices of the batch.
+
+    The arguments are checked before this returns; nothing is drawn until
+    the first block is requested.  Each block is drawn into one of
+    ``workers`` reused (4, BLOCK_SIZE) buffers, ``workers`` blocks at a
+    time, so a view is valid only until the next one is requested and at
+    most that many buffers are alive.
+    """
+    n_blocks, workers, run = _block_runner(n, seed, workers, draw,
+                                           quadratures, piece)
 
     def blocks():
         buffers = np.empty((workers, 4, min(n, BLOCK_SIZE)))
@@ -764,7 +779,6 @@ def _sample_blocks(n: int, seed: int, workers: int, draw, quadratures,
             for _, rows in jobs:
                 yield HomodyneBatch(*rows)
     return blocks()
-
 
 def sample_homodyne(rho: BipartiteDensity, n: int, seed: int,
                     workers: int = 1) -> HomodyneBatch:
@@ -875,7 +889,7 @@ def sample_twin_beam(x: float, n: int, seed: int, gamma_t: float = 0.0,
     iterator of the batch's blocks in order, each a :class:`HomodyneBatch`
     of at most BLOCK_SIZE samples with the bits of its slice of the batch,
     drawn into one of ``workers`` reused buffers and valid until the next
-    block is requested (see :func:`_sample_blocks`).  A consumer that
+    block is requested (see :func:`_stream_blocks`).  A consumer that
     reads each sample once then holds 32 bytes a sample of one block per
     worker instead of the 32 n-byte batch.
     """
@@ -932,5 +946,5 @@ def sample_twin_beam(x: float, n: int, seed: int, gamma_t: float = 0.0,
         cov *= z1
         z2 += cov
 
-    return _sample_blocks(n, seed, workers, draw, quadratures, _KERNEL_CHUNK,
-                          stream)
+    sample = _stream_blocks if stream else _sample_blocks
+    return sample(n, seed, workers, draw, quadratures, _KERNEL_CHUNK)

@@ -109,10 +109,8 @@ def with_full_draws(draw, quadratures=None):
     """A stand-in for ``tomography._sample_blocks`` that runs
     :func:`full_draw_blocks` with draw(rng), at the sampler's piece size.
     Its quadratures are the given out-of-place ones, or else the
-    sampler's own, which overwrite copies of the piece's draws.  It draws
-    whole batches only, not streams of blocks."""
-    def blocks(n, seed, workers, _draw, in_place, piece, stream=False):
-        assert not stream
+    sampler's own, which overwrite copies of the piece's draws."""
+    def blocks(n, seed, workers, _draw, in_place, piece):
         def own(phi1, phi2, first, second, *further):
             first, second = first.copy(), second.copy()
             in_place(phi1, phi2, first, second, *further)

@@ -4,8 +4,10 @@ import json
 import math
 import os
 import re
+import stat
 import subprocess
 import sys
+import threading
 import tracemalloc
 import warnings
 from fractions import Fraction
@@ -472,16 +474,23 @@ def test_tomo_estimate_holds_its_kernel_values_and_one_block_per_worker(
         assert abs(growth - 8.0) < 0.5, growth
 
 
+@pytest.mark.parametrize("previous", [None, b"previous export\n"],
+                         ids=["missing", "previous"])
 def test_tomo_estimate_that_fails_after_a_block_leaves_no_batch_csv(
-        capsys, monkeypatch, tmp_path):
+        capsys, monkeypatch, tmp_path, previous):
+    # the rows go to a new file beside the path, which a failed run removes,
+    # so the path keeps what it held before the run
     csv_path = tmp_path / "batch.csv"
+    if previous is not None:
+        csv_path.write_bytes(previous)
     kernel = tomography.witness_kernel
     calls = []
 
     def fails_on_the_second_block(*args, **kwargs):
         calls.append(len(args[0]))
         if len(calls) == 2:
-            assert csv_path.stat().st_size > 0  # the first block is out
+            staged, = (p for p in tmp_path.iterdir() if p != csv_path)
+            assert staged.stat().st_size > 0  # the first block is out
             raise ValueError("kernel failed")
         return kernel(*args, **kwargs)
 
@@ -492,7 +501,69 @@ def test_tomo_estimate_that_fails_after_a_block_leaves_no_batch_csv(
                          "--batch-csv", str(csv_path))
     assert (code, out, err) == (2, "", "error: kernel failed\n")
     assert calls == [BLOCK_SIZE, BLOCK_SIZE]
-    assert not csv_path.exists()
+    if previous is None:
+        assert list(tmp_path.iterdir()) == []
+    else:
+        assert list(tmp_path.iterdir()) == [csv_path]
+        assert csv_path.read_bytes() == previous
+
+
+def _fails_after(batch):
+    yield batch
+    raise ValueError("batch failed")
+
+
+def test_batch_csv_replaces_a_regular_file_only_when_whole(tmp_path):
+    batch = sample_twin_beam(0.5, 10, 1)
+    expected, path = tmp_path / "expected.csv", tmp_path / "batch.csv"
+    write_csv(expected, ["phi1", "x1", "phi2", "x2"],
+              zip(batch.phi1, batch.x1, batch.phi2, batch.x2))
+    path.write_bytes(b"previous export\n")
+    path.chmod(0o640)
+    with pytest.raises(ValueError, match="batch failed"):
+        batch_to_csv(path, _fails_after(batch))
+    assert path.read_bytes() == b"previous export\n"
+    assert sorted(tmp_path.iterdir()) == [path, expected]
+    batch_to_csv(path, batch)
+    assert path.read_bytes() == expected.read_bytes()
+    assert path.stat().st_mode & 0o777 == 0o640
+    assert sorted(tmp_path.iterdir()) == [path, expected]
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs FIFOs")
+def test_batch_csv_writes_other_paths_in_place_and_never_removes_them(
+        tmp_path):
+    # a FIFO or a symbolic link (like a device) is opened and written as it
+    # is, not replaced, and a failed export leaves it in place
+    batch = sample_twin_beam(0.5, 10, 1)
+    expected = tmp_path / "expected.csv"
+    batch_to_csv(expected, batch)
+    target, link = tmp_path / "target.csv", tmp_path / "link.csv"
+    link.symlink_to(target)
+    with pytest.raises(ValueError, match="batch failed"):
+        batch_to_csv(link, _fails_after(batch))
+    assert link.is_symlink() and target.read_bytes().count(b"\n") == 11
+    batch_to_csv(link, batch)
+    assert link.is_symlink()
+    assert target.read_bytes() == expected.read_bytes()
+
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+    for batches in ([batch], _fails_after(batch)):
+        received = []
+        reader = threading.Thread(
+            target=lambda: received.append(fifo.read_bytes()), daemon=True)
+        reader.start()
+        try:
+            batch_to_csv(fifo, batches)
+        except ValueError:
+            pass
+        reader.join(timeout=10)
+        assert not reader.is_alive()
+        assert received[0].count(b"\n") == 11
+        assert stat.S_ISFIFO(os.lstat(fifo).st_mode)
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "expected.csv", "fifo", "link.csv", "target.csv"]
 
 
 def test_unwritable_batch_csv_exits_2_before_sampling(capsys, monkeypatch,
