@@ -5,8 +5,6 @@ from .linalg import (
     ConvergenceError,
     SvdResult,
     complex_svd,
-    partial_transpose,
-    vectorize,
 )
 from .states import (
     BipartiteDensity,
@@ -17,7 +15,6 @@ from .states import (
 from .witness_finite import (
     QuorumDecomposition,
     QuorumTerm,
-    build_witness,
     depolarized_expectation,
     depolarized_state,
     detection_threshold,
@@ -35,7 +32,6 @@ from .cv import (
     cv_witness,
     gauss_separability_threshold,
     gauss_witness_expectation,
-    phase_noisy_twb,
     phase_witness_expectation,
     sum_mode_variance,
     twb_state,
@@ -47,7 +43,6 @@ from .tomography import (
     mc_estimate_values,
     mc_estimate_witness,
     sample_homodyne,
-    sample_twin_beam,
     witness_kernel,
 )
 

@@ -28,16 +28,14 @@ class TruncationError(RuntimeError):
 
 @dataclass(frozen=True)
 class FockTruncation:
-    """Highest retained Fock index plus the guaranteed neglected weight."""
+    """Highest retained Fock index per mode.  The weight a state loses to
+    the truncation is carried by the state, as its ``trace_deficit``."""
 
     n_max: int
-    tail_bound: float = 0.0
 
     def __post_init__(self):
         if self.n_max < 1:
             raise ValueError("n_max must be at least 1")
-        if self.tail_bound < 0:
-            raise ValueError("tail_bound must be non-negative")
 
     @property
     def dim(self) -> int:
@@ -51,11 +49,11 @@ class FockTruncation:
         if not 0.0 < tol < 1.0:
             raise ValueError("tol must be finite and in (0, 1)")
         if x == 0.0:
-            return cls(n_max=1, tail_bound=0.0)
+            return cls(n_max=1)
         n_max = max(1, math.ceil(math.log(tol) / (2.0 * math.log(x))) - 1)
         while x ** (2 * (n_max + 1)) >= tol:
             n_max += 1
-        return cls(n_max=n_max, tail_bound=x ** (2 * (n_max + 1)))
+        return cls(n_max=n_max)
 
 
 MAX_TWO_MODE_LEVELS = 128  # levels per mode; one dense copy past this is not desk scale
@@ -120,9 +118,6 @@ class DifferenceBlocks:
     def dim(self) -> int:
         return self.blocks[0].shape[0]
 
-    def trace(self) -> float:
-        return float(self.blocks[0].sum().real)
-
     def density(self) -> BipartiteDensity:
         """The dense (d^2, d^2) matrix, after checking its size."""
         d = self.dim
@@ -160,16 +155,6 @@ def twin_beam_blocks(x: float, trunc: FockTruncation,
 def twb_state(x: float, trunc: FockTruncation) -> BipartiteDensity:
     """Twin-beam (two-mode squeezed vacuum): amplitudes sqrt(1-x^2) x^n on |nn>."""
     return twin_beam_blocks(x, trunc).density()
-
-
-def phase_noisy_twb(x: float, gamma_t: float,
-                    trunc: FockTruncation) -> BipartiteDensity:
-    """Twin beam after phase diffusion of strength gamma_t on both modes.
-
-    Matrix elements (1-x^2) x^(p+q) exp(-gamma_t (p-q)^2) at (|pp>, <qq|);
-    everything outside those positions is exactly zero.
-    """
-    return twin_beam_blocks(x, trunc, gamma_t).density()
 
 
 # -- the continuous-variable witness ----------------------------------------

@@ -31,37 +31,6 @@ def require_square(m: np.ndarray) -> int:
     return m.shape[0]
 
 
-def vectorize(a: np.ndarray) -> np.ndarray:
-    """Map a square operator A to the vector with component (i*d + j) = A_ij.
-
-    This realizes the operator/state correspondence |A>> = sum_ij A_ij |i>|j>.
-    """
-    m = as_complex_matrix(a)
-    require_square(m)
-    return m.reshape(-1)
-
-
-def partial_transpose(m: np.ndarray, dim_a: int, dim_b: int,
-                      subsystem: str = "B") -> np.ndarray:
-    """Transpose the indices of one subsystem of a bipartite operator.
-
-    The operation is involutive and preserves trace and Hermiticity.
-    """
-    m = as_complex_matrix(m)
-    d = dim_a * dim_b
-    if m.shape != (d, d):
-        raise ValueError(
-            f"matrix shape {m.shape} does not match dims ({dim_a}, {dim_b})")
-    t = m.reshape(dim_a, dim_b, dim_a, dim_b)
-    if subsystem == "B":
-        t = t.transpose(0, 3, 2, 1)
-    elif subsystem == "A":
-        t = t.transpose(2, 1, 0, 3)
-    else:
-        raise ValueError(f"subsystem must be 'A' or 'B', got {subsystem!r}")
-    return t.reshape(d, d)
-
-
 @dataclass(frozen=True)
 class SvdResult:
     """Decomposition m = x @ diag(sigma) @ y^dagger with unitary x, y."""

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import as_complex_matrix, partial_transpose
+from .linalg import as_complex_matrix
 
 
 @dataclass
@@ -31,16 +31,6 @@ class BipartiteDensity:
             raise ValueError(
                 f"matrix shape {self.matrix.shape} does not match "
                 f"dims ({self.dim_a}, {self.dim_b})")
-
-    @property
-    def dim(self) -> int:
-        return self.dim_a * self.dim_b
-
-    def trace(self) -> float:
-        return float(np.trace(self.matrix).real)
-
-    def partial_transpose(self, subsystem: str = "B") -> np.ndarray:
-        return partial_transpose(self.matrix, self.dim_a, self.dim_b, subsystem)
 
     def reduced(self, mode: int) -> np.ndarray:
         """Partial trace keeping subsystem ``mode`` (0 = A, 1 = B)."""

@@ -11,10 +11,10 @@ Averaging the witness kernel over such samples estimates Tr[rho W]; the
 uniform phase draws absorb the d(phi)/pi measures of the estimator rule.
 
 ``sample_homodyne`` draws from this density for any two-mode state in the
-Fock basis.  ``sample_twin_beam`` draws from the closed-form Gaussian law
-of the twin beam and its phase- and displacement-noisy relatives, and
-``stream_twin_beam`` yields the same samples one block at a time.  Both
-samplers draw their blocks serially, on the calling thread.
+Fock basis.  ``stream_twin_beam`` draws from the closed-form Gaussian law
+of the twin beam and its phase- and displacement-noisy relatives, one
+block at a time.  Both samplers draw their blocks serially, on the calling
+thread.
 """
 
 from __future__ import annotations
@@ -171,18 +171,13 @@ def mc_estimate_values(values: np.ndarray) -> McEstimate:
 
 # -- sampling window ----------------------------------------------------------
 
-def mean_photons_per_mode(rho: BipartiteDensity) -> float:
-    """Largest single-mode mean photon number of the two modes."""
-    n_a = np.arange(rho.dim_a)
-    n_b = np.arange(rho.dim_b)
-    mean_a = float(np.real(np.diag(rho.reduced(0))) @ n_a)
-    mean_b = float(np.real(np.diag(rho.reduced(1))) @ n_b)
-    return max(mean_a, mean_b)
-
-
 def quadrature_span(rho: BipartiteDensity) -> float:
-    """Half-width L of the sampling window [-L, L]."""
-    return max(4.0, 3.0 * math.sqrt(mean_photons_per_mode(rho) + 1.0))
+    """Half-width L of the sampling window [-L, L]: three times the root
+    of one plus the larger mean photon number of the two modes, and at
+    least 4."""
+    mean_a = float(np.real(np.diag(rho.reduced(0))) @ np.arange(rho.dim_a))
+    mean_b = float(np.real(np.diag(rho.reduced(1))) @ np.arange(rho.dim_b))
+    return max(4.0, 3.0 * math.sqrt(max(mean_a, mean_b) + 1.0))
 
 
 # -- exact per-sample inverse-CDF sampling ------------------------------------
@@ -766,9 +761,11 @@ def sample_homodyne(rho: BipartiteDensity, n: int, seed: int,
     integrated cell-wise with Simpson weights.  The draws follow the law
     conditioned on that window.  Against the twin beam's exact Gaussian law
     the table CDFs are off by at most 1.4e-6 at x = 0.5 and 1.2e-5 at
-    x = 0.7 (the Simpson part is below 4e-8, the rest is the truncated
-    state); at x = 0.9 the window leaves 1.1e-4 of a conditional's mass
-    outside it, and the distance is that large.
+    x = 0.7; the Simpson part is below 4e-8.  At x = 0.5 the rest is the
+    truncated state: it stays at 1.37e-6 for every L from 4 to 7.  At
+    x = 0.7 it is the window, L = 4.20: with L = 5 it falls to 1.8e-6.
+    At x = 0.9 the window leaves 1.1e-4 of a conditional's mass outside
+    it, and the distance is that large.
 
     Every state takes one path.  Both densities are linear in a few real
     pair weights W, one per product psi_m psi_M with m >= M.  Each such
@@ -832,7 +829,7 @@ def sample_homodyne(rho: BipartiteDensity, n: int, seed: int,
 
 def _twin_beam_law(x: float, gamma_t: float, kappa: float):
     """Check the twin beam's parameters and return the draw and the
-    quadratures of its blocks (see :func:`sample_twin_beam`)."""
+    quadratures of its blocks (see :func:`stream_twin_beam`)."""
     if not 0.0 <= x < 1.0:
         raise ValueError(f"twin-beam parameter x={x} outside [0, 1)")
     _check_gamma_t(gamma_t)
@@ -889,11 +886,13 @@ def _twin_beam_law(x: float, gamma_t: float, kappa: float):
     return draw, quadratures
 
 
-def sample_twin_beam(x: float, n: int, seed: int, gamma_t: float = 0.0,
-                     kappa: float = 0.0, workers: int = 1) -> HomodyneBatch:
+def stream_twin_beam(x: float, n: int, seed: int, gamma_t: float = 0.0,
+                     kappa: float = 0.0):
     """Draw n joint homodyne samples from the twin beam with amplitudes
     sqrt(1-x^2) x^n on |nn>, after phase diffusion gamma_t and Gaussian
-    displacement noise kappa on both modes, from their exact law.
+    displacement noise kappa on both modes, from their exact law, and
+    yield them in order as :class:`HomodyneBatch` blocks of at most
+    BLOCK_SIZE samples.
 
     At fixed phases the twin beam is Gaussian: (x1, x2) is bivariate normal
     with mean 0, Var x1 = Var x2 = V = (1 + x^2)/(4(1 - x^2)) + kappa/2 and
@@ -905,32 +904,23 @@ def sample_twin_beam(x: float, n: int, seed: int, gamma_t: float = 0.0,
     x1 = sqrt(V) z1, x2 = (Cov/V) x1 + sqrt(V - Cov^2/V) z2 for standard
     normal z1, z2; V - |Cov| >= (1 - x)/(4(1 + x)) > 0 keeps the root real.
     V^2 must be finite in float64, so a kappa above about 2.68e154 raises
-    ValueError before anything is drawn.
-
-    No Fock truncation enters.  Blocks, seeding, the unused ``workers``
-    and the memory bound are those of :func:`sample_homodyne`, but the
-    draws differ from it; a short block also holds one block-length row of
-    normals.  The outcomes are formed in pieces of specfn._CHUNK = 8192
-    samples, in place over the normals in the batch rows, with the
-    operations of the expressions above in their order, so each piece's
-    temporaries are three arrays of its length.
-    """
-    return HomodyneBatch(*_sample_blocks(
-        n, seed, workers, *_twin_beam_law(x, gamma_t, kappa),
-        _KERNEL_CHUNK))
-
-
-def stream_twin_beam(x: float, n: int, seed: int, gamma_t: float = 0.0,
-                     kappa: float = 0.0):
-    """The blocks of the batch of :func:`sample_twin_beam` with the same
-    arguments, in order, each a :class:`HomodyneBatch` of at most
-    BLOCK_SIZE samples with the bits of its slice of the batch.
+    ValueError.  No Fock truncation enters.
 
     Every argument is checked before this returns, and nothing is drawn
-    until the first block is requested.  Each block is drawn into one
-    reused (4, BLOCK_SIZE) buffer and is valid until the next is
+    until the first block is requested.  Block b draws from its own
+    generator, the b-th child of ``SeedSequence(seed)`` (see
+    :func:`_blocks`), so the samples are bitwise reproducible and a
+    shorter run is a prefix of a longer one; the draws differ from those
+    of :func:`sample_homodyne`.  Each block is drawn into one reused
+    (4, min(n, BLOCK_SIZE)) buffer and is valid until the next is
     requested, so a consumer that reads each sample once, as
-    ``tomo-estimate`` does, holds one block instead of the batch.
+    ``tomo-estimate`` does, holds one block instead of the batch.  Besides
+    it the stream holds the phase-noise draws of one block, one
+    block-length row of normals for a short block, and the temporaries of
+    one piece: the outcomes are formed in pieces of specfn._CHUNK = 8192
+    samples, in place over the normals in the block's rows, with the
+    operations of the expressions above in their order, so each piece's
+    temporaries are three arrays of its length.
     """
     draw, quadratures = _twin_beam_law(x, gamma_t, kappa)
     _check_counts(n, seed)

@@ -18,9 +18,7 @@ from .linalg import (
     SvdResult,
     as_complex_matrix,
     fix_global_phase,
-    partial_transpose,
     require_square,
-    vectorize,
 )
 from .states import BipartiteDensity
 
@@ -70,7 +68,7 @@ def depolarized_state(psi: np.ndarray, p: float) -> BipartiteDensity:
     psi = _check_normalized(psi)
     _check_mixing_weight(p)
     d = psi.shape[0]
-    v = vectorize(psi)
+    v = psi.reshape(-1)
     matrix = p * np.outer(v, v.conj()) + (1.0 - p) / d**2 * np.eye(d * d)
     return BipartiteDensity(dim_a=d, dim_b=d, matrix=matrix)
 
@@ -98,27 +96,14 @@ def min_eigvec_operator(svd: SvdResult) -> np.ndarray:
     from the SVD Psi = X Sigma Y^dagger of Psi (``complex_svd(psi)``).
 
     A = X2 S Y2^T with S = [[0, 1], [-1, 0]]/sqrt(2) the unit-norm
-    antisymmetric matrix on the two largest Schmidt modes; vectorize(A) is
-    an eigenvector of PT(R(p)) with eigenvalue min_pt_eigenvalue(svd, p)
-    for every p.  The global phase is fixed so the first nonzero component
-    of vectorize(A) is real positive.
+    antisymmetric matrix on the two largest Schmidt modes; |A>> =
+    A.reshape(-1) is an eigenvector of PT(R(p)) with eigenvalue
+    min_pt_eigenvalue(svd, p) for every p.  The global phase is fixed so
+    the first nonzero component of |A>> is real positive.
     """
     x2, y2 = _leading_pairs(svd, "Schmidt rank < 2: a product state carries "
                                  "no entanglement to witness")
     return fix_global_phase(x2 @ _SINGLET @ y2.T)
-
-
-def build_witness(eigvec_op: np.ndarray) -> np.ndarray:
-    """Dense witness W = PT(|A>><<A|) from a unit-norm eigenvector operator A.
-
-    The (d^2 x d^2) result is Hermitian with rank 4 and does not depend on
-    the mixing weight p of the family it detects.  The commands never form
-    it: :func:`depolarized_expectation` reads the traces they need from A.
-    """
-    a = _check_normalized(eigvec_op)
-    d = a.shape[0]
-    v = vectorize(a)
-    return partial_transpose(np.outer(v, v.conj()), d, d, subsystem="B")
 
 
 def evaluate_witness(w, rho) -> float:

@@ -159,7 +159,7 @@ def block_sum_mode_variance(state: DifferenceBlocks,
     """
     if not 0.0 <= transmissivity <= 1.0:
         raise ValueError(f"transmissivity={transmissivity} outside [0, 1]")
-    tr = state.trace()
+    tr = float(state.blocks[0].sum().real)
     if abs(tr - 1.0) > 1e-6:
         raise ValueError(f"state trace {tr} deviates from 1 beyond 1e-6; "
                          "truncation is insufficient")

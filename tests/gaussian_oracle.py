@@ -41,7 +41,7 @@ def twb_covariance(x: float, phase_sum):
     """Var and Cov of the twin beam's quadratures (x1, x2) at local
     oscillator phases of sum phase_sum: Var = (1 + x^2)/(4(1 - x^2)) and
     Cov = x cos(phase_sum)/(2(1 - x^2)), vacuum variance 1/4.  This is the
-    law that ``sample_twin_beam`` draws without noise."""
+    law that ``stream_twin_beam`` draws without noise."""
     var = (1.0 + x * x) / (4.0 * (1.0 - x * x))
     return var, x * np.cos(phase_sum) / (2.0 * (1.0 - x * x))
 

@@ -1,12 +1,14 @@
 """Checks, samplers and readers that only the tests call.
 
 The library's commands and samplers never need them, so they live here:
-the density-operator check ``validate``, Haar-random product vectors, the
+the density-operator check ``validate``, the operator/state map
+``vectorize``, the dense partial transpose and the dense witness
+``build_witness`` built with it, Haar-random product vectors, the
 quorum's weighted sum of products, the dense d x d route to the witness's
 eigenvector operator and quorum, the product of an SVD's factors, the
-report writer's oracle, the batch CSV reader, the analytic
-partial-transpose spectrum of the phase-noisy twin beam and the
-index-difference blocks of a dense state.
+report writer's oracle, the batch CSV reader, the twin-beam stream as one
+batch, the analytic partial-transpose spectrum of the phase-noisy twin
+beam and the index-difference blocks of a dense state.
 """
 
 from __future__ import annotations
@@ -16,7 +18,13 @@ import json
 import numpy as np
 
 from witnessforge.cv import DifferenceBlocks, _block_index
-from witnessforge.linalg import fix_global_phase
+from witnessforge.linalg import (
+    as_complex_matrix,
+    fix_global_phase,
+    require_square,
+)
+from witnessforge.tomography import HomodyneBatch, stream_twin_beam
+from witnessforge.witness_finite import _check_normalized
 
 TOL = 1e-10
 PAULI = {
@@ -46,6 +54,51 @@ def validate(rho):
     if w[0] < -TOL:
         raise ValueError(f"density has negative eigenvalue {w[0]:.3e}")
     return rho
+
+
+def vectorize(a: np.ndarray) -> np.ndarray:
+    """Map a square operator A to the vector with component (i*d + j) = A_ij.
+
+    This realizes the operator/state correspondence |A>> = sum_ij A_ij |i>|j>.
+    """
+    m = as_complex_matrix(a)
+    require_square(m)
+    return m.reshape(-1)
+
+
+def partial_transpose(m: np.ndarray, dim_a: int, dim_b: int,
+                      subsystem: str = "B") -> np.ndarray:
+    """Transpose the indices of one subsystem of a bipartite operator.
+
+    The operation is involutive and preserves trace and Hermiticity.
+    """
+    m = as_complex_matrix(m)
+    d = dim_a * dim_b
+    if m.shape != (d, d):
+        raise ValueError(
+            f"matrix shape {m.shape} does not match dims ({dim_a}, {dim_b})")
+    t = m.reshape(dim_a, dim_b, dim_a, dim_b)
+    if subsystem == "B":
+        t = t.transpose(0, 3, 2, 1)
+    elif subsystem == "A":
+        t = t.transpose(2, 1, 0, 3)
+    else:
+        raise ValueError(f"subsystem must be 'A' or 'B', got {subsystem!r}")
+    return t.reshape(d, d)
+
+
+def build_witness(eigvec_op: np.ndarray) -> np.ndarray:
+    """Dense witness W = PT(|A>><<A|) from a unit-norm eigenvector operator A.
+
+    The (d^2 x d^2) result is Hermitian with rank 4 and does not depend on
+    the mixing weight p of the family it detects.  The commands never form
+    it: ``witness_finite.depolarized_expectation`` reads the traces they
+    need from A.
+    """
+    a = _check_normalized(eigvec_op)
+    d = a.shape[0]
+    v = vectorize(a)
+    return partial_transpose(np.outer(v, v.conj()), d, d, subsystem="B")
 
 
 def random_product_state(dim_a: int, dim_b: int,
@@ -127,6 +180,21 @@ def batch_rows_from_csv(path: str) -> np.ndarray:
     """The rows of a batch file as a 1-d array with fields phi1, x1, phi2
     and x2; ``genfromtxt`` alone would squeeze a one-row file to 0-d."""
     return np.atleast_1d(np.genfromtxt(path, delimiter=",", names=True))
+
+
+def twin_beam_batch(x: float, n: int, seed: int, gamma_t: float = 0.0,
+                    kappa: float = 0.0) -> HomodyneBatch:
+    """The n samples of ``stream_twin_beam`` with these arguments as one
+    batch: its blocks copied, in order, into one (4, n) array."""
+    blocks = stream_twin_beam(x, n, seed, gamma_t=gamma_t, kappa=kappa)
+    rows = np.empty((4, n))
+    start = 0
+    for block in blocks:
+        stop = start + len(block)
+        np.stack((block.phi1, block.x1, block.phi2, block.x2),
+                 out=rows[:, start:stop])
+        start = stop
+    return HomodyneBatch(*rows)
 
 
 def pt_spectrum_analytic(x: float, gamma_t: float, n_max: int) -> np.ndarray:

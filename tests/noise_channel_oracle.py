@@ -97,7 +97,8 @@ def noise_truncation(x: float, kappa: float,
                      tol: float = 1e-10) -> FockTruncation:
     """Truncation for applying Gaussian noise of variance kappa to a twin
     beam, padded so the predicted channel leakage stays below
-    _LEAK_FACTOR * tail_bound.
+    _LEAK_FACTOR times the twin beam's tail x^(2 (n_max + 1)) at
+    ``FockTruncation.for_twb(x, tol)``.
 
     The channel's upward tail from Fock level p is much heavier than the
     twin-beam tail itself, so the padding is sized from the actual per-level
@@ -107,7 +108,7 @@ def noise_truncation(x: float, kappa: float,
     base = FockTruncation.for_twb(x, tol)
     if kappa == 0.0:
         return base
-    target = _LEAK_FACTOR * max(base.tail_bound, 1e-14)
+    target = _LEAK_FACTOR * max(x ** (2 * base.dim), 1e-14)
     weights = (1.0 - x * x) * x ** (2 * np.arange(base.dim))
     for pad in range(8, 301, 4):
         dim = base.dim + pad
@@ -118,7 +119,7 @@ def noise_truncation(x: float, kappa: float,
                              d_table[:, : base.dim, :], w)
         leak = 2.0 * float(weights @ (1.0 - survival))
         if leak <= target:
-            return FockTruncation(dim - 1, base.tail_bound)
+            return FockTruncation(dim - 1)
     raise TruncationError(
         f"no truncation below n_max={base.dim + 300} keeps the channel "
         f"leakage under {target:.3e} for x={x}, kappa={kappa}")
@@ -152,7 +153,7 @@ def block_gaussian_noise(state: DifferenceBlocks, kappa: float,
         return DifferenceBlocks(tuple(padded), state.trace_deficit)
     g = gaussian_noise_blocks(d, kappa)
     blocks = tuple(g[j] @ block @ g[j].T for j, block in enumerate(padded))
-    leak = state.trace() - float(blocks[0].sum().real)
+    leak = float(state.blocks[0].sum().real) - float(blocks[0].sum().real)
     if leak > MAX_LEAKAGE:
         raise TruncationError(
             f"channel leaked {leak:.3e} of the trace past n_max={d - 1} "
@@ -217,7 +218,7 @@ def apply_gaussian_noise(rho: BipartiteDensity, kappa: float,
     t_out = _apply_blocks_mode(t_out, blocks, (1, 3))
     matrix = t_out.reshape(d * d, d * d)
     matrix = (matrix + matrix.conj().T) / 2
-    leak = rho.trace() - float(np.trace(matrix).real)
+    leak = float(np.trace(rho.matrix).real) - float(np.trace(matrix).real)
     if leak > MAX_LEAKAGE:
         raise TruncationError(
             f"channel leaked {leak:.3e} of the trace past n_max={d - 1} "

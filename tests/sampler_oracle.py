@@ -66,7 +66,7 @@ def homodyne_draw(rng):
 
 
 def twin_beam_draw(gamma_t: float):
-    """The draws of ``sample_twin_beam`` at phase diffusion gamma_t: two
+    """The draws of ``stream_twin_beam`` at phase diffusion gamma_t: two
     standard normals, then the mixture phase theta unless gamma_t = 0."""
     spread = math.sqrt(2.0) * math.sqrt(gamma_t)
 
@@ -81,7 +81,7 @@ def twin_beam_draw(gamma_t: float):
 
 
 def twin_beam_quadratures(x: float, kappa: float):
-    """The outcomes of ``sample_twin_beam`` as one out-of-place expression
+    """The outcomes of ``stream_twin_beam`` as one out-of-place expression
     per piece: x1 = sqrt(V) z1 and
     x2 = Cov/V x1 + sqrt((V - Cov)(V + Cov)/V) z2."""
     var = (1.0 + x * x) / (4.0 * (1.0 - x * x)) + 0.5 * kappa
@@ -95,17 +95,17 @@ def twin_beam_quadratures(x: float, kappa: float):
     return quadratures
 
 
-def with_full_draws(draw, quadratures=None):
+def with_full_draws(draw):
     """A stand-in for ``tomography._sample_blocks`` that runs
-    :func:`full_draw_blocks` with draw(rng), at the sampler's piece size.
-    Its quadratures are the given out-of-place ones, or else the
-    sampler's own, which overwrite copies of the piece's draws."""
+    :func:`full_draw_blocks` with draw(rng), at the sampler's piece size,
+    and the sampler's own quadratures, which overwrite copies of the
+    piece's draws."""
     def blocks(n, seed, _workers, _draw, in_place, piece):
         def own(phi1, phi2, first, second, *further):
             first, second = first.copy(), second.copy()
             in_place(phi1, phi2, first, second, *further)
             return first, second
-        return full_draw_blocks(n, seed, draw, quadratures or own, piece)
+        return full_draw_blocks(n, seed, draw, own, piece)
     return blocks
 
 

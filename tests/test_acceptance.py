@@ -24,7 +24,13 @@ from gaussian_oracle import (
     _ppt_boundary,
     twb_mean_photons,
 )
-from helpers import pt_spectrum_analytic, random_product_state, reconstruct
+from helpers import (
+    build_witness,
+    partial_transpose,
+    pt_spectrum_analytic,
+    random_product_state,
+    reconstruct,
+)
 from noise_channel_oracle import (
     apply_gaussian_noise,
     block_gaussian_noise,
@@ -36,7 +42,6 @@ from witnessforge.cv import (
     cv_witness,
     gauss_separability_threshold,
     gauss_witness_expectation,
-    phase_noisy_twb,
     twb_state,
     twin_beam_blocks,
 )
@@ -52,7 +57,6 @@ from witnessforge.tomography import (
     witness_kernel,
 )
 from witnessforge.witness_finite import (
-    build_witness,
     depolarized_state,
     detection_threshold,
     evaluate_witness,
@@ -133,8 +137,8 @@ def test_criterion_03_analytic_vs_numeric_spectrum():
     worst = 0.0
     for psi in _random_psis():
         for p in (0.2, 0.7):
-            numeric = np.linalg.eigvalsh(
-                depolarized_state(psi, p).partial_transpose())
+            numeric = np.linalg.eigvalsh(partial_transpose(
+                depolarized_state(psi, p).matrix, *psi.shape))
             dev = abs(numeric[0] - min_pt_eigenvalue(complex_svd(psi), p))
             worst = max(worst, dev)
             ok &= dev <= 1e-9
@@ -197,8 +201,8 @@ def test_criterion_07_phase_noise_expectation():
     worst = 0.0
     for x in np.linspace(0.05, 0.8, 20):
         for gt in np.linspace(0.0, 10.0, 20):
-            numeric = evaluate_witness(
-                witness, phase_noisy_twb(float(x), float(gt), trunc))
+            numeric = evaluate_witness(witness, twin_beam_blocks(
+                float(x), trunc, float(gt)).density())
             analytic = -(1 - x * x) * x * math.exp(-gt)
             worst = max(worst, abs(numeric - analytic))
             ok &= abs(numeric - analytic) <= 1e-8 and numeric < 0
@@ -212,8 +216,9 @@ def test_criterion_08_cv_pt_spectrum():
     ok = True
     worst = 0.0
     for gt in (0.0, 1.0):
-        rho = phase_noisy_twb(x, gt, FockTruncation(n_max))
-        numeric = np.linalg.eigvalsh(rho.partial_transpose())
+        rho = twin_beam_blocks(x, FockTruncation(n_max), gt).density()
+        numeric = np.linalg.eigvalsh(partial_transpose(rho.matrix, n_max + 1,
+                                                       n_max + 1))
         dev = float(np.abs(numeric - pt_spectrum_analytic(x, gt, n_max)).max())
         worst = max(worst, dev)
         ok &= dev <= 1e-9
@@ -266,7 +271,7 @@ def _tomo_states():
     x = 0.5
     tr = FockTruncation.for_twb(x)
     yield "twb(0.5)", twb_state(x, tr), tr
-    yield "phase(0.5,1)", phase_noisy_twb(x, 1.0, tr), tr
+    yield "phase(0.5,1)", twin_beam_blocks(x, tr, 1.0).density(), tr
     tr_g = noise_truncation(x, 0.4)
     rho_g = apply_gaussian_noise(twb_state(x, tr), 0.4, tr_g)
     yield "gauss(0.5,0.4)", rho_g, tr_g
@@ -311,7 +316,7 @@ def test_criterion_11_kernel_phase_sum_property():
 def test_criterion_12_beam_splitter_consistency():
     x = 0.5
     base = FockTruncation.for_twb(x)
-    channel_trunc = FockTruncation(base.n_max + 12, base.tail_bound)
+    channel_trunc = FockTruncation(base.n_max + 12)
     bs_trunc = FockTruncation(40)
     ok = True
     details = []

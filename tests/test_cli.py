@@ -19,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import witnessforge
-from helpers import batch_rows_from_csv, report_oracle
+from helpers import batch_rows_from_csv, report_oracle, twin_beam_batch
 from witnessforge import cli, witness_finite
 from witnessforge.cli import main
 from witnessforge.cv import (
@@ -41,7 +41,6 @@ from witnessforge.tomography import (
     BLOCK_SIZE,
     HomodyneBatch,
     mc_estimate_witness,
-    sample_twin_beam,
     witness_kernel,
 )
 
@@ -308,7 +307,7 @@ def test_tomo_estimate_batch_csv_is_the_sampled_batch(capsys, tmp_path):
                              "--workers", str(workers), *flags,
                              "--batch-csv", str(csv_path))
         assert code == 0, err
-        batch = sample_twin_beam(0.3, n, 3, workers=workers, **noise)
+        batch = twin_beam_batch(0.3, n, 3, **noise)
         estimate = mc_estimate_witness(batch)
         batch_to_csv(expected_csv, [batch])
         assert csv_path.read_bytes() == expected_csv.read_bytes()
@@ -539,7 +538,7 @@ def _fails_after(batch):
 
 
 def test_batch_csv_replaces_a_regular_file_only_when_whole(tmp_path):
-    batch = sample_twin_beam(0.5, 10, 1)
+    batch = twin_beam_batch(0.5, 10, 1)
     expected, path = tmp_path / "expected.csv", tmp_path / "batch.csv"
     write_csv(expected, ["phi1", "x1", "phi2", "x2"],
               zip(batch.phi1, batch.x1, batch.phi2, batch.x2))
@@ -560,7 +559,7 @@ def test_batch_csv_writes_other_paths_in_place_and_never_removes_them(
         tmp_path):
     # a FIFO or a symbolic link (like a device) is opened and written as it
     # is, not replaced, and a failed export leaves it in place
-    batch = sample_twin_beam(0.5, 10, 1)
+    batch = twin_beam_batch(0.5, 10, 1)
     expected = tmp_path / "expected.csv"
     batch_to_csv(expected, [batch])
     target, link = tmp_path / "target.csv", tmp_path / "link.csv"
@@ -741,8 +740,6 @@ def test_finite_commands_build_no_dense_state(capsys, monkeypatch, tmp_path,
 
     monkeypatch.setattr(witness_finite, "depolarized_state", refuse)
     monkeypatch.setattr(witness_finite, "evaluate_witness", refuse)
-    monkeypatch.setattr(witness_finite, "build_witness", refuse)
-    monkeypatch.setattr(witness_finite, "partial_transpose", refuse)
     code, _, err = run(capsys, *argv, "--output", str(tmp_path / "out"))
     assert code == 0, err
 
@@ -1063,7 +1060,7 @@ def test_one_sample_report_has_no_error_and_no_z_score(capsys, tmp_path):
     report = json.loads(out, parse_constant=_reject_constant)
     assert report["std_error"] is None and report["z_score"] is None
     assert '"std_error": null' in out and '"z_score": null' in out
-    batch = sample_twin_beam(0.5, 1, 3)
+    batch = twin_beam_batch(0.5, 1, 3)
     assert report["mean"] == float(witness_kernel(batch.x1, batch.phi1,
                                                   batch.x2, batch.phi2)[0])
     assert np.array_equal(batch_rows_from_csv(csv_path)["x2"], batch.x2)
@@ -1081,7 +1078,7 @@ def test_tomo_estimate_reports_the_kurtosis_of_its_kernel_values(capsys):
     code, out, _ = run(capsys, "tomo-estimate", "--x", "0.5", "--gammat",
                        "1", "--samples", "5000", "--seed", "7")
     assert code == 0
-    batch = sample_twin_beam(0.5, 5000, 7, gamma_t=1.0)
+    batch = twin_beam_batch(0.5, 5000, 7, gamma_t=1.0)
     assert parse(out)["kurtosis"] == mc_estimate_witness(batch).kurtosis
 
 
@@ -1269,8 +1266,8 @@ def _kernel_values(config):
     sampled."""
     gamma_t = {None: 0.0, "inf": math.inf}.get(config["gamma_t"],
                                                 config["gamma_t"])
-    batch = sample_twin_beam(config["x"], config["samples"], config["seed"],
-                             gamma_t=gamma_t, kappa=config["kappa"] or 0.0)
+    batch = twin_beam_batch(config["x"], config["samples"], config["seed"],
+                            gamma_t=gamma_t, kappa=config["kappa"] or 0.0)
     return witness_kernel(batch.x1, batch.phi1, batch.x2, batch.phi2)
 
 

@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.linalg import expm
 
@@ -15,7 +17,12 @@ from beam_splitter_oracle import (
     squeezing_witness,
 )
 from gaussian_oracle import twb_mean_photons
-from helpers import pt_spectrum_analytic, validate
+from helpers import (
+    difference_blocks,
+    partial_transpose,
+    pt_spectrum_analytic,
+    validate,
+)
 from noise_channel_oracle import (
     apply_gaussian_noise,
     block_gaussian_noise,
@@ -31,7 +38,6 @@ from witnessforge.cv import (
     cv_witness,
     gauss_separability_threshold,
     gauss_witness_expectation,
-    phase_noisy_twb,
     phase_witness_expectation,
     sum_mode_variance,
     twb_state,
@@ -61,8 +67,9 @@ def noise_superop_expm(dim, kappa):
 
 def test_truncation_for_twb():
     tr = FockTruncation.for_twb(0.5)
-    assert tr.tail_bound == pytest.approx(0.5 ** (2 * (tr.n_max + 1)))
-    assert tr.tail_bound < 1e-10
+    tail = twb_state(0.5, tr).trace_deficit
+    assert tail == pytest.approx(0.5 ** (2 * (tr.n_max + 1)))
+    assert tail < 1e-10
     assert 0.5 ** (2 * tr.n_max) >= 1e-10  # minimality
     assert FockTruncation.for_twb(0.0).n_max == 1
     with pytest.raises(ValueError):
@@ -92,28 +99,59 @@ def test_twb_elements_and_mean_photons():
     n = np.arange(d)
     numeric_nbar = 2 * float(np.real(np.diag(rho.reduced(0))) @ n)
     assert numeric_nbar == pytest.approx(twb_mean_photons(x), abs=1e-8)
-    assert rho.trace() == pytest.approx(1.0 - tr.tail_bound, abs=1e-14)
+    assert np.trace(rho.matrix).real == pytest.approx(1.0 - rho.trace_deficit,
+                                                      abs=1e-14)
     validate(rho)
+
+
+@settings(derandomize=True, deadline=None, max_examples=60, database=None)
+@given(x=st.floats(0.0, 0.9), n_max=st.integers(1, 24),
+       gamma_t=st.one_of(st.floats(0.0, 1e3), st.just(math.inf)))
+def test_twin_beam_blocks_are_the_dense_phase_noisy_twin_beam(x, n_max,
+                                                              gamma_t):
+    # the dense matrix is (1 - x^2) x^(p+q) exp(-gamma_t (p - q)^2) at
+    # (|pp>, <qq|) and zero elsewhere, with the neglected weight x^(2d) as
+    # its deficit, and the dense matrix gives the blocks back
+    d = n_max + 1
+    assume(x ** (2 * d) < 1e-3)
+    blocks = twin_beam_blocks(x, FockTruncation(n_max), gamma_t)
+    rho = blocks.density()
+    p, q = np.indices((d, d))
+    square = (p - q) ** 2
+    decay = np.ones((d, d))
+    off = square > 0
+    decay[off] = np.exp(-gamma_t * square[off])
+    expected = np.zeros((d * d, d * d))
+    diagonal = np.arange(d) * (d + 1)
+    expected[np.ix_(diagonal, diagonal)] = (1 - x * x) * x ** (p + q) * decay
+    np.testing.assert_allclose(rho.matrix, expected, rtol=1e-14, atol=0)
+    assert rho.trace_deficit == x ** (2 * d)
+    back = difference_blocks(rho)
+    assert back.trace_deficit == blocks.trace_deficit
+    assert len(back.blocks) == d
+    for got, want in zip(back.blocks, blocks.blocks):
+        assert np.array_equal(got, want)
 
 
 def test_phase_noisy_reduces_to_twb():
     tr = FockTruncation.for_twb(0.4)
-    assert np.allclose(phase_noisy_twb(0.4, 0.0, tr).matrix,
+    assert np.allclose(twin_beam_blocks(0.4, tr, 0.0).density().matrix,
                        twb_state(0.4, tr).matrix, atol=1e-14)
 
 
 def test_phase_noisy_strong_dephasing_is_diagonal():
     tr = FockTruncation.for_twb(0.4)
-    rho = phase_noisy_twb(0.4, 2000.0, tr)
+    rho = twin_beam_blocks(0.4, tr, 2000.0).density()
     off = rho.matrix - np.diag(np.diag(rho.matrix))
     assert np.abs(off).max() == 0.0
-    assert rho.trace() == pytest.approx(1.0 - tr.tail_bound, abs=1e-14)
+    assert np.trace(rho.matrix).real == pytest.approx(1.0 - rho.trace_deficit,
+                                                      abs=1e-14)
 
 
 def test_phase_noisy_fully_dephased_limit():
     x = 0.5
     tr = FockTruncation.for_twb(x)
-    rho = phase_noisy_twb(x, math.inf, tr)
+    rho = twin_beam_blocks(x, tr, math.inf).density()
     d = tr.dim
     diag_idx = np.arange(d) * d + np.arange(d)
     expected = np.zeros((d * d, d * d))
@@ -127,7 +165,7 @@ def test_phase_noisy_fully_dephased_limit():
 def test_phase_noise_rejects_bad_strength(gamma_t):
     tr = FockTruncation.for_twb(0.5)
     with pytest.raises(ValueError, match="gamma_t"):
-        phase_noisy_twb(0.5, gamma_t, tr)
+        twin_beam_blocks(0.5, tr, gamma_t).density()
     with pytest.raises(ValueError, match="gamma_t"):
         phase_witness_expectation(0.5, gamma_t)
 
@@ -150,7 +188,7 @@ def test_noise_rejects_non_finite_kappa(kappa):
 def test_phase_noisy_element_and_support():
     x, gt = 0.5, 1.0
     tr = FockTruncation.for_twb(x)
-    rho = phase_noisy_twb(x, gt, tr)
+    rho = twin_beam_blocks(x, tr, gt).density()
     d = tr.dim
     assert rho.matrix[d + 1, 0].real == pytest.approx(0.375 * math.exp(-1.0),
                                                       abs=1e-14)
@@ -164,15 +202,16 @@ def test_pt_spectrum_matches_dense_solver():
     n_max = 15
     for x in (0.0, 0.3, 0.6):
         for gt in (0.0, 1.0, math.inf):
-            rho = phase_noisy_twb(x, gt, FockTruncation(n_max))
-            numeric = np.linalg.eigvalsh(rho.partial_transpose())
+            rho = twin_beam_blocks(x, FockTruncation(n_max), gt).density()
+            numeric = np.linalg.eigvalsh(partial_transpose(
+                rho.matrix, n_max + 1, n_max + 1))
             analytic = pt_spectrum_analytic(x, gt, n_max)
             assert np.abs(numeric - analytic).max() < 1e-9
 
 
 def test_pt_min_eigenvalue_matches_dense_solver():
-    rho = phase_noisy_twb(0.5, 0.8, FockTruncation(20))
-    numeric = np.linalg.eigvalsh(rho.partial_transpose())
+    rho = twin_beam_blocks(0.5, FockTruncation(20), 0.8).density()
+    numeric = np.linalg.eigvalsh(partial_transpose(rho.matrix, 21, 21))
     assert numeric[0] == pytest.approx(phase_witness_expectation(0.5, 0.8),
                                        abs=1e-9)
 
@@ -203,7 +242,8 @@ def test_phase_expectation_grid():
         tr = FockTruncation.for_twb(float(x))
         w = cv_witness(tr)
         for gt in (0.0, 0.5, 3.0):
-            numeric = evaluate_witness(w, phase_noisy_twb(float(x), gt, tr))
+            numeric = evaluate_witness(
+                w, twin_beam_blocks(float(x), tr, gt).density())
             analytic = phase_witness_expectation(float(x), gt)
             assert numeric == pytest.approx(analytic, abs=1e-9)
             assert analytic < 0
@@ -280,7 +320,7 @@ def test_noise_channel_two_mode_properties():
         eigs = np.linalg.eigvalsh(out.matrix)
         assert eigs[0] > -1e-9
         leak = out.trace_deficit - rho.trace_deficit
-        assert 0.0 <= leak <= 10 * base_tr.tail_bound
+        assert 0.0 <= leak <= 10 * rho.trace_deficit
 
 
 @pytest.mark.parametrize("x, kappa", [(0.5, 0.4), (0.3, 0.65)])
@@ -348,7 +388,7 @@ def test_noise_channel_checks_size_before_allocating(monkeypatch):
 def test_gauss_expectation_routes_agree():
     x = 0.5
     base_tr = FockTruncation.for_twb(x)
-    tr = FockTruncation(base_tr.n_max + 8, base_tr.tail_bound)
+    tr = FockTruncation(base_tr.n_max + 8)
     rho = twb_state(x, base_tr)
     w = cv_witness(tr)
     for kappa in (0.1, 0.4, 0.9):
@@ -463,9 +503,10 @@ def test_beam_splitter_single_photon_splits():
 
 def test_beam_splitter_preserves_trace_and_spectrum():
     tr = FockTruncation.for_twb(0.4)
-    rho = phase_noisy_twb(0.4, 0.5, tr)
+    rho = twin_beam_blocks(0.4, tr, 0.5).density()
     out = beam_splitter(rho, 0.31)
-    assert out.trace() == pytest.approx(rho.trace(), abs=1e-12)
+    assert np.trace(out.matrix).real == pytest.approx(
+        np.trace(rho.matrix).real, abs=1e-12)
     assert np.abs(np.linalg.eigvalsh(out.matrix)
                   - np.linalg.eigvalsh(rho.matrix)).max() < 1e-10
 

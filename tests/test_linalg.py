@@ -1,14 +1,9 @@
 import numpy as np
 import pytest
 
-from helpers import svd_product
+from helpers import partial_transpose, svd_product, vectorize
 from witnessforge.formats import matrix_from_json, matrix_to_json
-from witnessforge.linalg import (
-    complex_svd,
-    fix_global_phase,
-    partial_transpose,
-    vectorize,
-)
+from witnessforge.linalg import complex_svd, fix_global_phase
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 I2 = np.eye(2, dtype=complex)

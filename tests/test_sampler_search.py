@@ -49,7 +49,6 @@ from test_tomography import (
 from witnessforge import tomography
 from witnessforge.cv import (
     FockTruncation,
-    phase_noisy_twb,
     twb_state,
     twin_beam_blocks,
 )
@@ -182,8 +181,8 @@ def test_general_d3_marginal_is_per_sample():
     (vacuum_state, True),
     (lambda: twb_state(0.5, FockTruncation.for_twb(0.5)), True),
     (lambda: rotated_twb(0.5, 1.1), True),
-    (lambda: phase_noisy_twb(0.5, math.inf, FockTruncation.for_twb(0.5)),
-     True),
+    (lambda: twin_beam_blocks(0.5, FockTruncation.for_twb(0.5),
+                              math.inf).density(), True),
     (general_d3_state, False),
     (lambda: depolarized_state(
         random_state_operator(3, np.random.default_rng(23)), 0.8), False)],
@@ -366,11 +365,13 @@ def test_twin_beam_tables_follow_the_gaussian_law(x, bound):
     # at x1 in {0, +-1, +-2.5} sigma and six phase sums.  Measured:
     # marginal 3.0e-10 and 4.4e-7, conditionals 1.37e-6 and 1.16e-5 (at
     # x1 = +-2.5 sigma) for x = 0.5 and 0.7, against the asserted 2e-6 and
-    # 1.5e-5; the Simpson part is below 4e-8, and the rest comes from the
-    # truncated state.  x = 0.9 is left out: quadrature_span gives the
-    # window L = 6.88, outside which its conditional at x1 = 2.5 sigma has
-    # 1.1e-4 of its mass, and the sampler draws the law conditioned on the
-    # window.
+    # 1.5e-5; the Simpson part is below 4e-8.  At x = 0.5 the rest is the
+    # truncated state: the conditional distance stays 1.37e-6 for every
+    # window half-width L from 4 to 7.  At x = 0.7 it is the window, which
+    # quadrature_span sets to L = 4.20: with L = 5 the distances fall to
+    # 1.79e-6 and 2.5e-9.  x = 0.9 is left out: its window L = 6.88 leaves
+    # 1.1e-4 of the conditional's mass at x1 = 2.5 sigma outside, and the
+    # sampler draws the law conditioned on the window.
     tables = _SamplerTables.build(twb_state(x, FockTruncation.for_twb(x)))
     ends = tables.nodes[2::2]
     marginal = table_cdf(tables.shared.__getitem__)
@@ -516,7 +517,7 @@ def assert_random_state_draws(rho, seed):
         assert np.all(np.diff(from_left, axis=1) >= -1e-15)
         assert np.array_equal(from_left[:, -1:], total)
     assert np.abs(rows[:, -1] - marginal[np.arange(9), index]).max() < 1e-9
-    assert np.abs(marginal[:, -1] - rho.trace()).max() < 1e-9
+    assert np.abs(marginal[:, -1] - np.trace(rho.matrix).real).max() < 1e-9
 
 
 @settings(derandomize=True, deadline=None, max_examples=50, database=None)
@@ -611,7 +612,8 @@ def test_positivity_check_covers_the_marginal():
 
 @pytest.mark.parametrize("make_state", [
     lambda: rotated_twb(0.5, 1.1),
-    lambda: phase_noisy_twb(0.5, math.inf, FockTruncation.for_twb(0.5)),
+    lambda: twin_beam_blocks(0.5, FockTruncation.for_twb(0.5),
+                             math.inf).density(),
     lambda: apply_gaussian_noise(twb_state(0.5, FockTruncation.for_twb(0.5)),
                                  0.4, noise_truncation(0.5, 0.4))],
     ids=["rotated-twb", "dephased", "gauss-0.4"])

@@ -6,12 +6,18 @@ import numpy as np
 import pytest
 from scipy.stats import chi2
 
-from helpers import batch_rows_from_csv, difference_blocks, validate
+from helpers import (
+    batch_rows_from_csv,
+    difference_blocks,
+    twin_beam_batch,
+    validate,
+)
 from noise_channel_oracle import apply_gaussian_noise, noise_truncation
 from quadrature_pdf_oracle import joint_quadrature_pdf
 from sampler_oracle import (
     conditional_rows,
     draw,
+    full_draw_blocks,
     homodyne_draw,
     marginal_rows,
     one_shot_columns,
@@ -25,9 +31,9 @@ from witnessforge.cv import (
     FockTruncation,
     cv_witness,
     gauss_witness_expectation,
-    phase_noisy_twb,
     phase_witness_expectation,
     twb_state,
+    twin_beam_blocks,
 )
 from witnessforge.formats import batch_to_csv
 from witnessforge.specfn import pattern_functions
@@ -40,7 +46,6 @@ from witnessforge.tomography import (
     _weighted_columns,
     mc_estimate_witness,
     sample_homodyne,
-    sample_twin_beam,
     stream_twin_beam,
     witness_kernel,
 )
@@ -88,9 +93,10 @@ def test_pdf_vacuum_is_gaussian_product():
 def test_pdf_normalizes_to_trace():
     x = 0.5
     tr = FockTruncation.for_twb(x)
-    rho = phase_noisy_twb(x, 0.7, tr)
+    rho = twin_beam_blocks(x, tr, 0.7).density()
     xs, pdf = joint_quadrature_pdf(rho, 1.2, 0.4)
-    assert grid_integral_2d(xs, pdf) == pytest.approx(rho.trace(), abs=1e-6)
+    assert grid_integral_2d(xs, pdf) == pytest.approx(
+        np.trace(rho.matrix).real, abs=1e-6)
 
 
 def test_pdf_twb_difference_quadrature_variance():
@@ -107,7 +113,7 @@ def test_pdf_twb_difference_quadrature_variance():
 
 def test_pdf_phase_independent_for_dephased_state():
     tr = FockTruncation.for_twb(0.4)
-    rho = phase_noisy_twb(0.4, 2000.0, tr)
+    rho = twin_beam_blocks(0.4, tr, 2000.0).density()
     xs = np.linspace(-4, 4, 201)
     _, p1 = joint_quadrature_pdf(rho, 0.0, 0.0, xs=xs)
     _, p2 = joint_quadrature_pdf(rho, 1.0, 2.5, xs=xs)
@@ -208,7 +214,7 @@ def test_twb_estimate_unbiased():
 def test_phase_noisy_estimate_unbiased():
     x, gt = 0.5, 1.0
     tr = FockTruncation.for_twb(x)
-    rho = phase_noisy_twb(x, gt, tr)
+    rho = twin_beam_blocks(x, tr, gt).density()
     est = mc_estimate_witness(sample_homodyne(rho, 100_000, seed=37))
     direct = evaluate_witness(cv_witness(tr), rho)
     assert abs(est.mean - direct) <= 3.5 * est.std_error
@@ -367,7 +373,8 @@ def test_difference_blocks_round_trip_bitwise(make_state):
     assert np.array_equal(np.tril(dense), np.tril(rho.matrix))
     defect = np.abs(rho.matrix - rho.matrix.conj().T).max()
     assert np.abs(dense - rho.matrix).max() <= defect
-    assert state.trace() == pytest.approx(rho.trace(), abs=1e-15)
+    assert state.blocks[0].sum().real == pytest.approx(
+        np.trace(rho.matrix).real, abs=1e-15)
 
 
 def test_difference_blocks_layout():
@@ -469,12 +476,21 @@ TWIN_FAMILIES = [({}, "twb"), ({"gamma_t": 1.0}, "phase"),
                  ({"kappa": 0.4}, "gauss")]
 
 
+def twin_law_batch(x, n, seed, gamma_t=0.0, kappa=0.0, workers=1):
+    """The twin beam's law drawn into one batch by the block loop of
+    ``sample_homodyne``, which checks the worker count and draws every
+    block on the calling thread."""
+    return HomodyneBatch(*tomography._sample_blocks(
+        n, seed, workers, *tomography._twin_beam_law(x, gamma_t, kappa),
+        tomography._KERNEL_CHUNK))
+
+
 def twin_family_state(gamma_t=0.0, kappa=0.0):
     base = FockTruncation.for_twb(TWIN_X)
     if kappa:
         return apply_gaussian_noise(twb_state(TWIN_X, base), kappa,
                                     noise_truncation(TWIN_X, kappa))
-    return phase_noisy_twb(TWIN_X, gamma_t, base)
+    return twin_beam_blocks(TWIN_X, base, gamma_t).density()
 
 
 def twin_closed_form(gamma_t=0.0, kappa=0.0):
@@ -517,7 +533,7 @@ def bin_probabilities(rho, phase_nodes=16):
                          ids=[f[1] for f in TWIN_FAMILIES])
 def test_twin_beam_sampler_matches_fock_density(noise):
     n = 200_000
-    batch = sample_twin_beam(TWIN_X, n, seed=1, **noise)
+    batch = twin_beam_batch(TWIN_X, n, seed=1, **noise)
     counts, _, _ = np.histogram2d(batch.x1, batch.x2,
                                   bins=[CHI_EDGES, CHI_EDGES])
     binned = n * bin_probabilities(twin_family_state(**noise))
@@ -536,8 +552,8 @@ def test_twin_beam_sampler_matches_fock_density(noise):
                          + [{"gamma_t": math.inf}],
                          ids=[f[1] for f in TWIN_FAMILIES] + ["dephased"])
 def test_twin_beam_estimate_matches_closed_form(noise):
-    est = mc_estimate_witness(sample_twin_beam(TWIN_X, 1_000_000, seed=2,
-                                               **noise))
+    est = mc_estimate_witness(twin_beam_batch(TWIN_X, 1_000_000, seed=2,
+                                              **noise))
     assert est.std_error > 0
     assert abs(est.mean - twin_closed_form(**noise)) <= 4 * est.std_error
 
@@ -545,12 +561,12 @@ def test_twin_beam_estimate_matches_closed_form(noise):
 def test_twin_beam_sampler_worker_independent_and_prefix():
     n = 2 * BLOCK_SIZE + 1000
     for noise in ({"gamma_t": 0.7, "kappa": 0.1}, {"gamma_t": math.inf}):
-        serial = sample_twin_beam(TWIN_X, n, seed=11, **noise)
-        short = sample_twin_beam(TWIN_X, BLOCK_SIZE + 333, seed=11, **noise)
-        # three blocks at two and at three workers
+        serial = twin_beam_batch(TWIN_X, n, seed=11, **noise)
+        short = twin_beam_batch(TWIN_X, BLOCK_SIZE + 333, seed=11, **noise)
+        # three blocks drawn into one batch at two and at three workers
         for workers in (2, 3):
-            other = sample_twin_beam(TWIN_X, n, seed=11, workers=workers,
-                                     **noise)
+            other = twin_law_batch(TWIN_X, n, seed=11, workers=workers,
+                                   **noise)
             for name in ("phi1", "x1", "phi2", "x2"):
                 assert np.array_equal(getattr(serial, name),
                                       getattr(other, name))
@@ -561,13 +577,13 @@ def test_twin_beam_sampler_worker_independent_and_prefix():
 
 def test_twin_beam_sampler_edges():
     # x = 0 is the vacuum: uncorrelated quadratures of variance 1/4
-    vacuum = sample_twin_beam(0.0, 100_000, seed=19)
+    vacuum = twin_beam_batch(0.0, 100_000, seed=19)
     se = 0.25 * math.sqrt(2.0 / (len(vacuum) - 1))
     assert abs(np.var(vacuum.x1) - 0.25) < 5 * se
     assert abs(np.corrcoef(vacuum.x1, vacuum.x2)[0, 1]) < 5 / math.sqrt(1e5)
     # a single sample, the fully dephased law, and a huge finite gamma_t
     for gamma_t in (0.0, math.inf, 1e308):
-        one = sample_twin_beam(TWIN_X, 1, seed=5, gamma_t=gamma_t)
+        one = twin_beam_batch(TWIN_X, 1, seed=5, gamma_t=gamma_t)
         assert len(one) == 1 and np.isfinite(one.x2).all()
 
 
@@ -585,9 +601,9 @@ def test_twin_beam_sampler_edges():
 ])
 def test_twin_beam_sampler_rejects_bad_inputs(kwargs, match):
     args = {"x": TWIN_X, "n": 10, "seed": 1, **kwargs}
-    # the stream takes no worker count
-    samplers = ((sample_twin_beam,) if "workers" in kwargs
-                else (sample_twin_beam, stream_twin_beam))
+    # the stream takes no worker count; the block loop checks it
+    samplers = ((twin_law_batch,) if "workers" in kwargs
+                else (twin_law_batch, stream_twin_beam))
     for sampler in samplers:
         with pytest.raises(ValueError, match=match):
             sampler(**args)
@@ -616,7 +632,7 @@ def test_chunked_kernel_is_the_one_shot_expression(n):
 
 
 def test_estimate_keeps_the_bits_of_mean_and_std():
-    batch = sample_twin_beam(TWIN_X, 20_000, seed=3, gamma_t=0.5)
+    batch = twin_beam_batch(TWIN_X, 20_000, seed=3, gamma_t=0.5)
     values = one_shot_kernel(batch.x1, batch.phi1, batch.x2, batch.phi2)
     est = mc_estimate_witness(batch)
     assert est.mean == float(np.mean(values))
@@ -625,13 +641,13 @@ def test_estimate_keeps_the_bits_of_mean_and_std():
 
 
 def test_one_sample_estimate_has_no_standard_error():
-    est = mc_estimate_witness(sample_twin_beam(TWIN_X, 1, seed=3))
+    est = mc_estimate_witness(twin_beam_batch(TWIN_X, 1, seed=3))
     assert est.std_error is None and est.n_samples == 1
     assert math.isfinite(est.mean)
 
 
 def test_estimate_kurtosis_is_the_fourth_over_the_squared_second_moment():
-    batch = sample_twin_beam(TWIN_X, 2 ** 17, seed=3)
+    batch = twin_beam_batch(TWIN_X, 2 ** 17, seed=3)
     deviations = one_shot_kernel(batch.x1, batch.phi1, batch.x2, batch.phi2)
     deviations -= np.mean(deviations)
     expected = np.mean(deviations ** 4) / np.mean(deviations ** 2) ** 2
@@ -643,17 +659,17 @@ def test_estimate_kurtosis_is_the_fourth_over_the_squared_second_moment():
 def test_estimate_kurtosis_near_x_one_is_of_the_order_of_n():
     # heavy tails: a few samples carry the spread, so z_score means little
     n = 100_000
-    est = mc_estimate_witness(sample_twin_beam(1.0 - 1e-8, n, seed=3))
+    est = mc_estimate_witness(twin_beam_batch(1.0 - 1e-8, n, seed=3))
     assert est.kurtosis > n / 10
 
 
 def test_estimate_kurtosis_is_none_without_spread(monkeypatch):
-    assert mc_estimate_witness(sample_twin_beam(TWIN_X, 1, seed=3)).kurtosis \
+    assert mc_estimate_witness(twin_beam_batch(TWIN_X, 1, seed=3)).kurtosis \
         is None
     # the mean of three 0.1 rounds up, so the deviations are equal, not zero
     monkeypatch.setattr(tomography, "witness_kernel",
                         lambda *args: np.full(3, 0.1))
-    est = mc_estimate_witness(sample_twin_beam(TWIN_X, 3, seed=3))
+    est = mc_estimate_witness(twin_beam_batch(TWIN_X, 3, seed=3))
     assert est.mean != 0.1 and est.kurtosis is None
 
 
@@ -668,7 +684,7 @@ def traced_peak(run):
 
 
 @pytest.mark.parametrize("sampler", [
-    lambda n: sample_twin_beam(TWIN_X, n, seed=5, gamma_t=1.0),
+    lambda n: twin_law_batch(TWIN_X, n, seed=5, gamma_t=1.0),
     lambda n: sample_homodyne(twb_state(0.3, FockTruncation(3)), n, seed=5)],
     ids=["twin-beam", "homodyne"])
 def test_sampler_memory_is_the_batch_plus_a_constant(sampler):
@@ -694,7 +710,7 @@ def test_short_block_memory_is_the_batch_plus_a_constant(state, n,
     # features
     if state == "twin-beam":
         def sampler(m):
-            return sample_twin_beam(TWIN_X, m, seed=5)
+            return twin_law_batch(TWIN_X, m, seed=5)
     else:
         rho = (rotated_twb(0.5, 1.1) if state == "rotated-twb"
                else depolarized_state(
@@ -710,7 +726,7 @@ def test_short_block_memory_is_the_batch_plus_a_constant(state, n,
 def test_estimate_memory_is_the_values_plus_a_constant():
     extra = []
     for n in (2 ** 17, 2 ** 18):
-        batch = sample_twin_beam(TWIN_X, n, seed=6)
+        batch = twin_beam_batch(TWIN_X, n, seed=6)
         extra.append(traced_peak(lambda: mc_estimate_witness(batch)) - 8 * n)
     assert max(extra) < 1.6e6 and abs(extra[1] - extra[0]) < 0.5e6, extra
 
@@ -731,25 +747,25 @@ ORACLE_SIZES = [1, 1000, BLOCK_SIZE, 2 * BLOCK_SIZE + 1017]
 @pytest.mark.parametrize("workers", [1, 2])
 @pytest.mark.parametrize("n", ORACLE_SIZES)
 def test_twin_beam_draws_into_the_batch_with_the_full_draw_bits(
-        monkeypatch, n, workers, gamma_t, kappa):
+        n, workers, gamma_t, kappa):
     # the oracle draws at full length and forms the outcomes out of place,
-    # so this pins both the in-batch draws and the in-place formula
-    def sample():
-        return sample_twin_beam(TWIN_X, n, seed=13, gamma_t=gamma_t,
-                                kappa=kappa, workers=workers)
-
-    batch = sample()
-    monkeypatch.setattr(tomography, "_sample_blocks", with_full_draws(
-        twin_beam_draw(gamma_t), twin_beam_quadratures(TWIN_X, kappa)))
-    assert_same_batch(batch, sample())
+    # so this pins the in-batch draws, the stream's draws into its reused
+    # block and the in-place formula
+    expected = HomodyneBatch(*full_draw_blocks(
+        n, 13, twin_beam_draw(gamma_t), twin_beam_quadratures(TWIN_X, kappa),
+        tomography._KERNEL_CHUNK))
+    assert_same_batch(twin_law_batch(TWIN_X, n, seed=13, gamma_t=gamma_t,
+                                     kappa=kappa, workers=workers), expected)
+    assert_same_batch(twin_beam_batch(TWIN_X, n, seed=13, gamma_t=gamma_t,
+                                      kappa=kappa), expected)
 
 
 @pytest.mark.parametrize("workers", [1, 2, 3])
 @pytest.mark.parametrize("n", ORACLE_SIZES)
 def test_streamed_twin_beam_blocks_are_the_batch(n, workers):
     # drawn into one reused buffer, the blocks keep the bits of the slices
-    # of the batch at any worker count
-    batch = sample_twin_beam(TWIN_X, n, seed=8, gamma_t=0.7, workers=workers)
+    # of the batch drawn at any worker count
+    batch = twin_law_batch(TWIN_X, n, seed=8, gamma_t=0.7, workers=workers)
     blocks = stream_twin_beam(TWIN_X, n, seed=8, gamma_t=0.7)
     start, buffers = 0, set()
     for block in blocks:
@@ -777,7 +793,7 @@ def test_homodyne_draws_into_the_batch_with_the_full_draw_bits(
 
 
 @pytest.mark.parametrize("sampler", [
-    lambda n, w: sample_twin_beam(TWIN_X, n, seed=9, kappa=0.2, workers=w),
+    lambda n, w: twin_law_batch(TWIN_X, n, seed=9, kappa=0.2, workers=w),
     lambda n, w: sample_homodyne(rotated_twb(0.5, 1.1), n, seed=9,
                                  workers=w)],
     ids=["twin-beam", "homodyne"])
@@ -799,15 +815,15 @@ def test_no_sampler_starts_a_thread(monkeypatch):
     rho = twb_state(0.3, FockTruncation(3))
     noise = {"gamma_t": 0.7, "kappa": 0.2}
     homodyne = sample_homodyne(rho, n, seed=21)
-    twin = sample_twin_beam(TWIN_X, n, seed=21, **noise)
+    twin = twin_beam_batch(TWIN_X, n, seed=21, **noise)
 
     def refuse(thread):
         raise AssertionError(f"a sampler started {thread}")
 
     monkeypatch.setattr(threading.Thread, "start", refuse)
     assert_same_batch(sample_homodyne(rho, n, seed=21, workers=4), homodyne)
-    assert_same_batch(sample_twin_beam(TWIN_X, n, seed=21, workers=3,
-                                       **noise), twin)
+    assert_same_batch(twin_law_batch(TWIN_X, n, seed=21, workers=3,
+                                     **noise), twin)
     start = 0
     for block in stream_twin_beam(TWIN_X, n, seed=21, **noise):
         stop = start + len(block)

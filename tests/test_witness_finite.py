@@ -5,20 +5,22 @@ import pytest
 
 from depolarized_family import DepolarizedFamily
 from helpers import (
+    build_witness,
     dense_eigvec_operator,
     dense_quorum_locals,
+    partial_transpose,
     random_product_state,
     reconstruct,
     validate,
+    vectorize,
 )
-from witnessforge.linalg import complex_svd, vectorize
+from witnessforge.linalg import complex_svd
 from witnessforge.states import (
     maximally_entangled_operator,
     random_state_operator,
     schmidt_operator,
 )
 from witnessforge.witness_finite import (
-    build_witness,
     depolarized_expectation,
     depolarized_state,
     detection_threshold,
@@ -50,7 +52,7 @@ def test_depolarized_qubit_spectrum():
 def test_depolarized_validates():
     rho = depolarized_state(maximally_entangled_operator(4), 0.7)
     validate(rho)
-    assert rho.trace() == pytest.approx(1.0, abs=1e-12)
+    assert np.trace(rho.matrix).real == pytest.approx(1.0, abs=1e-12)
 
 
 def test_depolarized_rejects_bad_inputs():
@@ -74,7 +76,7 @@ def test_min_pt_eigenvalue_maximally_entangled():
 def test_min_pt_eigenvalue_against_dense_solver():
     psi = maximally_entangled_operator(3)
     rho = depolarized_state(psi, 0.5)
-    w = np.linalg.eigvalsh(rho.partial_transpose())
+    w = np.linalg.eigvalsh(partial_transpose(rho.matrix, 3, 3))
     assert w[0] == pytest.approx(-1.0 / 9.0, abs=1e-12)
     assert min_pt_eigenvalue(complex_svd(psi), 0.5) == pytest.approx(w[0],
                                                                       abs=1e-9)
@@ -109,7 +111,7 @@ def test_min_eigvec_operator_is_pt_eigenvector():
         psi = random_state_operator(4, rng)
         v = vectorize(min_eigvec_operator(complex_svd(psi)))
         for p in (0.0, 0.3, 0.8):
-            pt = depolarized_state(psi, p).partial_transpose()
+            pt = partial_transpose(depolarized_state(psi, p).matrix, 4, 4)
             lam = min_pt_eigenvalue(complex_svd(psi), p)
             assert np.abs(pt @ v - lam * v).max() < 1e-9
 
@@ -313,8 +315,8 @@ def test_pt_spectrum_structure():
             for i in range(d):
                 for j in range(i + 1, d):
                     expected.extend([p * s[i] * s[j] + c, -p * s[i] * s[j] + c])
-            numeric = np.linalg.eigvalsh(
-                depolarized_state(psi, p).partial_transpose())
+            numeric = np.linalg.eigvalsh(partial_transpose(
+                depolarized_state(psi, p).matrix, d, d))
             assert np.abs(np.sort(expected) - numeric).max() < 1e-9
 
 

@@ -9,9 +9,9 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from helpers import build_witness
 from witnessforge.linalg import complex_svd
 from witnessforge.witness_finite import (
-    build_witness,
     depolarized_expectation,
     depolarized_state,
     detection_threshold,

@@ -18,9 +18,10 @@ read sums, the bytes of the table, the number of phase modes (a, b) of
 its conditional and the shapes of the conditional's and the marginal's
 maps.  The
 ``tomo-estimate`` stages are those of the benchmark's tomo-twin workload
-at x = 0.5: ``sample_twin_beam`` without noise, with phase noise
-gamma_t = 1 and with Gauss noise kappa = 0.2, then on the phase-noisy
-batch ``pattern_functions`` of x1, ``witness_kernel`` (which holds two
+at x = 0.5: ``stream_twin_beam`` without noise, with phase noise
+gamma_t = 1 and with Gauss noise kappa = 0.2, each block drawn and
+dropped, then on the phase-noisy samples as one batch
+``pattern_functions`` of x1, ``witness_kernel`` (which holds two
 ``pattern_functions`` calls), ``mc_estimate_witness`` (which holds the
 kernel) and ``formats.batch_to_csv``, split into the formatting of the
 cells and the rest, the compaction of each chunk and its write.  Wall and
@@ -37,13 +38,15 @@ the process allocated and freed before.
 
 Then the traced peak allocation of one table build on each state, of one
 call of ``sample_homodyne`` on each state at the benchmark's sample counts
-and on the d = 4 twin beam, of ``sample_twin_beam`` without and with phase
-noise and of ``mc_estimate_witness`` at 2^17 samples, each with the part
-beyond the batch (32 bytes a sample) or the kernel values (8 bytes a
-sample), of ``formats.batch_to_csv`` on 2^17 rows, and of the in-process
-``tomo-estimate`` command at 2^17 samples with phase noise, without and
-with ``--batch-csv``, with the part beyond its kernel values: it streams
-its samples block by block and never holds the batch.  Peaks are in MiB.
+and on the d = 4 twin beam, each with the part beyond the batch (32 bytes
+a sample), of ``stream_twin_beam`` without and with phase noise at 2^17
+samples, with the part beyond its one block buffer (32 bytes a sample of
+a block), of ``mc_estimate_witness`` at 2^17 samples, with the part beyond
+the kernel values (8 bytes a sample), of ``formats.batch_to_csv`` on 2^17
+rows, and of the in-process ``tomo-estimate`` command at 2^17 samples
+with phase noise, without and with ``--batch-csv``, with the part beyond
+its kernel values: it streams its samples block by block and never holds
+the batch.  Peaks are in MiB.
 Run from the repository root:
 
     PYTHONPATH=src python tools/sampler_stages.py [repeats]
@@ -114,14 +117,34 @@ def stages(rho, rng):
     }
 
 
+def drain(blocks) -> None:
+    """Draw every block of a stream and drop it."""
+    for _ in blocks:
+        pass
+
+
+def twin_beam_batch(n: int, **noise) -> tm.HomodyneBatch:
+    """The n samples of ``stream_twin_beam`` at x = 0.5, seed 1, as one
+    batch."""
+    rows = np.empty((4, n))
+    start = 0
+    for block in tm.stream_twin_beam(0.5, n, seed=1, **noise):
+        stop = start + len(block)
+        np.stack((block.phi1, block.x1, block.phi2, block.x2),
+                 out=rows[:, start:stop])
+        start = stop
+    return tm.HomodyneBatch(*rows)
+
+
 def estimate_stages(path: str) -> dict:
     """The stages of ``tomo-estimate`` at TWIN_SAMPLES samples; the export
     writes to path."""
     n = TWIN_SAMPLES
-    timed = {f"sample_twin_beam {label}": (
-        lambda noise=noise: tm.sample_twin_beam(0.5, n, seed=1, **noise))
+    timed = {f"stream_twin_beam {label}": (
+        lambda noise=noise: drain(tm.stream_twin_beam(0.5, n, seed=1,
+                                                      **noise)))
         for label, noise in TWIN_NOISE.items()}
-    batch = tm.sample_twin_beam(0.5, n, seed=1, gamma_t=1.0)
+    batch = twin_beam_batch(n, gamma_t=1.0)
     columns = (batch.phi1, batch.x1, batch.phi2, batch.x2)
     block = np.empty((formats.CHUNK_ROWS, 4))
     cells = np.empty((4 * formats.CHUNK_ROWS, 5), dtype=formats._WORD)
@@ -211,10 +234,11 @@ def memory(rng) -> None:
     report(f"sample_homodyne twb d=4 n = {n}",
            lambda: tm.sample_homodyne(small, n, seed=1), "batch", 32, n)
     for gamma_t in (0.0, 1.0):
-        report(f"sample_twin_beam gamma_t = {gamma_t:g} n = {n}",
-               lambda: tm.sample_twin_beam(0.5, n, seed=1, gamma_t=gamma_t),
-               "batch", 32, n)
-    batch = tm.sample_twin_beam(0.5, n, seed=1, gamma_t=1.0)
+        report(f"stream_twin_beam gamma_t = {gamma_t:g} n = {n}",
+               lambda: drain(tm.stream_twin_beam(0.5, n, seed=1,
+                                                 gamma_t=gamma_t)),
+               "block", 32, tm.BLOCK_SIZE)
+    batch = twin_beam_batch(n, gamma_t=1.0)
     report(f"mc_estimate_witness n = {n}",
            lambda: tm.mc_estimate_witness(batch), "values", 8, n)
     with tempfile.TemporaryDirectory() as folder:
