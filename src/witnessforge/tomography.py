@@ -43,6 +43,9 @@ _READ_BYTES = 1 << 18       # bytes of gathered table rows per einsum of
                             # a column read
 _ONE_THREAD = 1 << 18       # m n k of the largest product OpenBLAS runs on
                             # one thread (65536 times its gemm threshold 4)
+_FEATURE_BYTES = 9 << 17    # bytes (1.125 MiB) of one sample block of the
+                            # conditional's features and the rows they
+                            # are formed from
 
 
 @dataclass
@@ -215,18 +218,31 @@ def _with_cdf(table: np.ndarray, delta: float) -> np.ndarray:
     return table
 
 
-def _fixed_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a @ b for an operand a of exactly _CHUNK rows (see
-    :meth:`_SamplerTables.pair_weights`), in row blocks of one fixed
-    power-of-two size, each small enough that OpenBLAS runs it on one
-    thread: a woken second thread spins for milliseconds of CPU after the
-    product ends."""
-    assert a.shape[0] == _CHUNK
+def _block_rows(b: np.ndarray) -> int:
+    """The rows of every product a @ b that :func:`_fixed_rows` runs: the
+    largest power of two up to _CHUNK whose product has at most
+    _ONE_THREAD multiply-adds, so that OpenBLAS runs it on one thread (a
+    woken second thread spins for milliseconds of CPU after the product
+    ends).  It depends on b alone."""
     rows = _CHUNK
     while rows > 1 and rows * b.size > _ONE_THREAD:
         rows //= 2
-    out = np.empty((_CHUNK, b.shape[1]))
-    for start in range(0, _CHUNK, rows):
+    return rows
+
+
+def _fixed_rows(a: np.ndarray, b: np.ndarray,
+                out: np.ndarray | None = None) -> np.ndarray:
+    """a @ b, into out if given, for an operand a whose row count is a
+    multiple of :func:`_block_rows` of b, in row blocks of that fixed size.
+    BLAS may round a row differently depending on how many rows a call
+    holds, so each row of the result has the same bits whatever the row
+    count of a and wherever the row lies in it (see
+    :meth:`_SamplerTables.pair_weights`)."""
+    rows = _block_rows(b)
+    assert a.shape[0] % rows == 0
+    if out is None:
+        out = np.empty((a.shape[0], b.shape[1]))
+    for start in range(0, a.shape[0], rows):
         np.matmul(a[start:start + rows], b, out=out[start:start + rows])
     return out
 
@@ -396,8 +412,10 @@ def _sample_columns(column, u: np.ndarray, nodes: np.ndarray,
     when that CDF entry is below its target.  The last cell always
     qualifies, as its cdf is 0 and u < 1, so the search stays in range.
     Each draw reads about a dozen entries of its row, not all of it; the
-    total and the first probe are the same column for every draw, so lo
-    stays an int until the first move and those two are shared reads.
+    total and the first probe, the last cell of the lower half, are the
+    same column for every draw, so those two are shared reads.  The first
+    probe fixes the half that every later probe lies in, and with it the
+    target of the search.
     """
     g = nodes.size
     cells = g // 2
@@ -407,13 +425,15 @@ def _sample_columns(column, u: np.ndarray, nodes: np.ndarray,
         raise ValueError("quadrature density has vanishing total mass")
     below_target = u * total
     above_target = (u - 1.0) * total
-    lo = 0
-    below = 0.0                    # cdf[lo - 1], or 0 while lo = 0
-    step = half
+    cdf = column(g + half - 1)
+    right = cdf < below_target
+    lo = right * half
+    below = np.where(right, cdf, 0.0)      # cdf[lo - 1], or 0 while lo = 0
+    aim = np.where(right, above_target, below_target)
+    step = half // 2
     while step:
-        probe = lo + (step - 1)
-        cdf = column(g + probe)
-        right = cdf < np.where(probe < half, below_target, above_target)
+        cdf = column(g + lo + (step - 1))
+        right = cdf < aim
         lo += right * step
         below = np.where(right, cdf, below)
         step //= 2
@@ -480,6 +500,30 @@ def _conditional_map(rho, d: int, expand: np.ndarray):
                           or [np.zeros((0, 2 * d - 1))]), groups
 
 
+def _feature_plan(d: int, groups: tuple):
+    """How :meth:`_SamplerTables.pair_weights` forms the features of the
+    groups of row blocks of the conditional's map (see
+    :func:`_conditional_map`).  Returns the (k, sine) of every block of
+    b = 0, in row order, whose phase is the cosine or the sine of
+    e^{ik theta}, and per group: |a| = k; the number of its blocks of
+    b = 0, which come first; the row of e^{ia theta} and that of
+    e^{ib phi2} of each of its other modes, among the powers of exponent
+    0, 1, ... followed by the conjugates of exponent 1, 2, ...; and the
+    mode of each of its other blocks with whether it takes the sine."""
+    fixed, plan = [], []
+    for k, blocks in groups:
+        sines = [(k, sine) for _, b, sine in blocks if b == 0]
+        modes = list(dict.fromkeys((a, b) for a, b, _ in blocks if b))
+        picks = [(modes.index((a, b)), sine) for a, b, sine in blocks if b]
+        left = [a if a >= 0 else d - 1 - a for a, _ in modes]
+        right = [b if b >= 0 else 2 * d - 2 - b for _, b in modes]
+        fixed += sines
+        plan.append((k, len(sines),
+                     *(np.array(v, dtype=np.intp) for v in (left, right)),
+                     np.array(picks, dtype=np.intp).reshape(-1, 2)))
+    return np.array(fixed, dtype=np.intp).reshape(-1, 2), tuple(plan)
+
+
 @dataclass
 class _SamplerTables:
     """Everything precomputed once per (state, grid) for the sampling loop.
@@ -514,6 +558,10 @@ class _SamplerTables:
                                 # conditional, in row order
     conserving: bool            # whether every mode has b = 0, which holds
                                 # exactly when rho conserves n - m
+    fixed: np.ndarray           # (k, sine) of each row block of b = 0,
+                                # whose phase is e^{ik theta}
+    plan: tuple                 # per group, how pair_weights forms its
+                                # features (see _feature_plan)
 
     @classmethod
     def build(cls, rho: BipartiteDensity):
@@ -544,11 +592,12 @@ class _SamplerTables:
                   if not live[1:].any() else None)
         conditional, groups = _conditional_map(rho, d, expand)
         conserving = all(b == 0 for _, blocks in groups for _, b, _ in blocks)
+        fixed, plan = _feature_plan(d, groups)
         return cls(d=d, nodes=nodes, delta=delta, pairs=pairs,
                    marginal=marginal[live],
                    marginal_rows=np.flatnonzero(live), shared=shared,
                    conditional=conditional, groups=groups,
-                   conserving=conserving)
+                   conserving=conserving, fixed=fixed, plan=plan)
 
     # ---- stage 1: x1 from the phi1 marginal, the density of rho_A ----
     def marginal_weights(self, phi1: np.ndarray) -> np.ndarray:
@@ -568,6 +617,28 @@ class _SamplerTables:
         return _sample_columns(column, u, self.nodes, self.delta)
 
     # ---- stage 2: x2 from the conditional at the sampled x1 ----
+    def feature_buffer(self) -> np.ndarray:
+        """A buffer for the conditional's features of one sample block (see
+        :meth:`pair_weights`): a (rows, m) array, m the largest power of two
+        up to _CHUNK, and at least the products' row block
+        (:func:`_block_rows`), at which the block's features and the rows
+        they are formed from fit in _FEATURE_BYTES.  That is 1024 samples at
+        d = 3, 512 for a general state at d = 4, 256 for the rotated twin
+        beam at d = 17 (289 rows) and 128 for the twin beam at d = 33 (561
+        rows) and for a general state at d = 8 (1016 rows)."""
+        rows = self.conditional.shape[0]
+        # psi_n(x1) and the pair products, and the phases and the mixed
+        # modes' products that a group gathers
+        scratch = 2 * self.d + max((4 * left.size + len(picks) for
+                                    _, _, left, _, picks in self.plan),
+                                   default=0)
+        least = _block_rows(self.conditional)
+        samples = _CHUNK
+        while samples > least and 8 * samples * (rows + scratch) \
+                > _FEATURE_BYTES:
+            samples //= 2
+        return np.empty((rows, samples))
+
     def pair_weights(self, x1: np.ndarray, phi1: np.ndarray,
                      phi2: np.ndarray, out: np.ndarray | None = None
                      ) -> np.ndarray:
@@ -583,12 +654,22 @@ class _SamplerTables:
             V(s) = sum_(a,b) P_|a|(s) cos(a theta + b phi2) c_j Re R_{a,j} G_j
                    + P_|a|(s) sin(a theta + b phi2) (-c_j Im R_{a,j} G_j),
 
-        which is one real product: the features, stacked in a
-        (rows, _CHUNK) array (out, if given, else a new one), times the
-        map (see :func:`_conditional_map`).  Each group of row blocks of
-        one |a| forms P_|a| once, in its first block.  A state that
-        conserves n - m has only the modes b = 0, whose phases are the
-        powers of e^{i theta} alone.
+        which is one real product: the features, stacked by the map's row
+        blocks, times the map (see :func:`_conditional_map`).  The features
+        are formed and multiplied one sample block at a time, in out (a
+        buffer from :meth:`feature_buffer`, or a new one), so their memory
+        stays bounded whatever the map's row count.  Each phase mode's
+        e^{i(a theta + b phi2)} is formed once per chunk: the powers of
+        e^{i theta}, whose cosine and sine rows the blocks of b = 0 read
+        (every block, when rho conserves n - m), and for each other mode
+        one product per sample block.  In a sample block each group of one
+        |a| forms P_|a| once and fills its blocks of b = 0, then those of
+        its other modes, each with one broadcast multiply of P_|a| by the
+        stacked cosine or sine rows of the blocks.  So every feature is one
+        product of a pair product and a cosine or a sine (the cosine 1 for
+        mode (0, 0)), and every product with the map has the row count of
+        :func:`_fixed_rows`: each weight has the same bits whatever the
+        sample block size.
         """
         d = self.d
         n = x1.size
@@ -598,37 +679,48 @@ class _SamplerTables:
         # whatever the sample count, which keeps a shorter run a bitwise
         # prefix of a longer one
         x1, phi1, phi2 = (_padded(a) for a in (x1, phi1, phi2))
+        turns = _phase_powers(phi1 + phi2, d)
+        # the cosine or the sine of e^{ik theta} of every block of b = 0
+        fixed = turns.view(float).reshape(d, _CHUNK, 2)[self.fixed[:, 0], :,
+                                                        self.fixed[:, 1]]
+        if not self.conserving:
+            # e^{ik x} for k >= 0 and then their conjugates e^{-ik x}, k > 0
+            theta = np.concatenate([turns, turns[1:].conj()])
+            spin = _phase_powers(phi2, 2 * d - 1)
+            spin = np.concatenate([spin, spin[1:].conj()])
+        del turns
         psi1 = oscillator_psi_table(d - 1, x1)
-        theta = _phase_powers(phi1 + phi2, d)
-        spin = None if self.conserving else _phase_powers(phi2, 2 * d - 1)
-
-        def mixed(turns, a, b):
-            # e^{i(a theta + b phi2)} of a mode with b != 0, formed once per
-            # group, in turns
-            if (a, b) not in turns:
-                turns[a, b] = ((theta[a] if a >= 0 else theta[-a].conj())
-                               * (spin[b] if b > 0 else spin[-b].conj()))
-            return turns[a, b]
-
-        features = (np.empty((self.conditional.shape[0], _CHUNK))
-                    if out is None else out)
-        row = 0
-        for k, blocks in self.groups:
+        features = self.feature_buffer() if out is None else out
+        samples = features.shape[1]
+        # psi_n(x1) of the sample block, contiguous, and its pair products
+        psi, products = np.empty((2, d, samples))
+        # per group: the factors of its pair products, the products, the
+        # phases of its blocks of b = 0 and its row blocks in features
+        groups, row, first = [], 0, 0
+        for k, count, left, right, picks in self.plan:
             width = d - k
-            products = features[row:row + width]
-            np.multiply(psi1[k:], psi1[:width], out=products)
-            turns = {}
-            for a, b, sine in blocks[1:]:
-                row += width
-                turn = mixed(turns, a, b) if b else theta[a]
-                np.multiply(products, turn.imag if sine else turn.real,
-                            out=features[row:row + width])
-            row += width
-            a, b, sine = blocks[0]
-            if a or b:
-                turn = mixed(turns, a, b) if b else theta[a]
-                products *= turn.imag if sine else turn.real
-        return _fixed_rows(features.T, self.conditional)[:n]
+            rows = features[row:row + (count + len(picks)) * width]
+            rows = rows.reshape(-1, width, samples)
+            groups.append((psi[k:], psi[:width], products[:width],
+                           fixed[first:first + count, None], rows[:count],
+                           rows[count:], left, right, picks))
+            row += rows.shape[0] * width
+            first += count
+        weights = np.empty((_CHUNK, 2 * d - 1))
+        for start in range(0, n, samples):
+            part = slice(start, start + samples)
+            np.copyto(psi, psi1[:, part])
+            for high, low, pairs, phases, fill, mixed, left, right, picks \
+                    in groups:
+                np.multiply(high, low, out=pairs)
+                np.multiply(pairs, phases[..., part], out=fill)
+                if left.size:
+                    turns = theta[left, part]
+                    np.multiply(turns, spin[right, part], out=turns)
+                    np.multiply(pairs, turns[..., None].view(float)[
+                        picks[:, 0], :, picks[:, 1]][:, None], out=mixed)
+            _fixed_rows(features.T, self.conditional, weights[part])
+        return weights[:n]
 
     def draw_conditional(self, x1: np.ndarray, phi1: np.ndarray,
                          phi2: np.ndarray, u: np.ndarray,
@@ -674,12 +766,14 @@ def _uniform_prefix(rng: np.random.Generator, out: np.ndarray) -> None:
     rng.bit_generator.advance(BLOCK_SIZE - out.size)
 
 
-def _check_counts(n: int, seed: int) -> None:
-    """Reject bad counts before a blocked sampler allocates its rows."""
+def _check_counts(n: int, seed: int, workers: int = 1) -> None:
+    """Reject bad counts before a blocked sampler does any work."""
     if n < 1:
         raise ValueError("sample count must be positive")
     if seed < 0:
         raise ValueError(f"seed must be non-negative, got {seed}")
+    if workers < 1:
+        raise ValueError("workers must be positive")
 
 
 def _blocks(n: int, seed: int, draw, quadratures, piece: int,
@@ -737,13 +831,10 @@ def _blocks(n: int, seed: int, draw, quadratures, piece: int,
 def _sample_blocks(n: int, seed: int, workers: int, draw, quadratures,
                    piece: int) -> np.ndarray:
     """The n samples that :func:`_blocks` draws into one (4, n) array,
-    allocated after the counts are checked, whose C-contiguous rows are
-    phi1, x1, phi2 and x2.  The caller checks them as a
-    :class:`HomodyneBatch` after the buffers of draw are freed.
-    ``workers`` is only checked."""
-    _check_counts(n, seed)
-    if workers < 1:
-        raise ValueError("workers must be positive")
+    whose C-contiguous rows are phi1, x1, phi2 and x2.  The caller has
+    checked n, seed and ``workers`` (:func:`_check_counts`), which selects
+    nothing, and checks the samples as a :class:`HomodyneBatch` after the
+    buffers of draw are freed."""
     batch = np.empty((4, n))
     for _ in _blocks(n, seed, draw, quadratures, piece, batch):
         pass
@@ -784,8 +875,9 @@ def sample_homodyne(rho: BipartiteDensity, n: int, seed: int,
     formed once and shared by every draw when rho_A is diagonal; the
     conditional's are the pair products at x1 times the cosine and sine
     of each phase mode of rho (see :meth:`_SamplerTables.pair_weights`).
-    rho is checked once: a ValueError is raised if its smallest eigenvalue
-    lets a quadrature density on the grid fall below -1e-10.
+    n, seed and ``workers`` are checked first, then rho, once: a ValueError
+    is raised if its smallest eigenvalue lets a quadrature density on the
+    grid fall below -1e-10.
 
     Samples are organized in fixed blocks of 65536 with one spawned RNG
     substream per block, drawn one after another, so the result is bitwise
@@ -794,10 +886,14 @@ def sample_homodyne(rho: BipartiteDensity, n: int, seed: int,
     Every block draws its phases and uniforms straight into its slice of
     the batch (a short last block skips the words of the uniforms it does
     not use), and each chunk of _CHUNK = 1024 samples overwrites its
-    uniforms with its outcomes.  The conditional's features of every chunk
-    go into one buffer allocated once per call, and table columns are read
-    in slices of cache size, so the working memory is the 32 n bytes of
-    the batch plus the table and one chunk's temporaries.
+    uniforms with its outcomes.  The conditional's features are formed and
+    multiplied one sample block at a time, in one buffer allocated once per
+    call, which fits in _FEATURE_BYTES = 1.125 MiB with the rows they are
+    formed from (256 samples of 289 rows for the rotated twin beam at
+    d = 17), and table columns are read in slices of cache size.  So the
+    working memory is the 32 n bytes of the batch plus the table and one
+    chunk's temporaries, whatever the number of map rows (d(d+1)/2 for a
+    twin beam, up to 2d^3 - d for a general state).
     Every value of a sample is computed row by row (the BLAS products at
     one fixed row count, with the samples of a short chunk padded once to
     that count, and in row blocks small enough for one BLAS thread), so a
@@ -808,10 +904,11 @@ def sample_homodyne(rho: BipartiteDensity, n: int, seed: int,
     if rho.dim_a != rho.dim_b:
         raise ValueError(f"the two modes need equal dimensions, got "
                          f"dim_a={rho.dim_a} and dim_b={rho.dim_b}")
+    _check_counts(n, seed, workers)
     tables = _SamplerTables.build(rho)
     _check_positive(rho, tables)
-    # the conditional's features of every chunk
-    weights = np.empty((tables.conditional.shape[0], _CHUNK))
+    # the conditional's features of one sample block, for every chunk
+    weights = tables.feature_buffer()
 
     def draw(rng, u1, u2):
         _uniform_prefix(rng, u1)

@@ -18,6 +18,12 @@ conditional operator for the conditional), the read that gathers every
 row at once, a draw from formed rows through the same search, and the
 mode-1 marginal rows built from one row per phase coefficient
 (1, cos j phi1, sin j phi1) of rho_A.
+
+``_SamplerTables.pair_weights`` forms the conditional's phase features one
+block of samples at a time in a buffer of a fixed byte budget.  This
+module keeps the one-buffer form it replaced, which stacked the features
+of a whole chunk, block by block of the map, and took one product per
+chunk.
 """
 
 from __future__ import annotations
@@ -28,8 +34,12 @@ import numpy as np
 
 from witnessforge.specfn import oscillator_psi_table
 from witnessforge.tomography import (
+    _CHUNK,
+    _ONE_THREAD,
     BLOCK_SIZE,
     CELLS,
+    _padded,
+    _phase_powers,
     _sample_columns,
     _with_cdf,
 )
@@ -230,3 +240,58 @@ def phase_coefficient_rows(rho, tables, phi1: np.ndarray) -> np.ndarray:
     table = np.empty((len(rows), 3 * CELLS + 2))
     table[:, :2 * CELLS + 1] = rows
     return weights @ _with_cdf(table, tables.delta)
+
+
+def one_buffer_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b for an operand a of exactly _CHUNK rows, in row blocks of the
+    power-of-two size that the sampler's products keep (the largest with
+    at most _ONE_THREAD multiply-adds)."""
+    assert a.shape[0] == _CHUNK
+    rows = _CHUNK
+    while rows > 1 and rows * b.size > _ONE_THREAD:
+        rows //= 2
+    out = np.empty((_CHUNK, b.shape[1]))
+    for start in range(0, _CHUNK, rows):
+        np.matmul(a[start:start + rows], b, out=out[start:start + rows])
+    return out
+
+
+def one_buffer_pair_weights(tables, x1: np.ndarray, phi1: np.ndarray,
+                            phi2: np.ndarray) -> np.ndarray:
+    """The conditional's table weights of at most _CHUNK samples with the
+    features of the whole padded chunk in one (rows, _CHUNK) buffer: each
+    group of row blocks of one |a| forms its pair products in its first
+    block, multiplies them by the cosine or sine of each further block's
+    mode into that block, then by its first block's own; one product with
+    the map follows."""
+    d = tables.d
+    n = x1.size
+    x1, phi1, phi2 = (_padded(a) for a in (x1, phi1, phi2))
+    psi1 = oscillator_psi_table(d - 1, x1)
+    theta = _phase_powers(phi1 + phi2, d)
+    spin = None if tables.conserving else _phase_powers(phi2, 2 * d - 1)
+
+    def mixed(turns, a, b):
+        if (a, b) not in turns:
+            turns[a, b] = ((theta[a] if a >= 0 else theta[-a].conj())
+                           * (spin[b] if b > 0 else spin[-b].conj()))
+        return turns[a, b]
+
+    features = np.empty((tables.conditional.shape[0], _CHUNK))
+    row = 0
+    for k, blocks in tables.groups:
+        width = d - k
+        products = features[row:row + width]
+        np.multiply(psi1[k:], psi1[:width], out=products)
+        turns = {}
+        for a, b, sine in blocks[1:]:
+            row += width
+            turn = mixed(turns, a, b) if b else theta[a]
+            np.multiply(products, turn.imag if sine else turn.real,
+                        out=features[row:row + width])
+        row += width
+        a, b, sine = blocks[0]
+        if a or b:
+            turn = mixed(turns, a, b) if b else theta[a]
+            products *= turn.imag if sine else turn.real
+    return one_buffer_product(features.T, tables.conditional)[:n]

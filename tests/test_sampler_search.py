@@ -10,8 +10,9 @@ on the table of all pair products (``sampler_oracle``, whose pair weights
 come from rho alone), the marginal rows of that table with those of the
 phase-coefficient rows of rho_A, the table CDFs of the twin beam with its
 Gaussian law, the Newton inversion of a cell with the bisection oracle,
-and check the eigenvalue bound that replaced the scan of each row's node
-densities.
+the conditional's weights, formed one sample block at a time, with the
+chunk-wide form they replaced, and check the eigenvalue bound that
+replaced the scan of each row's node densities.
 """
 
 import math
@@ -36,6 +37,7 @@ from sampler_oracle import (
     conditional_rows,
     draw,
     marginal_rows,
+    one_buffer_pair_weights,
     phase_coefficient_rows,
 )
 from test_tomography import (
@@ -214,13 +216,13 @@ def test_sampler_forms_no_rows_and_no_complex_products(make_state,
     block_product = tomography._fixed_rows
     calls = []
 
-    def real_block_product(a, b):
+    def real_block_product(a, b, out=None):
         # every matrix product is a real product of phase features with a
         # map, at most 2d - 1 columns wide
         assert not np.iscomplexobj(a) and not np.iscomplexobj(b)
         assert b.shape[1] <= 2 * rho.dim_a - 1
         calls.append(b.shape)
-        return block_product(a, b)
+        return block_product(a, b, out)
 
     monkeypatch.setattr(tomography, "_fixed_rows", real_block_product)
     tracemalloc.start()
@@ -232,16 +234,52 @@ def test_sampler_forms_no_rows_and_no_complex_products(make_state,
     assert np.array_equal(batch.x1, expected.x1)
     assert np.array_equal(batch.x2, expected.x2)
     # the products went through the guard, so it checked them: per chunk,
-    # the one product of the reduced weights of each stage that weighs
-    # the table
+    # the conditional's one product per sample block of its features, and
+    # the marginal's one product when it weighs the table
     tables = _SamplerTables.build(rho)
-    chunks = -(-3000 // tomography._CHUNK)
-    assert len(calls) == chunks * (1 + (tables.shared is None))
+    samples = tables.feature_buffer().shape[1]
+    chunks = range(0, 3000, tomography._CHUNK)
+    assert len(calls) == sum(
+        -(-min(tomography._CHUNK, 3000 - start) // samples)
+        + (tables.shared is None) for start in chunks)
     # no chunk of density rows as wide as the table was formed: with the
     # table build, the block of uniforms and the batch, the whole call
     # allocates less than one
     width = tables.pairs.shape[1]
     assert peak < tomography._CHUNK * width * 8
+
+
+@pytest.mark.parametrize("make_state", [
+    lambda: depolarized_state(
+        random_state_operator(3, np.random.default_rng(7)), 0.8),
+    lambda: depolarized_state(
+        random_state_operator(4, np.random.default_rng(7)), 0.8),
+    lambda: depolarized_state(
+        random_state_operator(8, np.random.default_rng(7)), 0.8),
+    lambda: rotated_twb(0.5, 1.1),
+    lambda: twb_state(0.7, FockTruncation.for_twb(0.7))],
+    ids=["depolarized-d3", "depolarized-d4", "depolarized-d8", "rotated-twb",
+         "twb-x0.7"])
+@pytest.mark.parametrize("n", [1, 1000, 1024, 3001])
+def test_blocked_features_have_the_one_buffer_bits(make_state, n):
+    # the features are formed and multiplied one sample block at a time;
+    # each product with the map keeps its row count and each feature its
+    # two operands, so the weights of every chunk keep the bits of the
+    # chunk-wide buffer, at the sampler's block size and at the smallest
+    tables = _SamplerTables.build(make_state())
+    rng = np.random.default_rng(n)
+    x1 = 2.0 * rng.standard_normal(n)
+    phi1, phi2 = math.pi * rng.random((2, n))
+    rows = tables.conditional.shape[0]
+    buffers = [tables.feature_buffer(),
+               np.empty((rows, tomography._block_rows(tables.conditional)))]
+    assert 8 * buffers[0].size <= tomography._FEATURE_BYTES
+    for start in range(0, n, tomography._CHUNK):
+        chunk = [a[start:start + tomography._CHUNK] for a in (x1, phi1, phi2)]
+        expected = one_buffer_pair_weights(tables, *chunk)
+        for buffer in buffers:
+            assert np.array_equal(tables.pair_weights(*chunk, buffer),
+                                  expected)
 
 
 @pytest.mark.parametrize("make_state", [

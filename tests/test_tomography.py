@@ -297,6 +297,22 @@ def test_sample_count_guard():
         sample_homodyne(vacuum_state(), 0, seed=1)
 
 
+@pytest.mark.parametrize("n, seed, workers, match", [
+    (0, 1, 1, "sample count"), (-3, 1, 1, "sample count"),
+    (10, -1, 1, "seed"), (10, 1, 0, "workers")])
+def test_sampler_checks_its_counts_before_the_tables(n, seed, workers, match,
+                                                     monkeypatch):
+    # a bad count raises its own error before the table build and the
+    # eigenvalue check run
+    def no_build(rho):
+        raise AssertionError("the tables were built")
+
+    monkeypatch.setattr(tomography._SamplerTables, "build", no_build)
+    with pytest.raises(ValueError, match=match):
+        sample_homodyne(twb_state(0.3, FockTruncation(3)), n, seed=seed,
+                        workers=workers)
+
+
 def test_batch_csv_roundtrip(tmp_path):
     rho = twb_state(0.3, FockTruncation.for_twb(0.3))
     batch = sample_homodyne(rho, 500, seed=59)
@@ -478,8 +494,10 @@ TWIN_FAMILIES = [({}, "twb"), ({"gamma_t": 1.0}, "phase"),
 
 def twin_law_batch(x, n, seed, gamma_t=0.0, kappa=0.0, workers=1):
     """The twin beam's law drawn into one batch by the block loop of
-    ``sample_homodyne``, which checks the worker count and draws every
-    block on the calling thread."""
+    ``sample_homodyne``, which draws every block on the calling thread,
+    after the counts and the worker count are checked as that sampler
+    checks them."""
+    tomography._check_counts(n, seed, workers)
     return HomodyneBatch(*tomography._sample_blocks(
         n, seed, workers, *tomography._twin_beam_law(x, gamma_t, kappa),
         tomography._KERNEL_CHUNK))
@@ -698,23 +716,35 @@ def test_sampler_memory_is_the_batch_plus_a_constant(sampler):
     assert abs(extra[1] - extra[0]) < 0.5e6, extra
 
 
+SHORT_BLOCK_STATES = {
+    "rotated-twb": lambda: rotated_twb(0.5, 1.1),
+    "depolarized-d4": lambda: depolarized_state(
+        random_state_operator(4, np.random.default_rng(7)), 0.8),
+    "depolarized-d8": lambda: depolarized_state(
+        random_state_operator(8, np.random.default_rng(7)), 0.8),
+    "twb-x0.7": lambda: twb_state(0.7, FockTruncation.for_twb(0.7)),
+}
+
+
 @pytest.mark.parametrize("state, n, bound_mib", [
-    ("rotated-twb", 2 ** 15, 4.25), ("depolarized-d4", 2 ** 14, 1.5),
-    ("twin-beam", 40_000, 1.0)])
+    ("rotated-twb", 2 ** 15, 2.25), ("depolarized-d4", 2 ** 14, 1.5),
+    ("twin-beam", 40_000, 1.0), ("depolarized-d8", 2 ** 13, 4.0),
+    ("twb-x0.7", 2 ** 13, 3.5)])
 def test_short_block_memory_is_the_batch_plus_a_constant(state, n,
                                                          bound_mib):
     # a short block draws into its slice of the batch, skipping the words of
     # the uniforms it does not use, and reads gathered table rows in
     # cache-sized slices; the twin beam holds one block-length row of
-    # normals; the peak of sample_homodyne is its buffer of conditional
-    # features
+    # normals; sample_homodyne forms its conditional features one sample
+    # block at a time, within a fixed byte budget, so its peak no longer
+    # grows with the map's rows (289 at d = 17, 1016 for a general state at
+    # d = 8 and 561 for the twin beam at d = 33, whose features of a whole
+    # chunk took 2.26, 7.9 and 4.4 MiB)
     if state == "twin-beam":
         def sampler(m):
             return twin_law_batch(TWIN_X, m, seed=5)
     else:
-        rho = (rotated_twb(0.5, 1.1) if state == "rotated-twb"
-               else depolarized_state(
-                   random_state_operator(4, np.random.default_rng(7)), 0.8))
+        rho = SHORT_BLOCK_STATES[state]()
 
         def sampler(m):
             return sample_homodyne(rho, m, seed=5)

@@ -1,8 +1,13 @@
 """Print the CPU time of each stage of ``sample_homodyne`` on the states of
 the benchmark's tomo-general workload: depolarized random states at d = 3
-and 4 (p = 0.8) and the twin beam at x = 0.5 after a local phase rotation,
-and on the plain twin beam at x = 0.5 (d = 17, real blocks), then of each
-stage of a ``tomo-estimate`` run at 2^17 samples.
+and 4 (p = 0.8) and the twin beam at x = 0.5 after a local phase rotation;
+on the plain twin beam at x = 0.5 (d = 17, real blocks); and on two states
+whose conditional map has many rows, a depolarized random state at d = 8
+(1016 rows) and the twin beam at x = 0.7 (d = 33, 561 rows).  Then of each
+stage of a ``tomo-estimate`` run at 2^17 samples.  The twin beam at x = 0.9
+(d = 110) is left out: ``sample_homodyne`` reads a state only through its
+dense matrix, 12100 x 12100 there, until it accepts index-difference
+blocks (ROADMAP item 3).
 
 The table build (the table plus both stages' maps) and the positivity
 check are timed per call; the marginal draw, the conditional's reduced
@@ -15,8 +20,9 @@ prints its median CPU and wall time and their ratio: a ratio well above 1
 is a BLAS product that woke OpenBLAS's second thread, which then spins.
 Each state prints the read width, the number of table entries a column
 read sums, the bytes of the table, the number of phase modes (a, b) of
-its conditional and the shapes of the conditional's and the marginal's
-maps.  The
+its conditional, the shapes of the conditional's and the marginal's maps,
+and the samples of one block of the conditional's features and that
+block's bytes (``_SamplerTables.feature_buffer``).  The
 ``tomo-estimate`` stages are those of the benchmark's tomo-twin workload
 at x = 0.5: ``stream_twin_beam`` without noise, with phase noise
 gamma_t = 1 and with Gauss noise kappa = 0.2, each block drawn and
@@ -38,7 +44,8 @@ the process allocated and freed before.
 
 Then the traced peak allocation of one table build on each state, of one
 call of ``sample_homodyne`` on each state at the benchmark's sample counts
-and on the d = 4 twin beam, each with the part beyond the batch (32 bytes
+(2^13 for the d = 8 state and the x = 0.7 twin beam) and on the d = 4 twin
+beam, each with the part beyond the batch (32 bytes
 a sample), of ``stream_twin_beam`` without and with phase noise at 2^17
 samples, with the part beyond its one block buffer (32 bytes a sample of
 a block), of ``mc_estimate_witness`` at 2^17 samples, with the part beyond
@@ -85,6 +92,9 @@ def states(rng):
     yield "rotated twb", BipartiteDensity(
         d, d, base.matrix * np.outer(phases, phases.conj()))
     yield "twb", base
+    yield "depolarized d=8", depolarized_state(random_state_operator(8, rng),
+                                               0.8)
+    yield "twb x=0.7", twb_state(0.7, FockTruncation.for_twb(0.7))
 
 
 def stages(rho, rng):
@@ -93,9 +103,9 @@ def stages(rho, rng):
     phi1, phi2 = math.pi * rng.random((2, n))
     u1, u2 = rng.random((2, n))
     x1 = tables.draw_marginal(phi1, u1)
-    # the sampler's buffer of conditional features, which every chunk of a
-    # call reuses
-    buffer = np.empty((tables.conditional.shape[0], n))
+    # the sampler's buffer of one sample block of conditional features,
+    # which every chunk of a call reuses
+    buffer = tables.feature_buffer()
     weights = tables.pair_weights(x1, phi1, phi2, buffer)
     cells = []
     invert = tm._invert_cells
@@ -192,7 +202,8 @@ def print_medians(medians: dict) -> None:
 # sample counts of the benchmark's tomography workloads, and the rotated
 # twin beam's for the plain one
 STATE_SAMPLES = {"depolarized d=3": 2 ** 14, "depolarized d=4": 2 ** 14,
-                 "rotated twb": 2 ** 15, "twb": 2 ** 15}
+                 "rotated twb": 2 ** 15, "twb": 2 ** 15,
+                 "depolarized d=8": 2 ** 13, "twb x=0.7": 2 ** 13}
 TWIN_SAMPLES = 2 ** 17
 TWIN_NOISE = {"none": {}, "gamma_t = 1": {"gamma_t": 1.0},
               "kappa = 0.2": {"kappa": 0.2}}
@@ -281,11 +292,14 @@ def main(repeats: int = 30) -> None:
     for name, rho in states(rng):
         tables = tm._SamplerTables.build(rho)
         modes = {block[:2] for _, blocks in tables.groups for block in blocks}
+        buffer = tables.feature_buffer()
         print(f"{name} (d = {rho.dim_a}): read width "
               f"{tables.pairs.shape[0]}, table {tables.pairs.nbytes} B, "
               f"{len(modes)} conditional modes, conditional map "
               f"{tables.conditional.shape}, marginal map "
-              f"{tables.marginal.shape}; medians over {repeats}:")
+              f"{tables.marginal.shape}, feature blocks of "
+              f"{buffer.shape[1]} samples, {buffer.nbytes} B; medians over "
+              f"{repeats}:")
         print_medians(median_ms(stages(rho, rng), repeats))
     with tempfile.TemporaryDirectory() as folder:
         medians = median_ms(
