@@ -153,8 +153,9 @@ def _cell(v) -> str:
     return str(v)
 
 
-# rows formatted and written at a time: a chunk's temporaries take about
-# 0.75 KiB a row, so this bounds the export's working memory (1.5 MiB)
+# rows formatted and written at a time: a chunk's buffers and temporaries
+# take about 0.5 KiB a row, so this bounds the export's working memory
+# (1 MiB)
 CHUNK_ROWS = 2048
 
 # the exact doubles 10^0 .. 10^22 and their Veltkamp halves (hi + lo = 10^k,
@@ -187,8 +188,8 @@ def _tables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
       0000 (which keeps an all-zero group below the leading digit's place
       0 in the maximum taken over a value's groups);
     - word 0 of a cell for each sign s, exponent E = -4 .. 16 and leading
-      digit l, at index 210 s + 10 E + l modulo its 420 entries: the sign
-      slot, "0." and -1 - E zeros for a negative exponent, the digit.
+      digit l, at index 210 s + 10 (E + 4) + l of its 420 entries: the
+      sign slot, "0." and -1 - E zeros for a negative exponent, the digit.
     """
     pair = np.arange(100)
     pair_text = (pair // 10 + ord("0")) | (pair % 10 + ord("0")) << 16
@@ -199,7 +200,7 @@ def _tables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     for sign, e, lead in itertools.product((0, 1), range(-4, 17), range(10)):
         prefix = "0." + "0" * (-1 - e) if e < 0 else ""
         word = ("-" if sign else "\0") + prefix.ljust(5, "\0") + str(lead)
-        leading[(210 * sign + 10 * e + lead) % 420] = int.from_bytes(
+        leading[210 * sign + 10 * (e + 4) + lead] = int.from_bytes(
             word.encode("ascii"), "little")
     return text, last, leading
 
@@ -269,11 +270,13 @@ def _format_cells(values: np.ndarray, cells: np.ndarray) -> None:
     significand[slow] = 10 ** 16
     # four groups of four digits; the leading digit is what is left
     lead = significand
+    del significand
     groups = np.empty((4, n), dtype=np.int64)
     for i in range(3, -1, -1):
         rest = lead
         lead = rest // 10 ** 4
         np.subtract(rest, lead * 10 ** 4, out=groups[i])
+    del rest
     group_text, group_last, leading = _tables()
     for i in range(3):
         cells[:, i + 1] = group_text.take(groups[i])
@@ -295,12 +298,12 @@ def _format_cells(values: np.ndarray, cells: np.ndarray) -> None:
         kept = np.clip(last[zero] - _GROUP_START[:, None], 0, 4)
         cells[zero, 1:] &= _KEEP.take(kept).T
     del groups
-    # the sign, the prefix and the leading digit from one table, whose
-    # index wraps for a negative exponent
-    key = np.multiply(e, 10)
+    # the sign, the prefix and the leading digit from one table
+    key = np.add(e, 4)
+    key *= 10
     key += lead
     key += (values < 0) * 210
-    cells[:, 0] = leading.take(key, mode="wrap")
+    cells[:, 0] = leading.take(key)
     text = cells.view(np.uint8)
     point = np.flatnonzero((e >= 0) & (last > e))
     text.reshape(-1)[40 * point + 2 * e[point] + 7] = ord(".")

@@ -52,18 +52,28 @@ def _near(x, z, out):
     cancels as z grows.
 
     Both run as one Horner recurrence on g + i q, reading one complex
-    coefficient row per step.  t is real, so each complex product rounds
-    its real and imaginary parts as the real products would, and the
-    recurrence starts from the top row, which is _horner's 0 t + c exactly
-    since no coefficient is zero: g and q keep the bits of two real
-    _horner evaluations."""
-    u = z * _SCALE
+    coefficient row per step into one scratch array.  t is real, so each
+    complex product rounds its real and imaginary parts as the real
+    products would, and the recurrence starts from the top row, which is
+    _horner's 0 t + c exactly since no coefficient is zero: g and q keep
+    the bits of two real _horner evaluations.
+
+    out's rows serve as buffers until they are written: z may be out[2],
+    which f11 = 2 + 4 (z^2 - 1) M1 overwrites last, u = z _SCALE is formed
+    in out[0], and when out is C-contiguous the scratch is out[0] and
+    out[1] read as one complex array."""
+    scratch = (out[:2].reshape(-1).view(complex) if out.flags.c_contiguous
+               else np.empty(x.size, dtype=complex))
+    u = np.multiply(z, _SCALE, out=out[0])
     k = np.minimum(u.astype(np.intp) >> 1, _INTERVALS - 1)
-    t = (u - (2 * k + 1)).astype(complex)
+    u -= 2 * k + 1
+    t = u.astype(complex)
     p = _POLY[-1].take(k)
     for row in _POLY[-2::-1]:
         p *= t
-        p += row.take(k)
+        # k is in range; mode "raise" would take into a copy of out
+        p += row.take(k, out=scratch, mode="clip")
+    del k, t
     g, q = p.real, p.imag
     m1 = q - g
     f00, f01, f11 = out
@@ -108,19 +118,27 @@ def pattern_functions(x):
     flat = x.reshape(-1)
     out = np.empty((3, flat.size))
     for start in range(0, flat.size, _CHUNK):
-        xs = flat[start:start + _CHUNK]
-        block = out[:, start:start + _CHUNK]
-        z = math.sqrt(2.0) * np.abs(xs)
-        near = z < SWITCH  # False for NaN, whose series stays NaN
-        if near.all():
-            _near(xs, z, block)
-        else:
-            far = ~near
-            part = np.empty((3, np.count_nonzero(near)))
-            _near(xs[near], z[near], part)
-            block[:, near] = part
-            block[:, far] = _far(xs[far])
+        _patterns(flat[start:start + _CHUNK], out[:, start:start + _CHUNK])
     return tuple(f.reshape(x.shape)[()] for f in out)
+
+
+def _patterns(x, out) -> None:
+    """f00, f01, f11 of at most _CHUNK points x into the rows of out, a
+    (3, x.size) array with contiguous rows.  z is formed in out[2] and,
+    when out is C-contiguous, :func:`_near` takes its other buffers from
+    out too, so beyond out the points hold only the recurrence's k, t
+    and p, 40 bytes a point."""
+    z = np.abs(x, out=out[2])
+    z *= math.sqrt(2.0)
+    near = z < SWITCH  # False for NaN, whose series stays NaN
+    if near.all():
+        _near(x, z, out)
+    else:
+        far = ~near
+        part = np.empty((3, np.count_nonzero(near)))
+        _near(x[near], z[near], part)
+        out[:, near] = part
+        out[:, far] = _far(x[far])
 
 
 def oscillator_psi_table(n_max: int, x) -> np.ndarray:

@@ -13,8 +13,8 @@ uniform phase draws absorb the d(phi)/pi measures of the estimator rule.
 ``sample_homodyne`` draws from this density for any two-mode state in the
 Fock basis.  ``stream_twin_beam`` draws from the closed-form Gaussian law
 of the twin beam and its phase- and displacement-noisy relatives, one
-block at a time.  Both samplers draw their blocks serially, on the calling
-thread.
+piece of a block at a time.  Both samplers draw their blocks serially, on
+the calling thread.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ import numpy as np
 
 from .cv import _check_gamma_t, _check_kappa
 from .specfn import _CHUNK as _KERNEL_CHUNK
-from .specfn import oscillator_psi_table, pattern_functions
+from .specfn import _patterns, oscillator_psi_table
 from .states import BipartiteDensity
 
 BLOCK_SIZE = 65536          # determinism unit: one RNG substream per block
@@ -94,9 +94,13 @@ def witness_kernel(x1, phi1, x2, phi2, out: np.ndarray | None = None):
 
     Depends on the phases only through phi1 + phi2.  The kernel is
     elementwise, so it is evaluated specfn._CHUNK points at a time into
-    one values array: its temporaries do not grow with the input.  That
-    array is out, a C-contiguous float array of the broadcast shape, when
-    it is given, and then out is returned.
+    one values array: its temporaries do not grow with the input.  The
+    pattern functions of x1 and x2 of a chunk go into one buffer that
+    every chunk reuses, and each evaluation forms its own intermediates in
+    the rows it is about to fill (see specfn._patterns), so beyond the
+    values the kernel holds 0.70 MiB.  The values array is out, a
+    C-contiguous float array of the broadcast shape, when it is given, and
+    then out is returned.
     """
     args = np.broadcast_arrays(*(np.asarray(a, dtype=float)
                                  for a in (x1, phi1, x2, phi2)))
@@ -109,17 +113,25 @@ def witness_kernel(x1, phi1, x2, phi2, out: np.ndarray | None = None):
                          "samples' shape")
     else:
         values = out.reshape(-1)
+    # the pattern functions of x1 and x2 of one chunk, reused by every
+    # chunk; a short chunk takes the leading part of each (3, chunk) block
+    patterns = np.empty((2, 3 * min(values.size, _KERNEL_CHUNK)))
     for start in range(0, values.size, _KERNEL_CHUNK):
         sl = slice(start, start + _KERNEL_CHUNK)
-        phase = np.add(phi1[sl], phi2[sl])
-        np.cos(phase, out=phase)
-        a00, a01, a11 = pattern_functions(x1[sl])
-        b00, b01, b11 = pattern_functions(x2[sl])
+        size = min(_KERNEL_CHUNK, values.size - start)
+        a, b = (block[:3 * size].reshape(3, size) for block in patterns)
+        _patterns(x1[sl], a)
+        _patterns(x2[sl], b)
+        a00, a01, a11 = a
+        b00, b01, b11 = b
         # 0.5 (a00 b11 + a11 b00 - 2 cos a01 b01) in place, each operation
-        # in the order written
+        # in the order written; cos(phi1 + phi2) takes the row of a11 once
+        # it is added
         a00 *= b11
         a11 *= b00
         a00 += a11
+        phase = np.add(phi1[sl], phi2[sl], out=a11)
+        np.cos(phase, out=phase)
         phase *= 2.0
         phase *= a01
         phase *= b01
@@ -500,28 +512,43 @@ def _conditional_map(rho, d: int, expand: np.ndarray):
                           or [np.zeros((0, 2 * d - 1))]), groups
 
 
-def _feature_plan(d: int, groups: tuple):
+def _feature_plan(groups: tuple):
     """How :meth:`_SamplerTables.pair_weights` forms the features of the
     groups of row blocks of the conditional's map (see
     :func:`_conditional_map`).  Returns the (k, sine) of every block of
     b = 0, in row order, whose phase is the cosine or the sine of
     e^{ik theta}, and per group: |a| = k; the number of its blocks of
-    b = 0, which come first; the row of e^{ia theta} and that of
-    e^{ib phi2} of each of its other modes, among the powers of exponent
-    0, 1, ... followed by the conjugates of exponent 1, 2, ...; and the
-    mode of each of its other blocks with whether it takes the sine."""
+    b = 0, which come first; the powers |a| of e^{i theta} and |b| of
+    e^{i phi2} of each of its other modes, and whether a and whether b is
+    negative, as (modes, 1) columns, for which the power is conjugated;
+    and the mode of each of its other blocks with whether it takes the
+    sine."""
     fixed, plan = [], []
     for k, blocks in groups:
         sines = [(k, sine) for _, b, sine in blocks if b == 0]
         modes = list(dict.fromkeys((a, b) for a, b, _ in blocks if b))
         picks = [(modes.index((a, b)), sine) for a, b, sine in blocks if b]
-        left = [a if a >= 0 else d - 1 - a for a, _ in modes]
-        right = [b if b >= 0 else 2 * d - 2 - b for _, b in modes]
+        exponents = np.array(modes, dtype=np.intp).reshape(-1, 2).T
         fixed += sines
-        plan.append((k, len(sines),
-                     *(np.array(v, dtype=np.intp) for v in (left, right)),
+        plan.append((k, len(sines), *np.abs(exponents),
+                     *(exponents < 0)[..., None],
                      np.array(picks, dtype=np.intp).reshape(-1, 2)))
     return np.array(fixed, dtype=np.intp).reshape(-1, 2), tuple(plan)
+
+
+def _mixed_phases(theta, spin, left, right, conj_left, conj_right,
+                  picks) -> np.ndarray:
+    """The cosine or the sine of e^{i(a theta + b phi2)} of each row block
+    of a group of b != 0 (see :func:`_feature_plan`), as (blocks, 1,
+    samples), from the powers e^{ik theta} and e^{ik phi2}, k >= 0, of the
+    samples: e^{-ix} is the conjugate of e^{ix}, its sine negated, which
+    is exact, so no conjugate powers are held."""
+    turns, spins = theta[left], spin[right]
+    np.conjugate(turns, out=turns, where=conj_left)
+    np.conjugate(spins, out=spins, where=conj_right)
+    turns *= spins
+    del spins
+    return turns[..., None].view(float)[picks[:, 0], :, picks[:, 1]][:, None]
 
 
 @dataclass
@@ -592,7 +619,7 @@ class _SamplerTables:
                   if not live[1:].any() else None)
         conditional, groups = _conditional_map(rho, d, expand)
         conserving = all(b == 0 for _, blocks in groups for _, b, _ in blocks)
-        fixed, plan = _feature_plan(d, groups)
+        fixed, plan = _feature_plan(groups)
         return cls(d=d, nodes=nodes, delta=delta, pairs=pairs,
                    marginal=marginal[live],
                    marginal_rows=np.flatnonzero(live), shared=shared,
@@ -630,7 +657,7 @@ class _SamplerTables:
         # psi_n(x1) and the pair products, and the phases and the mixed
         # modes' products that a group gathers
         scratch = 2 * self.d + max((4 * left.size + len(picks) for
-                                    _, _, left, _, picks in self.plan),
+                                    _, _, left, *_, picks in self.plan),
                                    default=0)
         least = _block_rows(self.conditional)
         samples = _CHUNK
@@ -662,14 +689,15 @@ class _SamplerTables:
         e^{i(a theta + b phi2)} is formed once per chunk: the powers of
         e^{i theta}, whose cosine and sine rows the blocks of b = 0 read
         (every block, when rho conserves n - m), and for each other mode
-        one product per sample block.  In a sample block each group of one
-        |a| forms P_|a| once and fills its blocks of b = 0, then those of
-        its other modes, each with one broadcast multiply of P_|a| by the
-        stacked cosine or sine rows of the blocks.  So every feature is one
-        product of a pair product and a cosine or a sine (the cosine 1 for
-        mode (0, 0)), and every product with the map has the row count of
-        :func:`_fixed_rows`: each weight has the same bits whatever the
-        sample block size.
+        one product per sample block of the powers of e^{i theta} and
+        e^{i phi2} (see :func:`_mixed_phases`).  In a sample block each
+        group of one |a| forms P_|a| once and fills its blocks of b = 0,
+        then those of its other modes, each with one broadcast multiply of
+        P_|a| by the stacked cosine or sine rows of the blocks.  So every
+        feature is one product of a pair product and a cosine or a sine
+        (the cosine 1 for mode (0, 0)), and every product with the map has
+        the row count of :func:`_fixed_rows`: each weight has the same bits
+        whatever the sample block size.
         """
         d = self.d
         n = x1.size
@@ -679,16 +707,14 @@ class _SamplerTables:
         # whatever the sample count, which keeps a shorter run a bitwise
         # prefix of a longer one
         x1, phi1, phi2 = (_padded(a) for a in (x1, phi1, phi2))
-        turns = _phase_powers(phi1 + phi2, d)
+        theta = _phase_powers(phi1 + phi2, d)
         # the cosine or the sine of e^{ik theta} of every block of b = 0
-        fixed = turns.view(float).reshape(d, _CHUNK, 2)[self.fixed[:, 0], :,
+        fixed = theta.view(float).reshape(d, _CHUNK, 2)[self.fixed[:, 0], :,
                                                         self.fixed[:, 1]]
-        if not self.conserving:
-            # e^{ik x} for k >= 0 and then their conjugates e^{-ik x}, k > 0
-            theta = np.concatenate([turns, turns[1:].conj()])
+        if self.conserving:
+            del theta
+        else:
             spin = _phase_powers(phi2, 2 * d - 1)
-            spin = np.concatenate([spin, spin[1:].conj()])
-        del turns
         psi1 = oscillator_psi_table(d - 1, x1)
         features = self.feature_buffer() if out is None else out
         samples = features.shape[1]
@@ -697,28 +723,27 @@ class _SamplerTables:
         # per group: the factors of its pair products, the products, the
         # phases of its blocks of b = 0 and its row blocks in features
         groups, row, first = [], 0, 0
-        for k, count, left, right, picks in self.plan:
+        for k, count, *powers, picks in self.plan:
             width = d - k
             rows = features[row:row + (count + len(picks)) * width]
             rows = rows.reshape(-1, width, samples)
             groups.append((psi[k:], psi[:width], products[:width],
                            fixed[first:first + count, None], rows[:count],
-                           rows[count:], left, right, picks))
+                           rows[count:], powers, picks))
             row += rows.shape[0] * width
             first += count
         weights = np.empty((_CHUNK, 2 * d - 1))
         for start in range(0, n, samples):
             part = slice(start, start + samples)
             np.copyto(psi, psi1[:, part])
-            for high, low, pairs, phases, fill, mixed, left, right, picks \
+            for high, low, pairs, phases, fill, mixed, powers, picks \
                     in groups:
                 np.multiply(high, low, out=pairs)
                 np.multiply(pairs, phases[..., part], out=fill)
-                if left.size:
-                    turns = theta[left, part]
-                    np.multiply(turns, spin[right, part], out=turns)
-                    np.multiply(pairs, turns[..., None].view(float)[
-                        picks[:, 0], :, picks[:, 1]][:, None], out=mixed)
+                if picks.size:
+                    np.multiply(pairs, _mixed_phases(theta[:, part],
+                                                     spin[:, part], *powers,
+                                                     picks), out=mixed)
             _fixed_rows(features.T, self.conditional, weights[part])
         return weights[:n]
 
@@ -776,68 +801,41 @@ def _check_counts(n: int, seed: int, workers: int = 1) -> None:
         raise ValueError("workers must be positive")
 
 
-def _blocks(n: int, seed: int, draw, quadratures, piece: int,
-            batch: np.ndarray | None = None):
-    """Draw the blocks of n samples in order and yield each as its
-    (4, count) rows phi1, x1, phi2, x2, of at most BLOCK_SIZE samples.
+def _sample_blocks(n: int, seed: int, quadratures, piece: int
+                   ) -> np.ndarray:
+    """Draw n samples of ``sample_homodyne`` into one (4, n) array, whose
+    C-contiguous rows are phi1, x1, phi2 and x2, block by block; the
+    caller has checked n and seed (:func:`_check_counts`) and checks the
+    samples as a :class:`HomodyneBatch`.
 
     Block b gets its own generator from the b-th child of
-    ``SeedSequence(seed)``.  It draws phi1 and phi2 uniform on [0, pi),
-    then calls ``draw(rng, first, second)``, which fills the two per-sample
-    draws, of the block's sample count, and returns any further ones at
-    full block length.  Each draw leaves the generator where a draw of
-    BLOCK_SIZE values would, so every block takes the same words.
-    Then ``quadratures(phi1, phi2, first, second, *further)`` overwrites
-    first and second with (x1, x2), in pieces of at most ``piece``
-    samples, a size each sampler chooses.  So a shorter run is a prefix of
-    a longer one as long as ``quadratures`` computes each sample
-    independently of how many it is given.
-
-    The rows of a block are its slice of ``batch``, a (4, n) array, when
-    one is given, else one (4, min(n, BLOCK_SIZE)) buffer reused by every
-    block, so a block is valid only until the next one is requested.  The
-    two per-sample draws go straight into the x1 and x2 rows.  A short
-    last block draws only the uniforms it keeps and skips the rest of each
-    full-length draw (see :func:`_uniform_prefix`), so its draws are
-    prefixes of the full block's.  Besides the rows the loop holds the
-    further draws of one block and the temporaries of one piece, whatever
-    n is.  Blocks run one after another on the calling thread: on a
-    2-core Xeon a thread per block cost 1.1-2.0 times the wall time and
-    1.8-2.8 times the CPU of this loop at 2^18 samples of
-    ``sample_homodyne``, and ``tomo-estimate`` gained no wall time.
+    ``SeedSequence(seed)``.  It draws phi1 and phi2 uniform on [0, pi) and
+    then the two uniforms of each sample, each straight into its row of
+    the block's slice of the batch.  A short last block draws only the
+    uniforms it keeps and skips the rest of each full-length draw (see
+    :func:`_uniform_prefix`), so every block takes the same words and its
+    draws are prefixes of the full block's.  Then
+    ``quadratures(phi1, phi2, u1, u2)`` overwrites the uniforms with
+    (x1, x2), in pieces of at most ``piece`` samples.  So a shorter run is
+    a prefix of a longer one as long as ``quadratures`` computes each
+    sample independently of how many it is given.  Blocks run one after
+    another on the calling thread: on a 2-core Xeon a thread per block
+    cost 1.1-2.0 times the wall time and 1.8-2.8 times the CPU of this
+    loop at 2^18 samples of ``sample_homodyne``.
     """
-    buffer = np.empty((4, min(n, BLOCK_SIZE))) if batch is None else None
+    batch = np.empty((4, n))
     children = np.random.SeedSequence(seed).spawn(-(-n // BLOCK_SIZE))
     for b, child in enumerate(children):
-        start = b * BLOCK_SIZE
-        rows = (buffer[:, :n - start] if batch is None
-                else batch[:, start:start + BLOCK_SIZE])
+        rows = batch[:, b * BLOCK_SIZE:(b + 1) * BLOCK_SIZE]
         rng = np.random.default_rng(child)
-        count = rows.shape[1]
-        phi1, first, phi2, second = rows
-        _uniform_prefix(rng, phi1)
+        phi1, u1, phi2, u2 = rows
+        for row in (phi1, phi2, u1, u2):
+            _uniform_prefix(rng, row)
         phi1 *= math.pi
-        _uniform_prefix(rng, phi2)
         phi2 *= math.pi
-        further = draw(rng, first, second)
-        for begin in range(0, count, piece):
-            part = slice(begin, min(begin + piece, count))
-            quadratures(phi1[part], phi2[part], first[part], second[part],
-                        *(a[part] for a in further))
-        del further     # before the next block draws its own
-        yield rows
-
-
-def _sample_blocks(n: int, seed: int, workers: int, draw, quadratures,
-                   piece: int) -> np.ndarray:
-    """The n samples that :func:`_blocks` draws into one (4, n) array,
-    whose C-contiguous rows are phi1, x1, phi2 and x2.  The caller has
-    checked n, seed and ``workers`` (:func:`_check_counts`), which selects
-    nothing, and checks the samples as a :class:`HomodyneBatch` after the
-    buffers of draw are freed."""
-    batch = np.empty((4, n))
-    for _ in _blocks(n, seed, draw, quadratures, piece, batch):
-        pass
+        for begin in range(0, rows.shape[1], piece):
+            part = slice(begin, begin + piece)
+            quadratures(phi1[part], phi2[part], u1[part], u2[part])
     return batch
 
 
@@ -882,7 +880,7 @@ def sample_homodyne(rho: BipartiteDensity, n: int, seed: int,
     Samples are organized in fixed blocks of 65536 with one spawned RNG
     substream per block, drawn one after another, so the result is bitwise
     reproducible.  ``workers`` must be positive and selects nothing: it is
-    accepted for the callers that pass it (see :func:`_blocks`).
+    accepted for the callers that pass it (see :func:`_sample_blocks`).
     Every block draws its phases and uniforms straight into its slice of
     the batch (a short last block skips the words of the uniforms it does
     not use), and each chunk of _CHUNK = 1024 samples overwrites its
@@ -910,23 +908,18 @@ def sample_homodyne(rho: BipartiteDensity, n: int, seed: int,
     # the conditional's features of one sample block, for every chunk
     weights = tables.feature_buffer()
 
-    def draw(rng, u1, u2):
-        _uniform_prefix(rng, u1)
-        _uniform_prefix(rng, u2)
-        return ()
-
     def quadratures(phi1, phi2, u1, u2):
         x1 = tables.draw_marginal(phi1, u1)
         u2[:] = tables.draw_conditional(x1, phi1, phi2, u2, weights)
         u1[:] = x1
 
-    return HomodyneBatch(*_sample_blocks(n, seed, workers, draw,
-                                         quadratures, _CHUNK))
+    return HomodyneBatch(*_sample_blocks(n, seed, quadratures, _CHUNK))
 
 
 def _twin_beam_law(x: float, gamma_t: float, kappa: float):
-    """Check the twin beam's parameters and return the draw and the
-    quadratures of its blocks (see :func:`stream_twin_beam`)."""
+    """Check the twin beam's parameters and return the draw of a piece's
+    mixture phases (None without phase noise) and the quadratures of a
+    piece (see :func:`stream_twin_beam`)."""
     if not 0.0 <= x < 1.0:
         raise ValueError(f"twin-beam parameter x={x} outside [0, 1)")
     _check_gamma_t(gamma_t)
@@ -939,27 +932,13 @@ def _twin_beam_law(x: float, gamma_t: float, kappa: float):
     # sqrt(2) sqrt(gamma_t) stays finite for every finite gamma_t
     spread = math.sqrt(2.0) * math.sqrt(gamma_t)
 
-    def draw(rng, z1, z2):
-        if z1.size == BLOCK_SIZE:
-            rng.standard_normal(out=z1)
-            rng.standard_normal(out=z2)
-        else:
-            # a normal takes a variable number of words, so a short block
-            # cannot skip the unused ones: it draws both at full length
-            # through one reused row
-            row = np.empty(BLOCK_SIZE)
-            for z in (z1, z2):
-                rng.standard_normal(out=row)
-                z[:] = row[:z.size]
-        if gamma_t == 0.0:
-            return ()
+    def mixture(rng, theta):
         if gamma_t == math.inf:
-            theta = rng.random(BLOCK_SIZE)
+            rng.random(out=theta)
             theta *= 2.0 * math.pi
         else:
-            theta = rng.standard_normal(BLOCK_SIZE)
+            rng.standard_normal(out=theta)
             theta *= spread
-        return (theta,)
 
     def quadratures(phi1, phi2, z1, z2, theta=None):
         # x1 = sqrt(V) z1 and x2 = Cov/V x1 + sqrt((V - Cov)(V + Cov)/V) z2
@@ -980,7 +959,16 @@ def _twin_beam_law(x: float, gamma_t: float, kappa: float):
         cov *= z1
         z2 += cov
 
-    return draw, quadratures
+    return (None if gamma_t == 0.0 else mixture), quadratures
+
+
+def _skip_normals(rng: np.random.Generator, count: int,
+                  row: np.ndarray) -> None:
+    """Draw count standard normals from rng through row and drop them: a
+    normal takes a variable number of words, so they cannot be skipped
+    with ``bit_generator.advance``."""
+    for start in range(0, count, row.size):
+        rng.standard_normal(out=row[:count - start])
 
 
 def stream_twin_beam(x: float, n: int, seed: int, gamma_t: float = 0.0,
@@ -988,8 +976,8 @@ def stream_twin_beam(x: float, n: int, seed: int, gamma_t: float = 0.0,
     """Draw n joint homodyne samples from the twin beam with amplitudes
     sqrt(1-x^2) x^n on |nn>, after phase diffusion gamma_t and Gaussian
     displacement noise kappa on both modes, from their exact law, and
-    yield them in order as :class:`HomodyneBatch` blocks of at most
-    BLOCK_SIZE samples.
+    yield them in order as :class:`HomodyneBatch` pieces of at most
+    specfn._CHUNK = 8192 samples.
 
     At fixed phases the twin beam is Gaussian: (x1, x2) is bivariate normal
     with mean 0, Var x1 = Var x2 = V = (1 + x^2)/(4(1 - x^2)) + kappa/2 and
@@ -1004,22 +992,62 @@ def stream_twin_beam(x: float, n: int, seed: int, gamma_t: float = 0.0,
     ValueError.  No Fock truncation enters.
 
     Every argument is checked before this returns, and nothing is drawn
-    until the first block is requested.  Block b draws from its own
-    generator, the b-th child of ``SeedSequence(seed)`` (see
-    :func:`_blocks`), so the samples are bitwise reproducible and a
-    shorter run is a prefix of a longer one; the draws differ from those
-    of :func:`sample_homodyne`.  Each block is drawn into one reused
-    (4, min(n, BLOCK_SIZE)) buffer and is valid until the next is
-    requested, so a consumer that reads each sample once, as
-    ``tomo-estimate`` does, holds one block instead of the batch.  Besides
-    it the stream holds the phase-noise draws of one block, one
-    block-length row of normals for a short block, and the temporaries of
-    one piece: the outcomes are formed in pieces of specfn._CHUNK = 8192
-    samples, in place over the normals in the block's rows, with the
-    operations of the expressions above in their order, so each piece's
-    temporaries are three arrays of its length.
+    until the first piece is requested.  The samples come in blocks of
+    BLOCK_SIZE, and block b draws from its own generator, the b-th child
+    of ``SeedSequence(seed)``, in this order: BLOCK_SIZE uniforms for phi1
+    and as many for phi2 (each times pi), BLOCK_SIZE normals z1, as many
+    z2, then with phase noise the mixture phases theta.  So the samples
+    are bitwise reproducible and a shorter run is a prefix of a longer
+    one; the draws differ from those of :func:`sample_homodyne`.
+
+    A piece is drawn where it lies in that order, and no block is held.
+    ``Generator.random`` takes one 64-bit word per double, so the pieces'
+    phi1 and phi2 come from two generators moved ahead with
+    ``bit_generator.advance``.  A normal takes a variable number of words,
+    so z1 is drawn whole, into one block-length row that every block
+    reuses and in which x1 is formed; a short block drops the normals it
+    does not keep.  z2 is then drawn piece by piece, and with phase noise
+    a second generator, set to z2's start, drops BLOCK_SIZE normals once
+    per block and then draws the pieces' theta.  phi1, phi2 and x2 go into
+    one reused buffer of 8192 samples, and a piece is valid until the next
+    is requested, so a consumer that reads each sample once, as
+    ``tomo-estimate`` does, holds one piece instead of the batch.  The
+    outcomes are formed in place over the normals, with the operations of
+    the expressions above in their order; a piece's temporaries are three
+    arrays of its length.
     """
-    draw, quadratures = _twin_beam_law(x, gamma_t, kappa)
+    mixture, quadratures = _twin_beam_law(x, gamma_t, kappa)
     _check_counts(n, seed)
-    return (HomodyneBatch(*rows)
-            for rows in _blocks(n, seed, draw, quadratures, _KERNEL_CHUNK))
+    return _twin_beam_pieces(n, seed, mixture, quadratures)
+
+
+def _twin_beam_pieces(n: int, seed: int, mixture, quadratures):
+    """The pieces of :func:`stream_twin_beam`."""
+    # phi1, phi2 and x2 of a piece, and its theta with phase noise
+    piece = np.empty((3 if mixture is None else 4, _KERNEL_CHUNK))
+    z1 = np.empty(min(n, BLOCK_SIZE))
+    children = np.random.SeedSequence(seed).spawn(-(-n // BLOCK_SIZE))
+    for b, child in enumerate(children):
+        count = min(BLOCK_SIZE, n - b * BLOCK_SIZE)
+        first, second, rng = (np.random.default_rng(child) for _ in range(3))
+        second.bit_generator.advance(BLOCK_SIZE)
+        rng.bit_generator.advance(2 * BLOCK_SIZE)
+        rng.standard_normal(out=z1[:count])
+        _skip_normals(rng, BLOCK_SIZE - count, piece[2])
+        if mixture is not None:
+            phases = np.random.default_rng(child)
+            phases.bit_generator.state = rng.bit_generator.state
+            _skip_normals(phases, BLOCK_SIZE, piece[2])
+        for start in range(0, count, _KERNEL_CHUNK):
+            stop = min(start + _KERNEL_CHUNK, count)
+            phi1, phi2, x2, *theta = piece[:, :stop - start]
+            x1 = z1[start:stop]
+            first.random(out=phi1)
+            phi1 *= math.pi
+            second.random(out=phi2)
+            phi2 *= math.pi
+            rng.standard_normal(out=x2)
+            if theta:
+                mixture(phases, theta[0])
+            quadratures(phi1, phi2, x1, x2, *theta)
+            yield HomodyneBatch(phi1, x1, phi2, x2)

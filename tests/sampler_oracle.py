@@ -1,10 +1,13 @@
 """Oracles for the samplers' block loop and table search.
 
-``witnessforge.tomography._blocks`` draws a full block straight into its
-slice of the batch.  This module keeps the loop it replaced, which drew
-every array of a block at full length on its own and then copied, with the
-draws of both samplers in that form, and the twin beam's outcomes as the
-out-of-place expression that its in-place quadratures replaced.
+``witnessforge.tomography._sample_blocks`` draws a full block straight
+into its slice of the batch, and ``stream_twin_beam`` draws each piece of
+a block where it lies in the block's stream.  This module keeps the loop
+they replaced, which drew every array of a block at full length on its
+own and then copied, with the draws of both samplers in that form, and
+the twin beam's outcomes as the out-of-place expression that its in-place
+quadratures replaced.  The tests draw the twin beam's law into a batch
+with this loop alone.
 
 ``witnessforge.tomography.sample_homodyne`` never forms a sample's density
 row V @ table: it reads the few table columns its binary search visits,
@@ -110,7 +113,7 @@ def with_full_draws(draw):
     :func:`full_draw_blocks` with draw(rng), at the sampler's piece size,
     and the sampler's own quadratures, which overwrite copies of the
     piece's draws."""
-    def blocks(n, seed, _workers, _draw, in_place, piece):
+    def blocks(n, seed, in_place, piece):
         def own(phi1, phi2, first, second, *further):
             first, second = first.copy(), second.copy()
             in_place(phi1, phi2, first, second, *further)

@@ -493,13 +493,14 @@ TWIN_FAMILIES = [({}, "twb"), ({"gamma_t": 1.0}, "phase"),
 
 
 def twin_law_batch(x, n, seed, gamma_t=0.0, kappa=0.0, workers=1):
-    """The twin beam's law drawn into one batch by the block loop of
-    ``sample_homodyne``, which draws every block on the calling thread,
-    after the counts and the worker count are checked as that sampler
-    checks them."""
+    """The twin beam's law drawn into one batch by the oracle's block loop,
+    whose draws are full-length arrays and whose outcomes are the
+    out-of-place expression, after the arguments are checked as the
+    stream checks them and the worker count as ``sample_homodyne`` does."""
+    tomography._twin_beam_law(x, gamma_t, kappa)
     tomography._check_counts(n, seed, workers)
-    return HomodyneBatch(*tomography._sample_blocks(
-        n, seed, workers, *tomography._twin_beam_law(x, gamma_t, kappa),
+    return HomodyneBatch(*full_draw_blocks(
+        n, seed, twin_beam_draw(gamma_t), twin_beam_quadratures(x, kappa),
         tomography._KERNEL_CHUNK))
 
 
@@ -702,13 +703,12 @@ def traced_peak(run):
 
 
 @pytest.mark.parametrize("sampler", [
-    lambda n: twin_law_batch(TWIN_X, n, seed=5, gamma_t=1.0),
     lambda n: sample_homodyne(twb_state(0.3, FockTruncation(3)), n, seed=5)],
-    ids=["twin-beam", "homodyne"])
+    ids=["homodyne"])
 def test_sampler_memory_is_the_batch_plus_a_constant(sampler):
-    # full blocks draw into the 32 n-byte batch itself: beyond it a sampler
-    # holds the phase-noise draws of one block (0.5 MiB) and one chunk's
-    # temporaries, whatever n is; the first call is left untraced
+    # full blocks draw into the 32 n-byte batch itself: beyond it the
+    # sampler holds one chunk's temporaries, whatever n is; the first call
+    # is left untraced
     sampler(1000)
     extra = [traced_peak(lambda: sampler(n)) - 32 * n
              for n in (2 ** 17, 2 ** 18)]
@@ -734,15 +734,16 @@ def test_short_block_memory_is_the_batch_plus_a_constant(state, n,
                                                          bound_mib):
     # a short block draws into its slice of the batch, skipping the words of
     # the uniforms it does not use, and reads gathered table rows in
-    # cache-sized slices; the twin beam holds one block-length row of
-    # normals; sample_homodyne forms its conditional features one sample
-    # block at a time, within a fixed byte budget, so its peak no longer
-    # grows with the map's rows (289 at d = 17, 1016 for a general state at
-    # d = 8 and 561 for the twin beam at d = 33, whose features of a whole
-    # chunk took 2.26, 7.9 and 4.4 MiB)
+    # cache-sized slices; the twin beam's stream, copied into a batch, holds
+    # one row of the normals z1 and one piece; sample_homodyne forms its
+    # conditional features one sample block at a time, within a fixed byte
+    # budget, so its peak no longer grows with the map's rows (289 at
+    # d = 17, 1016 for a general state at d = 8 and 561 for the twin beam
+    # at d = 33, whose features of a whole chunk took 2.26, 7.9 and
+    # 4.4 MiB)
     if state == "twin-beam":
         def sampler(m):
-            return twin_law_batch(TWIN_X, m, seed=5)
+            return twin_beam_batch(TWIN_X, m, seed=5)
     else:
         rho = SHORT_BLOCK_STATES[state]()
 
@@ -751,6 +752,20 @@ def test_short_block_memory_is_the_batch_plus_a_constant(state, n,
     sampler(1000)
     extra = traced_peak(lambda: sampler(n)) - 32 * n
     assert extra < bound_mib * 2 ** 20, extra
+
+
+def test_streamed_twin_beam_memory_is_a_constant():
+    # the stream holds one block-length row of the normals z1 (0.5 MiB),
+    # one piece of 8192 samples with its phase-noise draws (0.25 MiB) and a
+    # piece's temporaries, whatever n is, and never a block of samples
+    def drain(n):
+        for _ in stream_twin_beam(TWIN_X, n, seed=5, gamma_t=1.0):
+            pass
+
+    drain(1000)
+    peaks = [traced_peak(lambda: drain(n)) for n in (2 ** 17, 2 ** 18)]
+    assert max(peaks) < 1.0 * 2 ** 20, peaks
+    assert abs(peaks[1] - peaks[0]) < 0.1e6, peaks
 
 
 def test_estimate_memory_is_the_values_plus_a_constant():
@@ -779,8 +794,8 @@ ORACLE_SIZES = [1, 1000, BLOCK_SIZE, 2 * BLOCK_SIZE + 1017]
 def test_twin_beam_draws_into_the_batch_with_the_full_draw_bits(
         n, workers, gamma_t, kappa):
     # the oracle draws at full length and forms the outcomes out of place,
-    # so this pins the in-batch draws, the stream's draws into its reused
-    # block and the in-place formula
+    # so this pins the stream's draws, each piece drawn where it lies in
+    # its block's stream, and the in-place formula
     expected = HomodyneBatch(*full_draw_blocks(
         n, 13, twin_beam_draw(gamma_t), twin_beam_quadratures(TWIN_X, kappa),
         tomography._KERNEL_CHUNK))
@@ -790,17 +805,36 @@ def test_twin_beam_draws_into_the_batch_with_the_full_draw_bits(
                                       kappa=kappa), expected)
 
 
+@pytest.mark.parametrize("gamma_t, kappa", [
+    (0.0, 0.0), (0.7, 0.0), (math.inf, 0.0), (0.0, 0.2), (0.7, 0.2),
+    (math.inf, 0.2)],
+    ids=["twb", "phase", "dephased", "gauss", "phase-gauss",
+         "dephased-gauss"])
+@pytest.mark.parametrize("n", [1, 8191, 8192, 8193, BLOCK_SIZE - 1,
+                               BLOCK_SIZE + 1, 3 * BLOCK_SIZE + 1017])
+def test_streamed_pieces_are_the_full_draw_batch(n, gamma_t, kappa):
+    # the pieces, concatenated, are the oracle's batch bit for bit: phi1
+    # and phi2 from generators moved ahead to their place, z1 held, z2 and
+    # theta drawn piece by piece, and the short block's draws
+    expected = full_draw_blocks(
+        n, 13, twin_beam_draw(gamma_t), twin_beam_quadratures(TWIN_X, kappa),
+        tomography._KERNEL_CHUNK)
+    assert_same_batch(twin_beam_batch(TWIN_X, n, seed=13, gamma_t=gamma_t,
+                                      kappa=kappa), HomodyneBatch(*expected))
+
+
 @pytest.mark.parametrize("workers", [1, 2, 3])
 @pytest.mark.parametrize("n", ORACLE_SIZES)
 def test_streamed_twin_beam_blocks_are_the_batch(n, workers):
-    # drawn into one reused buffer, the blocks keep the bits of the slices
-    # of the batch drawn at any worker count
+    # drawn into one reused buffer, the pieces of at most 8192 samples keep
+    # the bits of the slices of the batch drawn at any worker count
     batch = twin_law_batch(TWIN_X, n, seed=8, gamma_t=0.7, workers=workers)
     blocks = stream_twin_beam(TWIN_X, n, seed=8, gamma_t=0.7)
     start, buffers = 0, set()
     for block in blocks:
-        assert 0 < len(block) <= BLOCK_SIZE
-        buffers.add(block.phi1.ctypes.data)
+        assert 0 < len(block) <= tomography._KERNEL_CHUNK
+        buffers.add((block.phi1.ctypes.data, block.phi2.ctypes.data,
+                     block.x2.ctypes.data))
         for name in ("phi1", "x1", "phi2", "x2"):
             assert np.array_equal(getattr(block, name),
                                   getattr(batch, name)[start:start

@@ -25,10 +25,10 @@ and the samples of one block of the conditional's features and that
 block's bytes (``_SamplerTables.feature_buffer``).  The
 ``tomo-estimate`` stages are those of the benchmark's tomo-twin workload
 at x = 0.5: ``stream_twin_beam`` without noise, with phase noise
-gamma_t = 1 and with Gauss noise kappa = 0.2, each block drawn and
+gamma_t = 1 and with Gauss noise kappa = 0.2, each piece drawn and
 dropped, then on the phase-noisy samples as one batch
-``pattern_functions`` of x1, ``witness_kernel`` (which holds two
-``pattern_functions`` calls), ``mc_estimate_witness`` (which holds the
+``pattern_functions`` of x1, ``witness_kernel`` (which evaluates the
+pattern functions of x1 and x2), ``mc_estimate_witness`` (which holds the
 kernel) and ``formats.batch_to_csv``, split into the formatting of the
 cells and the rest, the compaction of each chunk and its write.  Wall and
 CPU time drift by tens of percent between runs on a shared VM, so the
@@ -47,13 +47,19 @@ call of ``sample_homodyne`` on each state at the benchmark's sample counts
 (2^13 for the d = 8 state and the x = 0.7 twin beam) and on the d = 4 twin
 beam, each with the part beyond the batch (32 bytes
 a sample), of ``stream_twin_beam`` without and with phase noise at 2^17
-samples, with the part beyond its one block buffer (32 bytes a sample of
-a block), of ``mc_estimate_witness`` at 2^17 samples, with the part beyond
-the kernel values (8 bytes a sample), of ``formats.batch_to_csv`` on 2^17
-rows, and of the in-process ``tomo-estimate`` command at 2^17 samples
-with phase noise, without and with ``--batch-csv``, with the part beyond
-its kernel values: it streams its samples block by block and never holds
-the batch.  Peaks are in MiB.
+samples (it holds one block-length row of normals and one piece, never a
+block of samples), of ``mc_estimate_witness`` at 2^17 samples, with the
+part beyond the kernel values (8 bytes a sample), of
+``formats.batch_to_csv`` on 2^17 rows, and of the in-process
+``tomo-estimate`` command at 2^17 samples in each of the benchmark's
+three tomo-twin jobs (no noise, phase noise with ``--batch-csv``, Gauss
+noise) and with phase noise without ``--batch-csv``, with the part beyond
+its kernel values: it streams its samples piece by piece and never holds
+the batch or a block.  On a 2-core Xeon with numpy 2.4 these read 1.39,
+1.84, 1.39 and 1.46 MiB beyond the values (3.21, 3.59, 3.21 and
+3.21 MiB while the command held a block), the export alone 1.02 MiB
+(1.14 MiB while each chunk held two spent arrays of digits) and the
+stream 0.88 and 0.94 MiB.  Peaks are in MiB.
 Run from the repository root:
 
     PYTHONPATH=src python tools/sampler_stages.py [repeats]
@@ -247,8 +253,7 @@ def memory(rng) -> None:
     for gamma_t in (0.0, 1.0):
         report(f"stream_twin_beam gamma_t = {gamma_t:g} n = {n}",
                lambda: drain(tm.stream_twin_beam(0.5, n, seed=1,
-                                                 gamma_t=gamma_t)),
-               "block", 32, tm.BLOCK_SIZE)
+                                                 gamma_t=gamma_t)))
     batch = twin_beam_batch(n, gamma_t=1.0)
     report(f"mc_estimate_witness n = {n}",
            lambda: tm.mc_estimate_witness(batch), "values", 8, n)
@@ -258,12 +263,17 @@ def memory(rng) -> None:
         batch_to_csv(path, [tm.HomodyneBatch(*(row[:1] for row in (
             batch.phi1, batch.x1, batch.phi2, batch.x2)))])
         report(f"batch_to_csv {n} rows", lambda: batch_to_csv(path, [batch]))
-        # the command draws, scores and exports one block at a time, so
-        # beyond its kernel values it holds one block's buffer (2 MiB)
-        argv = ["tomo-estimate", "--x", "0.5", "--gammat", "1", "--samples",
-                str(n), "--seed", "1"]
-        for label, extra in (("", []), (" --batch-csv", ["--batch-csv",
-                                                         path])):
+        # the command draws, scores and exports one piece at a time; the
+        # benchmark's three tomo-twin jobs, then phase noise alone
+        argv = ["tomo-estimate", "--x", "0.5", "--samples", str(n), "--seed",
+                "1"]
+        # the first run builds the parser; the peaks are later ones
+        quiet(cli.main, argv[:4] + ["1000"])
+        for label, extra in (("", []),
+                             (" --gammat 1 --batch-csv",
+                              ["--gammat", "1", "--batch-csv", path]),
+                             (" --kappa 0.2", ["--kappa", "0.2"]),
+                             (" --gammat 1", ["--gammat", "1"])):
             report(f"tomo-estimate{label} n = {n}",
                    lambda: quiet(cli.main, argv + extra), "values", 8, n)
 
